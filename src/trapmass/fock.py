@@ -65,7 +65,7 @@ def build_workspace(params: SystemParams, dim: int) -> FockWorkspace:
         raise DimensionTooSmall(f"dim must be >= 2, got {dim}")
     a = annihilation(dim)
     adag = a.conj().T
-    n = adag @ a
+    n = np.diag(np.arange(dim, dtype=complex))
     lx = math.sqrt(params.hbar / (2.0 * params.M0 * params.omega0))
     lp = math.sqrt(params.hbar * params.M0 * params.omega0 / 2.0)
     x = lx * (a + adag)
@@ -184,25 +184,31 @@ def parity_matrix(dim: int) -> np.ndarray:
     return np.diag((-1.0 + 0j) ** np.arange(dim))
 
 
-def dim_schedule(dim_max: int = DIM_MAX_DEFAULT) -> list[int]:
+def dim_schedule(dim_max: int = DIM_MAX_DEFAULT, min_dim: int = 0) -> list[int]:
+    """The doubling sizes 64, 128, ... up to dim_max, from the first >= min_dim."""
     dims = []
     d = _SCHEDULE_START
     while d <= dim_max:
-        dims.append(d)
+        if d >= min_dim:
+            dims.append(d)
         d *= 2
     return dims
 
 
-def converge_dim(request, tol: float, dim_max: int = DIM_MAX_DEFAULT) -> int:
+def converge_dim(
+    request, tol: float, dim_max: int = DIM_MAX_DEFAULT, min_dim: int = 0
+) -> int:
     """Smallest dim in the doubling schedule {64, 128, ...} at which the
     scalar `request(dim)` changes by < tol from the previous size.
 
-    `request` must return a (complex) scalar. Raises NoConvergence if the
-    schedule is exhausted.
+    The schedule starts at its first size >= min_dim. `request` must return
+    a (complex) scalar. Raises NoConvergence if the schedule is exhausted.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    schedule = dim_schedule(dim_max)
+    schedule = dim_schedule(dim_max, min_dim)
+    if not schedule:
+        raise NoConvergence(dim_max)
     if math.isinf(tol):
         return schedule[0]
     prev = complex(request(schedule[0]))
@@ -214,17 +220,6 @@ def converge_dim(request, tol: float, dim_max: int = DIM_MAX_DEFAULT) -> int:
             return d
         prev = cur
     raise NoConvergence(dim_max, change)
-
-
-def converged_workspace(
-    params: SystemParams,
-    request,
-    tol: float,
-    dim_max: int = DIM_MAX_DEFAULT,
-) -> FockWorkspace:
-    """Convenience: converge_dim over `request(workspace)` and return the workspace."""
-    dim = converge_dim(lambda d: request(build_workspace(params, d)), tol, dim_max)
-    return build_workspace(params, dim)
 
 
 def all_frames(params: SystemParams) -> list[ModeFrame]:

@@ -11,7 +11,16 @@ excited-level bounded Hamiltonian is
     a_1  = cosh(r) a - sinh(r) a^dag + sqrt(M_1 omega_1 / 2 hbar) x0.
 
 The enormous rest-energy phases enter only through the cancellation-safe
-offset gap (see model.offset_gap).
+offset gap (see model.offset_gap); the co-rotating frame uses its own
+cancellation-free rate (see _scalar_rate).
+
+Solver path: a_1 is real, so H_1b is a real pentadiagonal matrix. It is
+written from its bands in O(dim) and solved with one real eigh, giving a
+real eigenbasis V1. With dim=None the truncation is converged on the
+doubling schedule, starting at the first size >= state.dim, and the
+spectrum of the last probe is reused for the full time grid rather than
+solved again. The time grid is then contracted in fixed chunks of
+_TIME_CHUNK times, one matrix product per chunk over the state's support.
 """
 
 from __future__ import annotations
@@ -22,10 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, model
-from .errors import DimensionMismatch, GridTooCoarse
+from .errors import DimensionMismatch, DimensionTooSmall, GridTooCoarse
 from .states import CMState, fock_state, mixed_state, pure_state
 
 _PHASE_JUMP_TOL = math.pi * (1.0 - 1e-9)
+# Time points per batched contraction; keeps each temporary of
+# _bounded_trace at most _TIME_CHUNK x dim complex.
+_TIME_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -51,41 +63,45 @@ class RamseyTrace:
 
 @dataclass(frozen=True)
 class _SpectralPair:
-    """Eigendecompositions of both bounded Hamiltonians (energies in rad/s)."""
+    """Both bounded spectra (energies in rad/s) and the real H_1b eigenbasis."""
 
     w0: np.ndarray           # H_0b eigenfrequencies (exact: omega0 (n + 1/2))
     w1: np.ndarray
     V1: np.ndarray
-    dim: int
-    gap_rate: float          # (offset_1 - offset_0) / hbar
 
 
 def _excited_bounded_hamiltonian(
-    ws: fock.FockWorkspace, frame: model.ModeFrame, x0: float
+    params: model.SystemParams, frame: model.ModeFrame, x0: float, dim: int
 ) -> np.ndarray:
-    alpha = math.sqrt(frame.M_i * frame.omega_i / (2.0 * ws.params.hbar)) * x0
-    a1 = (
-        math.cosh(frame.r_i) * ws.a
-        - math.sinh(frame.r_i) * ws.adag
-        + alpha * np.eye(ws.dim)
-    )
-    return ws.params.hbar * frame.omega_i * (
-        a1.conj().T @ a1 + 0.5 * np.eye(ws.dim)
-    )
+    """H_1b = hbar omega_1 (a_1^T a_1 + 1/2), written from its five bands.
+
+    a_1 is real, and the truncated product expands to
+    c^2 a^T a + s^2 a a^T - c s (a a + a^T a^T) + alpha (c - s)(a + a^T) + alpha^2
+    with c = cosh r, s = sinh r; the diagonal of the truncated a a^T ends
+    in 0, so the last diagonal entry has no s^2 term.
+    """
+    c, s = math.cosh(frame.r_i), math.sinh(frame.r_i)
+    alpha = math.sqrt(frame.M_i * frame.omega_i / (2.0 * params.hbar)) * x0
+    n = np.arange(dim, dtype=float)
+    a_adag = n + 1.0
+    a_adag[-1] = 0.0
+    H = np.diag(c * c * n + s * s * a_adag + (alpha * alpha + 0.5))
+    i = np.arange(dim - 1)
+    H[i, i + 1] = H[i + 1, i] = alpha * (c - s) * np.sqrt(n[1:])
+    j = np.arange(dim - 2)
+    H[j, j + 2] = H[j + 2, j] = -c * s * np.sqrt(n[1:-1] * n[2:])
+    return params.hbar * frame.omega_i * H
 
 
 def _spectral_pair(params: model.SystemParams, level: int, x0: float, dim: int) -> _SpectralPair:
-    ws = fock.build_workspace(params, dim)
+    if dim < 2:
+        raise DimensionTooSmall(f"dim must be >= 2, got {dim}")
     frame = model.derive_mode_frame(params, level)
-    H1 = _excited_bounded_hamiltonian(ws, frame, x0)
-    evals, V1 = np.linalg.eigh(H1)
-    w0 = params.omega0 * (np.arange(dim) + 0.5)
+    evals, V1 = np.linalg.eigh(_excited_bounded_hamiltonian(params, frame, x0, dim))
     return _SpectralPair(
-        w0=w0,
+        w0=params.omega0 * (np.arange(dim) + 0.5),
         w1=evals / params.hbar,
         V1=V1,
-        dim=dim,
-        gap_rate=model.offset_gap(params, level, 0) / params.hbar,
     )
 
 
@@ -106,33 +122,62 @@ def _embed_state(state: CMState, dim: int) -> CMState:
 
 
 def _bounded_trace(sp: _SpectralPair, state: CMState, times: np.ndarray) -> np.ndarray:
-    """Tr{U_1b rho U_0b^dag} for each t; O(dim^2) per time point.
+    """Tr{U_1b rho U_0b^dag} for each t, contracted in chunks of _TIME_CHUNK times.
 
-    U_0b is diagonal in the Fock basis; U_1b is applied through the H_1b
-    eigenbasis. For pure psi: (U_0b psi)^dag (U_1b psi); for mixed rho the
-    double sum over both eigenbases is contracted as a Hadamard product.
+    U_0b is diagonal in the Fock basis and U_1b = V1 exp(-i w1 t) V1^T with
+    V1 real, so
+
+        Tr(t) = sum_{n, m} exp(-i w1_n t) C[n, m] exp(+i w0_m t),
+        C[n, m] = V1[m, n] (V1^T rho)[n, m].
+
+    For a pure psi, V1^T rho is the outer product (V1^T psi) psi^dag. Columns m
+    past the state's support (its last nonzero Fock amplitude) are exactly
+    zero and are dropped, so each chunk costs one (chunk x dim) @ (dim x k)
+    product, k the support size.
     """
+    data = state.data
+    nonzero = data != 0
+    if not state.is_pure:
+        nonzero = nonzero.any(axis=0) | nonzero.any(axis=1)
+    k = int(np.flatnonzero(nonzero)[-1]) + 1
+    V1k = sp.V1[:k]
     if state.is_pure:
-        psi = state.data
-        c1 = sp.V1.conj().T @ psi
-        # B[m, n] = conj(psi_m) V1[m, n] c1_n; trace(t) = e0(t) . (B @ e1(t))
-        B = psi.conj()[:, None] * sp.V1 * c1[None, :]
-        out = np.empty(times.size, dtype=complex)
-        for idx, t in enumerate(times):
-            e0 = np.exp(1j * sp.w0 * t)
-            e1 = np.exp(-1j * sp.w1 * t)
-            out[idx] = e0 @ (B @ e1)
-        return out
-    rho = state.data
-    # Tr = sum_{mn} C[m, n] exp(-i w1_m t) exp(+i w0_n t),
-    # C = (V1^dag rho) hadamard (V1^T) summed appropriately.
-    C = (sp.V1.conj().T @ rho) * sp.V1.T
+        psi = data[:k]
+        V1t_rho = np.outer(_real_matmul(V1k.T, psi), psi.conj())
+    else:
+        V1t_rho = _real_matmul(V1k.T, data[:k, :k])
+    C = V1k.T * V1t_rho
+    w0 = sp.w0[:k]
     out = np.empty(times.size, dtype=complex)
-    for idx, t in enumerate(times):
-        e1 = np.exp(-1j * sp.w1 * t)
-        e0 = np.exp(1j * sp.w0 * t)
-        out[idx] = e1 @ (C @ e0)
+    for lo in range(0, times.size, _TIME_CHUNK):
+        t = times[lo : lo + _TIME_CHUNK]
+        E1 = np.exp(-1j * np.outer(t, sp.w1))
+        E0 = np.exp(1j * np.outer(t, w0))
+        out[lo : lo + _TIME_CHUNK] = np.einsum("tm,tm->t", E1 @ C, E0)
     return out
+
+
+def _real_matmul(R: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """R @ Z for real R and complex Z as two real products (half the flops)."""
+    return R @ Z.real + 1j * (R @ Z.imag)
+
+
+def _scalar_rate(params: model.SystemParams, level: int, corotating: bool) -> float:
+    """Rate of the scalar phase exp(-i rate t) that multiplies the bounded trace.
+
+    Lab frame: (offset_i - offset_0) / hbar. The co-rotating frame removes
+    omega_c = E_i / hbar from it, which leaves
+
+        -g^2 ((E_i - E_0) / c^2) (M_i + M0) / (2 k hbar),
+
+    formed directly so that the two ~E_i / hbar rates never cancel.
+    """
+    if not corotating:
+        return model.offset_gap(params, level, 0) / params.hbar
+    delta_M = (params.levels[level] - params.levels[0]) / params.c**2
+    return -(params.g**2) * delta_M * (params.mass(level) + params.M0) / (
+        2.0 * params.k * params.hbar
+    )
 
 
 def _resolve_x0(params: model.SystemParams, x0) -> float:
@@ -154,10 +199,10 @@ def ramsey_trace(
 ) -> RamseyTrace:
     """Exact interference trace for an arbitrary initial CM state.
 
-    dim=None converges the truncation on the doubling schedule (bounded
-    trace at the latest time must move by < dim_tol between sizes); an
-    explicit dim skips convergence. x0=None uses the gravitational-sag
-    separation g/omega0^2.
+    dim=None converges the truncation on the doubling schedule from the
+    first size >= state.dim (bounded trace at the latest time must move by
+    < dim_tol between sizes); an explicit dim skips convergence. x0=None
+    uses the gravitational-sag separation g/omega0^2.
     """
     if level_pair[0] != 0:
         raise DimensionMismatch(
@@ -168,24 +213,28 @@ def ramsey_trace(
     times = np.atleast_1d(np.asarray(times, dtype=float))
     x0v = _resolve_x0(params, x0)
 
+    sp = None
     if dim is None:
         t_ref = float(np.max(np.abs(times))) if times.size else 0.0
+        latest = {}
 
         def probe(d: int) -> complex:
-            sp = _spectral_pair(params, level, x0v, d)
+            latest.clear()  # hold one spectrum at a time
+            latest[d] = _spectral_pair(params, level, x0v, d)
             st = _embed_state(state, d)
-            return complex(_bounded_trace(sp, st, np.array([t_ref]))[0])
+            return complex(_bounded_trace(latest[d], st, np.array([t_ref]))[0])
 
-        dim = fock.converge_dim(probe, dim_tol, dim_max)
-        dim = max(dim, state.dim)
-    sp = _spectral_pair(params, level, x0v, dim)
+        dim = fock.converge_dim(probe, dim_tol, dim_max, min_dim=state.dim)
+        # The last probe solved the converged dim; it is absent only when
+        # converge_dim returned without probing (dim_tol = inf).
+        sp = latest.get(dim)
     st = _embed_state(state, dim)
+    if sp is None:
+        sp = _spectral_pair(params, level, x0v, dim)
 
     tr = _bounded_trace(sp, st, times)
-    # Safe relative scalar phase: exp(-i (offset_1 - offset_0) t / hbar).
-    tr = tr * np.exp(-1j * ((sp.gap_rate * times) % (2.0 * math.pi)))
-    if corotating:
-        tr = tr * np.exp(1j * ((params.omega_c(level) * times) % (2.0 * math.pi)))
+    rate = _scalar_rate(params, level, corotating)
+    tr = tr * np.exp(-1j * ((rate * times) % (2.0 * math.pi)))
 
     probability = 0.5 + 0.5 * np.real(tr)
     visibility = np.abs(tr)

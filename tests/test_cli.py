@@ -49,6 +49,16 @@ def test_ramsey_run_outputs(tmp_path):
     assert 0.0 < summary["t_min"] < summary["t_rev"]
 
 
+def test_ramsey_default_params(tmp_path):
+    # The default state has dim 128 and dim is converged: the schedule must
+    # start at the state's dim rather than at 64.
+    cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "ramsey_default"}, "params": {}}
+    assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "ramsey_default_summary.json").read_text())
+    assert summary["dim"] >= 128
+
+
 def test_ramsey_deterministic_bytes(tmp_path):
     run(tmp_path, ramsey_cfg(), "ramsey")
     first = (tmp_path / "ramsey_run.csv").read_bytes()

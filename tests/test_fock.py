@@ -25,6 +25,7 @@ def test_commutator_on_interior():
     assert np.allclose(comm[:m, :m], np.eye(64)[:m, :m], atol=1e-12)
     # The last diagonal element is corrupted by hard truncation.
     assert abs(comm[-1, -1] - 1.0) > 1.0
+    assert np.array_equal(ws.n, np.diag(np.arange(64.0)))
 
 
 def test_dimension_too_small():
@@ -100,6 +101,9 @@ def test_parity_matrix():
 def test_dim_schedule():
     assert fock.dim_schedule(512) == [64, 128, 256, 512]
     assert fock.dim_schedule(300) == [64, 128, 256]
+    assert fock.dim_schedule(512, min_dim=100) == [128, 256, 512]
+    assert fock.dim_schedule(512, min_dim=128) == [128, 256, 512]
+    assert fock.dim_schedule(512, min_dim=600) == []
 
 
 def test_converge_dim():
@@ -110,9 +114,14 @@ def test_converge_dim():
         return 1.0 + 2.0 ** -d  # converges fast
 
     assert fock.converge_dim(request, 1e-8) == 128
+    assert calls == [64, 128]
+    assert fock.converge_dim(request, 1e-8, min_dim=65) == 256
+    assert calls[2:] == [128, 256]
     assert fock.converge_dim(lambda d: 1.0, math.inf) == 64
     with pytest.raises(NoConvergence):
         fock.converge_dim(lambda d: float(d), 1e-8, dim_max=256)
+    with pytest.raises(NoConvergence):
+        fock.converge_dim(request, 1e-8, dim_max=256, min_dim=512)
 
 
 def test_vacuum_trace_converges_by_256():

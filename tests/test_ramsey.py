@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from trapmass import analytic, model, ramsey, states
+from trapmass import analytic, fock, model, ramsey, states
 from trapmass.errors import DimensionMismatch, GridTooCoarse
 
 
@@ -99,6 +100,124 @@ def test_corotating_frame_removes_internal_phase():
     wc = p.omega_c(1)
     assert np.max(np.abs(rot.trace - lab.trace * np.exp(1j * wc * times))) < 1e-12
     assert np.array_equal(rot.visibility, np.abs(rot.trace))
+
+
+def test_corotating_si_phase_is_cancellation_free():
+    # SI, where E_1/hbar ~ 3e15 rad/s: the co-rotating phase must carry the
+    # mass-defect rate, not the rounding of two large reduced phases.
+    p = model.build_system(
+        {"unit_system": "si", "M0": 1e-26, "omega0": 10.0, "g": 1e3,
+         "levels": [0.0, 2.8e-19]}
+    )
+    F = Fraction
+    dM = F(p.levels[1]) / F(p.c) ** 2
+    M1 = F(p.M0) + dM
+    rate_ref = -F(p.g) ** 2 * dM * (M1 + F(p.M0)) / (2 * F(p.k) * F(p.hbar))
+    rate = ramsey._scalar_rate(p, 1, corotating=True)
+    assert abs(F(rate) - rate_ref) <= abs(rate_ref) * F(1, 10**14)
+
+    times = np.linspace(1e-4, 1e-2, 50)
+    state = states.fock_state(64, 0)
+    rot = ramsey.ramsey_trace(p, state, times, x0=0.0, dim=64, corotating=True)
+    bounded = ramsey._bounded_trace(ramsey._spectral_pair(p, 1, 0.0, 64), state, times)
+    ref_phase = np.array([float(-rate_ref * F(t)) for t in times])
+    err = np.angle(rot.trace / bounded * np.exp(-1j * ref_phase))
+    assert np.max(np.abs(err)) < 1e-9
+
+
+def _dense_excited_hamiltonian(p, frame, x0, dim):
+    a = fock.annihilation(dim)
+    alpha = math.sqrt(frame.M_i * frame.omega_i / (2.0 * p.hbar)) * x0
+    a1 = math.cosh(frame.r_i) * a - math.sinh(frame.r_i) * a.conj().T + alpha * np.eye(dim)
+    return p.hbar * frame.omega_i * (a1.conj().T @ a1 + 0.5 * np.eye(dim))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 64, 257])
+def test_banded_hamiltonian_matches_dense_product(dim):
+    p = natural_params(E1=2.0, c=2.0, g=0.7)
+    frame = model.derive_mode_frame(p, 1)
+    H = ramsey._excited_bounded_hamiltonian(p, frame, 0.9, dim)
+    ref = _dense_excited_hamiltonian(p, frame, 0.9, dim)
+    assert H.dtype == np.float64
+    assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # Truncation corner: the last diagonal entry lacks the sinh^2 term.
+    alpha = math.sqrt(frame.M_i * frame.omega_i / (2.0 * p.hbar)) * 0.9
+    corner = frame.omega_i * (math.cosh(frame.r_i) ** 2 * (dim - 1) + alpha**2 + 0.5)
+    assert H[-1, -1] == pytest.approx(corner, rel=1e-14)
+    assert ref[-1, -1].real == pytest.approx(corner, rel=1e-14)
+
+
+def _per_time_trace(sp, state, times):
+    """Reference: Tr{U_1b rho U_0b^dag} from dense propagators, one time at a time."""
+    rho = state.density()
+    out = []
+    for t in times:
+        U1 = (sp.V1 * np.exp(-1j * sp.w1 * t)) @ sp.V1.T
+        U0 = np.diag(np.exp(-1j * sp.w0 * t))
+        out.append(np.trace(U1 @ rho @ U0.conj().T))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n_times", [1, ramsey._TIME_CHUNK + 1])
+def test_chunked_contraction_matches_per_time_loop(n_times):
+    p = natural_params(E1=2.0, c=2.0, g=0.4)
+    dim = 64
+    sp = ramsey._spectral_pair(p, 1, 0.8, dim)
+    times = np.linspace(0.0, 9.0, n_times)
+    mix = states.mixed_state(
+        0.4 * states.fock_state(20, 1).density()
+        + 0.6 * states.coherent_state(20, 0.5 - 0.7j).density()
+    )
+    cases = [
+        states.fock_state(20, 3),                # support 4 of 64
+        states.coherent_state(30, 0.9 + 0.4j),   # support 30 of 64
+        states.coherent_state(dim, 1.1),         # full support
+        mix,                                     # mixed, support 20 of 64
+        states.thermal_state_cm(dim, 0.7),       # mixed, full support
+    ]
+    for state in cases:
+        st = ramsey._embed_state(state, dim)
+        got = ramsey._bounded_trace(sp, st, times)
+        assert np.max(np.abs(got - _per_time_trace(sp, st, times))) < 1e-12
+
+
+def _count_solves(monkeypatch):
+    solves = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        solves.append((a.shape[0], np.iscomplexobj(a)))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return solves
+
+
+def test_one_real_solve_per_schedule_dim(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    p = natural_params(E1=2.0, c=2.0, g=0.0)
+    times = np.linspace(0.0, 6.0, 300)
+    tr = ramsey.ramsey_trace(p, states.fock_state(64, 1), times, x0=4.5)
+    expected = [d for d in fock.dim_schedule() if d <= tr.dim]
+    assert tr.dim > 128
+    assert solves == [(d, False) for d in expected]
+
+    solves.clear()
+    ramsey.ramsey_trace(p, states.fock_state(64, 1), times, x0=4.5, dim=96)
+    assert solves == [(96, False)]
+
+
+def test_convergence_starts_at_state_dim(monkeypatch):
+    # A state wider than the first schedule size converges from the first
+    # doubling size that holds it instead of failing to embed.
+    solves = _count_solves(monkeypatch)
+    p = natural_params(E1=2.0, c=2.0, g=0.0)
+    tr = ramsey.ramsey_trace(p, states.fock_state(128, 0), np.linspace(0.0, 5.0, 20))
+    assert tr.dim >= 128
+    assert solves[0] == (128, False)
+    assert solves[-1] == (tr.dim, False)
+    ref = ramsey.ramsey_trace(p, states.fock_state(128, 0), tr.times, dim=tr.dim)
+    assert np.max(np.abs(tr.trace - ref.trace)) < 1e-13
 
 
 def test_level_pair_validation():
