@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import model
+from . import fock, model
 from .errors import (
     DimensionMismatch,
     NotNormalized,
@@ -31,7 +31,6 @@ from .errors import (
     RegimeWarning,
     TruncationInsufficient,
 )
-from .fock import annihilation
 from .states import CMState
 
 _SMALL_REGIME = 1e-3
@@ -44,10 +43,9 @@ class VacuumAmplitudeParams:
 
     S = sqrt(M0/M1); a0 = M0 omega0 / hbar; x0 is the trap-center
     separation (only x0^2 enters the visibility, the sign enters the
-    phase through nothing - it is recorded for provenance). phi0_rate and
-    phi1_rate are the scalar-offset phase rates offset_i/hbar; gap_rate is
-    their difference evaluated without cancellation and is the only
-    combination the amplitude uses.
+    phase through nothing - it is recorded for provenance). gap_rate is
+    the scalar-offset phase rate (offset_1 - offset_0)/hbar, evaluated
+    without cancellation.
     """
 
     S: float
@@ -55,8 +53,6 @@ class VacuumAmplitudeParams:
     x0: float
     omega0: float
     omega1: float
-    phi0_rate: float
-    phi1_rate: float
     gap_rate: float
 
     def __post_init__(self):
@@ -75,15 +71,12 @@ class VacuumAmplitudeParams:
         # frequency ratio omega_1/omega_0.
         if not math.isclose(S, frame.omega_i / params.omega0, rel_tol=1e-12):
             raise ParamMismatch("mass and frequency ratios disagree")
-        frame0 = model.derive_mode_frame(params, 0)
         return cls(
             S=S,
             a0=params.M0 * params.omega0 / params.hbar,
             x0=float(x0),
             omega0=params.omega0,
             omega1=frame.omega_i,
-            phi0_rate=frame0.offset_i / params.hbar,
-            phi1_rate=frame.offset_i / params.hbar,
             gap_rate=model.offset_gap(params, level, 0) / params.hbar,
         )
 
@@ -124,11 +117,7 @@ def vacuum_coherent_amplitude(
     VacuumAmplitudeParams (pass x0=None).
     """
     if isinstance(params, VacuumAmplitudeParams):
-        vap = params if x0 is None else VacuumAmplitudeParams(
-            S=params.S, a0=params.a0, x0=float(x0), omega0=params.omega0,
-            omega1=params.omega1, phi0_rate=params.phi0_rate,
-            phi1_rate=params.phi1_rate, gap_rate=params.gap_rate,
-        )
+        vap = params if x0 is None else replace(params, x0=float(x0))
     else:
         vap = VacuumAmplitudeParams.from_system(params, level=level, x0=x0)
     t = np.asarray(t, dtype=float)
@@ -193,7 +182,7 @@ class EffectiveShift:
 
 def moments_from_state(state: CMState) -> dict:
     """First and second ladder moments {<a>, <a^2>, <a^dag^2>, <n>}."""
-    a = annihilation(state.dim)
+    a = fock.annihilation(state.dim)
     return {
         "a": state.expectation(a),
         "a2": state.expectation(a @ a),
@@ -283,15 +272,10 @@ def approx_visibility(
 
     frame = model.derive_mode_frame(params, level)
     dim = p.size + 8  # buffer so truncated products are exact on the support
-    a = annihilation(dim)
-    Ak = (
-        math.cosh(frame.r_i) * a
-        - math.sinh(frame.r_i) * a.conj().T
-        + frame.alpha_gi * np.eye(dim)
-    )
-    O = frame.omega_i * (Ak.conj().T @ Ak) - params.omega0 * (a.conj().T @ a)
-    diag_O = np.real(np.diag(O))[: p.size]
-    diag_O2 = np.real(np.diag(O @ O))[: p.size]
+    n_k = fock.mode_number(frame.r_i, frame.alpha_gi, dim)
+    O = frame.omega_i * n_k - params.omega0 * np.diag(np.arange(dim, dtype=float))
+    diag_O = np.diag(O)[: p.size]
+    diag_O2 = np.diag(O @ O)[: p.size]
     mean = float(p @ diag_O)
     var = float(p @ diag_O2) - mean**2
 
@@ -315,18 +299,18 @@ def approx_visibility(
 def number_operator_moments(frame: model.ModeFrame, state: CMState) -> dict:
     """{<n_k>, <n_k^2>, <[n_0, n_k]>} via two independent routes.
 
-    Route 1 builds n_k from the exact normal-ordered expansion
+    The matrix route is fock.mode_number, the truncated product a_k^T a_k.
+    The oracle route builds n_k from the exact normal-ordered expansion
 
         n_k = cosh(2r) n_0 + sinh^2 r - (sinh 2r / 2)(a^2 + a^dag2)
-              + alpha_g e^{-r} (a + a^dag) + alpha_g^2,
+              + alpha_g e^{-r} (a + a^dag) + alpha_g^2
 
-    route 2 multiplies the truncated Bogoliubov ladder matrices directly.
-    They must agree within 1e-10; disagreement means the state has weight
-    at the truncation edge.
+    with no product of ladder matrices. They must agree within 1e-10;
+    disagreement means the state has weight at the truncation edge.
     """
     dim = state.dim
-    a = annihilation(dim)
-    adag = a.conj().T
+    a = fock.annihilation(dim)
+    adag = a.T
     eye = np.eye(dim)
     r, alpha = frame.r_i, frame.alpha_gi
 
@@ -337,8 +321,7 @@ def number_operator_moments(frame: model.ModeFrame, state: CMState) -> dict:
         + alpha * math.exp(-r) * (a + adag)
         + alpha**2 * eye
     )
-    Ak = math.cosh(r) * a - math.sinh(r) * adag + alpha * eye
-    Nk_mat = Ak.conj().T @ Ak
+    Nk_mat = fock.mode_number(r, alpha, dim)
     N0 = adag @ a
 
     out = {}

@@ -84,11 +84,12 @@ def energy_gap(params: model.SystemParams, i: int, n: float) -> ShiftReport:
     # gap - E_i assembled from small differences only: the fractional shift
     # (~1e-19 in SI regimes) would vanish entirely if computed as
     # gap/E_i - 1 in doubles.
-    Mi = params.mass(i)
-    grav_part = -(params.g**2 / (2.0 * params.k)) * (Mi - params.M0) * (Mi + params.M0)
+    # The mass defect comes from the level energies, not from M_i - M0,
+    # which keeps only the digits of M_i that survive rounding.
+    delta_M = E_i / params.c**2
+    grav_part = -(params.g**2 / (2.0 * params.k)) * delta_M * (params.mass(i) + params.M0)
     # omega_i - omega_0 = omega_0 (sqrt(M0/M_i) - 1), cancellation-free.
-    rel_mass = (Mi - params.M0) / params.M0
-    domega = params.omega0 * math.expm1(-0.5 * math.log1p(rel_mass))
+    domega = params.omega0 * math.expm1(-0.5 * math.log1p(delta_M / params.M0))
     dilation_part = params.hbar * domega * (n + 0.5)
     gap_minus_E = grav_part + dilation_part
     low, comps = _lowest_order_gap(params, i, n)
@@ -209,7 +210,8 @@ def thermal_state(params: model.SystemParams, T: float, dim: int) -> JointTherma
 
     Each CM block is exp(-beta hbar omega_k n_k)-thermal in the level-k
     mode; expressed in the ground-mode basis it becomes a squeezed thermal
-    state, built here as S(r_k)^dag rho_th S(r_k) with truncated matrices.
+    state, built here as V_k diag(p) V_k^T from the real eigenbasis V_k of
+    the truncated n_k (equal to S(r_k)^dag rho_th S(r_k), as n_k = S^dag n S).
     """
     if params.g != 0.0:
         raise GravityNotSupported("thermal_state requires g = 0")
@@ -217,7 +219,6 @@ def thermal_state(params: model.SystemParams, T: float, dim: int) -> JointTherma
         raise ValueError(f"temperature must be > 0, got {T}")
     beta = 1.0 / (constants.K_B * T)
     pops = level_populations(params, T)
-    ws = fock.build_workspace(params, dim)
     blocks = []
     for k in range(params.n_levels):
         frame = model.derive_mode_frame(params, k)
@@ -228,13 +229,8 @@ def thermal_state(params: model.SystemParams, T: float, dim: int) -> JointTherma
             raise TruncationInsufficient(
                 f"level {k}: thermal tail {deficit:.3e} beyond dim {dim}"
             )
-        rho_k = np.diag(probs).astype(complex)
-        if frame.r_i != 0.0:
-            # Mode-k thermal state seen from the ground mode: rotate the
-            # diagonal thermal matrix with the Bogoliubov squeeze.
-            Sk = fock.squeeze_matrix(ws, frame.r_i)
-            rho_k = Sk.conj().T @ rho_k @ Sk
-        blocks.append(rho_k)
+        V = fock.spectrum(frame, 0.0, dim).V
+        blocks.append((V * probs) @ V.T)
     return JointThermalState(
         temperature=float(T), populations=pops, cm_blocks=blocks, dim=dim
     )

@@ -65,36 +65,28 @@ class CycleOperator:
     product: np.ndarray
     comparator: np.ndarray
     schedule: DriveSchedule
-    scalar_phase: complex   # relative rest-energy phase of one cycle
     dim: int
 
 
 def cycle_operator(params: model.SystemParams, dim: int, level: int = 1) -> CycleOperator:
     """U_0b(t_0) U_1b(t_1) and the comparator -i P S(2r) D(gamma).
 
-    Scalar rest-energy phases of the two legs are combined into a single
-    relative factor exp(-i (offset_0 t_0 + offset_1 t_1)/hbar) reported
-    separately (mod 2 pi; it multiplies both matrices identically).
+    Only the bounded propagators enter; the scalar rest-energy phases of the
+    two legs multiply both matrices identically and are left out.
     """
     sched = drive_schedule(params, level)
-    ws = fock.build_workspace(params, dim)
     frame0 = model.derive_mode_frame(params, 0)
     frame1 = model.derive_mode_frame(params, level)
-    U0 = fock.propagate(ws, frame0, sched.t0)
-    U1 = fock.propagate(ws, frame1, sched.t1)
-    product = U0.U @ U1.U
+    U0 = fock.spectrum(frame0, frame0.alpha_gi, dim).propagator(sched.t0)
+    U1 = fock.spectrum(frame1, frame1.alpha_gi, dim).propagator(sched.t1)
     comparator = (
         -1j
         * fock.parity_matrix(dim)
-        @ fock.squeeze_matrix(ws, sched.per_cycle_r)
-        @ fock.displace_matrix(ws, sched.beta_g)
+        @ fock.squeeze_matrix(dim, sched.per_cycle_r)
+        @ fock.displace_matrix(dim, sched.beta_g)
     )
     return CycleOperator(
-        product=product,
-        comparator=comparator,
-        schedule=sched,
-        scalar_phase=U0.scalar_phase * U1.scalar_phase,
-        dim=dim,
+        product=U0 @ U1, comparator=comparator, schedule=sched, dim=dim
     )
 
 
@@ -142,13 +134,12 @@ def iterate_drive(
     if not psi0.is_pure:
         raise DimensionMismatch("iterate_drive requires a pure initial state")
     if psi0.dim != dim:
-        raise DimensionMismatch(f"state dim {psi0.dim} != workspace dim {dim}")
+        raise DimensionMismatch(f"state dim {psi0.dim} != requested dim {dim}")
     sched = drive_schedule(params, level)
-    ws = fock.build_workspace(params, dim)
 
     # Approximation: S is applied incrementally, one per-cycle squeeze per
     # step, so the cost is N matrix-vector products.
-    S_step = fock.squeeze_matrix(ws, sched.per_cycle_r)
+    S_step = fock.squeeze_matrix(dim, sched.per_cycle_r)
     approx = np.empty(N)
     phi = psi0.data.copy()
     for k in range(N):

@@ -1,5 +1,16 @@
 """Truncated Fock-space operator algebra in the ground-level mode basis.
 
+Level i sees a displaced, squeezed copy of the ground-trap oscillator,
+
+    a_i = cosh(r_i) a - sinh(r_i) a^T + alpha,
+
+and every solver path builds its number operator a_i^T a_i with
+`mode_number`, a real pentadiagonal matrix written from its five bands.
+`spectrum` diagonalizes hbar omega_i (n_i + 1/2) with one real eigh (the
+ground mode is already diagonal and needs none) and `Spectrum.propagator`
+turns it into exp(-i H_b t / hbar). `mode_matrix_direct` rebuilds a_i from
+x and p and is kept only as an oracle for `mode_number`.
+
 All matrices are dense numpy arrays of size dim x dim. Hard truncation
 necessarily violates operator identities in the last rows/columns, so
 commutator and transformation checks are meaningful only on the interior
@@ -13,39 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionTooSmall,
-    NoConvergence,
-    ParamMismatch,
-)
+from .errors import ConvergenceFailure, DimensionTooSmall, NoConvergence
 from .model import ModeFrame, SystemParams, derive_mode_frame
 
 DIM_MAX_DEFAULT = 4096
 _SCHEDULE_START = 64
-
-
-@dataclass(frozen=True)
-class FockWorkspace:
-    """Ladder/number/position/momentum matrices at truncation dim."""
-
-    dim: int
-    a: np.ndarray
-    adag: np.ndarray
-    n: np.ndarray
-    x: np.ndarray
-    p: np.ndarray
-    params: SystemParams
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """Bounded part of exp(-i h_i t / hbar) plus the exact scalar rest-energy phase."""
-
-    level: int
-    t: float
-    U: np.ndarray
-    scalar_phase: complex
 
 
 def interior(dim: int) -> int:
@@ -54,105 +37,81 @@ def interior(dim: int) -> int:
 
 
 def annihilation(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=complex)
+    a = np.zeros((dim, dim))
     ms = np.arange(dim - 1)
     a[ms, ms + 1] = np.sqrt(ms + 1.0)
     return a
 
 
-def build_workspace(params: SystemParams, dim: int) -> FockWorkspace:
+def mode_number(r: float, alpha: float, dim: int) -> np.ndarray:
+    """a_i^T a_i for a_i = cosh(r) a - sinh(r) a^T + alpha, from its five bands.
+
+    The truncated product expands to
+    c^2 a^T a + s^2 a a^T - c s (a a + a^T a^T) + alpha (c - s)(a + a^T) + alpha^2
+    with c = cosh r, s = sinh r; the diagonal of the truncated a a^T ends
+    in 0, so the last diagonal entry has no s^2 term.
+    """
+    c, s = math.cosh(r), math.sinh(r)
+    n = np.arange(dim, dtype=float)
+    a_adag = n + 1.0
+    a_adag[-1] = 0.0
+    N = np.diag(c * c * n + s * s * a_adag + alpha * alpha)
+    i = np.arange(dim - 1)
+    N[i, i + 1] = N[i + 1, i] = alpha * (c - s) * np.sqrt(n[1:])
+    j = np.arange(dim - 2)
+    N[j, j + 2] = N[j + 2, j] = -c * s * np.sqrt(n[1:-1] * n[2:])
+    return N
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Bounded spectrum of one level's mode: eigenfrequencies w (rad/s) and
+    the real eigenvectors V (columns), H_b = hbar V diag(w) V^T."""
+
+    w: np.ndarray
+    V: np.ndarray
+
+    def propagator(self, t: float) -> np.ndarray:
+        """exp(-i H_b t / hbar) = V diag(exp(-i w t)) V^T."""
+        if not math.isfinite(t):
+            raise ConvergenceFailure(f"non-finite time {t!r}")
+        return (self.V * np.exp(-1j * self.w * t)) @ self.V.T
+
+
+def spectrum(frame: ModeFrame, alpha: float, dim: int) -> Spectrum:
+    """Spectrum of H_b = hbar omega_i (n_i + 1/2), n_i = mode_number(r_i, alpha, dim).
+
+    The ground mode (r = alpha = 0) is diagonal and is returned exactly;
+    any other mode takes one real eigh of H_b / hbar.
+    """
     if dim < 2:
         raise DimensionTooSmall(f"dim must be >= 2, got {dim}")
-    a = annihilation(dim)
-    adag = a.conj().T
-    n = np.diag(np.arange(dim, dtype=complex))
-    lx = math.sqrt(params.hbar / (2.0 * params.M0 * params.omega0))
-    lp = math.sqrt(params.hbar * params.M0 * params.omega0 / 2.0)
-    x = lx * (a + adag)
-    p = 1j * lp * (adag - a)
-    return FockWorkspace(dim=dim, a=a, adag=adag, n=n, x=x, p=p, params=params)
+    if frame.r_i == 0.0 and alpha == 0.0:
+        return Spectrum(w=frame.omega_i * (np.arange(dim) + 0.5), V=np.eye(dim))
+    H_b = mode_number(frame.r_i, alpha, dim)
+    H_b.flat[:: dim + 1] += 0.5
+    H_b *= frame.omega_i
+    w, V = np.linalg.eigh(H_b)
+    return Spectrum(w=w, V=V)
 
 
-def _check_frame(ws: FockWorkspace, frame: ModeFrame) -> None:
-    # The frame must describe the workspace's own level structure:
-    # omega_i sqrt(M_i) = omega0 sqrt(M0) and M_i = M0 + E_i/c^2.
-    params = ws.params
-    lhs = frame.omega_i * math.sqrt(frame.M_i)
-    rhs = params.omega0 * math.sqrt(params.M0)
-    ok = math.isclose(lhs, rhs, rel_tol=1e-9)
-    if ok:
-        try:
-            ok = math.isclose(frame.M_i, params.mass(frame.level), rel_tol=1e-12)
-        except Exception:
-            ok = False
-    if not ok:
-        raise ParamMismatch(
-            f"frame (level {frame.level}) inconsistent with workspace params"
-        )
-
-
-def mode_matrix(ws: FockWorkspace, frame: ModeFrame) -> np.ndarray:
-    """a_i = cosh(r_i) a0 - sinh(r_i) a0^dag + alpha_gi."""
-    _check_frame(ws, frame)
-    r = frame.r_i
-    return (
-        math.cosh(r) * ws.a
-        - math.sinh(r) * ws.adag
-        + frame.alpha_gi * np.eye(ws.dim)
-    )
-
-
-def mode_matrix_direct(ws: FockWorkspace, frame: ModeFrame) -> np.ndarray:
+def mode_matrix_direct(params: SystemParams, frame: ModeFrame, dim: int) -> np.ndarray:
     """a_i built directly from x and p: sqrt(M_i w_i/2hbar)(x + x_shift_i + i p/(M_i w_i)),
     with x measured from the level-0 equilibrium (so x_shift_i is the
     relative sag).
 
-    Independent of the Bogoliubov route in `mode_matrix`; the two must agree
-    on the interior block.
+    Oracle only: it is independent of the Bogoliubov route in
+    `mode_number`, and its product a_i^dag a_i must agree with it on the
+    interior block.
     """
-    _check_frame(ws, frame)
+    a = annihilation(dim)
+    lx = math.sqrt(params.hbar / (2.0 * params.M0 * params.omega0))
+    lp = math.sqrt(params.hbar * params.M0 * params.omega0 / 2.0)
+    x = lx * (a + a.T)
+    p = 1j * lp * (a.T - a)
     Mi, wi = frame.M_i, frame.omega_i
-    hbar = ws.params.hbar
-    scale = math.sqrt(Mi * wi / (2.0 * hbar))
-    return scale * (
-        ws.x + frame.x_shift_i * np.eye(ws.dim) + 1j * ws.p / (Mi * wi)
-    )
-
-
-def hamiltonian_matrix(ws: FockWorkspace, frame: ModeFrame) -> tuple[np.ndarray, float]:
-    """(H_bounded, offset): the oscillator part and the scalar rest-energy offset.
-
-    With x measured from the level-0 equilibrium, completing the square in
-    the lab Hamiltonian gives H_i = H_bounded + offset_i with
-
-        H_bounded = p^2/2M_i + (k/2)(x + x_shift_i)^2,
-
-    whose spectrum approximates hbar omega_i (n + 1/2). The enormous
-    M_i c^2 piece rides entirely in the scalar offset and is never
-    exponentiated as a matrix.
-    """
-    _check_frame(ws, frame)
-    p, x = ws.p, ws.x
-    params = ws.params
-    Mi = frame.M_i
-    xs = x + frame.x_shift_i * np.eye(ws.dim)
-    H = p @ p / (2.0 * Mi) + 0.5 * params.k * (xs @ xs)
-    return H, frame.offset_i
-
-
-def propagate(ws: FockWorkspace, frame: ModeFrame, t: float) -> Propagator:
-    """exp(-i H_bounded t / hbar) via Hermitian eigendecomposition."""
-    if not math.isfinite(t):
-        raise ConvergenceFailure(f"non-finite time {t!r}")
-    H, offset = hamiltonian_matrix(ws, frame)
-    try:
-        evals, vecs = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(f"eigensolve failed: {exc}") from exc
-    phases = np.exp(-1j * evals * t / ws.params.hbar)
-    U = (vecs * phases) @ vecs.conj().T
-    scalar = complex(np.exp(-1j * ((offset * t / ws.params.hbar) % (2.0 * math.pi))))
-    return Propagator(level=frame.level, t=t, U=U, scalar_phase=scalar)
+    scale = math.sqrt(Mi * wi / (2.0 * params.hbar))
+    return scale * (x + frame.x_shift_i * np.eye(dim) + 1j * p / (Mi * wi))
 
 
 def _expm_antihermitian(K: np.ndarray) -> np.ndarray:
@@ -162,26 +121,28 @@ def _expm_antihermitian(K: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
 
 
-def squeeze_matrix(ws: FockWorkspace, r: float) -> np.ndarray:
+def squeeze_matrix(dim: int, r: float) -> np.ndarray:
     """S(r) = exp(r (a^2 - adag^2) / 2)."""
     if r == 0.0:
-        return np.eye(ws.dim, dtype=complex)
-    K = 0.5 * r * (ws.a @ ws.a - ws.adag @ ws.adag)
+        return np.eye(dim, dtype=complex)
+    a = annihilation(dim)
+    K = 0.5 * r * (a @ a - a.T @ a.T)
     return _expm_antihermitian(K)
 
 
-def displace_matrix(ws: FockWorkspace, alpha: complex) -> np.ndarray:
+def displace_matrix(dim: int, alpha: complex) -> np.ndarray:
     """D(alpha) = exp(alpha adag - conj(alpha) a); real alpha matches
     exp(alpha (adag - a))."""
     if alpha == 0:
-        return np.eye(ws.dim, dtype=complex)
-    K = alpha * ws.adag - np.conj(alpha) * ws.a
+        return np.eye(dim, dtype=complex)
+    a = annihilation(dim)
+    K = alpha * a.T - np.conj(alpha) * a
     return _expm_antihermitian(K)
 
 
 def parity_matrix(dim: int) -> np.ndarray:
     """exp(-i pi n) = diag((-1)^n)."""
-    return np.diag((-1.0 + 0j) ** np.arange(dim))
+    return np.diag((-1.0) ** np.arange(dim))
 
 
 def dim_schedule(dim_max: int = DIM_MAX_DEFAULT, min_dim: int = 0) -> list[int]:

@@ -80,7 +80,7 @@ class ModeFrame:
     r_i: float
     alpha_gi: float
     offset_i: float     # scalar energy M_i c^2 (1 - g^2 / 2 omega_i^2 c^2)
-    x_shift_i: float    # relative sag g (M_i - M0)/k of mode i in the level-0 eigenmode basis
+    x_shift_i: float    # relative sag g delta_M/k of mode i in the level-0 eigenmode basis
 
 
 def build_system(config: dict) -> SystemParams:
@@ -189,7 +189,7 @@ def derive_mode_frame(params: SystemParams, i: int) -> ModeFrame:
         offset_i=offset_i,
         # g/omega_i^2 - g/omega_0^2 without cancellation: the basis is the
         # (gravity-sagged) level-0 eigenmode, so only relative sag enters.
-        x_shift_i=params.g * (M_i - params.M0) / params.k,
+        x_shift_i=params.g * delta_M / params.k,
     )
 
 
@@ -198,15 +198,15 @@ def offset_gap(params: SystemParams, i: int, j: int = 0) -> float:
 
     offset_i = M_i c^2 - g^2 M_i^2 / 2k, so the difference reduces to
     E_i - E_j minus a small gravitational correction; the rest masses never
-    enter. This is the only scalar-phase combination interference traces
-    depend on.
+    enter, and the mass defect M_i - M_j is formed as (E_i - E_j)/c^2. This
+    is the only scalar-phase combination interference traces depend on.
     """
     params._check_level(i)
     params._check_level(j)
-    Mi, Mj = params.mass(i), params.mass(j)
-    return (params.levels[i] - params.levels[j]) - (
-        params.g**2 / (2.0 * params.k)
-    ) * (Mi - Mj) * (Mi + Mj)
+    dE = params.levels[i] - params.levels[j]
+    return dE - (params.g**2 / (2.0 * params.k)) * (dE / params.c**2) * (
+        params.mass(i) + params.mass(j)
+    )
 
 
 def displacement_lowest_order(params: SystemParams, i: int) -> float:

@@ -79,14 +79,13 @@ def evolve_mixed_cm(
         )
     if rho0.dim != dim:
         raise InvalidDistribution(f"state dim {rho0.dim} != requested dim {dim}")
-    ws = fock.build_workspace(params, dim)
     rho = rho0.density()
     out = np.zeros((dim, dim), dtype=complex)
     for k, pk in enumerate(dist.p):
         if pk == 0.0:
             continue
         frame = model.derive_mode_frame(params, k)
-        U = fock.propagate(ws, frame, t).U
+        U = fock.spectrum(frame, frame.alpha_gi, dim).propagator(t)
         out += pk * (U @ rho @ U.conj().T)
     # Symmetrize away eigensolver roundoff before validation.
     out = 0.5 * (out + out.conj().T)
@@ -158,20 +157,6 @@ def qfunction(
             )
 
 
-def _nk_expansion_matrix(frame: model.ModeFrame, dim: int) -> np.ndarray:
-    a = fock.annihilation(dim)
-    adag = a.conj().T
-    eye = np.eye(dim)
-    r, alpha = frame.r_i, frame.alpha_gi
-    return (
-        math.cosh(2.0 * r) * (adag @ a)
-        + math.sinh(r) ** 2 * eye
-        - 0.5 * math.sinh(2.0 * r) * (a @ a + adag @ adag)
-        + alpha * math.exp(-r) * (a + adag)
-        + alpha**2 * eye
-    )
-
-
 def qfunction_short_time(
     params: model.SystemParams,
     alpha: complex,
@@ -207,7 +192,7 @@ def qfunction_short_time(
         if pk == 0.0:
             continue
         frame = model.derive_mode_frame(params, k)
-        Nk = _nk_expansion_matrix(frame, dim)
+        Nk = fock.mode_number(frame.r_i, frame.alpha_gi, dim)
         m1 = (VB.conj() @ (Nk @ va)) / overlap
         m2 = (VB.conj() @ (Nk @ (Nk @ va))) / overlap
         total += pk * np.exp(-((frame.omega_i * t) ** 2) * (m2 - m1**2))

@@ -14,9 +14,10 @@ The enormous rest-energy phases enter only through the cancellation-safe
 offset gap (see model.offset_gap); the co-rotating frame uses its own
 cancellation-free rate (see _scalar_rate).
 
-Solver path: a_1 is real, so H_1b is a real pentadiagonal matrix. It is
-written from its bands in O(dim) and solved with one real eigh, giving a
-real eigenbasis V1. With dim=None the truncation is converged on the
+Solver path: a_1 is real, so H_1b is built from fock.mode_number, the real
+pentadiagonal number operator written from its bands in O(dim), and
+fock.spectrum solves it with one real eigh, giving a real eigenbasis V1;
+U_0b needs no solve. With dim=None the truncation is converged on the
 doubling schedule, starting at the first size >= state.dim, and the
 spectrum of the last probe is reused for the full time grid rather than
 solved again. The time grid is then contracted in fixed chunks of
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, model
-from .errors import DimensionMismatch, DimensionTooSmall, GridTooCoarse
+from .errors import DimensionMismatch, GridTooCoarse
 from .states import CMState, fock_state, mixed_state, pure_state
 
 _PHASE_JUMP_TOL = math.pi * (1.0 - 1e-9)
@@ -61,54 +62,10 @@ class RamseyTrace:
     corotating: bool = False
 
 
-@dataclass(frozen=True)
-class _SpectralPair:
-    """Both bounded spectra (energies in rad/s) and the real H_1b eigenbasis."""
-
-    w0: np.ndarray           # H_0b eigenfrequencies (exact: omega0 (n + 1/2))
-    w1: np.ndarray
-    V1: np.ndarray
-
-
-def _excited_bounded_hamiltonian(
-    params: model.SystemParams, frame: model.ModeFrame, x0: float, dim: int
-) -> np.ndarray:
-    """H_1b = hbar omega_1 (a_1^T a_1 + 1/2), written from its five bands.
-
-    a_1 is real, and the truncated product expands to
-    c^2 a^T a + s^2 a a^T - c s (a a + a^T a^T) + alpha (c - s)(a + a^T) + alpha^2
-    with c = cosh r, s = sinh r; the diagonal of the truncated a a^T ends
-    in 0, so the last diagonal entry has no s^2 term.
-    """
-    c, s = math.cosh(frame.r_i), math.sinh(frame.r_i)
-    alpha = math.sqrt(frame.M_i * frame.omega_i / (2.0 * params.hbar)) * x0
-    n = np.arange(dim, dtype=float)
-    a_adag = n + 1.0
-    a_adag[-1] = 0.0
-    H = np.diag(c * c * n + s * s * a_adag + (alpha * alpha + 0.5))
-    i = np.arange(dim - 1)
-    H[i, i + 1] = H[i + 1, i] = alpha * (c - s) * np.sqrt(n[1:])
-    j = np.arange(dim - 2)
-    H[j, j + 2] = H[j + 2, j] = -c * s * np.sqrt(n[1:-1] * n[2:])
-    return params.hbar * frame.omega_i * H
-
-
-def _spectral_pair(params: model.SystemParams, level: int, x0: float, dim: int) -> _SpectralPair:
-    if dim < 2:
-        raise DimensionTooSmall(f"dim must be >= 2, got {dim}")
-    frame = model.derive_mode_frame(params, level)
-    evals, V1 = np.linalg.eigh(_excited_bounded_hamiltonian(params, frame, x0, dim))
-    return _SpectralPair(
-        w0=params.omega0 * (np.arange(dim) + 0.5),
-        w1=evals / params.hbar,
-        V1=V1,
-    )
-
-
 def _embed_state(state: CMState, dim: int) -> CMState:
     if dim < state.dim:
         raise DimensionMismatch(
-            f"workspace dim {dim} smaller than state dim {state.dim}"
+            f"truncation dim {dim} smaller than state dim {state.dim}"
         )
     if dim == state.dim:
         return state
@@ -121,11 +78,13 @@ def _embed_state(state: CMState, dim: int) -> CMState:
     return mixed_state(rho, state.prepared_level)
 
 
-def _bounded_trace(sp: _SpectralPair, state: CMState, times: np.ndarray) -> np.ndarray:
+def _bounded_trace(
+    spec: fock.Spectrum, omega0: float, state: CMState, times: np.ndarray
+) -> np.ndarray:
     """Tr{U_1b rho U_0b^dag} for each t, contracted in chunks of _TIME_CHUNK times.
 
-    U_0b is diagonal in the Fock basis and U_1b = V1 exp(-i w1 t) V1^T with
-    V1 real, so
+    U_0b = exp(-i w0 t) is diagonal in the Fock basis, w0 = omega0 (m + 1/2),
+    and U_1b = V1 exp(-i w1 t) V1^T with (w1, V1) = spec and V1 real, so
 
         Tr(t) = sum_{n, m} exp(-i w1_n t) C[n, m] exp(+i w0_m t),
         C[n, m] = V1[m, n] (V1^T rho)[n, m].
@@ -140,18 +99,18 @@ def _bounded_trace(sp: _SpectralPair, state: CMState, times: np.ndarray) -> np.n
     if not state.is_pure:
         nonzero = nonzero.any(axis=0) | nonzero.any(axis=1)
     k = int(np.flatnonzero(nonzero)[-1]) + 1
-    V1k = sp.V1[:k]
+    V1k = spec.V[:k]
     if state.is_pure:
         psi = data[:k]
         V1t_rho = np.outer(_real_matmul(V1k.T, psi), psi.conj())
     else:
         V1t_rho = _real_matmul(V1k.T, data[:k, :k])
     C = V1k.T * V1t_rho
-    w0 = sp.w0[:k]
+    w0 = omega0 * (np.arange(k) + 0.5)
     out = np.empty(times.size, dtype=complex)
     for lo in range(0, times.size, _TIME_CHUNK):
         t = times[lo : lo + _TIME_CHUNK]
-        E1 = np.exp(-1j * np.outer(t, sp.w1))
+        E1 = np.exp(-1j * np.outer(t, spec.w))
         E0 = np.exp(1j * np.outer(t, w0))
         out[lo : lo + _TIME_CHUNK] = np.einsum("tm,tm->t", E1 @ C, E0)
     return out
@@ -213,26 +172,31 @@ def ramsey_trace(
     times = np.atleast_1d(np.asarray(times, dtype=float))
     x0v = _resolve_x0(params, x0)
 
-    sp = None
+    frame = model.derive_mode_frame(params, level)
+    alpha = math.sqrt(frame.M_i * frame.omega_i / (2.0 * params.hbar)) * x0v
+
+    spec = None
     if dim is None:
         t_ref = float(np.max(np.abs(times))) if times.size else 0.0
         latest = {}
 
         def probe(d: int) -> complex:
             latest.clear()  # hold one spectrum at a time
-            latest[d] = _spectral_pair(params, level, x0v, d)
+            latest[d] = fock.spectrum(frame, alpha, d)
             st = _embed_state(state, d)
-            return complex(_bounded_trace(latest[d], st, np.array([t_ref]))[0])
+            return complex(
+                _bounded_trace(latest[d], params.omega0, st, np.array([t_ref]))[0]
+            )
 
         dim = fock.converge_dim(probe, dim_tol, dim_max, min_dim=state.dim)
         # The last probe solved the converged dim; it is absent only when
         # converge_dim returned without probing (dim_tol = inf).
-        sp = latest.get(dim)
+        spec = latest.get(dim)
     st = _embed_state(state, dim)
-    if sp is None:
-        sp = _spectral_pair(params, level, x0v, dim)
+    if spec is None:
+        spec = fock.spectrum(frame, alpha, dim)
 
-    tr = _bounded_trace(sp, st, times)
+    tr = _bounded_trace(spec, params.omega0, st, times)
     rate = _scalar_rate(params, level, corotating)
     tr = tr * np.exp(-1j * ((rate * times) % (2.0 * math.pi)))
 

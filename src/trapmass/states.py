@@ -77,13 +77,11 @@ def fock_state(dim: int, n: int) -> CMState:
 
 def coherent_state(dim: int, alpha: complex) -> CMState:
     """Truncated coherent state, renormalized (tail must be negligible)."""
+    if alpha == 0:
+        return fock_state(dim, 0)
     ns = np.arange(dim)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
-    amps = np.exp(-0.5 * abs(alpha) ** 2 + ns * np.log(complex(alpha)) - 0.5 * log_fact) \
-        if alpha != 0 else np.eye(dim, 1, dtype=complex).ravel() * np.exp(0.0)
-    if alpha == 0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
+    amps = np.exp(-0.5 * abs(alpha) ** 2 + ns * np.log(complex(alpha)) - 0.5 * log_fact)
     return pure_state(amps)
 
 

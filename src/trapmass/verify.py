@@ -219,11 +219,10 @@ def ablation_cycle_identity(
             {"unit_system": "natural", "c": c, "levels": [0.0, 100.0], "g": g}
         )
         cyc = drive.cycle_operator(params, dim)
-        ws = fock.build_workspace(params, dim)
         bare = (
             -1j
             * fock.parity_matrix(dim)
-            @ fock.squeeze_matrix(ws, cyc.schedule.per_cycle_r)
+            @ fock.squeeze_matrix(dim, cyc.schedule.per_cycle_r)
         )
         m = fock.interior(dim)
         devs.append(float(np.linalg.norm(cyc.product[:m, :m] - bare[:m, :m], 2)))

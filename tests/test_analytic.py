@@ -69,7 +69,6 @@ def test_closed_form_matches_fock_propagators():
     p = natural_params(E1=1.5, c=2.0)
     x0 = 0.4
     dim = 256
-    ws = fock.build_workspace(p, dim)
     f1 = model.derive_mode_frame(p, 1)
     times = np.linspace(0.1, 5.0, 7)
     tr = ramsey.ramsey_trace(p, states.fock_state(dim, 0), times, x0=x0, dim=dim)
@@ -83,8 +82,7 @@ def test_from_system_rejects_foreign_ratio():
     vap = analytic.VacuumAmplitudeParams.from_system(p)
     with pytest.raises(ParamMismatch):
         analytic.VacuumAmplitudeParams(
-            S=-1.0, a0=vap.a0, x0=0.0, omega0=1.0, omega1=1.0,
-            phi0_rate=0.0, phi1_rate=0.0, gap_rate=0.0,
+            S=-1.0, a0=vap.a0, x0=0.0, omega0=1.0, omega1=1.0, gap_rate=0.0,
         )
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,27 @@ def test_fractional_shift_not_underflowed():
     rep = clock.energy_gap(p, 1, 0)
     assert rep.fractional_shift != 0.0
     assert abs(rep.fractional_shift) < 1e-15  # far below double resolution of E
+
+
+def test_mass_defect_terms_match_rational_reference():
+    # Delta_M / M0 ~ 5e-12 here, so M_1 - M0 formed from rounded masses keeps
+    # only about four digits; the shift and the sag must carry E_1 / c^2.
+    p = si_params(M0=2.7e-25, omega0=3e5, levels=[0.0, 1.3e-19])
+    F = Fraction
+    n = F(1, 2)
+    dM = F(p.levels[1]) / F(p.c) ** 2
+    M0, g, k = F(p.M0), F(p.g), F(p.k)
+    u = dM / M0
+    assert u < F(1, 10**9)
+    # omega_1 / omega_0 - 1 = (1 + u)^(-1/2) - 1, series exact to O(u^4).
+    domega = F(p.omega0) * (-u / 2 + 3 * u**2 / 8 - 5 * u**3 / 16)
+    grav = -(g**2 / (2 * k)) * dM * (2 * M0 + dM)
+    ref_shift = (grav + F(p.hbar) * domega * (n + F(1, 2))) / F(p.levels[1])
+    rep = clock.energy_gap(p, 1, float(n))
+    assert abs(F(rep.fractional_shift) / ref_shift - 1) < F(1, 10**10)
+    ref_sag = g * dM / k
+    x_shift = model.derive_mode_frame(p, 1).x_shift_i
+    assert abs(F(x_shift) / ref_sag - 1) < F(1, 10**13)
 
 
 def test_minimal_shift_values():

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from trapmass import fock, model, ramsey, states
-from trapmass.errors import (
-    ConvergenceFailure,
-    DimensionTooSmall,
-    NoConvergence,
-    ParamMismatch,
-)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ramsey import _count_solves
+
+from trapmass import clock, constants, drive, fock, model, phasespace, ramsey, states
+from trapmass.errors import ConvergenceFailure, DimensionTooSmall, NoConvergence
 
 
 def natural_params(**over):
@@ -19,73 +18,99 @@ def natural_params(**over):
 
 
 def test_commutator_on_interior():
-    ws = fock.build_workspace(natural_params(), 64)
-    comm = ws.a @ ws.adag - ws.adag @ ws.a
+    a = fock.annihilation(64)
+    assert a.dtype == np.float64
+    comm = a @ a.T - a.T @ a
     m = fock.interior(64)
     assert np.allclose(comm[:m, :m], np.eye(64)[:m, :m], atol=1e-12)
     # The last diagonal element is corrupted by hard truncation.
     assert abs(comm[-1, -1] - 1.0) > 1.0
-    assert np.array_equal(ws.n, np.diag(np.arange(64.0)))
+    assert np.array_equal(fock.mode_number(0.0, 0.0, 64), np.diag(np.arange(64.0)))
 
 
 def test_dimension_too_small():
     with pytest.raises(DimensionTooSmall):
-        fock.build_workspace(natural_params(), 1)
+        fock.spectrum(model.derive_mode_frame(natural_params(), 1), 0.0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.floats(-1.0, 1.0),
+    alpha=st.floats(-3.0, 3.0),
+    dim=st.integers(2, 300),
+)
+def test_mode_number_matches_dense_product(r, alpha, dim):
+    a = fock.annihilation(dim)
+    a_i = math.cosh(r) * a - math.sinh(r) * a.T + alpha * np.eye(dim)
+    ref = a_i.T @ a_i
+    N = fock.mode_number(r, alpha, dim)
+    assert N.dtype == np.float64
+    assert np.max(np.abs(N - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1.0)
 
 
 def test_mode_matrix_routes_agree():
-    # Bogoliubov route vs direct (x, p) construction, gravity on.
+    # Direct (x, p) oracle vs the banded Bogoliubov builder, gravity on.
     p = natural_params()
-    ws = fock.build_workspace(p, 96)
+    dim = 96
+    m = fock.interior(dim)
     f1 = model.derive_mode_frame(p, 1)
-    m = fock.interior(96)
-    bog = fock.mode_matrix(ws, f1)
-    direct = fock.mode_matrix_direct(ws, f1)
-    assert np.max(np.abs((bog - direct)[:m, :m])) < 1e-10
+    direct = fock.mode_matrix_direct(p, f1, dim)
+    n1 = fock.mode_number(f1.r_i, f1.alpha_gi, dim)
+    assert np.max(np.abs((direct.conj().T @ direct - n1)[:m, :m])) < 1e-10
     f0 = model.derive_mode_frame(p, 0)
-    assert np.max(np.abs((fock.mode_matrix(ws, f0) - ws.a)[:m, :m])) < 1e-12
-
-
-def test_frame_param_mismatch():
-    p1 = natural_params()
-    p2 = natural_params(levels=[0.0, 3.0])
-    ws = fock.build_workspace(p1, 32)
-    with pytest.raises(ParamMismatch):
-        fock.mode_matrix(ws, model.derive_mode_frame(p2, 1))
+    a0 = fock.mode_matrix_direct(p, f0, dim)
+    assert np.max(np.abs((a0 - fock.annihilation(dim))[:m, :m])) < 1e-12
 
 
 def test_hamiltonian_spectrum():
     p = natural_params()
-    ws = fock.build_workspace(p, 256)
     for i in (0, 1):
         frame = model.derive_mode_frame(p, i)
-        H, offset = fock.hamiltonian_matrix(ws, frame)
-        evals = np.linalg.eigvalsh(H)
+        spec = fock.spectrum(frame, frame.alpha_gi, 256)
         n = np.arange(40)
-        expected = p.hbar * frame.omega_i * (n + 0.5)
-        assert np.max(np.abs(evals[:40] - expected)) < 1e-9
-        assert offset == frame.offset_i
+        assert np.max(np.abs(spec.w[:40] - frame.omega_i * (n + 0.5))) < 1e-9
+    # The ground mode is diagonal: no solve, exact spectrum.
+    spec0 = fock.spectrum(model.derive_mode_frame(p, 0), 0.0, 8)
+    assert np.array_equal(spec0.V, np.eye(8))
+    assert np.array_equal(spec0.w, p.omega0 * (np.arange(8) + 0.5))
 
 
-def test_propagator_unitary_and_scalar_phase():
+def test_spectrum_propagator_unitary():
     p = natural_params()
-    ws = fock.build_workspace(p, 64)
     frame = model.derive_mode_frame(p, 1)
-    prop = fock.propagate(ws, frame, 0.37)
-    assert np.allclose(prop.U @ prop.U.conj().T, np.eye(64), atol=1e-12)
-    assert abs(prop.scalar_phase) == pytest.approx(1.0, abs=1e-14)
+    spec = fock.spectrum(frame, frame.alpha_gi, 64)
+    U = spec.propagator(0.37)
+    assert np.allclose(U @ U.conj().T, np.eye(64), atol=1e-12)
+    assert np.allclose(spec.propagator(0.0), np.eye(64), atol=1e-12)
     with pytest.raises(ConvergenceFailure):
-        fock.propagate(ws, frame, float("nan"))
+        spec.propagator(float("nan"))
+
+
+def test_solver_paths_make_no_dense_complex_solve(monkeypatch):
+    # Level propagators and thermal blocks come from real eigh only; the
+    # cycle's complex solves are the squeeze and displacement comparator.
+    solves = _count_solves(monkeypatch)
+    dim = 48
+    p = natural_params(g=0.0)
+    dist = phasespace.InternalDistribution((0.5, 0.5))
+    phasespace.evolve_mixed_cm(p, states.fock_state(dim, 0), dist, 0.4, dim)
+    assert solves == [(dim, False)]
+
+    solves.clear()
+    clock.thermal_state(p, 1.0 / constants.K_B, dim)
+    assert solves == [(dim, False)]
+
+    solves.clear()
+    drive.cycle_operator(natural_params(), dim)
+    assert solves == [(dim, False), (dim, True), (dim, True)]
 
 
 def test_squeeze_displace_known_values():
-    p = natural_params(g=0.0)
-    ws = fock.build_workspace(p, 128)
     r = 0.4
-    S = fock.squeeze_matrix(ws, r)
+    S = fock.squeeze_matrix(128, r)
     assert abs(S[0, 0]) == pytest.approx(1.0 / math.sqrt(math.cosh(r)), rel=1e-12)
     alpha = 0.8 + 0.3j
-    D = fock.displace_matrix(ws, alpha)
+    D = fock.displace_matrix(128, alpha)
     expected = states.coherent_state(128, alpha).data
     got = D[:, 0]
     # Global phase is fixed: D(alpha)|0> = |alpha> exactly.

@@ -119,7 +119,8 @@ def test_corotating_si_phase_is_cancellation_free():
     times = np.linspace(1e-4, 1e-2, 50)
     state = states.fock_state(64, 0)
     rot = ramsey.ramsey_trace(p, state, times, x0=0.0, dim=64, corotating=True)
-    bounded = ramsey._bounded_trace(ramsey._spectral_pair(p, 1, 0.0, 64), state, times)
+    spec = fock.spectrum(model.derive_mode_frame(p, 1), 0.0, 64)
+    bounded = ramsey._bounded_trace(spec, p.omega0, state, times)
     ref_phase = np.array([float(-rate_ref * F(t)) for t in times])
     err = np.angle(rot.trace / bounded * np.exp(-1j * ref_phase))
     assert np.max(np.abs(err)) < 1e-9
@@ -134,26 +135,30 @@ def _dense_excited_hamiltonian(p, frame, x0, dim):
 
 @pytest.mark.parametrize("dim", [2, 3, 64, 257])
 def test_banded_hamiltonian_matches_dense_product(dim):
+    # The excited spectrum used by ramsey_trace reassembles the dense H_1b,
+    # truncation corner included.
     p = natural_params(E1=2.0, c=2.0, g=0.7)
     frame = model.derive_mode_frame(p, 1)
-    H = ramsey._excited_bounded_hamiltonian(p, frame, 0.9, dim)
+    alpha = math.sqrt(frame.M_i * frame.omega_i / (2.0 * p.hbar)) * 0.9
+    spec = fock.spectrum(frame, alpha, dim)
+    assert spec.V.dtype == np.float64
+    H = p.hbar * (spec.V * spec.w) @ spec.V.T
     ref = _dense_excited_hamiltonian(p, frame, 0.9, dim)
-    assert H.dtype == np.float64
     assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
     # Truncation corner: the last diagonal entry lacks the sinh^2 term.
-    alpha = math.sqrt(frame.M_i * frame.omega_i / (2.0 * p.hbar)) * 0.9
     corner = frame.omega_i * (math.cosh(frame.r_i) ** 2 * (dim - 1) + alpha**2 + 0.5)
     assert H[-1, -1] == pytest.approx(corner, rel=1e-14)
     assert ref[-1, -1].real == pytest.approx(corner, rel=1e-14)
 
 
-def _per_time_trace(sp, state, times):
+def _per_time_trace(spec, omega0, state, times):
     """Reference: Tr{U_1b rho U_0b^dag} from dense propagators, one time at a time."""
     rho = state.density()
+    w0 = omega0 * (np.arange(state.dim) + 0.5)
     out = []
     for t in times:
-        U1 = (sp.V1 * np.exp(-1j * sp.w1 * t)) @ sp.V1.T
-        U0 = np.diag(np.exp(-1j * sp.w0 * t))
+        U1 = (spec.V * np.exp(-1j * spec.w * t)) @ spec.V.T
+        U0 = np.diag(np.exp(-1j * w0 * t))
         out.append(np.trace(U1 @ rho @ U0.conj().T))
     return np.array(out)
 
@@ -162,7 +167,8 @@ def _per_time_trace(sp, state, times):
 def test_chunked_contraction_matches_per_time_loop(n_times):
     p = natural_params(E1=2.0, c=2.0, g=0.4)
     dim = 64
-    sp = ramsey._spectral_pair(p, 1, 0.8, dim)
+    frame = model.derive_mode_frame(p, 1)
+    spec = fock.spectrum(frame, math.sqrt(frame.M_i * frame.omega_i / 2.0) * 0.8, dim)
     times = np.linspace(0.0, 9.0, n_times)
     mix = states.mixed_state(
         0.4 * states.fock_state(20, 1).density()
@@ -177,8 +183,8 @@ def test_chunked_contraction_matches_per_time_loop(n_times):
     ]
     for state in cases:
         st = ramsey._embed_state(state, dim)
-        got = ramsey._bounded_trace(sp, st, times)
-        assert np.max(np.abs(got - _per_time_trace(sp, st, times))) < 1e-12
+        got = ramsey._bounded_trace(spec, p.omega0, st, times)
+        assert np.max(np.abs(got - _per_time_trace(spec, p.omega0, st, times))) < 1e-12
 
 
 def _count_solves(monkeypatch):
