@@ -75,10 +75,7 @@ def cycle_operator(params: model.SystemParams, dim: int, level: int = 1) -> Cycl
     two legs multiply both matrices identically and are left out.
     """
     sched = drive_schedule(params, level)
-    frame0 = model.derive_mode_frame(params, 0)
-    frame1 = model.derive_mode_frame(params, level)
-    U0 = fock.spectrum(frame0, frame0.alpha_gi, dim).propagator(sched.t0)
-    U1 = fock.spectrum(frame1, frame1.alpha_gi, dim).propagator(sched.t1)
+    product = _cycle_product(params, sched, dim)
     comparator = (
         -1j
         * fock.parity_matrix(dim)
@@ -86,8 +83,18 @@ def cycle_operator(params: model.SystemParams, dim: int, level: int = 1) -> Cycl
         @ fock.displace_matrix(dim, sched.beta_g)
     )
     return CycleOperator(
-        product=U0 @ U1, comparator=comparator, schedule=sched, dim=dim
+        product=product, comparator=comparator, schedule=sched, dim=dim
     )
+
+
+def _cycle_product(params: model.SystemParams, sched: DriveSchedule, dim: int) -> np.ndarray:
+    """U_0b(t_0) U_1b(t_1): the ground leg is diagonal, the excited leg
+    takes one real eigh."""
+    frame0 = model.derive_mode_frame(params, 0)
+    frame1 = model.derive_mode_frame(params, sched.level)
+    U0 = fock.spectrum(frame0, frame0.alpha_gi, dim).propagator(sched.t0)
+    U1 = fock.spectrum(frame1, frame1.alpha_gi, dim).propagator(sched.t1)
+    return U0 @ U1
 
 
 def comparator_deviation(cycle: CycleOperator) -> float:
@@ -148,11 +155,11 @@ def iterate_drive(
 
     exact = None
     if N <= N_EXACT_MAX:
-        cyc = cycle_operator(params, dim, level)
+        product = _cycle_product(params, sched, dim)
         exact = np.empty(N)
         psi = psi0.data.copy()
         for k in range(N):
-            psi = cyc.product @ psi
+            psi = product @ psi
             exact[k] = abs(psi0.data.conj() @ psi) ** 2
     else:
         warnings.warn(

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainc
 
 from . import fock, model
 from .errors import (
@@ -25,6 +26,7 @@ _COHERENT_DEFICIT = 1e-6
 _GRID_START_HALF_WIDTH = 4.0
 _GRID_GROWTH = 1.5
 _GRID_MAX_HALF_WIDTH = 64.0
+_Q_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -94,26 +96,45 @@ def evolve_mixed_cm(
 
 def coherent_row(dim: int, beta: complex) -> np.ndarray:
     """Truncated coherent-state coefficients e^{-|b|^2/2} b^n / sqrt(n!)."""
-    out = np.empty(dim, dtype=complex)
-    out[0] = math.exp(-0.5 * abs(beta) ** 2)
-    for n in range(1, dim):
-        out[n] = out[n - 1] * beta / math.sqrt(n)
-    return out
+    return _coherent_matrix(dim, np.array([beta], dtype=complex))[0]
 
 
 def _coherent_matrix(dim: int, betas: np.ndarray) -> np.ndarray:
-    """Row i holds the truncated coefficients of |betas[i]>."""
+    """Row i holds the truncated coefficients of |betas[i]> (a
+    Fortran-ordered view: the recursion in n writes one contiguous row of
+    the transpose per step)."""
     flat = betas.ravel()
-    B = np.empty((flat.size, dim), dtype=complex)
-    B[:, 0] = np.exp(-0.5 * np.abs(flat) ** 2)
+    cols = np.empty((dim, flat.size), dtype=complex)
+    cols[0] = np.exp(-0.5 * np.abs(flat) ** 2)
     for n in range(1, dim):
-        B[:, n] = B[:, n - 1] * flat / math.sqrt(n)
-    return B
+        cols[n] = cols[n - 1] * flat / math.sqrt(n)
+    return cols.T
 
 
 def _axis(half_width: float, delta: float) -> np.ndarray:
     m = int(math.ceil(half_width / delta))
     return delta * np.arange(-m, m + 1)
+
+
+def _dim_for_deficit(abs_beta: float, dim: int) -> int:
+    """Smallest size above dim whose truncated |beta> misses at most
+    _COHERENT_DEFICIT of its norm. The missing weight
+    sum_{n >= d} e^{-x} x^n / n! with x = |beta|^2 is the regularized lower
+    incomplete gamma function P(d, x), which does not underflow."""
+    x = abs_beta**2
+    need = dim + 1
+    while gammainc(need, x) > _COHERENT_DEFICIT:
+        need += 1
+    return need
+
+
+def _husimi(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """<beta|rho|beta> at each point of betas, _Q_CHUNK points per GEMM."""
+    q = np.empty(betas.size)
+    for s in range(0, betas.size, _Q_CHUNK):
+        B = _coherent_matrix(rho.shape[0], betas[s : s + _Q_CHUNK])
+        q[s : s + _Q_CHUNK] = ((B.conj() @ rho) * B).sum(1).real
+    return np.clip(q, 0.0, None)
 
 
 def qfunction(
@@ -125,12 +146,16 @@ def qfunction(
     """Husimi function on a square grid centered at the origin.
 
     The grid half-width grows by 1.5x until Q at the boundary drops below
-    1e-8 (unless auto_expand=False). Fails with TruncationInsufficient when
-    the truncated basis cannot represent the boundary coherent states.
+    1e-8 (unless auto_expand=False). Every grid is the same delta-lattice,
+    so the previous grid is the centre block of the next one and only the
+    new annulus is evaluated. Fails with TruncationInsufficient, naming the
+    dim required, when the truncated basis cannot represent the boundary
+    coherent states.
     """
     dim = rho.dim
-    rho_m = rho.density()
+    density = rho.density()
     hw = float(half_width)
+    q_old = np.empty((0, 0))
     while True:
         ax = _axis(hw, delta)
         beta = ax[None, :] + 1j * ax[:, None]
@@ -138,17 +163,23 @@ def qfunction(
         if deficit > _COHERENT_DEFICIT:
             raise TruncationInsufficient(
                 f"coherent-state deficit {deficit:.3e} at |beta|={hw:.2f} "
-                f"for dim {dim}"
+                f"for dim {dim}; needs dim >= {_dim_for_deficit(hw, dim)}"
             )
-        B = _coherent_matrix(dim, beta)
-        q = np.real(np.einsum("id,de,ie->i", B.conj(), rho_m, B)).reshape(beta.shape)
-        q = np.clip(q, 0.0, None)
+        n_old = q_old.shape[0]
+        o = (ax.size - n_old) // 2
+        centre = (slice(o, o + n_old),) * 2
+        fresh = np.ones(beta.shape, dtype=bool)
+        fresh[centre] = False
+        q = np.empty(beta.shape)
+        q[centre] = q_old
+        q[fresh] = _husimi(density, beta[fresh])
         edge = max(
             float(q[0, :].max()), float(q[-1, :].max()),
             float(q[:, 0].max()), float(q[:, -1].max()),
         )
         if not auto_expand or edge < _EDGE_Q:
             return QGrid(beta=beta, q=q, delta=float(delta))
+        q_old = q
         hw *= _GRID_GROWTH
         if hw > _GRID_MAX_HALF_WIDTH:
             raise TruncationInsufficient(

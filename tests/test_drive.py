@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from test_ramsey import _count_solves
 
 from trapmass import drive, fock, model, states
 from trapmass.errors import DimensionMismatch
@@ -106,6 +107,25 @@ def test_iterate_drive_validation_and_refusal():
         )
     assert res.exact is None
     assert res.approx.size == drive.N_EXACT_MAX + 1
+
+
+def test_iterate_drive_skips_the_comparator(monkeypatch):
+    # Only the cycle product is iterated: one real solve for the excited
+    # leg and one complex solve for S_step, none for the comparator.
+    p = natural_params(u=3e-2, g=0.2)
+    dim, N = 96, 7
+    psi0 = states.coherent_state(dim, 0.4)
+    solves = _count_solves(monkeypatch)
+    res = drive.iterate_drive(p, psi0, N, dim)
+    assert solves == [(dim, True), (dim, False)]
+
+    product = drive.cycle_operator(p, dim).product
+    expected = np.empty(N)
+    psi = psi0.data.copy()
+    for k in range(N):
+        psi = product @ psi
+        expected[k] = abs(psi0.data.conj() @ psi) ** 2
+    assert np.array_equal(res.exact, expected)
 
 
 def test_cycle_product_unitary():

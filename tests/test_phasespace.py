@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import factorial
 
 from trapmass import model, phasespace, states
 from trapmass.errors import (
@@ -61,6 +64,89 @@ def test_qfunction_truncation_guard():
     # dim 8 cannot represent coherent states at |beta| = 4.
     with pytest.raises(TruncationInsufficient):
         phasespace.qfunction(states.fock_state(8, 0))
+
+
+def test_qfunction_guard_names_required_dim():
+    # The vacuum at dim 64 grows its grid to |beta| = 6, where the truncated
+    # coherent state misses 1.6e-5 of its norm; dim 69 is the first size
+    # within the 1e-6 deficit bound.
+    with pytest.raises(TruncationInsufficient) as err:
+        phasespace.qfunction(states.fock_state(64, 0))
+    assert str(err.value) == (
+        "coherent-state deficit 1.610e-05 at |beta|=6.00 for dim 64; "
+        "needs dim >= 69"
+    )
+    grid = phasespace.qfunction(states.fock_state(69, 0))
+    assert np.max(np.abs(grid.q - np.exp(-np.abs(grid.beta) ** 2))) < 1e-12
+
+
+def _reference_q(state, beta):
+    # Independent route: coefficients from closed-form powers and
+    # factorials, contracted with the full density matrix by einsum.
+    n = np.arange(state.dim)
+    b = beta.ravel()[:, None]
+    B = np.exp(-0.5 * np.abs(b) ** 2) * b**n / np.sqrt(factorial(n))
+    q = np.einsum("id,de,ie->i", B.conj(), state.density(), B).real
+    return q.reshape(beta.shape)
+
+
+@st.composite
+def _random_states(draw):
+    dim = draw(st.integers(8, 160))
+    rank = draw(st.integers(0, 3))   # 0: pure state vector
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (dim, max(rank, 1))
+    vecs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # Decaying Fock weights keep the state inside the grid's reach.
+    vecs *= np.exp(-0.5 * np.arange(dim) / max(dim / 8.0, 1.0))[:, None]
+    vecs /= np.linalg.norm(vecs, axis=0)
+    if rank == 0:
+        return states.pure_state(vecs[:, 0])
+    p = rng.dirichlet(np.ones(rank))
+    rho = (vecs * p) @ vecs.conj().T
+    return states.mixed_state(0.5 * (rho + rho.conj().T))
+
+
+@settings(max_examples=30, deadline=None)
+@given(state=_random_states(), m=st.integers(1, 32))
+def test_qfunction_matches_einsum_reference(state, m):
+    # Grids of (2m+1)^2 points run from 9 to 4225, below and across the
+    # GEMM chunk boundaries. The half-width keeps the guard satisfied.
+    hw = 0.25 * math.sqrt(state.dim)
+    grid = phasespace.qfunction(state, delta=hw / m, half_width=hw, auto_expand=False)
+    assert np.max(np.abs(grid.q - _reference_q(state, grid.beta))) < 1e-13
+
+
+def test_qfunction_annulus_reuse(monkeypatch):
+    # Growing from half-width 1 takes several rounds; each round evaluates
+    # only its new annulus, and the result equals one evaluation of the
+    # final grid. delta = 1/8 keeps the lattice arithmetic exact.
+    rho = states.mixed_state(
+        0.7 * states.coherent_state(128, 1.0 - 0.5j).density()
+        + 0.3 * states.fock_state(128, 2).density()
+    )
+    delta = 0.125
+    evaluated = []
+    husimi = phasespace._husimi
+
+    def counting(density, betas):
+        evaluated.append(betas.ravel().copy())
+        return husimi(density, betas)
+
+    monkeypatch.setattr(phasespace, "_husimi", counting)
+    grid = phasespace.qfunction(rho, delta=delta, half_width=1.0)
+    hw = float(-grid.beta[0, 0].real)
+    assert hw >= 1.0 * 1.5**2   # at least two growth rounds
+    points = np.concatenate(evaluated)
+    assert points.size == grid.beta.size
+    assert np.unique(points).size == grid.beta.size
+    assert np.array_equal(np.sort_complex(points), np.sort_complex(grid.beta.ravel()))
+
+    evaluated.clear()
+    single = phasespace.qfunction(rho, delta=delta, half_width=hw, auto_expand=False)
+    assert sum(b.size for b in evaluated) == grid.beta.size
+    assert np.array_equal(single.beta, grid.beta)
+    assert np.max(np.abs(single.q - grid.q)) < 1e-15
 
 
 def test_evolve_mixed_cm_basics():
