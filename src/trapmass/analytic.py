@@ -125,6 +125,38 @@ def vacuum_coherent_amplitude(
     return bounded_amplitude(vap, t) * rel
 
 
+def coherent_visibility(
+    params: model.SystemParams, x0: float | None, alpha: float, t, level: int = 1
+) -> np.ndarray:
+    """Oracle: |<alpha| U_0^dag(t) U_1(t) |alpha>| for a real coherent state
+    of the ground trap, from the overlap of two phase-space Gaussians.
+
+    Independent of the Fock-space route. In units X = x sqrt(a0),
+    P = p / sqrt(hbar M0 omega0), |alpha> has mean (sqrt(2) alpha, 0) and
+    covariance I/2. U_0 rotates the mean at omega0; U_1 carries mean and
+    covariance along the excited trap's classical flow (frequency omega_1,
+    M_1 omega_1 / M0 omega0 = 1/S, center at -x0). Two pure Gaussians with
+    covariance sum Sigma and mean difference d overlap with modulus
+    det(Sigma)^(-1/4) exp(-d^T Sigma^-1 d / 4). alpha = 0 reproduces
+    closed_form_visibility.
+    """
+    vap = VacuumAmplitudeParams.from_system(params, level=level, x0=x0)
+    t = np.asarray(t, dtype=float)
+    m = 1.0 / vap.S
+    c1, s1 = np.cos(vap.omega1 * t), np.sin(vap.omega1 * t)
+    x_mean = math.sqrt(2.0) * alpha
+    X0 = vap.x0 * math.sqrt(vap.a0)
+    x_rel = x_mean + X0                       # start, relative to the excited center
+    dx = x_rel * c1 - X0 - x_mean * np.cos(vap.omega0 * t)
+    dp = -m * x_rel * s1 + x_mean * np.sin(vap.omega0 * t)
+    sxx = 0.5 + 0.5 * (c1**2 + (s1 / m) ** 2)
+    sxp = 0.5 * c1 * s1 * (1.0 / m - m)
+    spp = 0.5 + 0.5 * ((m * s1) ** 2 + c1**2)
+    det = sxx * spp - sxp**2
+    quad = (spp * dx**2 - 2.0 * sxp * dx * dp + sxx * dp**2) / det
+    return np.exp(-0.25 * quad) / det**0.25
+
+
 def closed_form_visibility(S: float, a0: float, x0: float, theta) -> np.ndarray:
     """|amplitude| as an explicit function of th = omega_1 t, with the
     removable singularities at th in 2*pi*Z already folded in."""

@@ -8,17 +8,23 @@ Experiments: ramsey, shift, drive, qfunc, sweep. Each run reads one JSON
 config, writes a CSV data file plus a JSON summary, both carrying a
 reproducibility header (config hash, constants-table version). Exit codes:
 0 success, 1 failed verification, 2 config error, 3 numeric failure.
+
+CSV format: "# key=value" header lines ending in LF, then the column names
+and one line per row, comma-separated and ending in CRLF. Every value is
+written with "%.17g", which round-trips a double exactly, so integer
+columns (is_min, k) read 0, 1, 2, ... and non-finite values read nan, inf
+and -inf.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -30,6 +36,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+# CSV rows formatted per write, so no string of the whole file is built.
+_CSV_CHUNK_ROWS = 4096
 
 
 class ConfigError(Exception):
@@ -123,16 +131,17 @@ def _header_lines(cfg: dict, timestamp: bool) -> list[str]:
     return lines
 
 
-def _write_csv(path: str, cfg: dict, timestamp: bool, columns: list[str], rows) -> None:
+def _write_csv(path: str, cfg: dict, timestamp: bool, columns: list[str], data) -> None:
+    """Write the 2-D float array data, one row per line, under columns."""
+    data = np.asarray(data, dtype=float).reshape(-1, len(columns))
+    row_format = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
         for line in _header_lines(cfg, timestamp):
             fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([
-                f"{v:.17g}" if isinstance(v, float) else v for v in row
-            ])
+        fh.write(",".join(columns) + "\r\n")
+        for lo in range(0, data.shape[0], _CSV_CHUNK_ROWS):
+            chunk = data[lo : lo + _CSV_CHUNK_ROWS]
+            fh.write(row_format * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
 def _write_json(path: str, cfg: dict, timestamp: bool, payload: dict) -> None:
@@ -157,22 +166,22 @@ def _out_paths(cfg: dict, out_dir: str) -> tuple[str, str]:
     )
 
 
-def read_csv(path: str) -> tuple[dict, list[str], list[list[float]]]:
-    """Round-trip reader: returns (header metadata, column names, rows)."""
+def read_csv(path: str) -> tuple[dict, list[str], np.ndarray]:
+    """Round-trip reader: returns (header metadata, column names, rows), rows
+    as a float array of shape (row count, column count)."""
     meta = {}
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    body = []
-    for line in lines:
-        if line.startswith("#"):
+        for line in fh:
+            if not line.startswith("#"):
+                break
             key, _, value = line[1:].strip().partition("=")
             meta[key] = value
-        elif line:
-            body.append(line)
-    reader = csv.reader(body)
-    columns = next(reader)
-    rows = [[float(v) for v in row] for row in reader]
-    return meta, columns, rows
+        columns = line.strip().split(",")
+        with warnings.catch_warnings():
+            # A zero-row file is valid; loadtxt warns that it holds no data.
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return meta, columns, rows.reshape(-1, len(columns))
 
 
 # ----------------------------------------------------------- experiments ---
@@ -206,27 +215,30 @@ def run_ramsey(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
         state_spec.get("type") == "coherent"
         and complex(state_spec.get("alpha", 0.0)).imag == 0.0
     )
-    if (is_vacuum or is_real_coherent) and not trace.corotating:
-        x0_eff = trace.x0
-        if is_real_coherent:
-            # A real-alpha coherent state is the vacuum Gaussian displaced
-            # by alpha*sqrt(2 hbar / M0 omega0) toward the other trap.
-            x0_eff += complex(state_spec["alpha"]).real * math.sqrt(
-                2.0 * params.hbar / (params.M0 * params.omega0)
-            )
-        amp = analytic.vacuum_coherent_amplitude(params, x0_eff, times, level=level)
+    if is_vacuum and not trace.corotating:
+        amp = analytic.vacuum_coherent_amplitude(params, trace.x0, times, level=level)
         columns += ["V_analytic", "phase_analytic"]
         data += [np.abs(amp), np.unwrap(np.angle(amp))]
         summary["oracle_max_deviation"] = float(
             np.max(np.abs(np.abs(amp) - trace.visibility))
         )
         t_min, v_min, t_rev, v_rev = analytic.visibility_extrema(
-            params, x0_eff, level=level
+            params, trace.x0, level=level
         )
         summary.update(t_min=t_min, V_min=v_min, t_rev=t_rev, V_rev=v_rev)
+    elif is_real_coherent and not trace.corotating:
+        # The vacuum's phase and extrema closed forms do not hold here.
+        v_analytic = analytic.coherent_visibility(
+            params, trace.x0, complex(state_spec["alpha"]).real, times, level=level
+        )
+        columns.append("V_analytic")
+        data.append(v_analytic)
+        summary["oracle_max_deviation"] = float(
+            np.max(np.abs(v_analytic - trace.visibility))
+        )
 
     csv_path, json_path = _out_paths(cfg, out_dir)
-    _write_csv(csv_path, cfg, timestamp, columns, zip(*[list(map(float, d)) for d in data]))
+    _write_csv(csv_path, cfg, timestamp, columns, np.column_stack(data))
     _write_json(json_path, cfg, timestamp, summary)
     return [csv_path, json_path]
 
@@ -241,6 +253,17 @@ def _grid_from_spec(spec) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _shift_tables(system: dict, level: int, omegas: np.ndarray,
+                  n_values: list[float]) -> list[clock.ShiftReport]:
+    """clock.shift_table over the omega0 grid, one table per n. Built at
+    omega0 = 1, natural-unit params keep the config's frequency unit."""
+    if omegas.size == 0 or not n_values:
+        raise ConfigError("shift grid is empty: give at least one omega0 and one n")
+    trap_free = {key: v for key, v in system.items() if key != "k"}
+    params = model.build_system({**trap_free, "omega0": 1.0})
+    return [clock.shift_table(params, level, omegas, n) for n in n_values]
+
+
 def run_shift(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
     p = cfg.get("params", {})
     system = dict(cfg["system"])
@@ -248,25 +271,18 @@ def run_shift(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
     omegas = _grid_from_spec(p.get("omega0_grid", {"min": 1e2, "max": 1e7,
                                                    "points": 200, "log": True}))
     n_values = [float(n) for n in p.get("n_values", [0.0])]
+    tables = _shift_tables(system, level, omegas, n_values)
+    params = model.build_system({**system, "omega0": omegas[0]})
 
-    rows = []
-    minima = {}
-    for n in n_values:
-        best = (None, math.inf)
-        for w in omegas:
-            sys_w = dict(system)
-            sys_w.pop("k", None)
-            sys_w["omega0"] = float(w)
-            params = model.build_system(sys_w)
-            rep = clock.energy_gap(params, level, n)
-            rows.append([
-                float(w), n, rep.fractional_shift,
-                rep.components["gravitational"], rep.components["time_dilation"], 0,
-            ])
-            if rep.fractional_shift < best[1]:
-                best = (len(rows) - 1, rep.fractional_shift)
-        rows[best[0]][5] = 1
-        params = model.build_system({**system, "omega0": omegas[0]})
+    blocks, minima = [], {}
+    for n, table in zip(n_values, tables):
+        is_min = np.zeros(omegas.size)
+        is_min[np.argmin(table.fractional_shift)] = 1.0
+        blocks.append(np.column_stack([
+            omegas, np.full(omegas.size, n), table.fractional_shift,
+            table.components["gravitational"], table.components["time_dilation"],
+            is_min,
+        ]))
         try:
             opt = clock.minimal_shift(params, n)
             minima[f"n={n}"] = {"omega_min": opt.omega_min, "delta_min": opt.delta_min}
@@ -285,7 +301,7 @@ def run_shift(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
     csv_path, json_path = _out_paths(cfg, out_dir)
     _write_csv(csv_path, cfg, timestamp,
                ["omega0", "n", "delta", "gravitational", "time_dilation", "is_min"],
-               rows)
+               np.vstack(blocks))
     _write_json(json_path, cfg, timestamp, summary)
     return [csv_path, json_path]
 
@@ -298,10 +314,7 @@ def run_drive(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
     level = int(p.get("level", 1))
     state = _build_state(p.get("state", {"type": "fock", "n": 0, "dim": dim}))
     res = drive.iterate_drive(params, state, N, dim, level)
-    rows = []
-    for k in range(N):
-        exact = res.exact[k] if res.exact is not None else float("nan")
-        rows.append([k + 1, float(exact), float(res.approx[k])])
+    exact = res.exact if res.exact is not None else np.full(N, np.nan)
     summary = {
         "per_cycle_r": res.schedule.per_cycle_r,
         "beta_g": [res.schedule.beta_g.real, res.schedule.beta_g.imag],
@@ -312,7 +325,8 @@ def run_drive(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
         "variance_growth_N": drive.position_variance_growth(params, N, level),
     }
     csv_path, json_path = _out_paths(cfg, out_dir)
-    _write_csv(csv_path, cfg, timestamp, ["k", "P_exact", "P_approx"], rows)
+    _write_csv(csv_path, cfg, timestamp, ["k", "P_exact", "P_approx"],
+               np.column_stack([np.arange(1, N + 1), exact, res.approx]))
     _write_json(json_path, cfg, timestamp, summary)
     return [csv_path, json_path]
 
@@ -337,12 +351,10 @@ def run_qfunc(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
         summary["fit_residual"] = fit.residual
     except TrapMassError as exc:
         summary["r_eff_error"] = str(exc)
-    rows = [
-        [float(b.real), float(b.imag), float(q)]
-        for b, q in zip(grid.beta.ravel(), grid.q.ravel())
-    ]
+    beta = grid.beta.ravel()
     csv_path, json_path = _out_paths(cfg, out_dir)
-    _write_csv(csv_path, cfg, timestamp, ["re_beta", "im_beta", "Q"], rows)
+    _write_csv(csv_path, cfg, timestamp, ["re_beta", "im_beta", "Q"],
+               np.column_stack([beta.real, beta.imag, grid.q.ravel()]))
     _write_json(json_path, cfg, timestamp, summary)
     return [csv_path, json_path]
 
@@ -357,28 +369,29 @@ def run_sweep(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
         raise ConfigError(f"sweep op must be one of {sorted(_SWEEP_OPS)}, got {op!r}")
     axes = p.get("axes", {})
     system = dict(cfg["system"])
-    rows, columns = [], []
     if op == "fractional_shift":
         _check_keys(axes, {"omega0", "n"}, "axes")
         columns = ["omega0", "n", "delta"]
-        for w in axes.get("omega0", [system.get("omega0", 1e6)]):
-            sys_w = dict(system)
-            sys_w.pop("k", None)
-            sys_w["omega0"] = float(w)
-            params = model.build_system(sys_w)
-            for n in axes.get("n", [0.0]):
-                rep = clock.energy_gap(params, 1, float(n))
-                rows.append([float(w), float(n), rep.fractional_shift])
+        omegas = np.asarray(axes.get("omega0", [system.get("omega0", 1e6)]), dtype=float)
+        n_values = [float(n) for n in axes.get("n", [0.0])]
+        tables = _shift_tables(system, 1, omegas, n_values)
+        # Rows run omega0-major: every n for the first omega0, then the next.
+        data = np.column_stack([
+            np.repeat(omegas, len(n_values)),
+            np.tile(n_values, omegas.size),
+            np.stack([t.fractional_shift for t in tables], axis=1).ravel(),
+        ])
     else:
         _check_keys(axes, {"x0"}, "axes")
         columns = ["x0", "t_min", "V_min", "t_rev", "V_rev"]
         params = model.build_system(system)
-        for x0 in axes.get("x0", [0.0]):
-            t_min, v_min, t_rev, v_rev = analytic.visibility_extrema(params, float(x0))
-            rows.append([float(x0), t_min, v_min, t_rev, v_rev])
+        data = np.array([
+            [float(x0), *analytic.visibility_extrema(params, float(x0))]
+            for x0 in axes.get("x0", [0.0])
+        ])
     csv_path, json_path = _out_paths(cfg, out_dir)
-    _write_csv(csv_path, cfg, timestamp, columns, rows)
-    _write_json(json_path, cfg, timestamp, {"op": op, "rows": len(rows)})
+    _write_csv(csv_path, cfg, timestamp, columns, data)
+    _write_json(json_path, cfg, timestamp, {"op": op, "rows": len(data)})
     return [csv_path, json_path]
 
 
@@ -405,8 +418,7 @@ def verify_outputs(paths: list[str]) -> list[str]:
     for path in paths:
         if not path.endswith(".csv"):
             continue
-        _, columns, rows = read_csv(path)
-        arr = np.asarray(rows, dtype=float)
+        _, columns, arr = read_csv(path)
         for j, col in enumerate(columns):
             vals = arr[:, j]
             if col in ("V", "V_analytic", "P_exact", "P_approx", "P"):

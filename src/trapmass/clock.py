@@ -1,6 +1,7 @@
-"""Clock observables: transition energy gaps, fractional frequency shifts,
-the gravitational lower bound with its optimal trap frequency, thermal-state
-shifts, and the joint internal/center-of-mass thermal state.
+"""Clock observables: transition energy gaps, fractional frequency shifts
+over trap-frequency grids (shift_table), the gravitational lower bound with
+its optimal trap frequency, thermal-state shifts, and the joint
+internal/center-of-mass thermal state.
 
 Angular frequencies are in rad/s throughout; "omega0 ~ 1 MHz" means
 1e6 rad/s (the 2*pi convention changes nothing at the order-of-magnitude
@@ -19,6 +20,7 @@ from . import constants, fock, model
 from .errors import (
     DegenerateLevels,
     GravityNotSupported,
+    NonPositiveMass,
     OptimizerFailure,
     TruncationInsufficient,
     ZeroGravity,
@@ -37,7 +39,9 @@ class ShiftReport:
 
     fractional_shift = gap/E_i - 1. components holds the two lowest-order
     contributions: gravitational = -g^2/omega0^2 c^2 and
-    time_dilation = -(hbar omega0 / 2 M0 c^2)(n + 1/2).
+    time_dilation = -(hbar omega0 / 2 M0 c^2)(n + 1/2). From energy_gap
+    every value is a float; from shift_table the gaps, the shift and the
+    components are arrays over its omega0 grid.
     """
 
     level: int
@@ -57,58 +61,59 @@ class OptimalPoint:
     delta_min: float
 
 
-def _lowest_order_gap(params: model.SystemParams, i: int, n: float) -> tuple[float, dict]:
-    E_i = params.levels[i]
-    w0 = params.omega0
-    grav = -params.g**2 / (w0**2 * params.c**2)
-    dilation = -(params.hbar * w0 / (2.0 * params.M0 * params.c**2)) * (n + 0.5)
-    return E_i * (1.0 + grav + dilation), {
-        "gravitational": grav,
-        "time_dilation": dilation,
-    }
+def _lowest_order_terms(params: model.SystemParams, omega0, n: float) -> tuple:
+    """(gravitational, time_dilation) components; their sum is the
+    lowest-order fractional shift."""
+    grav = -params.g**2 / (omega0**2 * params.c**2)
+    dilation = -(params.hbar * omega0 / (2.0 * params.M0 * params.c**2)) * (n + 0.5)
+    return grav, dilation
 
 
-def energy_gap(params: model.SystemParams, i: int, n: float) -> ShiftReport:
-    """Exact and lowest-order transition energy between levels i and 0 at
-    CM occupation n.
+def shift_table(params: model.SystemParams, level: int, omega0, n: float) -> ShiftReport:
+    """Exact and lowest-order transition energy between levels i = level and
+    0 at CM occupation n, for every trap frequency in omega0.
 
     Exact gap: (offset_i - offset_0) + hbar (omega_i - omega_0)(n + 1/2),
-    evaluated without rest-mass cancellation.
+    evaluated without rest-mass cancellation. The trap enters only through
+    omega0 (k = M0 omega0^2), in the time unit of params, so one
+    SystemParams serves a whole grid. Every omega0 must be finite and > 0.
     """
-    params._check_level(i)
+    params._check_level(level)
     if n < 0:
         raise ValueError(f"occupation must be >= 0, got {n}")
-    E_i = params.levels[i]
+    E_i = params.levels[level]
     if E_i == 0.0:
-        raise DegenerateLevels(f"levels {i} and 0 are degenerate; shift undefined")
+        raise DegenerateLevels(f"levels {level} and 0 are degenerate; shift undefined")
+    omega0 = np.asarray(omega0, dtype=float)
+    bad = ~(np.isfinite(omega0) & (omega0 > 0))
+    if bad.any():
+        raise NonPositiveMass("omega0", float(omega0[bad].flat[0]))
     # gap - E_i assembled from small differences only: the fractional shift
     # (~1e-19 in SI regimes) would vanish entirely if computed as
     # gap/E_i - 1 in doubles.
     # The mass defect comes from the level energies, not from M_i - M0,
     # which keeps only the digits of M_i that survive rounding.
     delta_M = E_i / params.c**2
-    grav_part = -(params.g**2 / (2.0 * params.k)) * delta_M * (params.mass(i) + params.M0)
+    k = params.M0 * omega0**2
+    grav_part = -(params.g**2 / (2.0 * k)) * delta_M * (params.mass(level) + params.M0)
     # omega_i - omega_0 = omega_0 (sqrt(M0/M_i) - 1), cancellation-free.
-    domega = params.omega0 * math.expm1(-0.5 * math.log1p(delta_M / params.M0))
+    domega = omega0 * math.expm1(-0.5 * math.log1p(delta_M / params.M0))
     dilation_part = params.hbar * domega * (n + 0.5)
     gap_minus_E = grav_part + dilation_part
-    low, comps = _lowest_order_gap(params, i, n)
+    grav, dilation = _lowest_order_terms(params, omega0, n)
     return ShiftReport(
-        level=i,
+        level=level,
         n=float(n),
         exact_gap=E_i + gap_minus_E,
-        lowest_order_gap=low,
+        lowest_order_gap=E_i * (1.0 + grav + dilation),
         fractional_shift=gap_minus_E / E_i,
-        components=comps,
+        components={"gravitational": grav, "time_dilation": dilation},
     )
 
 
-def _shift_at_omega(params: model.SystemParams, omega0: float, n: float) -> float:
-    """Lowest-order fractional shift as a function of trap frequency."""
-    return (
-        -params.g**2 / (omega0**2 * params.c**2)
-        - (params.hbar * omega0 / (2.0 * params.M0 * params.c**2)) * (n + 0.5)
-    )
+def energy_gap(params: model.SystemParams, i: int, n: float) -> ShiftReport:
+    """shift_table at the one trap frequency params.omega0, as floats."""
+    return shift_table(params, i, params.omega0, n)
 
 
 def minimal_shift(params: model.SystemParams, n: float = 0.0) -> OptimalPoint:
@@ -133,7 +138,7 @@ def minimal_shift(params: model.SystemParams, n: float = 0.0) -> OptimalPoint:
     ) ** (2.0 / 3.0)
 
     res = minimize_scalar(
-        lambda w: -_shift_at_omega(params, w, n),
+        lambda w: -sum(_lowest_order_terms(params, w, n)),
         bounds=_OMEGA_BRACKET,
         method="bounded",
         options={"xatol": 1e-10 * omega_min},

@@ -119,26 +119,21 @@ def build_system(config: dict) -> SystemParams:
         c = float(config["c"])
         g = float(config.get("g", 0.0))
 
-    M0 = float(M0)
-    if M0 <= 0:
-        raise NonPositiveMass("M0", M0)
-    if c <= 0:
-        raise NonPositiveMass("c", c)
-    if hbar <= 0:
-        raise NonPositiveMass("hbar", hbar)
-    if g < 0:
+    M0 = _positive("M0", M0)
+    c = _positive("c", c)
+    hbar = _positive("hbar", hbar)
+    if not (math.isfinite(g) and g >= 0):
         raise NonPositiveMass("g", g)
 
     if "k" in config:
         k = float(config["k"])
     elif "omega0" in config:
-        k = M0 * float(config["omega0"]) ** 2
+        k = M0 * _positive("omega0", config["omega0"]) ** 2
     elif unit_system == UNIT_NATURAL:
         k = M0 * hbar  # omega0 = 1 after rescaling below
     else:
         raise MissingField("k")
-    if k <= 0:
-        raise NonPositiveMass("k", k)
+    _positive("k", k)
 
     params = SystemParams(
         M0=M0, levels=tuple(levels), k=k, g=g, c=c, hbar=hbar,
@@ -147,6 +142,14 @@ def build_system(config: dict) -> SystemParams:
     if unit_system == UNIT_NATURAL:
         params = _to_natural(params)
     return params
+
+
+def _positive(field: str, value) -> float:
+    """float(value), or NonPositiveMass unless it is finite and > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise NonPositiveMass(field, value)
+    return value
 
 
 def _to_natural(p: SystemParams) -> SystemParams:

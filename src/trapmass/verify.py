@@ -155,7 +155,7 @@ def oracle_minshift(
         opt = clock.minimal_shift(params, n)
 
         def shift(w, n=n):
-            return -clock._shift_at_omega(params, w, n)
+            return -sum(clock._lowest_order_terms(params, w, n))
 
         # Log-domain golden section over a wide bracket.
         w_num = math.exp(

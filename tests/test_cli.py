@@ -1,10 +1,13 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trapmass import cli
+from trapmass import cli, clock, model
 
 
 NATURAL_SYSTEM = {"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 0.0}
@@ -190,3 +193,123 @@ def test_timestamp_header_present_by_default(tmp_path):
         == cli.EXIT_OK
     meta, _, _ = cli.read_csv(str(tmp_path / "ramsey_run.csv"))
     assert "generated" in meta
+
+
+def test_coherent_state_cli_oracle(tmp_path):
+    # The reference for a real coherent state is the displaced-Gaussian
+    # overlap, not the vacuum formula at a shifted x0.
+    S, c = 0.8, 10.0
+    cfg = ramsey_cfg(state={"type": "coherent", "alpha": 1.0, "dim": 64}, x0=0.5)
+    cfg["system"] = {"unit_system": "natural", "c": c,
+                     "levels": [0.0, c * c * (1.0 / S**2 - 1.0)], "g": 0.0}
+    assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "ramsey_run_summary.json").read_text())
+    assert summary["oracle_max_deviation"] < 1e-6
+    # The phase and extrema closed forms are the vacuum's only.
+    assert "t_min" not in summary
+    _, columns, _ = cli.read_csv(str(tmp_path / "ramsey_run.csv"))
+    assert columns == ["t", "P", "V", "phase", "V_analytic"]
+
+
+SI_SHIFT_SYSTEM = {"unit_system": "si", "M0": 1e-26, "omega0": 1e6,
+                   "levels": [0.0, 1e-19], "g": 9.81}
+
+
+def shift_cfg(**params):
+    return {"experiment": "shift", "system": dict(SI_SHIFT_SYSTEM),
+            "output": {"path": "shift_run"}, "params": params}
+
+
+def fshift_cfg(**axes):
+    return {"experiment": "sweep", "system": dict(SI_SHIFT_SYSTEM),
+            "output": {"path": "fshift_run"},
+            "params": {"op": "fractional_shift", "axes": axes}}
+
+
+def test_shift_rows_match_per_point_energy_gap(tmp_path):
+    # n-major rows with the first grid minimum marked, against energy_gap on
+    # a system rebuilt at each omega0.
+    omegas = [3e3, 1e3, 5e3, 1e3]
+    cfg = shift_cfg(omega0_grid=omegas, n_values=[0.0, 7.0])
+    assert run(tmp_path, cfg, "shift") == cli.EXIT_OK
+    _, _, rows = cli.read_csv(str(tmp_path / "shift_run.csv"))
+    ref = []
+    for n in (0.0, 7.0):
+        deltas = [clock.energy_gap(model.build_system({**SI_SHIFT_SYSTEM, "omega0": w}),
+                                   1, n).fractional_shift for w in omegas]
+        first_min = deltas.index(min(deltas))
+        ref += [[w, n, d, j == first_min] for j, (w, d) in enumerate(zip(omegas, deltas))]
+    ref = np.asarray(ref, dtype=float)
+    np.testing.assert_array_equal(rows[:, [0, 1, 5]], ref[:, [0, 1, 3]])
+    np.testing.assert_allclose(rows[:, 2], ref[:, 2], rtol=4e-15, atol=0.0)
+    assert run(tmp_path, fshift_cfg(omega0=omegas, n=[0.0, 7.0]), "sweep") == cli.EXIT_OK
+    _, _, rows = cli.read_csv(str(tmp_path / "fshift_run.csv"))
+    # omega0-major: the same values, transposed.
+    order = np.argsort(np.tile(np.arange(len(omegas)), 2), kind="stable")
+    np.testing.assert_array_equal(rows[:, :2], ref[order, :2])
+    np.testing.assert_allclose(rows[:, 2], ref[order, 2], rtol=4e-15, atol=0.0)
+
+
+def test_empty_shift_grids_are_config_errors(tmp_path):
+    grid = {"min": 1e2, "max": 1e7, "points": 0, "log": True}
+    assert run(tmp_path, shift_cfg(omega0_grid=grid), "shift") == cli.EXIT_CONFIG
+    assert run(tmp_path, fshift_cfg(omega0=[]), "sweep") == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e6, "nan", "inf"])
+def test_bad_omega0_grid_values_are_numeric_failures(tmp_path, bad):
+    bad = float(bad)
+    assert run(tmp_path, shift_cfg(omega0_grid=[1e3, bad]), "shift") \
+        == cli.EXIT_NUMERIC
+    assert run(tmp_path, fshift_cfg(omega0=[1e3, bad]), "sweep") == cli.EXIT_NUMERIC
+
+
+def test_verify_accepts_zero_row_csv(tmp_path):
+    cfg = {"experiment": "sweep", "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "empty"},
+           "params": {"op": "visibility_extrema", "axes": {"x0": []}}}
+    assert run(tmp_path, cfg, "sweep", extra=["--verify"]) == cli.EXIT_OK
+    _, columns, rows = cli.read_csv(str(tmp_path / "empty.csv"))
+    assert columns == ["x0", "t_min", "V_min", "t_rev", "V_rev"]
+    assert rows.shape == (0, 5)
+
+
+def _csv_writer_reference(path, cfg, columns, rows):
+    # The format written with the standard library: header lines, then
+    # csv.writer rows of "%.17g" floats and plain ints.
+    with open(path, "w", newline="") as fh:
+        for line in cli._header_lines(cfg, False):
+            fh.write(line + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_rows=st.sampled_from([0, 1, 2, 7, cli._CSV_CHUNK_ROWS + 3]),
+    n_float=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_csv_matches_csv_writer_and_round_trips(tmp_path_factory, n_rows, n_float, seed):
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, np.nan, np.inf, -np.inf,
+                        1.0, 1e17, 123456789.0, np.pi])
+    values = rng.standard_normal((n_rows, n_float)) * 10.0 ** rng.integers(-30, 30, (n_rows, n_float))
+    pick = rng.random((n_rows, n_float)) < 0.3
+    values[pick] = rng.choice(special, size=int(pick.sum()))
+    flags = rng.integers(0, 2, n_rows)
+    columns = ["k"] + [f"x{j}" for j in range(n_float)] + ["is_min"]
+    data = np.column_stack([np.arange(1, n_rows + 1), values, flags]).astype(float)
+    rows = [[k + 1, *map(float, values[k]), int(flags[k])] for k in range(n_rows)]
+    cfg = {"experiment": "sweep"}
+    out = tmp_path_factory.mktemp("csv")
+    _csv_writer_reference(str(out / "ref.csv"), cfg, columns, rows)
+    cli._write_csv(str(out / "new.csv"), cfg, False, columns, data)
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+    meta, got_columns, got = cli.read_csv(str(out / "new.csv"))
+    assert got_columns == columns and meta["config_sha256"] == cli._config_hash(cfg)
+    assert got.shape == data.shape
+    # Exact round trip, bit for bit, -0.0 and nan included.
+    assert got.tobytes() == np.where(np.isnan(data), np.nan, data).tobytes()

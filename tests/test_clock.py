@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapmass import clock, constants, fock, model, states
 from trapmass.errors import (
@@ -92,6 +94,35 @@ def test_mass_defect_terms_match_rational_reference():
     assert abs(F(x_shift) / ref_sag - 1) < F(1, 10**13)
 
 
+SHIFT_SYSTEMS = (
+    {"unit_system": "si", "M0": 1e-26, "levels": [0.0, 1e-19]},
+    {"unit_system": "si", "M0": 2.7e-25, "levels": [0.0, 1.3e-19], "g": 0.0},
+    {"unit_system": "natural", "c": 10.0, "levels": [0.0, 2.0], "g": 0.5},
+    {"unit_system": "natural", "c": 3.0, "levels": [0.0, 0.5, 4.0], "g": 0.0},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    system=st.sampled_from(SHIFT_SYSTEMS),
+    omegas=st.lists(st.floats(1e1, 1e8), min_size=1, max_size=6),
+    n=st.floats(0.0, 100.0),
+)
+def test_shift_table_matches_per_point_energy_gap(system, omegas, n):
+    # One table over the grid equals energy_gap on a system rebuilt at each
+    # omega0. Natural params built at omega0 = 1 keep the config's
+    # frequency unit, as the CLI builds them.
+    level = len(system["levels"]) - 1
+    params = model.build_system({**system, "omega0": 1.0})
+    table = clock.shift_table(params, level, np.asarray(omegas), n)
+    for j, w in enumerate(omegas):
+        rep = clock.energy_gap(model.build_system({**system, "omega0": w}), level, n)
+        for got, ref in ((table.fractional_shift[j], rep.fractional_shift),
+                         *((table.components[c][j], rep.components[c])
+                           for c in ("gravitational", "time_dilation"))):
+            assert got == pytest.approx(ref, rel=4e-15, abs=0.0)
+
+
 def test_minimal_shift_values():
     p = si_params()
     opt = clock.minimal_shift(p, n=0.0)
@@ -104,7 +135,7 @@ def test_minimal_shift_values():
     # delta_min bounds the shift from below in magnitude: any other trap
     # frequency gives a more negative total shift.
     for factor in (1.0 - 1e-3, 1.0 + 1e-3):
-        off = clock._shift_at_omega(p, factor * opt.omega_min, 0.0)
+        off = sum(clock._lowest_order_terms(p, factor * opt.omega_min, 0.0))
         assert off < opt.delta_min
 
 

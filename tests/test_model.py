@@ -69,6 +69,25 @@ def test_positivity_validation():
         si_params(g=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("omega0", -1e6), ("omega0", math.nan), ("omega0", math.inf),
+    ("M0", math.nan), ("M0", math.inf),
+    ("k", -1.0), ("k", math.nan), ("k", math.inf),
+    ("c", 0.0), ("c", math.nan), ("c", math.inf),
+    ("hbar", -1.0), ("hbar", math.nan), ("hbar", math.inf),
+    ("g", math.nan), ("g", math.inf),
+])
+def test_non_finite_or_non_positive_trap_rejected(field, value):
+    # A negative omega0 must not pass as |omega0|, and NaN or inf must not
+    # reach the shifts.
+    with pytest.raises(NonPositiveMass) as err:
+        si_params(**{field: value})
+    assert err.value.field == field
+    if field in ("M0", "c", "g"):
+        with pytest.raises(NonPositiveMass):
+            natural_params(**{field: value})
+
+
 def test_natural_rescaling_normalizes():
     p = natural_params()
     assert p.M0 == 1.0 and p.hbar == 1.0
