@@ -20,13 +20,11 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import fock, model
 from .errors import (
     DimensionMismatch,
     NotNormalized,
-    OptimizerFailure,
     ParamMismatch,
     RegimeWarning,
     TruncationInsufficient,
@@ -175,30 +173,64 @@ def small_regime_min_visibility(S: float, a0: float, x0: float) -> float:
     return math.exp(-a0 * x0**2 / (1.0 + S**2)) * math.sqrt(2.0 * S / (1.0 + S**2))
 
 
-def visibility_extrema(
-    params: model.SystemParams, x0: float | None = None, level: int = 1
-) -> tuple[float, float, float, float]:
+def golden_section(f, lo, hi):
+    """Minimiser of f over [lo, hi], elementwise over array brackets.
+
+    f maps an array of abscissae (the broadcast shape of lo and hi) to the
+    values there. A golden-section bracket is followed by two parabolic
+    vertex fits: pure bracketing stalls at sqrt(machine-eps) relative
+    accuracy on a smooth quadratic minimum, and the three-point fits
+    recover the vertex to near machine precision. Each fit is clipped to
+    [lo, hi].
+    """
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(60):
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        f_new = f(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    m = 0.5 * (a + b)
+    # Shrinking-step vertex fits: bias is O(h^2) per pass while the values
+    # remain well resolved, so two passes reach ~1e-10.
+    for h in (1e-3, 1e-5):
+        fm, fl, fr = f(m), f(m - h), f(m + h)
+        denom = fl - 2.0 * fm + fr
+        step = 0.5 * h * (fl - fr) / np.where(denom > 0, denom, 1.0)
+        m = np.clip(np.where(denom > 0, m + step, m), lo, hi)
+    return m
+
+
+def visibility_extrema(params: model.SystemParams, x0=None, level: int = 1):
     """(t_min, V_min, t_rev, V_rev) of the closed-form visibility.
 
     t_rev = pi/omega_1 with V_rev = exp(-a0 x0^2) exactly; t_min is found
-    by bounded scalar minimization on (0, pi/omega_1).
+    by golden_section over th = omega_1 t in (1e-9 pi, (1 - 1e-9) pi). For
+    an array x0 all four are arrays of its shape, found in one call.
     """
-    vap = VacuumAmplitudeParams.from_system(params, level=level, x0=x0)
+    vap = VacuumAmplitudeParams.from_system(params, level=level)
+    x0 = np.asarray(vap.x0 if x0 is None else x0, dtype=float)
+    # A scalar runs as a 1-element array: numpy scalar arithmetic takes
+    # other code paths, and an array call must match its scalar calls bit
+    # for bit.
+    xs = np.atleast_1d(x0)
     t_rev = math.pi / vap.omega1
-    v_rev = math.exp(-vap.a0 * vap.x0**2)
-
-    def objective(t: float) -> float:
-        return float(closed_form_visibility(vap.S, vap.a0, vap.x0, vap.omega1 * t))
-
-    res = minimize_scalar(
-        objective,
-        bounds=(1e-9 * t_rev, (1.0 - 1e-9) * t_rev),
-        method="bounded",
-        options={"xatol": 1e-12 * t_rev},
+    theta = golden_section(
+        lambda th: closed_form_visibility(vap.S, vap.a0, xs, th),
+        np.full(xs.shape, 1e-9 * math.pi), (1.0 - 1e-9) * math.pi,
     )
-    if not res.success:
-        raise OptimizerFailure(f"visibility minimization failed: {res.message}")
-    return float(res.x), float(res.fun), t_rev, v_rev
+    t_min = theta / vap.omega1
+    v_min = closed_form_visibility(vap.S, vap.a0, xs, vap.omega1 * t_min)
+    v_rev = np.reshape([math.exp(-vap.a0 * x**2) for x in xs.ravel().tolist()], xs.shape)
+    if x0.ndim == 0:
+        return float(t_min[0]), float(v_min[0]), t_rev, float(v_rev[0])
+    return t_min, v_min, np.full(xs.shape, t_rev), v_rev
 
 
 @dataclass(frozen=True)

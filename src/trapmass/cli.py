@@ -248,6 +248,8 @@ def _grid_from_spec(spec) -> np.ndarray:
         return np.asarray([float(v) for v in spec])
     _check_keys(spec, {"min", "max", "points", "log"}, "grid")
     lo, hi, n = float(spec["min"]), float(spec["max"]), int(spec["points"])
+    if n < 1:
+        raise ConfigError(f"grid points must be >= 1, got {n}")
     if spec.get("log", False):
         return np.logspace(math.log10(lo), math.log10(hi), n)
     return np.linspace(lo, hi, n)
@@ -259,6 +261,9 @@ def _shift_tables(system: dict, level: int, omegas: np.ndarray,
     omega0 = 1, natural-unit params keep the config's frequency unit."""
     if omegas.size == 0 or not n_values:
         raise ConfigError("shift grid is empty: give at least one omega0 and one n")
+    bad_n = [n for n in n_values if not (math.isfinite(n) and n >= 0)]
+    if bad_n:
+        raise ConfigError(f"n values must be finite and >= 0, got {bad_n[0]}")
     trap_free = {key: v for key, v in system.items() if key != "k"}
     params = model.build_system({**trap_free, "omega0": 1.0})
     return [clock.shift_table(params, level, omegas, n) for n in n_values]
@@ -385,10 +390,8 @@ def run_sweep(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
         _check_keys(axes, {"x0"}, "axes")
         columns = ["x0", "t_min", "V_min", "t_rev", "V_rev"]
         params = model.build_system(system)
-        data = np.array([
-            [float(x0), *analytic.visibility_extrema(params, float(x0))]
-            for x0 in axes.get("x0", [0.0])
-        ])
+        x0 = np.asarray(axes.get("x0", [0.0]), dtype=float)
+        data = np.column_stack([x0, *analytic.visibility_extrema(params, x0)])
     csv_path, json_path = _out_paths(cfg, out_dir)
     _write_csv(csv_path, cfg, timestamp, columns, data)
     _write_json(json_path, cfg, timestamp, {"op": op, "rows": len(data)})

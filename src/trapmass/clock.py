@@ -14,23 +14,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import constants, fock, model
 from .errors import (
     DegenerateLevels,
     GravityNotSupported,
     NonPositiveMass,
-    OptimizerFailure,
     TruncationInsufficient,
     ZeroGravity,
 )
-
-_OMEGA_BRACKET = (1.0, 1e9)   # rad/s window for the numerical cross-check
-_CROSSCHECK_RTOL = 1e-9
-# Near a quadratic optimum the argument is only locatable to ~sqrt(eps)
-# relative even when the optimal value is exact to machine precision.
-_OMEGA_CROSSCHECK_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -121,10 +113,7 @@ def minimal_shift(params: model.SystemParams, n: float = 0.0) -> OptimalPoint:
 
     omega_min = (4 g^2 M0 / hbar (n+1/2))^(1/3) maximizes the (negative)
     shift; delta_min = -(3/(2*2^(1/3))) (hbar g (n+1/2) / c^3 M0)^(2/3).
-    A bounded numerical minimization over omega0 in [1, 1e9] rad/s must
-    reproduce the closed-form bound to relative 1e-9 (the frequency itself
-    to 1e-6: near a quadratic optimum the argument is only locatable to
-    ~sqrt(eps)) or the call fails.
+    verify.oracle_minshift checks both against a numerical minimization.
     """
     if params.g <= 0:
         raise ZeroGravity("shift is monotone in omega0 when g = 0; no minimum")
@@ -136,24 +125,6 @@ def minimal_shift(params: model.SystemParams, n: float = 0.0) -> OptimalPoint:
     delta_min = -(3.0 / (2.0 * 2.0 ** (1.0 / 3.0))) * (
         hbar * g * half / (c**3 * M0)
     ) ** (2.0 / 3.0)
-
-    res = minimize_scalar(
-        lambda w: -sum(_lowest_order_terms(params, w, n)),
-        bounds=_OMEGA_BRACKET,
-        method="bounded",
-        options={"xatol": 1e-10 * omega_min},
-    )
-    if not res.success:
-        raise OptimizerFailure(f"numerical cross-check failed: {res.message}")
-    w_num, d_num = float(res.x), -float(res.fun)
-    if not (
-        math.isclose(w_num, omega_min, rel_tol=_OMEGA_CROSSCHECK_RTOL)
-        and math.isclose(d_num, delta_min, rel_tol=_CROSSCHECK_RTOL)
-    ):
-        raise OptimizerFailure(
-            f"closed form ({omega_min:.12e}, {delta_min:.12e}) disagrees with "
-            f"numerical optimum ({w_num:.12e}, {d_num:.12e})"
-        )
     return OptimalPoint(n=float(n), omega_min=omega_min, delta_min=delta_min)
 
 

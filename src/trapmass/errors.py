@@ -69,10 +69,6 @@ class GridTooCoarse(TrapMassError):
     pass
 
 
-class OptimizerFailure(TrapMassError):
-    pass
-
-
 class NotNormalized(TrapMassError):
     pass
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionTooSmall, NoConvergence
-from .model import ModeFrame, SystemParams, derive_mode_frame
+from .model import ModeFrame, SystemParams
 
 DIM_MAX_DEFAULT = 4096
 _SCHEDULE_START = 64
@@ -181,7 +181,3 @@ def converge_dim(
             return d
         prev = cur
     raise NoConvergence(dim_max, change)
-
-
-def all_frames(params: SystemParams) -> list[ModeFrame]:
-    return [derive_mode_frame(params, i) for i in range(params.n_levels)]

@@ -99,8 +99,8 @@ def build_system(config: dict) -> SystemParams:
     if "levels" not in config:
         raise MissingField("levels")
     levels = [float(E) for E in config["levels"]]
-    if not levels or levels[0] != 0.0 or any(
-        b <= a for a, b in zip(levels, levels[1:])
+    if not levels or levels[0] != 0.0 or not all(
+        math.isfinite(b) and b > a for a, b in zip(levels, levels[1:])
     ):
         raise NonMonotoneLevels(levels)
 

@@ -7,11 +7,11 @@ normalization quadrature is sum(Q) * delta^2 / pi = 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from . import fock, model
 from .errors import (
@@ -118,14 +118,22 @@ def _axis(half_width: float, delta: float) -> np.ndarray:
 
 def _dim_for_deficit(abs_beta: float, dim: int) -> int:
     """Smallest size above dim whose truncated |beta> misses at most
-    _COHERENT_DEFICIT of its norm. The missing weight
-    sum_{n >= d} e^{-x} x^n / n! with x = |beta|^2 is the regularized lower
-    incomplete gamma function P(d, x), which does not underflow."""
+    _COHERENT_DEFICIT of its norm. The missing weight is the Poisson tail
+    sum_{n >= d} e^{-x} x^n / n! with x = |beta|^2; its terms are formed in
+    log space with math.lgamma, so they do not underflow, and each tail is
+    summed from its small end."""
     x = abs_beta**2
-    need = dim + 1
-    while gammainc(need, x) > _COHERENT_DEFICIT:
-        need += 1
-    return need
+    terms = []
+    n = dim + 1
+    while True:
+        terms.append(math.exp(n * math.log(x) - x - math.lgamma(n + 1)))
+        # Past the mode the term ratio x/(n+1) keeps falling, so what
+        # follows a 1e-20 term is negligible against _COHERENT_DEFICIT.
+        if n > x and terms[-1] < 1e-20:
+            break
+        n += 1
+    tails = list(itertools.accumulate(reversed(terms)))[::-1]
+    return dim + 1 + next(i for i, tail in enumerate(tails) if tail <= _COHERENT_DEFICIT)
 
 
 def _husimi(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 Each oracle reports a normalized deviation (deviation/tolerance per probed
 quantity, maximized), so a report passes iff max_deviation <= 1.0. Oracles
 deliberately use code paths independent of the implementations they check
-(hand-rolled golden-section search against the closed-form optimum, dense
+(golden-section search against the closed-form optimum, dense
 Fock traces against the analytic amplitude, log-log scaling fits against
 the operator identity).
 """
@@ -104,38 +104,6 @@ def oracle_vacuum_visibility(
     )
 
 
-def _golden_section(f, lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section bracket followed by one parabolic-vertex refinement.
-
-    Pure bracketing stalls at sqrt(machine-eps) relative accuracy on a
-    smooth quadratic minimum; the final three-point parabola fit recovers
-    the vertex to near machine precision. Independent of scipy.
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    m = 0.5 * (a + b)
-    # Shrinking-step vertex fits: bias is O(h^2) per pass while the values
-    # remain well resolved, so two passes reach ~1e-10.
-    for h in (1e-3, 1e-5):
-        fm, fl, fr = f(m), f(m - h), f(m + h)
-        denom = fl - 2.0 * fm + fr
-        if denom > 0:
-            m = m + 0.5 * h * (fl - fr) / denom
-    return m
-
-
 def oracle_minshift(
     params: model.SystemParams | None = None,
     n_values=(0.0, 1.0, 5.0),
@@ -159,7 +127,7 @@ def oracle_minshift(
 
         # Log-domain golden section over a wide bracket.
         w_num = math.exp(
-            _golden_section(lambda u: shift(math.exp(u)), math.log(1.0), math.log(1e9))
+            analytic.golden_section(lambda u: shift(np.exp(u)), 0.0, math.log(1e9))
         )
         d_num = -shift(w_num)
         dev = max(

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trapmass import analytic, fock, model, ramsey, states
+from trapmass import analytic, fock, model, ramsey, states, verify
 from trapmass.errors import NotNormalized, ParamMismatch, RegimeWarning
 
 
@@ -61,6 +63,38 @@ def test_extrema_against_small_regime_formula():
         float(analytic.closed_form_visibility(0.9, 1.0, 0.02, math.pi / 2.0)),
         rel=1e-14,
     )
+
+
+def test_golden_section_matches_analytic_vertex():
+    # One call over several brackets, each with its own parabola vertex.
+    lo = np.array([0.0, -3.0, 0.5, 2.0])
+    hi = np.array([10.0, 1.0, 0.75, 40.0])
+    vertex = np.array([1.2345, -2.5, 0.6180339, 17.0])
+    m = analytic.golden_section(lambda x: (x - vertex) ** 2 + 0.5, lo, hi)
+    np.testing.assert_allclose(m, vertex, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    S=st.floats(0.5, 0.99),
+    x0=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12),
+)
+def test_visibility_extrema_array_call(S, x0):
+    p = verify._natural_params(S)
+    x0 = np.asarray(x0)
+    t_min, v_min, t_rev, v_rev = analytic.visibility_extrema(p, x0)
+    for i, x in enumerate(x0):
+        assert analytic.visibility_extrema(p, float(x)) == (
+            t_min[i], v_min[i], t_rev[i], v_rev[i]
+        )
+    vap = analytic.VacuumAmplitudeParams.from_system(p)
+    assert np.all((t_min > 0.0) & (t_min < t_rev))
+    assert np.array_equal(
+        v_min, analytic.closed_form_visibility(vap.S, vap.a0, x0, vap.omega1 * t_min)
+    )
+    theta = np.linspace(0.0, math.pi, 257)[1:-1]
+    grid = analytic.closed_form_visibility(vap.S, vap.a0, x0[:, None], theta[None, :])
+    assert np.all(v_min <= grid.min(axis=1) + 1e-12)
 
 
 def test_closed_form_matches_fock_propagators():

@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trapmass
 from trapmass import cli, clock, model
 
 
@@ -256,6 +260,20 @@ def test_empty_shift_grids_are_config_errors(tmp_path):
     assert run(tmp_path, fshift_cfg(omega0=[]), "sweep") == cli.EXIT_CONFIG
 
 
+def test_bad_occupations_and_grid_counts_are_config_errors(tmp_path):
+    assert run(tmp_path, shift_cfg(n_values=[-1.0]), "shift") == cli.EXIT_CONFIG
+    assert run(tmp_path, fshift_cfg(omega0=[1e3], n=[-1.0]), "sweep") \
+        == cli.EXIT_CONFIG
+    grid = {"min": 1e2, "max": 1e7, "points": -3, "log": False}
+    assert run(tmp_path, shift_cfg(omega0_grid=grid), "shift") == cli.EXIT_CONFIG
+
+
+def test_non_finite_level_is_numeric_failure(tmp_path):
+    cfg = shift_cfg(omega0_grid=[1e3, 1e4])
+    cfg["system"]["levels"] = [0.0, math.nan]
+    assert run(tmp_path, cfg, "shift", extra=["--verify"]) == cli.EXIT_NUMERIC
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e6, "nan", "inf"])
 def test_bad_omega0_grid_values_are_numeric_failures(tmp_path, bad):
     bad = float(bad)
@@ -313,3 +331,45 @@ def test_write_csv_matches_csv_writer_and_round_trips(tmp_path_factory, n_rows, 
     assert got.shape == data.shape
     # Exact round trip, bit for bit, -0.0 and nan included.
     assert got.tobytes() == np.where(np.isnan(data), np.nan, data).tobytes()
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None
+from trapmass import cli, phasespace, states, verify
+from trapmass.errors import TruncationInsufficient
+
+shift_cfg, sweep_cfg, out = sys.argv[1:]
+assert cli.main(["shift", "--config", shift_cfg, "--out", out, "--verify"]) == 0
+assert cli.main(["sweep", "--config", sweep_cfg, "--out", out, "--verify"]) == 0
+assert verify.oracle_minshift().passed
+try:
+    phasespace.qfunction(states.fock_state(64, 0))
+except TruncationInsufficient as exc:
+    assert str(exc).endswith("needs dim >= 69"), exc
+else:
+    raise AssertionError("dim 64 passed the Q-grid guard")
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(trapmass.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, trapmass.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert loaded.stdout.strip() == "[]"
+    sweep = {"experiment": "sweep", "system": dict(NATURAL_SYSTEM),
+             "output": {"path": "extrema"},
+             "params": {"op": "visibility_extrema", "axes": {"x0": [0.0, 0.5, 2.0]}}}
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT,
+         write_cfg(tmp_path, "shift.json", shift_cfg(n_values=[0.0, 1.0])),
+         write_cfg(tmp_path, "sweep.json", sweep), str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

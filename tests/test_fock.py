@@ -160,9 +160,3 @@ def test_vacuum_trace_converges_by_256():
         p, states.fock_state(64, 0), [2.0], x0=0.0, dim_tol=1e-8
     )
     assert trace.dim <= 256
-
-
-def test_all_frames():
-    p = natural_params(levels=[0.0, 1.0, 2.5])
-    frames = fock.all_frames(p)
-    assert [f.level for f in frames] == [0, 1, 2]

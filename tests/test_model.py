@@ -53,7 +53,9 @@ def test_missing_fields():
 
 
 def test_level_validation():
-    for levels in ([], [1.0, 2.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]):
+    for levels in ([], [1.0, 2.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0],
+                   [0.0, math.nan], [0.0, math.inf], [0.0, 1.0, math.nan],
+                   [0.0, -math.inf], [math.nan, 1.0]):
         with pytest.raises(NonMonotoneLevels):
             model.build_system(
                 {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "levels": levels}

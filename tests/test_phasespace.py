@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import factorial
+from scipy.special import factorial, gammainc
 
 from trapmass import model, phasespace, states
 from trapmass.errors import (
@@ -64,6 +64,17 @@ def test_qfunction_truncation_guard():
     # dim 8 cannot represent coherent states at |beta| = 4.
     with pytest.raises(TruncationInsufficient):
         phasespace.qfunction(states.fock_state(8, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(abs_beta=st.floats(0.1, 38.0), dim=st.integers(2, 400))
+def test_dim_for_deficit_matches_incomplete_gamma(abs_beta, dim):
+    # Reference: the regularized lower incomplete gamma P(d, |beta|^2) is
+    # the Poisson tail the truncated |beta> misses.
+    need = dim + 1
+    while gammainc(need, abs_beta**2) > phasespace._COHERENT_DEFICIT:
+        need += 1
+    assert phasespace._dim_for_deficit(abs_beta, dim) == need
 
 
 def test_qfunction_guard_names_required_dim():

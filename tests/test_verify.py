@@ -49,11 +49,6 @@ def test_vacuum_visibility_oracle_fails_without_convergence():
     assert not rep.passed
 
 
-def test_golden_section_matches_analytic_vertex():
-    m = verify._golden_section(lambda x: (x - 1.2345) ** 2 + 0.5, 0.0, 10.0)
-    assert m == pytest.approx(1.2345, abs=1e-9)
-
-
 def test_minshift_oracle_respects_custom_params():
     p = model.build_system(
         {"unit_system": "si", "M0": 5e-26, "omega0": 1e6, "levels": [0.0, 1e-19]}
