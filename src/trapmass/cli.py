@@ -4,10 +4,12 @@ Usage:
     trapmass <experiment> --config <file> [--out <dir>] [--no-timestamp] [--verify]
     trapmass verify --all [--out <dir>]
 
-Experiments: ramsey, shift, drive, qfunc, sweep. Each run reads one JSON
-config, writes a CSV data file plus a JSON summary, both carrying a
-reproducibility header (config hash, constants-table version). Exit codes:
-0 success, 1 failed verification, 2 config error, 3 numeric failure.
+Experiments: ramsey, shift, drive, qfunc, sweep. Each runner maps the
+config's system and params sections to (columns, data, summary) and does
+no I/O; main writes them once as a CSV data file plus a JSON summary, both
+carrying a reproducibility header (config hash, constants-table version).
+Exit codes: 0 success, 1 failed verification, 2 config error, 3 numeric
+failure.
 
 CSV format: "# key=value" header lines ending in LF, then the column names
 and one line per row, comma-separated and ending in CRLF. Every value is
@@ -85,10 +87,7 @@ def load_config(path: str, experiment: str) -> dict:
             f"subcommand {experiment!r}"
         )
     _check_keys(cfg["system"], _SYSTEM_KEYS, "system")
-    _check_keys(cfg["output"], {"path", "format"}, "output")
-    fmt = cfg["output"].get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
+    _check_keys(cfg["output"], {"path"}, "output")
     params_sec = cfg.get("params", {})
     if not isinstance(params_sec, dict):
         raise ConfigError("params must be an object")
@@ -96,12 +95,13 @@ def load_config(path: str, experiment: str) -> dict:
     return cfg
 
 
-def _build_state(spec: dict) -> states.CMState:
+def _build_state(spec: dict, dim: int = 128) -> states.CMState:
+    """The state spec, at its own dim if it gives one and at dim otherwise."""
     if not isinstance(spec, dict):
         raise ConfigError("state must be an object")
     _check_keys(spec, _STATE_KEYS, "state")
     kind = spec.get("type")
-    dim = int(spec.get("dim", 128))
+    dim = int(spec.get("dim", dim))
     if kind == "fock":
         return states.fock_state(dim, int(spec.get("n", 0)))
     if kind == "coherent":
@@ -109,6 +109,16 @@ def _build_state(spec: dict) -> states.CMState:
     if kind == "thermal":
         return states.thermal_state_cm(dim, float(spec.get("nbar", 0.0)))
     raise ConfigError(f"unknown state type {kind!r}")
+
+
+def _state_at_params_dim(params: dict) -> states.CMState:
+    """params.state sized by params.dim (default 128), which an explicit
+    state dim must equal."""
+    dim = int(params.get("dim", 128))
+    state = _build_state(params.get("state", {"type": "fock", "n": 0}), dim)
+    if "dim" in params and state.dim != dim:
+        raise ConfigError(f"state dim {state.dim} != params dim {dim}")
+    return state
 
 
 def _config_hash(cfg: dict) -> str:
@@ -119,16 +129,16 @@ def _config_hash(cfg: dict) -> str:
 
 # ---------------------------------------------------------------- output ---
 
-def _header_lines(cfg: dict, timestamp: bool) -> list[str]:
-    lines = [
-        f"# config_sha256={_config_hash(cfg)}",
-        f"# constants={constants.CONSTANTS_VERSION}",
-    ]
+def _provenance(cfg: dict, timestamp: bool) -> dict:
+    """The reproducibility header shared by the CSV and the JSON summary."""
+    prov = {"config_sha256": _config_hash(cfg), "constants": constants.CONSTANTS_VERSION}
     if timestamp:
-        lines.append(
-            f"# generated={datetime.now(timezone.utc).isoformat(timespec='seconds')}"
-        )
-    return lines
+        prov["generated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return prov
+
+
+def _header_lines(cfg: dict, timestamp: bool) -> list[str]:
+    return [f"# {key}={value}" for key, value in _provenance(cfg, timestamp).items()]
 
 
 def _write_csv(path: str, cfg: dict, timestamp: bool, columns: list[str], data) -> None:
@@ -144,26 +154,17 @@ def _write_csv(path: str, cfg: dict, timestamp: bool, columns: list[str], data) 
             fh.write(row_format * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
-def _write_json(path: str, cfg: dict, timestamp: bool, payload: dict) -> None:
-    doc = {
-        "config_sha256": _config_hash(cfg),
-        "constants": constants.CONSTANTS_VERSION,
-    }
-    if timestamp:
-        doc["generated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    doc.update(payload)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, default=float)
-        fh.write("\n")
-
-
-def _out_paths(cfg: dict, out_dir: str) -> tuple[str, str]:
-    base = cfg["output"].get("path", cfg["experiment"])
+def _write_outputs(cfg: dict, out_dir: str, timestamp: bool, columns: list[str],
+                   data, summary: dict) -> list[str]:
+    """Write <path>.csv and <path>_summary.json under out_dir; returns both paths."""
     os.makedirs(out_dir, exist_ok=True)
-    return (
-        os.path.join(out_dir, base + ".csv"),
-        os.path.join(out_dir, base + "_summary.json"),
-    )
+    base = os.path.join(out_dir, cfg["output"].get("path", cfg["experiment"]))
+    csv_path, json_path = base + ".csv", base + "_summary.json"
+    _write_csv(csv_path, cfg, timestamp, columns, data)
+    with open(json_path, "w") as fh:
+        json.dump({**_provenance(cfg, timestamp), **summary}, fh, indent=2, default=float)
+        fh.write("\n")
+    return [csv_path, json_path]
 
 
 def read_csv(path: str) -> tuple[dict, list[str], np.ndarray]:
@@ -185,26 +186,28 @@ def read_csv(path: str) -> tuple[dict, list[str], np.ndarray]:
 
 
 # ----------------------------------------------------------- experiments ---
+# Each runner takes the config's system and params sections and returns
+# (columns, data, summary): CSV column names, a 2-D float array with one
+# column per name, and the JSON summary payload.
 
-def run_ramsey(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
-    p = cfg.get("params", {})
-    params = model.build_system(cfg["system"])
-    level = int(p.get("level", 1))
-    state_spec = p.get("state", {"type": "fock", "n": 0, "dim": 128})
+def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
+    phys = model.build_system(system)
+    level = int(params.get("level", 1))
+    state_spec = params.get("state", {"type": "fock", "n": 0})
     state = _build_state(state_spec)
-    frame = model.derive_mode_frame(params, level)
-    if "times" in p:
-        times = np.asarray([float(t) for t in p["times"]])
+    frame = model.derive_mode_frame(phys, level)
+    if "times" in params:
+        times = np.asarray([float(t) for t in params["times"]])
     else:
-        periods = float(p.get("periods", 2.0))
-        points = int(p.get("points", 400))
+        periods = float(params.get("periods", 2.0))
+        points = int(params.get("points", 400))
         times = np.linspace(0.0, periods * 2.0 * math.pi / frame.omega_i, points)
-    x0 = p.get("x0")
+    x0 = params.get("x0")
     x0 = None if x0 is None else float(x0)
     trace = ramsey.ramsey_trace(
-        params, state, times, level_pair=(0, level), x0=x0,
-        dim=p.get("dim"), dim_tol=float(p.get("dim_tol", 1e-8)),
-        corotating=bool(p.get("corotating", False)),
+        phys, state, times, level_pair=(0, level), x0=x0,
+        dim=params.get("dim"), dim_tol=float(params.get("dim_tol", 1e-8)),
+        corotating=bool(params.get("corotating", False)),
     )
 
     columns = ["t", "P", "V", "phase"]
@@ -216,31 +219,27 @@ def run_ramsey(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
         and complex(state_spec.get("alpha", 0.0)).imag == 0.0
     )
     if is_vacuum and not trace.corotating:
-        amp = analytic.vacuum_coherent_amplitude(params, trace.x0, times, level=level)
+        amp = analytic.vacuum_coherent_amplitude(phys, trace.x0, times, level=level)
         columns += ["V_analytic", "phase_analytic"]
         data += [np.abs(amp), np.unwrap(np.angle(amp))]
         summary["oracle_max_deviation"] = float(
             np.max(np.abs(np.abs(amp) - trace.visibility))
         )
         t_min, v_min, t_rev, v_rev = analytic.visibility_extrema(
-            params, trace.x0, level=level
+            phys, trace.x0, level=level
         )
         summary.update(t_min=t_min, V_min=v_min, t_rev=t_rev, V_rev=v_rev)
     elif is_real_coherent and not trace.corotating:
         # The vacuum's phase and extrema closed forms do not hold here.
         v_analytic = analytic.coherent_visibility(
-            params, trace.x0, complex(state_spec["alpha"]).real, times, level=level
+            phys, trace.x0, complex(state_spec["alpha"]).real, times, level=level
         )
         columns.append("V_analytic")
         data.append(v_analytic)
         summary["oracle_max_deviation"] = float(
             np.max(np.abs(v_analytic - trace.visibility))
         )
-
-    csv_path, json_path = _out_paths(cfg, out_dir)
-    _write_csv(csv_path, cfg, timestamp, columns, np.column_stack(data))
-    _write_json(json_path, cfg, timestamp, summary)
-    return [csv_path, json_path]
+    return columns, np.column_stack(data), summary
 
 
 def _grid_from_spec(spec) -> np.ndarray:
@@ -255,29 +254,27 @@ def _grid_from_spec(spec) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _shift_tables(system: dict, level: int, omegas: np.ndarray,
-                  n_values: list[float]) -> list[clock.ShiftReport]:
-    """clock.shift_table over the omega0 grid, one table per n. Built at
-    omega0 = 1, natural-unit params keep the config's frequency unit."""
+def _shift_tables(system: dict, level: int, omegas: np.ndarray, n_values: list[float]
+                  ) -> tuple[model.SystemParams, list[clock.ShiftReport]]:
+    """The params built at omega0 = 1 and clock.shift_table over the omega0
+    grid, one table per n. At omega0 = 1, natural-unit params keep the
+    config's frequency unit."""
     if omegas.size == 0 or not n_values:
         raise ConfigError("shift grid is empty: give at least one omega0 and one n")
     bad_n = [n for n in n_values if not (math.isfinite(n) and n >= 0)]
     if bad_n:
         raise ConfigError(f"n values must be finite and >= 0, got {bad_n[0]}")
     trap_free = {key: v for key, v in system.items() if key != "k"}
-    params = model.build_system({**trap_free, "omega0": 1.0})
-    return [clock.shift_table(params, level, omegas, n) for n in n_values]
+    phys = model.build_system({**trap_free, "omega0": 1.0})
+    return phys, [clock.shift_table(phys, level, omegas, n) for n in n_values]
 
 
-def run_shift(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
-    p = cfg.get("params", {})
-    system = dict(cfg["system"])
-    level = int(p.get("level", 1))
-    omegas = _grid_from_spec(p.get("omega0_grid", {"min": 1e2, "max": 1e7,
-                                                   "points": 200, "log": True}))
-    n_values = [float(n) for n in p.get("n_values", [0.0])]
-    tables = _shift_tables(system, level, omegas, n_values)
-    params = model.build_system({**system, "omega0": omegas[0]})
+def run_shift(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
+    level = int(params.get("level", 1))
+    omegas = _grid_from_spec(params.get("omega0_grid", {"min": 1e2, "max": 1e7,
+                                                        "points": 200, "log": True}))
+    n_values = [float(n) for n in params.get("n_values", [0.0])]
+    phys, tables = _shift_tables(system, level, omegas, n_values)
 
     blocks, minima = [], {}
     for n, table in zip(n_values, tables):
@@ -289,36 +286,30 @@ def run_shift(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
             is_min,
         ]))
         try:
-            opt = clock.minimal_shift(params, n)
+            opt = clock.minimal_shift(phys, n)
             minima[f"n={n}"] = {"omega_min": opt.omega_min, "delta_min": opt.delta_min}
         except TrapMassError as exc:
             minima[f"n={n}"] = {"error": str(exc)}
 
     summary = {"minima": minima}
-    if "temperature" in p:
-        params = model.build_system({**system})
-        rep = clock.thermal_shift(params, float(p["temperature"]), level)
+    if "temperature" in params:
+        rep = clock.thermal_shift(model.build_system(system),
+                                  float(params["temperature"]), level)
         summary["thermal"] = {
-            "T": float(p["temperature"]),
+            "T": float(params["temperature"]),
             "n_mean": rep.n,
             "fractional_shift": rep.fractional_shift,
         }
-    csv_path, json_path = _out_paths(cfg, out_dir)
-    _write_csv(csv_path, cfg, timestamp,
-               ["omega0", "n", "delta", "gravitational", "time_dilation", "is_min"],
-               np.vstack(blocks))
-    _write_json(json_path, cfg, timestamp, summary)
-    return [csv_path, json_path]
+    columns = ["omega0", "n", "delta", "gravitational", "time_dilation", "is_min"]
+    return columns, np.vstack(blocks), summary
 
 
-def run_drive(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
-    p = cfg.get("params", {})
-    params = model.build_system(cfg["system"])
-    dim = int(p.get("dim", 128))
-    N = int(p.get("N", 50))
-    level = int(p.get("level", 1))
-    state = _build_state(p.get("state", {"type": "fock", "n": 0, "dim": dim}))
-    res = drive.iterate_drive(params, state, N, dim, level)
+def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
+    phys = model.build_system(system)
+    N = int(params.get("N", 50))
+    level = int(params.get("level", 1))
+    state = _state_at_params_dim(params)
+    res = drive.iterate_drive(phys, state, N, state.dim, level)
     exact = res.exact if res.exact is not None else np.full(N, np.nan)
     summary = {
         "per_cycle_r": res.schedule.per_cycle_r,
@@ -327,28 +318,24 @@ def run_drive(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
             float(np.max(np.abs(res.exact - res.approx)))
             if res.exact is not None else None
         ),
-        "variance_growth_N": drive.position_variance_growth(params, N, level),
+        "variance_growth_N": drive.position_variance_growth(phys, N, level),
     }
-    csv_path, json_path = _out_paths(cfg, out_dir)
-    _write_csv(csv_path, cfg, timestamp, ["k", "P_exact", "P_approx"],
-               np.column_stack([np.arange(1, N + 1), exact, res.approx]))
-    _write_json(json_path, cfg, timestamp, summary)
-    return [csv_path, json_path]
+    data = np.column_stack([np.arange(1, N + 1), exact, res.approx])
+    return ["k", "P_exact", "P_approx"], data, summary
 
 
-def run_qfunc(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
-    p = cfg.get("params", {})
-    params = model.build_system(cfg["system"])
-    dim = int(p.get("dim", 128))
-    state = _build_state(p.get("state", {"type": "fock", "n": 0, "dim": dim}))
-    t = float(p.get("t", 0.0))
+def run_qfunc(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
+    phys = model.build_system(system)
+    state = _state_at_params_dim(params)
+    t = float(params.get("t", 0.0))
     summary = {}
-    if "distribution" in p:
-        dist = phasespace.InternalDistribution(tuple(float(v) for v in p["distribution"]))
-        evolved = phasespace.evolve_mixed_cm(params, state, dist, t, state.dim)
+    if "distribution" in params:
+        dist = phasespace.InternalDistribution(
+            tuple(float(v) for v in params["distribution"]))
+        evolved = phasespace.evolve_mixed_cm(phys, state, dist, t, state.dim)
     else:
         evolved = state
-    grid = phasespace.qfunction(evolved, delta=float(p.get("delta", 0.1)))
+    grid = phasespace.qfunction(evolved, delta=float(params.get("delta", 0.1)))
     summary["normalization"] = grid.normalization()
     try:
         fit = phasespace.effective_squeezing_fit(grid)
@@ -357,29 +344,24 @@ def run_qfunc(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
     except TrapMassError as exc:
         summary["r_eff_error"] = str(exc)
     beta = grid.beta.ravel()
-    csv_path, json_path = _out_paths(cfg, out_dir)
-    _write_csv(csv_path, cfg, timestamp, ["re_beta", "im_beta", "Q"],
-               np.column_stack([beta.real, beta.imag, grid.q.ravel()]))
-    _write_json(json_path, cfg, timestamp, summary)
-    return [csv_path, json_path]
+    data = np.column_stack([beta.real, beta.imag, grid.q.ravel()])
+    return ["re_beta", "im_beta", "Q"], data, summary
 
 
 _SWEEP_OPS = {"fractional_shift", "visibility_extrema"}
 
 
-def run_sweep(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
-    p = cfg.get("params", {})
-    op = p.get("op")
+def run_sweep(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
+    op = params.get("op")
     if op not in _SWEEP_OPS:
         raise ConfigError(f"sweep op must be one of {sorted(_SWEEP_OPS)}, got {op!r}")
-    axes = p.get("axes", {})
-    system = dict(cfg["system"])
+    axes = params.get("axes", {})
     if op == "fractional_shift":
         _check_keys(axes, {"omega0", "n"}, "axes")
         columns = ["omega0", "n", "delta"]
         omegas = np.asarray(axes.get("omega0", [system.get("omega0", 1e6)]), dtype=float)
         n_values = [float(n) for n in axes.get("n", [0.0])]
-        tables = _shift_tables(system, 1, omegas, n_values)
+        _, tables = _shift_tables(system, 1, omegas, n_values)
         # Rows run omega0-major: every n for the first omega0, then the next.
         data = np.column_stack([
             np.repeat(omegas, len(n_values)),
@@ -389,13 +371,10 @@ def run_sweep(cfg: dict, out_dir: str, timestamp: bool) -> list[str]:
     else:
         _check_keys(axes, {"x0"}, "axes")
         columns = ["x0", "t_min", "V_min", "t_rev", "V_rev"]
-        params = model.build_system(system)
+        phys = model.build_system(system)
         x0 = np.asarray(axes.get("x0", [0.0]), dtype=float)
-        data = np.column_stack([x0, *analytic.visibility_extrema(params, x0)])
-    csv_path, json_path = _out_paths(cfg, out_dir)
-    _write_csv(csv_path, cfg, timestamp, columns, data)
-    _write_json(json_path, cfg, timestamp, {"op": op, "rows": len(data)})
-    return [csv_path, json_path]
+        data = np.column_stack([x0, *analytic.visibility_extrema(phys, x0)])
+    return columns, data, {"op": op, "rows": len(data)}
 
 
 def run_verify_all(out_dir: str) -> int:
@@ -415,18 +394,27 @@ def run_verify_all(out_dir: str) -> int:
 
 # ------------------------------------------------------------ verification ---
 
+_UNIT_INTERVAL_COLUMNS = {"V", "V_analytic", "P_exact", "P_approx", "P"}
+
+
 def verify_outputs(paths: list[str]) -> list[str]:
-    """Re-read emitted CSVs and check the declared invariants."""
+    """Re-read emitted CSVs and check the declared invariants. Every value
+    must be finite, except NaN in P_exact, which marks a drive longer than
+    drive.N_EXACT_MAX cycles."""
     problems = []
     for path in paths:
         if not path.endswith(".csv"):
             continue
         _, columns, arr = read_csv(path)
-        for j, col in enumerate(columns):
-            vals = arr[:, j]
-            if col in ("V", "V_analytic", "P_exact", "P_approx", "P"):
-                if np.any(~np.isnan(vals) & ((vals < -1e-10) | (vals > 1.0 + 1e-8))):
-                    problems.append(f"{path}: column {col} outside [0, 1]")
+        for col, vals in zip(columns, arr.T):
+            if col == "P_exact":
+                vals = vals[~np.isnan(vals)]
+            if not np.isfinite(vals).all():
+                problems.append(f"{path}: column {col} has non-finite values")
+            if col in _UNIT_INTERVAL_COLUMNS and np.any(
+                (vals < -1e-10) | (vals > 1.0 + 1e-8)
+            ):
+                problems.append(f"{path}: column {col} outside [0, 1]")
             if col == "Q" and np.any(vals < -1e-12):
                 problems.append(f"{path}: negative Q values")
     return problems
@@ -470,17 +458,15 @@ def main(argv=None) -> int:
         return run_verify_all(out_dir)
     try:
         cfg = load_config(args.config, args.command)
-    except (ConfigError, TrapMassError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        paths = _RUNNERS[args.command](cfg, out_dir, timestamp=not args.no_timestamp)
+        columns, data, summary = _RUNNERS[args.command](cfg["system"],
+                                                        cfg.get("params", {}))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrapMassError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    paths = _write_outputs(cfg, out_dir, not args.no_timestamp, columns, data, summary)
     for path in paths:
         print(path)
     if args.verify:

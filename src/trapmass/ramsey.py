@@ -33,7 +33,7 @@ import numpy as np
 
 from . import fock, model
 from .errors import DimensionMismatch, GridTooCoarse
-from .states import CMState, fock_state, mixed_state, pure_state
+from .states import CMState, fock_state
 
 _PHASE_JUMP_TOL = math.pi * (1.0 - 1e-9)
 # Time points per batched contraction; keeps each temporary of
@@ -62,22 +62,6 @@ class RamseyTrace:
     corotating: bool = False
 
 
-def _embed_state(state: CMState, dim: int) -> CMState:
-    if dim < state.dim:
-        raise DimensionMismatch(
-            f"truncation dim {dim} smaller than state dim {state.dim}"
-        )
-    if dim == state.dim:
-        return state
-    if state.is_pure:
-        vec = np.zeros(dim, dtype=complex)
-        vec[: state.dim] = state.data
-        return pure_state(vec, state.prepared_level)
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[: state.dim, : state.dim] = state.data
-    return mixed_state(rho, state.prepared_level)
-
-
 def _bounded_trace(
     spec: fock.Spectrum, omega0: float, state: CMState, times: np.ndarray
 ) -> np.ndarray:
@@ -92,7 +76,8 @@ def _bounded_trace(
     For a pure psi, V1^T rho is the outer product (V1^T psi) psi^dag. Columns m
     past the state's support (its last nonzero Fock amplitude) are exactly
     zero and are dropped, so each chunk costs one (chunk x dim) @ (dim x k)
-    product, k the support size.
+    product, k the support size. The state may be smaller than the spectrum;
+    the Fock levels it lacks are empty.
     """
     data = state.data
     nonzero = data != 0
@@ -183,20 +168,22 @@ def ramsey_trace(
         def probe(d: int) -> complex:
             latest.clear()  # hold one spectrum at a time
             latest[d] = fock.spectrum(frame, alpha, d)
-            st = _embed_state(state, d)
             return complex(
-                _bounded_trace(latest[d], params.omega0, st, np.array([t_ref]))[0]
+                _bounded_trace(latest[d], params.omega0, state, np.array([t_ref]))[0]
             )
 
         dim = fock.converge_dim(probe, dim_tol, dim_max, min_dim=state.dim)
         # The last probe solved the converged dim; it is absent only when
         # converge_dim returned without probing (dim_tol = inf).
         spec = latest.get(dim)
-    st = _embed_state(state, dim)
+    elif dim < state.dim:
+        raise DimensionMismatch(
+            f"truncation dim {dim} smaller than state dim {state.dim}"
+        )
     if spec is None:
         spec = fock.spectrum(frame, alpha, dim)
 
-    tr = _bounded_trace(spec, params.omega0, st, times)
+    tr = _bounded_trace(spec, params.omega0, state, times)
     rate = _scalar_rate(params, level, corotating)
     tr = tr * np.exp(-1j * ((rate * times) % (2.0 * math.pi)))
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +79,8 @@ def fock_state(dim: int, n: int) -> CMState:
 
 def coherent_state(dim: int, alpha: complex) -> CMState:
     """Truncated coherent state, renormalized (tail must be negligible)."""
+    if not cmath.isfinite(alpha):
+        raise NotNormalized(f"alpha must be finite, got {alpha}")
     if alpha == 0:
         return fock_state(dim, 0)
     ns = np.arange(dim)
@@ -87,8 +91,8 @@ def coherent_state(dim: int, alpha: complex) -> CMState:
 
 def thermal_state_cm(dim: int, nbar: float) -> CMState:
     """Truncated thermal state of the ground mode with mean occupation nbar."""
-    if nbar < 0:
-        raise NotNormalized(f"nbar must be >= 0, got {nbar}")
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise NotNormalized(f"nbar must be finite and >= 0, got {nbar}")
     if nbar == 0:
         return mixed_state(np.diag([1.0] + [0.0] * (dim - 1)).astype(complex))
     q = nbar / (nbar + 1.0)

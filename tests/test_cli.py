@@ -373,3 +373,95 @@ def test_runs_without_scipy(tmp_path):
         env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("grid", [{"min": 0.1, "max": 10.0, "points": 30, "log": True},
+                                  {"min": 1.0, "max": 10.0, "points": 30, "log": True}])
+def test_natural_unit_shift_minimum_is_in_config_frequency_unit(tmp_path, grid):
+    # omega_min = (4 g^2 M0 / hbar (n + 1/2))^(1/3) = 2^(1/3) for g = 1/2, n = 0,
+    # whatever the first grid point is.
+    cfg = {"experiment": "shift",
+           "system": {"unit_system": "natural", "c": 10.0, "levels": [0.0, 2.0], "g": 0.5},
+           "output": {"path": "shift_natural"},
+           "params": {"omega0_grid": grid, "n_values": [0.0]}}
+    assert run(tmp_path, cfg, "shift", extra=["--verify"]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "shift_natural_summary.json").read_text())
+    assert summary["minima"]["n=0.0"]["omega_min"] == pytest.approx(2.0 ** (1.0 / 3.0),
+                                                                     rel=1e-12)
+
+
+def drive_cfg(**params):
+    return {"experiment": "drive",
+            "system": {"unit_system": "natural", "c": 1.0, "levels": [0.0, 0.04],
+                       "g": 0.0},
+            "output": {"path": "drive_run"}, "params": {"N": 5, **params}}
+
+
+def qfunc_cfg(**params):
+    return {"experiment": "qfunc", "system": dict(NATURAL_SYSTEM),
+            "output": {"path": "qfunc_run"}, "params": params}
+
+
+def test_drive_state_takes_params_dim(tmp_path, monkeypatch):
+    dims = []
+    real_iterate = cli.drive.iterate_drive
+
+    def spy(params, psi0, N, dim, level=1):
+        dims.append((psi0.dim, dim))
+        return real_iterate(params, psi0, N, dim, level)
+
+    monkeypatch.setattr(cli.drive, "iterate_drive", spy)
+    cfg = drive_cfg(dim=256, state={"type": "fock", "n": 0})
+    assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
+    assert dims == [(256, 256)]
+
+
+def test_qfunc_state_takes_params_dim(tmp_path, capsys):
+    # At dim 40 the vacuum's Q grid needs more levels than it has; the run
+    # must use that dim rather than the state's default 128.
+    cfg = qfunc_cfg(dim=40, state={"type": "fock", "n": 0})
+    assert run(tmp_path, cfg, "qfunc") == cli.EXIT_NUMERIC
+    assert "needs dim >= 69" in capsys.readouterr().err
+    assert run(tmp_path, qfunc_cfg(dim=96), "qfunc", extra=["--verify"]) == cli.EXIT_OK
+
+
+def test_conflicting_state_and_params_dim_is_config_error(tmp_path):
+    state = {"type": "fock", "n": 0, "dim": 128}
+    assert run(tmp_path, drive_cfg(dim=256, state=state), "drive") == cli.EXIT_CONFIG
+    assert run(tmp_path, qfunc_cfg(dim=96, state=state), "qfunc") == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("state", [{"type": "thermal", "nbar": math.nan},
+                                   {"type": "thermal", "nbar": math.inf},
+                                   {"type": "coherent", "alpha": math.nan}])
+def test_non_finite_state_inputs_are_numeric_failures(tmp_path, state):
+    cfg = ramsey_cfg(state={**state, "dim": 64})
+    assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_NUMERIC
+
+
+def test_output_format_key_is_rejected(tmp_path):
+    cfg = ramsey_cfg()
+    cfg["output"]["format"] = "csv"
+    assert run(tmp_path, cfg, "ramsey") == cli.EXIT_CONFIG
+
+
+def _hand_csv(path, columns, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\r\n")
+        for row in rows:
+            fh.write(",".join(str(v) for v in row) + "\r\n")
+    return str(path)
+
+
+def test_verify_flags_non_finite_values_outside_p_exact(tmp_path):
+    ok = _hand_csv(tmp_path / "drive.csv", ["k", "P_exact", "P_approx"],
+                   [[1, "nan", 0.9], [2, "nan", 0.8]])
+    assert cli.verify_outputs([ok]) == []
+    for name, columns, rows in [
+        ("v.csv", ["t", "P", "V", "phase"], [[0.0, 1.0, 1.0, 0.0], [1.0, 0.5, "nan", 0.1]]),
+        ("q.csv", ["re_beta", "im_beta", "Q"], [[0.0, 0.0, "nan"]]),
+        ("t.csv", ["t", "P", "V", "phase"], [["inf", 1.0, 1.0, 0.0]]),
+        ("pe.csv", ["k", "P_exact", "P_approx"], [[1, "inf", 0.9]]),
+    ]:
+        problems = cli.verify_outputs([_hand_csv(tmp_path / name, columns, rows)])
+        assert any("non-finite" in p for p in problems), (name, problems)

@@ -62,3 +62,16 @@ def test_density_and_expectation_agree():
     assert rho.expectation(op) == pytest.approx(st.expectation(op), abs=1e-13)
     with pytest.raises(DimensionMismatch):
         st.expectation(np.eye(16))
+
+
+@pytest.mark.parametrize("alpha", [complex(float("nan"), 0.0), complex(0.0, float("inf")),
+                                   float("nan"), float("-inf")])
+def test_coherent_state_rejects_non_finite_alpha(alpha):
+    with pytest.raises(NotNormalized):
+        states.coherent_state(16, alpha)
+
+
+@pytest.mark.parametrize("nbar", [float("nan"), float("inf")])
+def test_thermal_state_rejects_non_finite_nbar(nbar):
+    with pytest.raises(NotNormalized):
+        states.thermal_state_cm(16, nbar)
