@@ -55,12 +55,14 @@ _EXPERIMENT_KEYS = {
                "dim", "dim_tol"},
     "shift": {"omega0_grid", "n_values", "temperature", "level"},
     "drive": {"state", "N", "dim", "level"},
-    "qfunc": {"state", "distribution", "t", "delta", "dim", "alpha"},
+    "qfunc": {"state", "distribution", "t", "delta", "dim"},
     "sweep": {"op", "axes"},
 }
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -74,8 +76,6 @@ def load_config(path: str, experiment: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
     top_allowed = {"experiment", "system", "output", "params"}
     _check_keys(cfg, top_allowed, "config")
     for key in ("experiment", "system", "output"):
@@ -88,17 +88,12 @@ def load_config(path: str, experiment: str) -> dict:
         )
     _check_keys(cfg["system"], _SYSTEM_KEYS, "system")
     _check_keys(cfg["output"], {"path"}, "output")
-    params_sec = cfg.get("params", {})
-    if not isinstance(params_sec, dict):
-        raise ConfigError("params must be an object")
-    _check_keys(params_sec, _EXPERIMENT_KEYS[experiment], "params")
+    _check_keys(cfg.get("params", {}), _EXPERIMENT_KEYS[experiment], "params")
     return cfg
 
 
 def _build_state(spec: dict, dim: int = 128) -> states.CMState:
     """The state spec, at its own dim if it gives one and at dim otherwise."""
-    if not isinstance(spec, dict):
-        raise ConfigError("state must be an object")
     _check_keys(spec, _STATE_KEYS, "state")
     kind = spec.get("type")
     dim = int(spec.get("dim", dim))
@@ -474,7 +469,7 @@ def main(argv=None) -> int:
         if problems:
             for prob in problems:
                 print(f"verification: {prob}", file=sys.stderr)
-            return EXIT_NUMERIC
+            return EXIT_VERIFY_FAIL
     return EXIT_OK
 
 

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constants, fock, model
-from .errors import (
-    DegenerateLevels,
-    GravityNotSupported,
-    NonPositiveMass,
-    TruncationInsufficient,
-    ZeroGravity,
-)
+from . import constants, fock, model, states
+from .errors import DegenerateLevels, GravityNotSupported, NonPositiveMass, ZeroGravity
 
 
 @dataclass(frozen=True)
@@ -188,6 +182,8 @@ def thermal_state(params: model.SystemParams, T: float, dim: int) -> JointTherma
     mode; expressed in the ground-mode basis it becomes a squeezed thermal
     state, built here as V_k diag(p) V_k^T from the real eigenbasis V_k of
     the truncated n_k (equal to S(r_k)^dag rho_th S(r_k), as n_k = S^dag n S).
+    p is states.thermal_populations, so a thermal tail beyond dim above
+    states.TAIL_BOUND raises TruncationInsufficient.
     """
     if params.g != 0.0:
         raise GravityNotSupported("thermal_state requires g = 0")
@@ -198,13 +194,9 @@ def thermal_state(params: model.SystemParams, T: float, dim: int) -> JointTherma
     blocks = []
     for k in range(params.n_levels):
         frame = model.derive_mode_frame(params, k)
-        q = math.exp(-beta * params.hbar * frame.omega_i)
-        probs = (1.0 - q) * q ** np.arange(dim)
-        deficit = 1.0 - probs.sum()
-        if deficit > 1e-6:
-            raise TruncationInsufficient(
-                f"level {k}: thermal tail {deficit:.3e} beyond dim {dim}"
-            )
+        probs = states.thermal_populations(
+            dim, math.exp(-beta * params.hbar * frame.omega_i)
+        )
         V = fock.spectrum(frame, 0.0, dim).V
         blocks.append((V * probs) @ V.T)
     return JointThermalState(

@@ -7,13 +7,12 @@ normalization quadrature is sum(Q) * delta^2 / pi = 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, model
+from . import fock, model, states
 from .errors import (
     InvalidDistribution,
     NonGaussianProfile,
@@ -22,7 +21,6 @@ from .errors import (
 from .states import CMState, mixed_state
 
 _EDGE_Q = 1e-8
-_COHERENT_DEFICIT = 1e-6
 _GRID_START_HALF_WIDTH = 4.0
 _GRID_GROWTH = 1.5
 _GRID_MAX_HALF_WIDTH = 64.0
@@ -65,6 +63,13 @@ class QGrid:
         return self.beta[idx, :].real, self.q[idx, :]
 
 
+def _weighted_frames(params: model.SystemParams, dist: InternalDistribution) -> list:
+    """(p_k, level-k ModeFrame) for each level k with p_k > 0."""
+    if len(dist.p) > params.n_levels:
+        raise InvalidDistribution(f"{len(dist.p)} probabilities for {params.n_levels} levels")
+    return [(pk, model.derive_mode_frame(params, k)) for k, pk in enumerate(dist.p) if pk]
+
+
 def evolve_mixed_cm(
     params: model.SystemParams,
     rho0: CMState,
@@ -75,18 +80,12 @@ def evolve_mixed_cm(
     """rho_cm(t) = sum_k p_k U_k rho0 U_k^dag; the scalar rest-energy phase
     of each U_k cancels against its conjugate, so only bounded propagators
     appear."""
-    if len(dist.p) > params.n_levels:
-        raise InvalidDistribution(
-            f"{len(dist.p)} probabilities for {params.n_levels} levels"
-        )
+    frames = _weighted_frames(params, dist)
     if rho0.dim != dim:
         raise InvalidDistribution(f"state dim {rho0.dim} != requested dim {dim}")
     rho = rho0.density()
     out = np.zeros((dim, dim), dtype=complex)
-    for k, pk in enumerate(dist.p):
-        if pk == 0.0:
-            continue
-        frame = model.derive_mode_frame(params, k)
+    for pk, frame in frames:
         U = fock.spectrum(frame, frame.alpha_gi, dim).propagator(t)
         out += pk * (U @ rho @ U.conj().T)
     # Symmetrize away eigensolver roundoff before validation.
@@ -94,53 +93,16 @@ def evolve_mixed_cm(
     return mixed_state(out, rho0.prepared_level)
 
 
-def coherent_row(dim: int, beta: complex) -> np.ndarray:
-    """Truncated coherent-state coefficients e^{-|b|^2/2} b^n / sqrt(n!)."""
-    return _coherent_matrix(dim, np.array([beta], dtype=complex))[0]
-
-
-def _coherent_matrix(dim: int, betas: np.ndarray) -> np.ndarray:
-    """Row i holds the truncated coefficients of |betas[i]> (a
-    Fortran-ordered view: the recursion in n writes one contiguous row of
-    the transpose per step)."""
-    flat = betas.ravel()
-    cols = np.empty((dim, flat.size), dtype=complex)
-    cols[0] = np.exp(-0.5 * np.abs(flat) ** 2)
-    for n in range(1, dim):
-        cols[n] = cols[n - 1] * flat / math.sqrt(n)
-    return cols.T
-
-
 def _axis(half_width: float, delta: float) -> np.ndarray:
     m = int(math.ceil(half_width / delta))
     return delta * np.arange(-m, m + 1)
-
-
-def _dim_for_deficit(abs_beta: float, dim: int) -> int:
-    """Smallest size above dim whose truncated |beta> misses at most
-    _COHERENT_DEFICIT of its norm. The missing weight is the Poisson tail
-    sum_{n >= d} e^{-x} x^n / n! with x = |beta|^2; its terms are formed in
-    log space with math.lgamma, so they do not underflow, and each tail is
-    summed from its small end."""
-    x = abs_beta**2
-    terms = []
-    n = dim + 1
-    while True:
-        terms.append(math.exp(n * math.log(x) - x - math.lgamma(n + 1)))
-        # Past the mode the term ratio x/(n+1) keeps falling, so what
-        # follows a 1e-20 term is negligible against _COHERENT_DEFICIT.
-        if n > x and terms[-1] < 1e-20:
-            break
-        n += 1
-    tails = list(itertools.accumulate(reversed(terms)))[::-1]
-    return dim + 1 + next(i for i, tail in enumerate(tails) if tail <= _COHERENT_DEFICIT)
 
 
 def _husimi(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """<beta|rho|beta> at each point of betas, _Q_CHUNK points per GEMM."""
     q = np.empty(betas.size)
     for s in range(0, betas.size, _Q_CHUNK):
-        B = _coherent_matrix(rho.shape[0], betas[s : s + _Q_CHUNK])
+        B = states.coherent_amplitudes(rho.shape[0], betas[s : s + _Q_CHUNK])
         q[s : s + _Q_CHUNK] = ((B.conj() @ rho) * B).sum(1).real
     return np.clip(q, 0.0, None)
 
@@ -167,12 +129,7 @@ def qfunction(
     while True:
         ax = _axis(hw, delta)
         beta = ax[None, :] + 1j * ax[:, None]
-        deficit = 1.0 - float(np.sum(np.abs(coherent_row(dim, complex(hw))) ** 2))
-        if deficit > _COHERENT_DEFICIT:
-            raise TruncationInsufficient(
-                f"coherent-state deficit {deficit:.3e} at |beta|={hw:.2f} "
-                f"for dim {dim}; needs dim >= {_dim_for_deficit(hw, dim)}"
-            )
+        states.check_coherent_tail(dim, hw)
         n_old = q_old.shape[0]
         o = (ax.size - n_old) // 2
         centre = (slice(o, o + n_old),) * 2
@@ -215,22 +172,16 @@ def qfunction_short_time(
     printed (complex), accurate to O(t^4) in the real part against the
     exact evolution.
     """
-    if len(dist.p) > params.n_levels:
-        raise InvalidDistribution(
-            f"{len(dist.p)} probabilities for {params.n_levels} levels"
-        )
+    frames = _weighted_frames(params, dist)
     beta = np.atleast_1d(np.asarray(beta, dtype=complex))
     if dim is None:
         reach = max(abs(alpha), float(np.max(np.abs(beta))))
         dim = int(math.ceil(reach**2 + 12.0 * reach + 32.0))
-    va = coherent_row(dim, complex(alpha))
-    VB = _coherent_matrix(dim, beta)
+    va = states.coherent_amplitudes(dim, [alpha])[0]
+    VB = states.coherent_amplitudes(dim, beta)
     overlap = VB.conj() @ va                       # <beta|alpha>
     total = np.zeros(beta.shape, dtype=complex)
-    for k, pk in enumerate(dist.p):
-        if pk == 0.0:
-            continue
-        frame = model.derive_mode_frame(params, k)
+    for pk, frame in frames:
         Nk = fock.mode_number(frame.r_i, frame.alpha_gi, dim)
         m1 = (VB.conj() @ (Nk @ va)) / overlap
         m2 = (VB.conj() @ (Nk @ (Nk @ va))) / overlap

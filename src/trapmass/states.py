@@ -1,4 +1,6 @@
-"""Center-of-mass states in the ground-level mode basis."""
+"""Center-of-mass states in the ground-level mode basis, their coherent
+amplitudes, and the one truncation rule: at most TAIL_BOUND of a state's
+weight may lie beyond its dim."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotNormalized
+from .errors import DimensionMismatch, NotNormalized, TruncationInsufficient
 
 KIND_VECTOR = "fock_vector"
 KIND_DENSITY = "density_matrix"
@@ -16,6 +18,7 @@ KIND_DENSITY = "density_matrix"
 _NORM_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _PSD_FLOOR = -1e-10
+TAIL_BOUND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,9 +64,12 @@ def mixed_state(rho: np.ndarray, prepared_level: int = 0) -> CMState:
     if np.max(np.abs(rho - rho.conj().T)) > _TRACE_TOL:
         raise NotNormalized("density matrix not Hermitian")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > _TRACE_TOL:
+    if not abs(tr - 1.0) <= _TRACE_TOL:  # also catches a NaN trace
         raise NotNormalized(f"trace {tr} != 1")
-    evals = np.linalg.eigvalsh(rho)
+    # A diagonal matrix's eigenvalues are its diagonal.
+    diagonal = np.diagonal(rho)
+    is_diagonal = np.count_nonzero(rho) == np.count_nonzero(diagonal)
+    evals = diagonal.real if is_diagonal else np.linalg.eigvalsh(rho)
     if evals.min() < _PSD_FLOOR:
         raise NotNormalized(f"negative eigenvalue {evals.min():.3e}")
     return CMState(kind=KIND_DENSITY, data=rho, dim=rho.shape[0], prepared_level=prepared_level)
@@ -77,25 +83,79 @@ def fock_state(dim: int, n: int) -> CMState:
     return pure_state(vec)
 
 
+def coherent_amplitudes(dim: int, betas) -> np.ndarray:
+    """Row i holds e^{-|b|^2/2} b^n / sqrt(n!), n < dim, for b = betas[i]
+    (a Fortran-ordered view). Each magnitude is exp(n log|b| - |b|^2/2 -
+    lgamma(n+1)/2), so none above the double-precision floor underflows;
+    the unit phase (b/|b|)^n is carried by recursion in n."""
+    b = np.asarray(betas, dtype=complex).ravel()
+    r = np.abs(b)
+    with np.errstate(divide="ignore"):
+        log_r = np.log(r)  # -inf at b = 0, where every n >= 1 entry is 0
+    mag = np.arange(1.0, dim)[:, None] * log_r - 0.5 * r**2
+    mag -= 0.5 * np.array([math.lgamma(n + 1.0) for n in range(1, dim)])[:, None]
+    np.exp(mag, out=mag)
+    unit, phase = np.exp(1j * np.angle(b)), np.ones_like(b)
+    cols = np.empty((dim, b.size), dtype=complex)
+    cols[0] = np.exp(-0.5 * r**2)
+    for n in range(1, dim):
+        phase *= unit
+        np.multiply(phase, mag[n - 1], out=cols[n])
+    return cols.T
+
+
+def _check_tail(kind: str, where: str, dim: int, tail: float, need: float) -> None:
+    """The truncation rule: at most TAIL_BOUND of the weight beyond dim."""
+    if tail > TAIL_BOUND:
+        raise TruncationInsufficient(
+            f"{kind} deficit {tail:.3e} at {where} for dim {dim}; needs dim >= {need}"
+        )
+
+
+def coherent_tail(dim: int, abs_beta: float) -> tuple[float, int]:
+    """(weight of |beta> beyond dim, smallest size from dim up whose weight
+    beyond is at most TAIL_BOUND). The weight beyond d is the Poisson tail
+    sum_{n >= d} e^{-x} x^n / n!, x = |beta|^2, summed from its small end
+    over log-space math.lgamma terms; those below x - 40 sqrt(x) or above
+    x + 40 sqrt(x) + 40 are under 1e-118 and are left out."""
+    x = abs_beta**2
+    if x == 0.0:
+        return 0.0, dim
+    lo = max(dim, int(x - 40.0 * math.sqrt(x)))
+    n = np.arange(lo, max(lo, int(x + 40.0 * math.sqrt(x) + 40.0)) + 1)
+    lgam = np.array([math.lgamma(k + 1.0) for k in n])
+    tails = np.cumsum(np.exp(n * math.log(x) - x - lgam)[::-1])[::-1]
+    return float(tails[0]), lo + int(np.argmax(tails <= TAIL_BOUND))
+
+
+def check_coherent_tail(dim: int, abs_beta: float) -> None:
+    """Raise TruncationInsufficient unless dim holds |beta> to TAIL_BOUND."""
+    _check_tail("coherent-state", f"|beta|={abs_beta:.2f}", dim,
+                *coherent_tail(dim, abs_beta))
+
+
+def thermal_populations(dim: int, q: float) -> np.ndarray:
+    """The geometric populations (1 - q) q^n, n < dim, renormalized once
+    their tail q^dim has passed the truncation rule; q = nbar / (nbar + 1)."""
+    # q = 0 leaves no tail; q rounded to 1 (nbar above ~1e16) has no dim.
+    need = math.ceil(math.log(TAIL_BOUND) / math.log(q)) if 0.0 < q < 1.0 else math.inf
+    _check_tail("thermal-state", f"q={q:.6g}", dim, q**dim, need)
+    probs = (1.0 - q) * q ** np.arange(dim)
+    return probs / probs.sum()
+
+
 def coherent_state(dim: int, alpha: complex) -> CMState:
-    """Truncated coherent state, renormalized (tail must be negligible)."""
+    """Truncated coherent state; its tail beyond dim must pass the
+    truncation rule, and the kept amplitudes are renormalized."""
     if not cmath.isfinite(alpha):
         raise NotNormalized(f"alpha must be finite, got {alpha}")
-    if alpha == 0:
-        return fock_state(dim, 0)
-    ns = np.arange(dim)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
-    amps = np.exp(-0.5 * abs(alpha) ** 2 + ns * np.log(complex(alpha)) - 0.5 * log_fact)
-    return pure_state(amps)
+    check_coherent_tail(dim, abs(alpha))
+    return pure_state(coherent_amplitudes(dim, [alpha])[0])
 
 
 def thermal_state_cm(dim: int, nbar: float) -> CMState:
-    """Truncated thermal state of the ground mode with mean occupation nbar."""
+    """Truncated thermal state of the ground mode with mean occupation nbar;
+    its tail beyond dim must pass the truncation rule."""
     if not (math.isfinite(nbar) and nbar >= 0):
         raise NotNormalized(f"nbar must be finite and >= 0, got {nbar}")
-    if nbar == 0:
-        return mixed_state(np.diag([1.0] + [0.0] * (dim - 1)).astype(complex))
-    q = nbar / (nbar + 1.0)
-    probs = (1 - q) * q ** np.arange(dim)
-    probs = probs / probs.sum()
-    return mixed_state(np.diag(probs).astype(complex))
+    return mixed_state(np.diag(thermal_populations(dim, nbar / (nbar + 1.0))).astype(complex))

@@ -184,7 +184,7 @@ def test_criterion_7_qfunction_scaling_fit_and_normalization():
 
     def err(t):
         exact = phasespace.evolve_mixed_cm(p, rho0, dist, t, dim)
-        row = phasespace.coherent_row(dim, complex(beta[0]))
+        row = states.coherent_amplitudes(dim, beta)[0]
         q_exact = float(np.real(row.conj() @ exact.data @ row))
         q_st = float(np.real(
             phasespace.qfunction_short_time(p, alpha, dist, beta, t, dim=dim)[0]

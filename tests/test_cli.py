@@ -465,3 +465,56 @@ def test_verify_flags_non_finite_values_outside_p_exact(tmp_path):
     ]:
         problems = cli.verify_outputs([_hand_csv(tmp_path / name, columns, rows)])
         assert any("non-finite" in p for p in problems), (name, problems)
+
+
+def test_verify_problem_exits_verify_fail(tmp_path, monkeypatch):
+    # A problem found by --verify is a failed verification (exit 1), not a
+    # numeric failure.
+    monkeypatch.setattr(cli, "verify_outputs", lambda paths: ["forced problem"])
+    assert run(tmp_path, ramsey_cfg(), "ramsey", extra=["--verify"]) \
+        == cli.EXIT_VERIFY_FAIL
+
+
+def _sweep_cfg(op, axes):
+    return {"experiment": "sweep", "system": dict(SI_SHIFT_SYSTEM),
+            "output": {"path": "sweep_run"}, "params": {"op": op, "axes": axes}}
+
+
+@pytest.mark.parametrize("case", ["system", "omega0_grid", "fractional_shift",
+                                  "visibility_extrema", "state", "params"])
+def test_non_object_sections_are_config_errors(tmp_path, case):
+    if case == "system":
+        cfg, experiment = shift_cfg(), "shift"
+        cfg["system"] = 5
+    elif case == "omega0_grid":
+        cfg, experiment = shift_cfg(omega0_grid=5), "shift"
+    elif case == "state":
+        cfg, experiment = ramsey_cfg(state=5), "ramsey"
+    elif case == "params":
+        cfg, experiment = ramsey_cfg(), "ramsey"
+        cfg["params"] = [1, 2]
+    else:
+        cfg, experiment = _sweep_cfg(case, 5), "sweep"
+    assert run(tmp_path, cfg, experiment) == cli.EXIT_CONFIG
+
+
+def test_nan_distribution_is_numeric_failure(tmp_path):
+    # The evolved state's trace is NaN; mixed_state rejects it (exit 3)
+    # instead of letting eigvalsh end in a LinAlgError traceback.
+    cfg = qfunc_cfg(dim=96, distribution=[math.nan, math.nan], t=0.1)
+    assert run(tmp_path, cfg, "qfunc") == cli.EXIT_NUMERIC
+
+
+def test_qfunc_alpha_key_is_rejected(tmp_path):
+    # params.alpha selected nothing in qfunc; the state carries alpha.
+    cfg = qfunc_cfg(dim=96, alpha=3.0)
+    assert run(tmp_path, cfg, "qfunc") == cli.EXIT_CONFIG
+    cfg = qfunc_cfg(dim=96, state={"type": "coherent", "alpha": 0.5})
+    assert run(tmp_path, cfg, "qfunc", extra=["--verify"]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("state", [{"type": "coherent", "alpha": 4.0, "dim": 16},
+                                   {"type": "thermal", "nbar": 3.0, "dim": 8}])
+def test_heavy_state_tails_are_numeric_failures(tmp_path, state, capsys):
+    assert run(tmp_path, ramsey_cfg(state=state), "ramsey") == cli.EXIT_NUMERIC
+    assert "needs dim >= " in capsys.readouterr().err

@@ -71,10 +71,12 @@ def test_qfunction_truncation_guard():
 def test_dim_for_deficit_matches_incomplete_gamma(abs_beta, dim):
     # Reference: the regularized lower incomplete gamma P(d, |beta|^2) is
     # the Poisson tail the truncated |beta> misses.
-    need = dim + 1
-    while gammainc(need, abs_beta**2) > phasespace._COHERENT_DEFICIT:
+    need = dim
+    while gammainc(need, abs_beta**2) > states.TAIL_BOUND:
         need += 1
-    assert phasespace._dim_for_deficit(abs_beta, dim) == need
+    tail, got = states.coherent_tail(dim, abs_beta)
+    assert got == need
+    assert tail == pytest.approx(gammainc(dim, abs_beta**2), rel=1e-9, abs=1e-15)
 
 
 def test_qfunction_guard_names_required_dim():
@@ -88,6 +90,26 @@ def test_qfunction_guard_names_required_dim():
         "needs dim >= 69"
     )
     grid = phasespace.qfunction(states.fock_state(69, 0))
+    assert np.max(np.abs(grid.q - np.exp(-np.abs(grid.beta) ** 2))) < 1e-12
+
+
+def test_qfunction_guard_at_large_beta():
+    # At |beta| = 40 the guard reads the Poisson tail, not amplitudes that
+    # underflow to a deficit of 1: dim 1500 is told its deficit
+    # P(1500, 1600) and the incomplete-gamma dim, and dim 2600 holds |40>
+    # well within the bound.
+    need = 1500
+    while gammainc(need, 1600.0) > states.TAIL_BOUND:
+        need += 1
+    with pytest.raises(TruncationInsufficient) as err:
+        phasespace.qfunction(states.fock_state(1500, 0), half_width=40.0,
+                             auto_expand=False)
+    assert str(err.value) == (
+        f"coherent-state deficit {gammainc(1500, 1600.0):.3e} at |beta|=40.00 "
+        f"for dim 1500; needs dim >= {need}"
+    )
+    grid = phasespace.qfunction(states.fock_state(2600, 0), half_width=40.0,
+                                delta=10.0, auto_expand=False)
     assert np.max(np.abs(grid.q - np.exp(-np.abs(grid.beta) ** 2))) < 1e-12
 
 
@@ -215,7 +237,7 @@ def test_short_time_error_is_fourth_order():
 
     def err(t):
         exact = phasespace.evolve_mixed_cm(p, rho0, dist, t, dim)
-        row = phasespace.coherent_row(dim, complex(beta[0]))
+        row = states.coherent_amplitudes(dim, beta)[0]
         q_exact = float(np.real(row.conj() @ exact.data @ row))
         q_st = float(np.real(
             phasespace.qfunction_short_time(p, alpha, dist, beta, t, dim=dim)[0]

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammainc, gammaln
 
 from trapmass import states
-from trapmass.errors import DimensionMismatch, NotNormalized
+from trapmass.errors import DimensionMismatch, NotNormalized, TruncationInsufficient
 
 
 def test_fock_state():
@@ -75,3 +80,75 @@ def test_coherent_state_rejects_non_finite_alpha(alpha):
 def test_thermal_state_rejects_non_finite_nbar(nbar):
     with pytest.raises(NotNormalized):
         states.thermal_state_cm(16, nbar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(abs_beta=st.lists(st.floats(0.0, 45.0), min_size=1, max_size=4),
+       arg=st.floats(-math.pi, math.pi), dim=st.integers(1, 3000))
+def test_coherent_amplitudes_match_log_gamma_reference(abs_beta, arg, dim):
+    # Reference: every entry from its closed form with scipy's gammaln and
+    # an exact phase. Each row's norm is what the Poisson tail leaves.
+    r = np.asarray(abs_beta)
+    rows = states.coherent_amplitudes(dim, r * np.exp(1j * arg))
+    n = np.arange(dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_log_r = np.where(n > 0, n * np.log(r[:, None]), 0.0)
+    ref = np.exp(n_log_r - 0.5 * r[:, None] ** 2 - 0.5 * gammaln(n + 1.0)
+                 + 1j * n * arg)
+    assert rows.shape == (r.size, dim)
+    assert np.all(np.abs(rows - ref) <= 1e-9 * np.abs(ref) + 1e-300)
+    for b, row in zip(r, rows):
+        tail, _ = states.coherent_tail(dim, b)
+        assert np.sum(np.abs(row) ** 2) == pytest.approx(1.0 - tail, abs=1e-10)
+
+
+def test_coherent_amplitudes_do_not_underflow_at_large_beta():
+    # e^{-|beta|^2/2} alone underflows above |beta| ~ 38.6; the rows do not.
+    row = states.coherent_amplitudes(2600, [40.0j])[0]
+    assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_heavy_tails_raise_naming_the_dim_needed():
+    with pytest.raises(TruncationInsufficient) as err:
+        states.coherent_state(16, 4.0)
+    need = 16
+    while gammainc(need, 16.0) > states.TAIL_BOUND:
+        need += 1
+    assert str(err.value).endswith(f"for dim 16; needs dim >= {need}")
+    states.coherent_state(need, 4.0)
+    # q = 3/4: q^48 = 1.007e-6 and q^49 = 7.5e-7.
+    with pytest.raises(TruncationInsufficient) as err:
+        states.thermal_state_cm(8, 3.0)
+    assert str(err.value).endswith("for dim 8; needs dim >= 49")
+    states.thermal_state_cm(49, 3.0)
+
+
+def _counting_eigvalsh(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return shapes
+
+
+def test_mixed_state_checks_diagonal_matrices_from_the_diagonal(monkeypatch):
+    shapes = _counting_eigvalsh(monkeypatch)
+    assert not states.thermal_state_cm(512, 2.0).is_pure
+    with pytest.raises(NotNormalized, match="negative eigenvalue"):
+        states.mixed_state(np.diag([1.2, 0.0, -0.2]).astype(complex))
+    with pytest.raises(NotNormalized, match="trace nan"):
+        states.mixed_state(np.diag([np.nan, 1.0]).astype(complex))
+    assert shapes == []
+
+
+def test_mixed_state_checks_other_matrices_densely(monkeypatch):
+    shapes = _counting_eigvalsh(monkeypatch)
+    # Non-negative diagonal, eigenvalues 1.2 and -0.2.
+    with pytest.raises(NotNormalized, match="negative eigenvalue"):
+        states.mixed_state(np.array([[0.5, 0.7], [0.7, 0.5]], dtype=complex))
+    states.mixed_state(states.coherent_state(32, 0.5 - 0.3j).density())
+    assert shapes == [(2, 2), (32, 32)]
