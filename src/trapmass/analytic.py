@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,14 +110,10 @@ def vacuum_coherent_amplitude(
     """Full closed-form trace V(t) e^{i phi(t)} for the vacuum of the
     ground trap displaced by x0 from the excited-trap center.
 
-    Includes the relative scalar phase Delta_phi = (phi0 - phi1) t. Accepts
-    a SystemParams (x0=None means g/omega0^2) or a prebuilt
-    VacuumAmplitudeParams (pass x0=None).
+    Includes the relative scalar phase Delta_phi = (phi0 - phi1) t;
+    x0=None means g/omega0^2.
     """
-    if isinstance(params, VacuumAmplitudeParams):
-        vap = params if x0 is None else replace(params, x0=float(x0))
-    else:
-        vap = VacuumAmplitudeParams.from_system(params, level=level, x0=x0)
+    vap = VacuumAmplitudeParams.from_system(params, level=level, x0=x0)
     t = np.asarray(t, dtype=float)
     rel = np.exp(-1j * ((vap.gap_rate * t) % (2.0 * math.pi)))
     return bounded_amplitude(vap, t) * rel
@@ -285,7 +281,7 @@ def effective_shift(
     adag2 = complex(moments["adag2"])
     n_mean = float(np.real(moments["n"]))
 
-    delta_omega = w1 - w0
+    delta_omega = w0 * frame.omega_shift_i
     A0 = w1 * math.sinh(r) ** 2 - 0.5 * w1 * math.sinh(2.0 * r) * (
         a2 * (1.0 - 1j * t * w0) + adag2 * (1.0 + 1j * t * w0)
     )

@@ -200,7 +200,7 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     x0 = params.get("x0")
     x0 = None if x0 is None else float(x0)
     trace = ramsey.ramsey_trace(
-        phys, state, times, level_pair=(0, level), x0=x0,
+        phys, state, times, level=level, x0=x0,
         dim=params.get("dim"), dim_tol=float(params.get("dim_tol", 1e-8)),
         corotating=bool(params.get("corotating", False)),
     )
@@ -304,7 +304,7 @@ def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     N = int(params.get("N", 50))
     level = int(params.get("level", 1))
     state = _state_at_params_dim(params)
-    res = drive.iterate_drive(phys, state, N, state.dim, level)
+    res = drive.iterate_drive(phys, state, N, level)
     exact = res.exact if res.exact is not None else np.full(N, np.nan)
     summary = {
         "per_cycle_r": res.schedule.per_cycle_r,
@@ -327,7 +327,7 @@ def run_qfunc(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     if "distribution" in params:
         dist = phasespace.InternalDistribution(
             tuple(float(v) for v in params["distribution"]))
-        evolved = phasespace.evolve_mixed_cm(phys, state, dist, t, state.dim)
+        evolved = phasespace.evolve_mixed_cm(phys, state, dist, t)
     else:
         evolved = state
     grid = phasespace.qfunction(evolved, delta=float(params.get("delta", 0.1)))

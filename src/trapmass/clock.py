@@ -79,11 +79,10 @@ def shift_table(params: model.SystemParams, level: int, omega0, n: float) -> Shi
     # gap/E_i - 1 in doubles.
     # The mass defect comes from the level energies, not from M_i - M0,
     # which keeps only the digits of M_i that survive rounding.
-    delta_M = E_i / params.c**2
+    frame = model.derive_mode_frame(params, level)
     k = params.M0 * omega0**2
-    grav_part = -(params.g**2 / (2.0 * k)) * delta_M * (params.mass(level) + params.M0)
-    # omega_i - omega_0 = omega_0 (sqrt(M0/M_i) - 1), cancellation-free.
-    domega = omega0 * math.expm1(-0.5 * math.log1p(delta_M / params.M0))
+    grav_part = -(params.g**2 / (2.0 * k)) * frame.delta_M * (frame.M_i + params.M0)
+    domega = omega0 * frame.omega_shift_i
     dilation_part = params.hbar * domega * (n + 0.5)
     gap_minus_E = grav_part + dilation_part
     grav, dilation = _lowest_order_terms(params, omega0, n)
@@ -146,11 +145,10 @@ class JointThermalState:
     temperature: float
     populations: np.ndarray
     cm_blocks: list
-    dim: int
 
     def cm_reduced(self) -> np.ndarray:
         """CM state after tracing out the internal level."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out = np.zeros(self.cm_blocks[0].shape, dtype=complex)
         for p, block in zip(self.populations, self.cm_blocks):
             out += p * block
         return out
@@ -162,14 +160,14 @@ def level_populations(params: model.SystemParams, T: float) -> np.ndarray:
     beta = 1.0 / (constants.K_B * T)
     weights = []
     for k in range(params.n_levels):
-        wk = model.derive_mode_frame(params, k).omega_i
+        frame = model.derive_mode_frame(params, k)
         # Exponents are shifted by the level-0 zero point so SI rest-energy
         # scales never enter: only gaps matter for the ratio.
         gap = model.offset_gap(params, k, 0) + 0.5 * params.hbar * (
-            wk - params.omega0
+            params.omega0 * frame.omega_shift_i
         )
         weights.append(
-            math.exp(-beta * gap) / (1.0 - math.exp(-beta * params.hbar * wk))
+            math.exp(-beta * gap) / (1.0 - math.exp(-beta * params.hbar * frame.omega_i))
         )
     weights = np.asarray(weights)
     return weights / weights.sum()
@@ -199,6 +197,4 @@ def thermal_state(params: model.SystemParams, T: float, dim: int) -> JointTherma
         )
         V = fock.spectrum(frame, 0.0, dim).V
         blocks.append((V * probs) @ V.T)
-    return JointThermalState(
-        temperature=float(T), populations=pops, cm_blocks=blocks, dim=dim
-    )
+    return JointThermalState(temperature=float(T), populations=pops, cm_blocks=blocks)

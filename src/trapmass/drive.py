@@ -65,7 +65,6 @@ class CycleOperator:
     product: np.ndarray
     comparator: np.ndarray
     schedule: DriveSchedule
-    dim: int
 
 
 def cycle_operator(params: model.SystemParams, dim: int, level: int = 1) -> CycleOperator:
@@ -82,9 +81,7 @@ def cycle_operator(params: model.SystemParams, dim: int, level: int = 1) -> Cycl
         @ fock.squeeze_matrix(dim, sched.per_cycle_r)
         @ fock.displace_matrix(dim, sched.beta_g)
     )
-    return CycleOperator(
-        product=product, comparator=comparator, schedule=sched, dim=dim
-    )
+    return CycleOperator(product=product, comparator=comparator, schedule=sched)
 
 
 def _cycle_product(params: model.SystemParams, sched: DriveSchedule, dim: int) -> np.ndarray:
@@ -100,7 +97,7 @@ def _cycle_product(params: model.SystemParams, sched: DriveSchedule, dim: int) -
 def comparator_deviation(cycle: CycleOperator) -> float:
     """Spectral-norm distance between product and comparator on the interior
     block (truncation corrupts the outermost rows of both)."""
-    m = fock.interior(cycle.dim)
+    m = fock.interior(cycle.product.shape[0])
     diff = cycle.product[:m, :m] - cycle.comparator[:m, :m]
     return float(np.linalg.norm(diff, 2))
 
@@ -117,9 +114,9 @@ def displacement_component(op: np.ndarray) -> complex:
 
 @dataclass(frozen=True)
 class DriveResult:
-    """Overlap decay P_k = |<psi0|psi_k>|^2 over k = 1..N cycles."""
+    """Overlap decay P_k = |<psi0|psi_k>|^2 over k = 1..N cycles,
+    N = approx.size."""
 
-    N: int
     exact: np.ndarray | None      # from repeated matrix products
     approx: np.ndarray            # |<psi0|S(2kr)|psi0>|^2
     schedule: DriveSchedule
@@ -129,19 +126,17 @@ def iterate_drive(
     params: model.SystemParams,
     psi0: CMState,
     N: int,
-    dim: int,
     level: int = 1,
 ) -> DriveResult:
     """Overlap series computed exactly and in the pure-squeezing
-    approximation. For N > 10000 the exact product path is refused
-    (accumulated roundoff and runtime) and only the approximation is
-    returned, with a warning."""
+    approximation, at the dim of psi0. For N > 10000 the exact product path
+    is refused (accumulated roundoff and runtime) and only the approximation
+    is returned, with a warning."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if not psi0.is_pure:
         raise DimensionMismatch("iterate_drive requires a pure initial state")
-    if psi0.dim != dim:
-        raise DimensionMismatch(f"state dim {psi0.dim} != requested dim {dim}")
+    dim = psi0.dim
     sched = drive_schedule(params, level)
 
     # Approximation: S is applied incrementally, one per-cycle squeeze per
@@ -167,7 +162,7 @@ def iterate_drive(
             "returning only the S(2Nr) approximation",
             UserWarning,
         )
-    return DriveResult(N=N, exact=exact, approx=approx, schedule=sched)
+    return DriveResult(exact=exact, approx=approx, schedule=sched)
 
 
 def vacuum_overlap_closed_form(total_r: float) -> float:

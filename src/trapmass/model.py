@@ -82,6 +82,11 @@ class ModeFrame:
     offset_i: float     # scalar energy M_i c^2 (1 - g^2 / 2 omega_i^2 c^2)
     x_shift_i: float    # relative sag g delta_M/k of mode i in the level-0 eigenmode basis
 
+    @property
+    def omega_shift_i(self) -> float:
+        """omega_i / omega_0 - 1 = exp(2 r_i) - 1, formed without cancellation."""
+        return math.expm1(2.0 * self.r_i)
+
 
 def build_system(config: dict) -> SystemParams:
     """Validate a SystemConfig mapping and return SystemParams.
@@ -178,8 +183,9 @@ def derive_mode_frame(params: SystemParams, i: int) -> ModeFrame:
     delta_M = params.levels[i] / params.c**2
     omega_i = math.sqrt(params.k / M_i)
     # 2 cosh r = (M0/Mi)^(1/4) + (Mi/M0)^(1/4) and the sinh counterpart
-    # combine to exp(r) = (M0/Mi)^(1/4).
-    r_i = 0.25 * math.log(params.M0 / M_i)
+    # combine to exp(r) = (M0/Mi)^(1/4) = (1 + delta_M/M0)^(-1/4); log1p
+    # keeps the digits of delta_M/M0 that rounding M_i would drop.
+    r_i = -0.25 * math.log1p(delta_M / params.M0)
     alpha_gi = params.g * delta_M / math.sqrt(2.0 * params.hbar * M_i * omega_i**3)
     offset_i = M_i * params.c**2 * (1.0 - params.g**2 / (2.0 * omega_i**2 * params.c**2))
     return ModeFrame(

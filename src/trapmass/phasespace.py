@@ -25,6 +25,8 @@ _GRID_START_HALF_WIDTH = 4.0
 _GRID_GROWTH = 1.5
 _GRID_MAX_HALF_WIDTH = 64.0
 _Q_CHUNK = 2048
+# effective_squeezing_fit uses only real-axis points with Q above this floor.
+_Q_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,8 @@ class InternalDistribution:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise InvalidDistribution("p must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(p)):
+            raise InvalidDistribution(f"non-finite probability in {self.p!r}")
         if np.any(p < 0):
             raise InvalidDistribution(f"negative probability in {self.p!r}")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -75,14 +79,12 @@ def evolve_mixed_cm(
     rho0: CMState,
     dist: InternalDistribution,
     t: float,
-    dim: int,
 ) -> CMState:
-    """rho_cm(t) = sum_k p_k U_k rho0 U_k^dag; the scalar rest-energy phase
-    of each U_k cancels against its conjugate, so only bounded propagators
-    appear."""
+    """rho_cm(t) = sum_k p_k U_k rho0 U_k^dag at the dim of rho0; the scalar
+    rest-energy phase of each U_k cancels against its conjugate, so only
+    bounded propagators appear."""
     frames = _weighted_frames(params, dist)
-    if rho0.dim != dim:
-        raise InvalidDistribution(f"state dim {rho0.dim} != requested dim {dim}")
+    dim = rho0.dim
     rho = rho0.density()
     out = np.zeros((dim, dim), dtype=complex)
     for pk, frame in frames:
@@ -90,7 +92,7 @@ def evolve_mixed_cm(
         out += pk * (U @ rho @ U.conj().T)
     # Symmetrize away eigensolver roundoff before validation.
     out = 0.5 * (out + out.conj().T)
-    return mixed_state(out, rho0.prepared_level)
+    return mixed_state(out)
 
 
 def _axis(half_width: float, delta: float) -> np.ndarray:
@@ -198,16 +200,16 @@ class SqueezeFit:
     intercept: float
 
 
-def effective_squeezing_fit(grid: QGrid, q_floor: float = 1e-12) -> SqueezeFit:
+def effective_squeezing_fit(grid: QGrid) -> SqueezeFit:
     """Effective squeezing parameter from the real-axis Gaussian profile.
 
-    Fits log Q against beta^2 (points with Q > q_floor); r_eff is the
+    Fits log Q against beta^2 (points with Q > _Q_FLOOR); r_eff is the
     excess of the quadratic coefficient over the vacuum value 1. The rms
     residual of the fit is the Gaussianity diagnostic; above 1e-3 the
     profile is rejected.
     """
     b, q = grid.real_axis()
-    mask = q > q_floor
+    mask = q > _Q_FLOOR
     if mask.sum() < 3:
         raise NonGaussianProfile("too few grid points above the Q floor")
     x = b[mask] ** 2

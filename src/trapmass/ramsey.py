@@ -39,11 +39,14 @@ _PHASE_JUMP_TOL = math.pi * (1.0 - 1e-9)
 # Time points per batched contraction; keeps each temporary of
 # _bounded_trace at most _TIME_CHUNK x dim complex.
 _TIME_CHUNK = 256
+# Grid points per period of the fastest phase in uniform_time_grid.
+_POINTS_PER_PERIOD = 50
 
 
 @dataclass(frozen=True)
 class RamseyTrace:
-    """Complex interference trace over a time grid plus derived series.
+    """Complex interference trace between levels 0 and level over a time
+    grid, and the series derived from it.
 
     probability = 1/2 + 1/2 Re(trace) is the ground-level detection
     probability after the second pi/2 pulse. When corotating is True the
@@ -53,13 +56,23 @@ class RamseyTrace:
 
     times: np.ndarray
     trace: np.ndarray
-    probability: np.ndarray
-    visibility: np.ndarray
-    phase: np.ndarray
-    level_pair: tuple[int, int]
+    level: int
     x0: float
     dim: int
     corotating: bool = False
+
+    @property
+    def probability(self) -> np.ndarray:
+        return 0.5 + 0.5 * np.real(self.trace)
+
+    @property
+    def visibility(self) -> np.ndarray:
+        return np.abs(self.trace)
+
+    @property
+    def phase(self) -> np.ndarray:
+        angle = np.angle(self.trace)
+        return np.unwrap(angle) if self.trace.size > 1 else angle
 
 
 def _bounded_trace(
@@ -134,25 +147,21 @@ def ramsey_trace(
     params: model.SystemParams,
     state: CMState,
     times,
-    level_pair: tuple[int, int] = (0, 1),
+    level: int = 1,
     x0: float | None = None,
     dim: int | None = None,
     dim_tol: float = 1e-8,
     dim_max: int = fock.DIM_MAX_DEFAULT,
     corotating: bool = False,
 ) -> RamseyTrace:
-    """Exact interference trace for an arbitrary initial CM state.
+    """Exact interference trace between levels 0 and level for an
+    arbitrary initial CM state.
 
     dim=None converges the truncation on the doubling schedule from the
     first size >= state.dim (bounded trace at the latest time must move by
     < dim_tol between sizes); an explicit dim skips convergence. x0=None
     uses the gravitational-sag separation g/omega0^2.
     """
-    if level_pair[0] != 0:
-        raise DimensionMismatch(
-            f"level pair must reference the ground mode basis, got {level_pair}"
-        )
-    level = level_pair[1]
     params._check_level(level)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     x0v = _resolve_x0(params, x0)
@@ -186,20 +195,8 @@ def ramsey_trace(
     tr = _bounded_trace(spec, params.omega0, state, times)
     rate = _scalar_rate(params, level, corotating)
     tr = tr * np.exp(-1j * ((rate * times) % (2.0 * math.pi)))
-
-    probability = 0.5 + 0.5 * np.real(tr)
-    visibility = np.abs(tr)
-    phase = np.unwrap(np.angle(tr)) if times.size > 1 else np.angle(tr)
     return RamseyTrace(
-        times=times,
-        trace=tr,
-        probability=probability,
-        visibility=visibility,
-        phase=phase,
-        level_pair=(0, level),
-        x0=x0v,
-        dim=dim,
-        corotating=corotating,
+        times=times, trace=tr, level=level, x0=x0v, dim=dim, corotating=corotating
     )
 
 
@@ -221,9 +218,7 @@ def fock_revival_values(
         dim = max(256, 8 * (n0 + 1))
     state = fock_state(dim, n0)
     t_rev = math.pi / frame.omega_i
-    trace = ramsey_trace(
-        params, state, [t_rev, 2.0 * t_rev], level_pair=(0, level), x0=x0, dim=dim
-    )
+    trace = ramsey_trace(params, state, [t_rev, 2.0 * t_rev], level=level, x0=x0, dim=dim)
     return float(trace.visibility[0]), float(trace.visibility[1])
 
 
@@ -234,9 +229,8 @@ def extract_visibility_phase(trace: RamseyTrace) -> tuple[np.ndarray, np.ndarray
     unwrapping ambiguous; the caller must refine the time grid.
     """
     z = np.asarray(trace.trace)
-    visibility = np.abs(z)
     if z.size < 2:
-        return visibility, np.angle(z)
+        return trace.visibility, np.angle(z)
     raw = np.angle(z)
     jumps = np.angle(z[1:] * np.conj(z[:-1]))
     if np.any(np.abs(jumps) >= _PHASE_JUMP_TOL):
@@ -245,14 +239,13 @@ def extract_visibility_phase(trace: RamseyTrace) -> tuple[np.ndarray, np.ndarray
             f"adjacent phase jump {worst:.6f} rad >= pi; refine the time grid"
         )
     phase = np.concatenate(([raw[0]], raw[0] + np.cumsum(jumps)))
-    return visibility, phase
+    return trace.visibility, phase
 
 
 def uniform_time_grid(
     params: model.SystemParams,
     t_max: float,
     level: int = 1,
-    points_per_period: int = 50,
     corotating: bool = False,
 ) -> np.ndarray:
     """Uniform grid on [0, t_max] resolving the fastest phase in the trace.
@@ -264,5 +257,5 @@ def uniform_time_grid(
     if not corotating:
         rates.append(abs(model.offset_gap(params, level, 0)) / params.hbar)
     period = 2.0 * math.pi / max(rates)
-    n = max(2, int(math.ceil(points_per_period * t_max / period)) + 1)
+    n = max(2, int(math.ceil(_POINTS_PER_PERIOD * t_max / period)) + 1)
     return np.linspace(0.0, t_max, n)

@@ -12,9 +12,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotNormalized, TruncationInsufficient
 
-KIND_VECTOR = "fock_vector"
-KIND_DENSITY = "density_matrix"
-
 _NORM_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _PSD_FLOOR = -1e-10
@@ -25,14 +22,15 @@ TAIL_BOUND = 1e-6
 class CMState:
     """Pure (Fock vector) or mixed (density matrix) CM state."""
 
-    kind: str
     data: np.ndarray
-    dim: int
-    prepared_level: int = 0
+
+    @property
+    def dim(self) -> int:
+        return self.data.shape[0]
 
     @property
     def is_pure(self) -> bool:
-        return self.kind == KIND_VECTOR
+        return self.data.ndim == 1
 
     def density(self) -> np.ndarray:
         if self.is_pure:
@@ -47,17 +45,17 @@ class CMState:
         return complex(np.trace(op @ self.data))
 
 
-def pure_state(vec: np.ndarray, prepared_level: int = 0) -> CMState:
+def pure_state(vec: np.ndarray) -> CMState:
     vec = np.asarray(vec, dtype=complex).ravel()
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > _NORM_TOL:
         if norm == 0:
             raise NotNormalized("zero state vector")
         vec = vec / norm
-    return CMState(kind=KIND_VECTOR, data=vec, dim=vec.size, prepared_level=prepared_level)
+    return CMState(vec)
 
 
-def mixed_state(rho: np.ndarray, prepared_level: int = 0) -> CMState:
+def mixed_state(rho: np.ndarray) -> CMState:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatch(f"density matrix must be square, got {rho.shape}")
@@ -72,7 +70,7 @@ def mixed_state(rho: np.ndarray, prepared_level: int = 0) -> CMState:
     evals = diagonal.real if is_diagonal else np.linalg.eigvalsh(rho)
     if evals.min() < _PSD_FLOOR:
         raise NotNormalized(f"negative eigenvalue {evals.min():.3e}")
-    return CMState(kind=KIND_DENSITY, data=rho, dim=rho.shape[0], prepared_level=prepared_level)
+    return CMState(rho)
 
 
 def fock_state(dim: int, n: int) -> CMState:

@@ -151,7 +151,7 @@ def test_criterion_6_drive_identity_scaling_and_growth():
         {"unit_system": "natural", "c": 1.0, "levels": [0.0, 0.04], "g": 0.0}
     )
     dim = 256
-    res = drive.iterate_drive(p, states.fock_state(dim, 0), 24, dim)
+    res = drive.iterate_drive(p, states.fock_state(dim, 0), 24)
     sched = res.schedule
     for k in range(1, 25):
         s = sched.effective_r(k)
@@ -183,7 +183,7 @@ def test_criterion_7_qfunction_scaling_fit_and_normalization():
     beta = np.array([0.3 + 0.0j])
 
     def err(t):
-        exact = phasespace.evolve_mixed_cm(p, rho0, dist, t, dim)
+        exact = phasespace.evolve_mixed_cm(p, rho0, dist, t)
         row = states.coherent_amplitudes(dim, beta)[0]
         q_exact = float(np.real(row.conj() @ exact.data @ row))
         q_st = float(np.real(

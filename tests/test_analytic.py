@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -129,7 +131,38 @@ def test_effective_shift_vacuum():
     shift = analytic.effective_shift(p, mom, t=0.3)
     expected = shift.delta_omega * 0.5 + f1.omega_i * math.sinh(f1.r_i) ** 2
     assert shift.mean_shift == pytest.approx(expected, rel=1e-12)
-    assert shift.delta_omega == pytest.approx(f1.omega_i - p.omega0, rel=1e-12)
+    # omega0 (sqrt(M0/M1) - 1) in a cancellation-free form, u = Delta_M/M0.
+    u = f1.delta_M / p.M0
+    root = math.sqrt(1.0 + u)
+    delta_omega = -p.omega0 * u / (root * (1.0 + root))
+    assert shift.delta_omega == pytest.approx(delta_omega, rel=1e-12, abs=0.0)
+
+
+def test_si_shift_matches_decimal_reference():
+    # SI mass defect Delta_M/M0 ~ 1.1e-10: r_1 and the mean shift must keep
+    # their digits, which the forms log(M0/M1)/4 and omega_1 - omega_0 lose
+    # (7.5e-8 and 9.2e-7 relative here). The reference is 50-digit decimal
+    # arithmetic on the same stored inputs.
+    p = model.build_system(
+        {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "levels": [0.0, 1e-19]}
+    )
+    moments = {"a": 0.0, "a2": 0.0, "adag2": 0.0, "n": 0.0}
+    shift = analytic.effective_shift(p, moments, t=0.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        M0, k, g, c, hbar = (Decimal(v) for v in (p.M0, p.k, p.g, p.c, p.hbar))
+        E1 = Decimal(p.levels[1])
+        dM = E1 / c**2
+        M1 = M0 + dM
+        w0, w1 = (k / M0).sqrt(), (k / M1).sqrt()
+        r = -(M1 / M0).ln() / 4
+        sinh_r = (r.exp() - (-r).exp()) / 2
+        alpha = g * dM / (2 * hbar * M1 * w1**3).sqrt()
+        # Vacuum: Re[A0 + alpha w1 Ag] = w1 (sinh^2 r + alpha^2).
+        mean = (-(E1 / hbar) * g**2 / (w0**2 * c**2) + (w1 - w0) / 2
+                + w1 * (sinh_r**2 + alpha**2))
+    assert model.derive_mode_frame(p, 1).r_i == pytest.approx(float(r), rel=1e-14)
+    assert shift.mean_shift == pytest.approx(float(mean), rel=1e-14)
 
 
 def test_effective_shift_regime_warning():

@@ -406,14 +406,14 @@ def test_drive_state_takes_params_dim(tmp_path, monkeypatch):
     dims = []
     real_iterate = cli.drive.iterate_drive
 
-    def spy(params, psi0, N, dim, level=1):
-        dims.append((psi0.dim, dim))
-        return real_iterate(params, psi0, N, dim, level)
+    def spy(params, psi0, N, level=1):
+        dims.append(psi0.dim)
+        return real_iterate(params, psi0, N, level)
 
     monkeypatch.setattr(cli.drive, "iterate_drive", spy)
     cfg = drive_cfg(dim=256, state={"type": "fock", "n": 0})
     assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
-    assert dims == [(256, 256)]
+    assert dims == [256]
 
 
 def test_qfunc_state_takes_params_dim(tmp_path, capsys):

@@ -73,7 +73,7 @@ def test_vacuum_overlap_closed_form_even_cycles():
     # first-order displacement cancel pairwise when g = 0).
     p = natural_params(u=4e-2, g=0.0)
     dim = 256
-    res = drive.iterate_drive(p, states.fock_state(dim, 0), 12, dim)
+    res = drive.iterate_drive(p, states.fock_state(dim, 0), 12)
     sched = res.schedule
     for k in (2, 4, 6, 8, 10, 12):
         closed = drive.vacuum_overlap_closed_form(sched.effective_r(k))
@@ -86,7 +86,7 @@ def test_fock_initial_state_overlap_not_monotone():
     # |n0 = 5>: the overlap under accumulating squeezing oscillates.
     p = natural_params(u=6e-2, g=0.0)
     dim = 256
-    res = drive.iterate_drive(p, states.fock_state(dim, 5), 40, dim)
+    res = drive.iterate_drive(p, states.fock_state(dim, 5), 40)
     even = res.exact[1::2]
     diffs = np.diff(even)
     assert np.any(diffs > 1e-6) and np.any(diffs < -1e-6)
@@ -95,16 +95,12 @@ def test_fock_initial_state_overlap_not_monotone():
 def test_iterate_drive_validation_and_refusal():
     p = natural_params()
     with pytest.raises(ValueError):
-        drive.iterate_drive(p, states.fock_state(32, 0), 0, 32)
-    with pytest.raises(DimensionMismatch):
-        drive.iterate_drive(p, states.fock_state(16, 0), 2, 32)
+        drive.iterate_drive(p, states.fock_state(32, 0), 0)
     rho = states.thermal_state_cm(32, 1.0)
     with pytest.raises(DimensionMismatch):
-        drive.iterate_drive(p, rho, 2, 32)
+        drive.iterate_drive(p, rho, 2)
     with pytest.warns(UserWarning):
-        res = drive.iterate_drive(
-            p, states.fock_state(32, 0), drive.N_EXACT_MAX + 1, 32
-        )
+        res = drive.iterate_drive(p, states.fock_state(32, 0), drive.N_EXACT_MAX + 1)
     assert res.exact is None
     assert res.approx.size == drive.N_EXACT_MAX + 1
 
@@ -116,7 +112,7 @@ def test_iterate_drive_skips_the_comparator(monkeypatch):
     dim, N = 96, 7
     psi0 = states.coherent_state(dim, 0.4)
     solves = _count_solves(monkeypatch)
-    res = drive.iterate_drive(p, psi0, N, dim)
+    res = drive.iterate_drive(p, psi0, N)
     assert solves == [(dim, True), (dim, False)]
 
     product = drive.cycle_operator(p, dim).product

@@ -93,7 +93,7 @@ def test_solver_paths_make_no_dense_complex_solve(monkeypatch):
     dim = 48
     p = natural_params(g=0.0)
     dist = phasespace.InternalDistribution((0.5, 0.5))
-    phasespace.evolve_mixed_cm(p, states.fock_state(dim, 0), dist, 0.4, dim)
+    phasespace.evolve_mixed_cm(p, states.fock_state(dim, 0), dist, 0.4)
     assert solves == [(dim, False)]
 
     solves.clear()

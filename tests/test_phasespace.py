@@ -188,17 +188,30 @@ def test_evolve_mixed_cm_basics():
     rho0 = states.mixed_state(states.coherent_state(dim, 0.5).density())
     dist = phasespace.InternalDistribution((1.0,))
     # Single level: evolution is unitary, purity preserved.
-    out = phasespace.evolve_mixed_cm(p, rho0, dist, 0.8, dim)
+    out = phasespace.evolve_mixed_cm(p, rho0, dist, 0.8)
     purity = float(np.real(np.trace(out.data @ out.data)))
     assert purity == pytest.approx(1.0, abs=1e-9)
     # t = 0 returns the initial state for any mixture.
     dist2 = phasespace.InternalDistribution((0.5, 0.5))
-    out0 = phasespace.evolve_mixed_cm(p, rho0, dist2, 0.0, dim)
+    out0 = phasespace.evolve_mixed_cm(p, rho0, dist2, 0.0)
     assert np.max(np.abs(out0.data - rho0.density())) < 1e-12
     # Two distinct levels at t > 0 decohere the mixture.
-    outm = phasespace.evolve_mixed_cm(p, rho0, dist2, 0.8, dim)
+    outm = phasespace.evolve_mixed_cm(p, rho0, dist2, 0.8)
     puritym = float(np.real(np.trace(outm.data @ outm.data)))
     assert puritym < 1.0 - 1e-4
+
+
+def test_distribution_rejects_non_finite_probabilities():
+    p = natural_params()
+    for probs in ((math.nan, math.nan), (math.inf, 0.0), (0.5, 0.5, math.nan)):
+        with pytest.raises(InvalidDistribution):
+            phasespace.InternalDistribution(probs)
+    # Such a distribution can no longer reach qfunction_short_time, which
+    # returned NaN Q values for it.
+    with pytest.raises(InvalidDistribution):
+        phasespace.qfunction_short_time(
+            p, 0.3, phasespace.InternalDistribution((math.nan, math.nan)), [0.0, 0.5], 0.1
+        )
 
 
 def test_evolve_mixed_cm_validation():
@@ -206,11 +219,7 @@ def test_evolve_mixed_cm_validation():
     rho0 = states.mixed_state(states.fock_state(32, 0).density())
     with pytest.raises(InvalidDistribution):
         phasespace.evolve_mixed_cm(
-            p, rho0, phasespace.InternalDistribution((0.2, 0.3, 0.5)), 0.1, 32
-        )
-    with pytest.raises(InvalidDistribution):
-        phasespace.evolve_mixed_cm(
-            p, rho0, phasespace.InternalDistribution((1.0,)), 0.1, 64
+            p, rho0, phasespace.InternalDistribution((0.2, 0.3, 0.5)), 0.1
         )
 
 
@@ -236,7 +245,7 @@ def test_short_time_error_is_fourth_order():
     beta = np.array([0.3 + 0.0j])
 
     def err(t):
-        exact = phasespace.evolve_mixed_cm(p, rho0, dist, t, dim)
+        exact = phasespace.evolve_mixed_cm(p, rho0, dist, t)
         row = states.coherent_amplitudes(dim, beta)[0]
         q_exact = float(np.real(row.conj() @ exact.data @ row))
         q_st = float(np.real(

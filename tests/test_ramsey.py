@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapmass import analytic, fock, model, ramsey, states
 from trapmass.errors import DimensionMismatch, GridTooCoarse
@@ -23,6 +25,45 @@ def test_degenerate_masses_give_pure_internal_fringe():
     assert np.max(np.abs(tr.visibility - 1.0)) < 1e-8
     wc = p.omega_c(1)
     assert np.max(np.abs(tr.probability - 0.5 * (1.0 + np.cos(wc * times)))) < 1e-7
+
+
+_PROPERTY_DIM = 48
+
+
+@st.composite
+def fock_or_coherent(draw):
+    """A pure state at _PROPERTY_DIM: a Fock state or a coherent state."""
+    if draw(st.booleans()):
+        return states.fock_state(_PROPERTY_DIM, draw(st.integers(0, 12)))
+    r = draw(st.floats(0.0, 2.0))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    return states.coherent_state(_PROPERTY_DIM, r * complex(math.cos(angle), math.sin(angle)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    S=st.floats(0.6, 0.99),
+    x0=st.floats(-2.0, 2.0),
+    components=st.lists(fock_or_coherent(), min_size=1, max_size=4),
+    raw_weights=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+)
+def test_trace_is_linear_in_rho_and_bounded(S, x0, components, raw_weights):
+    # At a fixed dim the trace of a Fock/coherent mixture (mixed branch)
+    # equals the weighted sum of its components' traces (pure branch), and
+    # |Tr{U_1 rho U_0^dag}| <= Tr(rho) = 1 for any truncation.
+    p = natural_params(E1=100.0 * (1.0 / S**2 - 1.0), c=10.0)
+    times = np.linspace(0.0, 9.0, 7)
+    w = np.array(raw_weights[: len(components)])
+    w /= w.sum()
+    rho = sum(wk * psi.density() for wk, psi in zip(w, components))
+    mixed = ramsey.ramsey_trace(p, states.mixed_state(rho), times, x0=x0, dim=_PROPERTY_DIM)
+    pure = [
+        ramsey.ramsey_trace(p, psi, times, x0=x0, dim=_PROPERTY_DIM).trace
+        for psi in components
+    ]
+    assert np.max(np.abs(mixed.trace - sum(wk * tr for wk, tr in zip(w, pure)))) < 1e-12
+    for tr in [mixed.trace, *pure]:
+        assert np.all(np.abs(tr) <= 1.0 + 1e-12)
 
 
 def test_vacuum_gravity_free_revival():
@@ -229,20 +270,11 @@ def test_convergence_starts_at_state_dim(monkeypatch):
     assert np.max(np.abs(tr.trace - ref.trace)) < 1e-13
 
 
-def test_level_pair_validation():
-    p = natural_params()
-    with pytest.raises(DimensionMismatch):
-        ramsey.ramsey_trace(p, states.fock_state(8, 0), [0.1], level_pair=(1, 0))
-
-
 def test_extract_visibility_phase_trivial():
     tr = ramsey.RamseyTrace(
         times=np.linspace(0, 1, 5),
         trace=np.full(5, 0.5 + 0j),
-        probability=np.full(5, 0.75),
-        visibility=np.full(5, 0.5),
-        phase=np.zeros(5),
-        level_pair=(0, 1),
+        level=1,
         x0=0.0,
         dim=8,
     )
@@ -255,8 +287,7 @@ def test_extract_phase_slope():
     times = np.linspace(0.0, 2.0 * math.pi / omega, 100)
     z = np.exp(1j * omega * times)
     tr = ramsey.RamseyTrace(
-        times=times, trace=z, probability=0.5 + 0.5 * z.real,
-        visibility=np.abs(z), phase=np.angle(z), level_pair=(0, 1), x0=0.0, dim=8,
+        times=times, trace=z, level=1, x0=0.0, dim=8,
     )
     v, phi = ramsey.extract_visibility_phase(tr)
     slope = np.polyfit(times, phi, 1)[0]
@@ -267,8 +298,7 @@ def test_extract_phase_grid_too_coarse():
     times = np.arange(4.0)
     z = np.exp(1j * math.pi * times)  # exactly pi per step: sign ambiguous
     tr = ramsey.RamseyTrace(
-        times=times, trace=z, probability=0.5 + 0.5 * z.real,
-        visibility=np.abs(z), phase=np.angle(z), level_pair=(0, 1), x0=0.0, dim=8,
+        times=times, trace=z, level=1, x0=0.0, dim=8,
     )
     with pytest.raises(GridTooCoarse):
         ramsey.extract_visibility_phase(tr)
