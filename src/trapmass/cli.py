@@ -189,7 +189,8 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     phys = model.build_system(system)
     level = int(params.get("level", 1))
     state_spec = params.get("state", {"type": "fock", "n": 0})
-    state = _build_state(state_spec)
+    dim = params.get("dim")
+    state = _build_state(state_spec, 128 if dim is None else int(dim))
     frame = model.derive_mode_frame(phys, level)
     if "times" in params:
         times = np.asarray([float(t) for t in params["times"]])
@@ -201,7 +202,7 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     x0 = None if x0 is None else float(x0)
     trace = ramsey.ramsey_trace(
         phys, state, times, level=level, x0=x0,
-        dim=params.get("dim"), dim_tol=float(params.get("dim_tol", 1e-8)),
+        dim=dim, dim_tol=float(params.get("dim_tol", 1e-8)),
         corotating=bool(params.get("corotating", False)),
     )
 
@@ -390,19 +391,21 @@ def run_verify_all(out_dir: str) -> int:
 # ------------------------------------------------------------ verification ---
 
 _UNIT_INTERVAL_COLUMNS = {"V", "V_analytic", "P_exact", "P_approx", "P"}
+# NaN marks a drive longer than drive.N_EXACT_MAX cycles (P_exact) and a
+# trace point below ramsey.PHASE_FLOOR (phase).
+_NAN_COLUMNS = {"P_exact", "phase"}
 
 
 def verify_outputs(paths: list[str]) -> list[str]:
     """Re-read emitted CSVs and check the declared invariants. Every value
-    must be finite, except NaN in P_exact, which marks a drive longer than
-    drive.N_EXACT_MAX cycles."""
+    must be finite, except NaN in the _NAN_COLUMNS."""
     problems = []
     for path in paths:
         if not path.endswith(".csv"):
             continue
         _, columns, arr = read_csv(path)
         for col, vals in zip(columns, arr.T):
-            if col == "P_exact":
+            if col in _NAN_COLUMNS:
                 vals = vals[~np.isnan(vals)]
             if not np.isfinite(vals).all():
                 problems.append(f"{path}: column {col} has non-finite values")

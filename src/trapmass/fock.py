@@ -11,6 +11,16 @@ ground mode is already diagonal and needs none) and `Spectrum.propagator`
 turns it into exp(-i H_b t / hbar). `mode_matrix_direct` rebuilds a_i from
 x and p and is kept only as an oracle for `mode_number`.
 
+`Spectrum.propagator` is the one exponential of the package. Squeeze and
+displacement reach it through two diagonal-phase identities, exact on the
+truncated space:
+
+    S(r) = Q exp(i r G) Q^dag,  G = (a^2 + adag^2) / 2,  Q = diag(e^{i pi n / 4}),
+    D(alpha) = Phi exp(i |alpha| (a + adag)) Phi^dag,  Phi = diag(e^{i n (arg alpha - pi/2)}).
+
+Both generators are real and banded, so each takes one real eigh, and the
+phase rides on the eigenvectors.
+
 All matrices are dense numpy arrays of size dim x dim. Hard truncation
 necessarily violates operator identities in the last rows/columns, so
 commutator and transformation checks are meaningful only on the interior
@@ -19,6 +29,7 @@ block (see `interior`).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -65,17 +76,20 @@ def mode_number(r: float, alpha: float, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Bounded spectrum of one level's mode: eigenfrequencies w (rad/s) and
-    the real eigenvectors V (columns), H_b = hbar V diag(w) V^T."""
+    """Spectrum of a Hermitian generator H = V diag(w) V^dag: eigenvalues w
+    and orthonormal eigenvector columns V. A level's mode spectrum has real
+    V and w in rad/s (H_b = hbar V diag(w) V^T); a squeeze or displacement
+    spectrum carries its diagonal phase on V."""
 
     w: np.ndarray
     V: np.ndarray
 
     def propagator(self, t: float) -> np.ndarray:
-        """exp(-i H_b t / hbar) = V diag(exp(-i w t)) V^T."""
+        """exp(-i H t) = V diag(exp(-i w t)) V^dag; for a real V, V.conj()
+        is V itself, with no copy."""
         if not math.isfinite(t):
             raise ConvergenceFailure(f"non-finite time {t!r}")
-        return (self.V * np.exp(-1j * self.w * t)) @ self.V.T
+        return (self.V * np.exp(-1j * self.w * t)) @ self.V.conj().T
 
 
 def spectrum(frame: ModeFrame, alpha: float, dim: int) -> Spectrum:
@@ -114,20 +128,29 @@ def mode_matrix_direct(params: SystemParams, frame: ModeFrame, dim: int) -> np.n
     return scale * (x + frame.x_shift_i * np.eye(dim) + 1j * p / (Mi * wi))
 
 
-def _expm_antihermitian(K: np.ndarray) -> np.ndarray:
-    """exp(K) for anti-Hermitian K, via eigh of the Hermitian iK."""
-    H = 1j * K
-    evals, vecs = np.linalg.eigh(H)
-    return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
+def _ladder_spectrum(dim: int, k: int, theta: float) -> Spectrum:
+    """Spectrum of Phi X_k Phi^dag, Phi = diag(e^{i n theta}): the real
+    X_k = (a^k + adag^k) / k has one band at offset k and takes one real
+    eigh, and Phi multiplies the rows of its eigenvectors."""
+    n = np.arange(dim - k)
+    band = np.sqrt(np.prod([n + j for j in range(1, k + 1)], axis=0)) / k
+    X = np.zeros((dim, dim))
+    X[n, n + k] = X[n + k, n] = band
+    w, V = np.linalg.eigh(X)
+    return Spectrum(w=w, V=np.exp(1j * theta * np.arange(dim))[:, None] * V)
+
+
+def squeeze_spectrum(dim: int) -> Spectrum:
+    """Spectrum of Q G Q^dag, G = (a^2 + adag^2) / 2, Q = diag(e^{i pi n / 4}),
+    so that S(r) = propagator(-r) for every real r."""
+    return _ladder_spectrum(dim, 2, math.pi / 4)
 
 
 def squeeze_matrix(dim: int, r: float) -> np.ndarray:
     """S(r) = exp(r (a^2 - adag^2) / 2)."""
     if r == 0.0:
         return np.eye(dim, dtype=complex)
-    a = annihilation(dim)
-    K = 0.5 * r * (a @ a - a.T @ a.T)
-    return _expm_antihermitian(K)
+    return squeeze_spectrum(dim).propagator(-r)
 
 
 def displace_matrix(dim: int, alpha: complex) -> np.ndarray:
@@ -135,9 +158,8 @@ def displace_matrix(dim: int, alpha: complex) -> np.ndarray:
     exp(alpha (adag - a))."""
     if alpha == 0:
         return np.eye(dim, dtype=complex)
-    a = annihilation(dim)
-    K = alpha * a.T - np.conj(alpha) * a
-    return _expm_antihermitian(K)
+    theta = cmath.phase(alpha) - math.pi / 2
+    return _ladder_spectrum(dim, 1, theta).propagator(-abs(alpha))
 
 
 def parity_matrix(dim: int) -> np.ndarray:

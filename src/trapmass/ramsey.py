@@ -36,6 +36,9 @@ from .errors import DimensionMismatch, GridTooCoarse
 from .states import CMState, fock_state
 
 _PHASE_JUMP_TOL = math.pi * (1.0 - 1e-9)
+# Visibility below which a trace point's phase is reported as NaN: far above
+# the ~1e-13 roundoff of the trace, whose phase there would be noise.
+PHASE_FLOOR = 1e-10
 # Time points per batched contraction; keeps each temporary of
 # _bounded_trace at most _TIME_CHUNK x dim complex.
 _TIME_CHUNK = 256
@@ -52,6 +55,10 @@ class RamseyTrace:
     probability after the second pi/2 pulse. When corotating is True the
     internal phase omega_c t has been removed from trace/phase/probability
     (a plotting frame, not the lab-frame signal).
+
+    phase is NaN where the visibility is below PHASE_FLOOR and is unwrapped
+    across the other points only, so a gap is crossed in one nearest-branch
+    step.
     """
 
     times: np.ndarray
@@ -71,8 +78,10 @@ class RamseyTrace:
 
     @property
     def phase(self) -> np.ndarray:
-        angle = np.angle(self.trace)
-        return np.unwrap(angle) if self.trace.size > 1 else angle
+        kept = self.visibility >= PHASE_FLOOR
+        phase = np.full(self.trace.shape, np.nan)
+        phase[kept] = np.unwrap(np.angle(self.trace[kept]))
+        return phase
 
 
 def _bounded_trace(
@@ -223,22 +232,18 @@ def fock_revival_values(
 
 
 def extract_visibility_phase(trace: RamseyTrace) -> tuple[np.ndarray, np.ndarray]:
-    """(|trace|, continuously unwrapped arg(trace)).
+    """(trace.visibility, trace.phase).
 
-    Raises GridTooCoarse when adjacent raw phases jump by >= pi, which makes
-    unwrapping ambiguous; the caller must refine the time grid.
+    Raises GridTooCoarse when a step of the unwrapped phase, between
+    adjacent points above PHASE_FLOOR, is >= pi, which makes unwrapping
+    ambiguous; the caller must refine the time grid.
     """
-    z = np.asarray(trace.trace)
-    if z.size < 2:
-        return trace.visibility, np.angle(z)
-    raw = np.angle(z)
-    jumps = np.angle(z[1:] * np.conj(z[:-1]))
-    if np.any(np.abs(jumps) >= _PHASE_JUMP_TOL):
-        worst = float(np.max(np.abs(jumps)))
+    phase = trace.phase
+    jumps = np.abs(np.diff(phase[~np.isnan(phase)]))
+    if np.any(jumps >= _PHASE_JUMP_TOL):
         raise GridTooCoarse(
-            f"adjacent phase jump {worst:.6f} rad >= pi; refine the time grid"
+            f"adjacent phase jump {jumps.max():.6f} rad >= pi; refine the time grid"
         )
-    phase = np.concatenate(([raw[0]], raw[0] + np.cumsum(jumps)))
     return trace.visibility, phase
 
 

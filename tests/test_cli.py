@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapmass
-from trapmass import cli, clock, model
+from trapmass import cli, clock, model, ramsey
 
 
 NATURAL_SYSTEM = {"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 0.0}
@@ -64,6 +64,32 @@ def test_ramsey_default_params(tmp_path):
     assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
     summary = json.loads((tmp_path / "ramsey_default_summary.json").read_text())
     assert summary["dim"] >= 128
+
+
+def test_ramsey_state_takes_params_dim(tmp_path):
+    # A state with no dim of its own is built at the truncation dim, so a
+    # truncation below the default 128 runs.
+    cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "ramsey_dim96"}, "params": {"dim": 96}}
+    assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "ramsey_dim96_summary.json").read_text())
+    assert summary["dim"] == 96
+
+
+def test_ramsey_sub_floor_phases_pass_verify(tmp_path):
+    # Fock n = 2 far from the excited trap centre: the points with
+    # V < PHASE_FLOOR carry NaN phase, which --verify accepts.
+    c = 10.0
+    cfg = {"experiment": "ramsey",
+           "system": {"unit_system": "natural", "c": c,
+                      "levels": [0.0, c * c * (1.0 / 0.8**2 - 1.0)], "g": 0.0},
+           "output": {"path": "ramsey_floor"},
+           "params": {"state": {"type": "fock", "n": 2}, "x0": 7.0, "points": 2000}}
+    assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+    _, columns, rows = cli.read_csv(str(tmp_path / "ramsey_floor.csv"))
+    phase, V = rows[:, columns.index("phase")], rows[:, columns.index("V")]
+    assert np.isnan(phase).any()
+    assert np.array_equal(np.isnan(phase), V < ramsey.PHASE_FLOOR)
 
 
 def test_ramsey_deterministic_bytes(tmp_path):
@@ -149,6 +175,19 @@ def test_drive_run(tmp_path):
     assert summary["per_cycle_r"] < 0
     assert summary["max_deviation"] < 1e-3
     assert summary["variance_growth_N"]["position"] > 0
+
+
+def test_drive_beyond_double_range_runs(tmp_path):
+    # 10001 cycles of 2|r| = 0.41 take the position variance growth past
+    # the double range: the summary reports inf and the run exits 0.
+    cfg = {"experiment": "drive", "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "drive_long"}, "params": {"dim": 32, "N": 10001}}
+    with pytest.warns(UserWarning, match="exact-product limit"):
+        assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "drive_long_summary.json").read_text())
+    assert summary["variance_growth_N"] == {"position": math.inf, "momentum": -1.0}
+    _, _, rows = cli.read_csv(str(tmp_path / "drive_long.csv"))
+    assert rows.shape == (10001, 3) and np.isnan(rows[:, 1]).all()
 
 
 def test_qfunc_run(tmp_path):
@@ -456,12 +495,15 @@ def _hand_csv(path, columns, rows):
 def test_verify_flags_non_finite_values_outside_p_exact(tmp_path):
     ok = _hand_csv(tmp_path / "drive.csv", ["k", "P_exact", "P_approx"],
                    [[1, "nan", 0.9], [2, "nan", 0.8]])
-    assert cli.verify_outputs([ok]) == []
+    ok_phase = _hand_csv(tmp_path / "phase.csv", ["t", "P", "V", "phase"],
+                         [[0.0, 1.0, 1.0, 0.0], [1.0, 0.5, 0.0, "nan"]])
+    assert cli.verify_outputs([ok, ok_phase]) == []
     for name, columns, rows in [
         ("v.csv", ["t", "P", "V", "phase"], [[0.0, 1.0, 1.0, 0.0], [1.0, 0.5, "nan", 0.1]]),
         ("q.csv", ["re_beta", "im_beta", "Q"], [[0.0, 0.0, "nan"]]),
         ("t.csv", ["t", "P", "V", "phase"], [["inf", 1.0, 1.0, 0.0]]),
         ("pe.csv", ["k", "P_exact", "P_approx"], [[1, "inf", 0.9]]),
+        ("ph.csv", ["t", "P", "V", "phase"], [[0.0, 1.0, 1.0, "inf"]]),
     ]:
         problems = cli.verify_outputs([_hand_csv(tmp_path / name, columns, rows)])
         assert any("non-finite" in p for p in problems), (name, problems)

@@ -106,14 +106,14 @@ def test_iterate_drive_validation_and_refusal():
 
 
 def test_iterate_drive_skips_the_comparator(monkeypatch):
-    # Only the cycle product is iterated: one real solve for the excited
-    # leg and one complex solve for S_step, none for the comparator.
+    # Only the cycle product is iterated: one real solve for the squeeze
+    # spectrum and one for the excited leg, none for the comparator.
     p = natural_params(u=3e-2, g=0.2)
     dim, N = 96, 7
     psi0 = states.coherent_state(dim, 0.4)
     solves = _count_solves(monkeypatch)
     res = drive.iterate_drive(p, psi0, N)
-    assert solves == [(dim, True), (dim, False)]
+    assert solves == [(dim, False), (dim, False)]
 
     product = drive.cycle_operator(p, dim).product
     expected = np.empty(N)
@@ -149,6 +149,15 @@ def test_position_variance_growth():
     assert out["momentum"] == pytest.approx(-2.0 * s, rel=1e-2)
     with pytest.raises(ValueError):
         drive.position_variance_growth(p, -1)
+
+
+def test_closed_forms_beyond_double_range():
+    # 2|r| N past ~710 overflows cosh and expm1; the closed forms saturate.
+    p = natural_params(u=5e-2, g=0.0)
+    N = int(800.0 / abs(drive.drive_schedule(p).per_cycle_r))
+    assert drive.position_variance_growth(p, N) == {"position": math.inf, "momentum": -1.0}
+    assert drive.vacuum_overlap_closed_form(800.0) == 0.0
+    assert drive.vacuum_overlap_closed_form(-800.0) == 0.0
 
 
 def test_variance_growth_matches_exact_squeeze_action():

@@ -5,6 +5,7 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from test_ramsey import _count_solves
 
 from trapmass import clock, constants, drive, fock, model, phasespace, ramsey, states
@@ -87,8 +88,8 @@ def test_spectrum_propagator_unitary():
 
 
 def test_solver_paths_make_no_dense_complex_solve(monkeypatch):
-    # Level propagators and thermal blocks come from real eigh only; the
-    # cycle's complex solves are the squeeze and displacement comparator.
+    # Every unitary comes from a real eigh: level propagators, thermal
+    # blocks, and the comparator's squeeze and displacement.
     solves = _count_solves(monkeypatch)
     dim = 48
     p = natural_params(g=0.0)
@@ -102,7 +103,7 @@ def test_solver_paths_make_no_dense_complex_solve(monkeypatch):
 
     solves.clear()
     drive.cycle_operator(natural_params(), dim)
-    assert solves == [(dim, False), (dim, True), (dim, True)]
+    assert solves == [(dim, False)] * 3
 
 
 def test_squeeze_displace_known_values():
@@ -116,6 +117,41 @@ def test_squeeze_displace_known_values():
     # Global phase is fixed: D(alpha)|0> = |alpha> exactly.
     assert np.max(np.abs(got - expected)) < 1e-12
     assert np.allclose(D @ D.conj().T, np.eye(128), atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 96),
+    r=st.floats(-1.0, 1.0),
+    alpha_abs=st.floats(0.0, 2.0),
+    alpha_arg=st.floats(-math.pi, math.pi),
+    u=st.floats(1e-3, 0.2),
+    N=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_squeeze_displace_and_drive_series_match_expm(
+    dim, r, alpha_abs, alpha_arg, u, N, seed
+):
+    # Reference: scipy's expm of the truncated generators, and the drive's
+    # pure-squeezing series as the repeated product of the per-cycle S.
+    a = fock.annihilation(dim)
+    squeeze_gen = 0.5 * (a @ a - a.T @ a.T)
+    alpha = alpha_abs * complex(math.cos(alpha_arg), math.sin(alpha_arg))
+    assert np.max(np.abs(fock.squeeze_matrix(dim, r) - expm(r * squeeze_gen))) < 1e-11
+    D_ref = expm(alpha * a.T - np.conj(alpha) * a)
+    assert np.max(np.abs(fock.displace_matrix(dim, alpha) - D_ref)) < 1e-11
+
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 = states.pure_state(psi / np.linalg.norm(psi))
+    p = model.build_system({"unit_system": "natural", "c": 1.0, "levels": [0.0, u], "g": 0.0})
+    res = drive.iterate_drive(p, psi0, N)
+    S_step = expm(res.schedule.per_cycle_r * squeeze_gen)
+    phi, ref = psi0.data, np.empty(N)
+    for k in range(N):
+        phi = S_step @ phi
+        ref[k] = abs(psi0.data.conj() @ phi) ** 2
+    assert np.max(np.abs(res.approx - ref)) < 1e-11
 
 
 def test_parity_matrix():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -302,6 +303,28 @@ def test_extract_phase_grid_too_coarse():
     )
     with pytest.raises(GridTooCoarse):
         ramsey.extract_visibility_phase(tr)
+
+
+def test_phase_is_stable_across_sub_floor_gaps():
+    # Fock n = 2 far from the excited trap centre: about half the points have
+    # V < PHASE_FLOOR. Their phase is NaN, and a 1e-13 change of the trace
+    # moves no phase where V > 1e-6 by more than 1e-6 rad.
+    c, S = 10.0, 0.8
+    p = natural_params(E1=c * c * (1.0 / S**2 - 1.0), c=c)
+    w1 = model.derive_mode_frame(p, 1).omega_i
+    times = np.linspace(0.0, 4.0 * math.pi / w1, 2000)
+    tr = ramsey.ramsey_trace(p, states.fock_state(128, 2), times, x0=7.0)
+    low = tr.visibility < ramsey.PHASE_FLOOR
+    assert low.sum() > 500
+    assert np.array_equal(np.isnan(tr.phase), low)
+    high = tr.visibility > 1e-6
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        noise = 1e-13 * np.exp(2j * math.pi * rng.random(times.size))
+        moved = dataclasses.replace(tr, trace=tr.trace + noise)
+        assert np.max(np.abs(moved.phase[high] - tr.phase[high])) < 1e-6
+    v, phi = ramsey.extract_visibility_phase(tr)
+    assert np.array_equal(phi, tr.phase, equal_nan=True)
 
 
 def test_numeric_phase_matches_analytic():
