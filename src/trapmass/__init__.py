@@ -16,7 +16,7 @@ Modules:
 from . import analytic, clock, constants, drive, errors, fock, model, phasespace, ramsey, states, verify
 from .model import SystemParams, ModeFrame, build_system, derive_mode_frame, offset_gap
 from .states import CMState, coherent_state, fock_state, mixed_state, pure_state, thermal_state_cm
-from .ramsey import RamseyTrace, ramsey_trace, extract_visibility_phase
+from .ramsey import RamseyTrace, coherent_trace, ramsey_trace, extract_visibility_phase
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,6 @@ __all__ = [
     "SystemParams", "ModeFrame", "build_system", "derive_mode_frame", "offset_gap",
     "CMState", "coherent_state", "fock_state", "mixed_state", "pure_state",
     "thermal_state_cm",
-    "RamseyTrace", "ramsey_trace", "extract_visibility_phase",
+    "RamseyTrace", "coherent_trace", "ramsey_trace", "extract_visibility_phase",
     "__version__",
 ]

@@ -1,16 +1,18 @@
 """Closed-form oracles and small-parameter approximations.
 
 The exact vacuum/coherent interference amplitude is evaluated from the
-harmonic-oscillator propagator kernel (a 2D Gaussian integral over the
-initial and final ground-trap Gaussians). Its modulus is
+harmonic-oscillator propagator kernel (a Gaussian integral over the
+initial and final ground-trap Gaussians). For the vacuum its modulus is
 
     V = sqrt(2S) * exp(-a0 x0^2 sin^2(th/2) / (sin^2(th/2) + S^2 cos^2(th/2)))
         / (4 S^2 + (1 - S^2)^2 sin^2(th))^(1/4),        th = omega_1 t,
 
 and the phase is assembled with a continuous square-root branch so the
-result is smooth through every revival. The full trace multiplies this
-bounded amplitude by the scalar-offset phase exp(-i (offset_1-offset_0) t /
-hbar), computed through the cancellation-safe gap.
+result is smooth through every revival. A coherent state |alpha> adds one
+more Gaussian exponent in alpha (see bounded_amplitude). The full trace
+multiplies this bounded amplitude by the scalar-offset phase
+exp(-i (offset_1-offset_0) t / hbar), computed through the
+cancellation-safe gap.
 """
 
 from __future__ import annotations
@@ -87,18 +89,50 @@ def _continuous_sqrt(W: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.sqrt(np.abs(W)) * np.exp(0.5j * (theta + delta))
 
 
-def bounded_amplitude(vap: VacuumAmplitudeParams, t) -> np.ndarray:
-    """<0| U_0b^dag(t) U_1b(t) |0> for the ground-trap vacuum: the complete
-    amplitude minus the scalar-offset phase. Exact for all t and x0."""
+def bounded_amplitude(vap: VacuumAmplitudeParams, t, alpha: complex = 0.0) -> np.ndarray:
+    """<alpha| U_0b^dag(t) U_1b(t) |alpha> for a coherent state of the ground
+    trap (alpha = 0: its vacuum): the complete amplitude minus the
+    scalar-offset phase. Exact for all t, x0 and alpha.
+
+    U_1b = exp(-i th (a_1^dag a_1 + 1/2)), a_1 = c a - s a^dag + alpha_d, maps
+    U_1b a U_1b^dag = P a + Q a^dag + delta. With c = cosh r, s = sinh r,
+    e^r = sqrt(S) and alpha_d = sqrt(M_1 omega_1 / 2 hbar) x0,
+
+        P = c^2 e^{i th} - s^2 e^{-i th} = cos th + i sigma sin th,
+        Q = -2i c s sin th = (i/2)(1/S - S) sin th,
+        delta = alpha_d (c e^{i th} + s e^{-i th} - e^r)
+              = sqrt(a0/2) x0 (-2 sin^2(th/2) + i sin th / S),
+
+    sigma = (S + 1/S)/2, and the Bargmann kernel <0|e^{z a} U_1b e^{w a^dag}|0>
+    is <0|U_1b|0> exp(L),
+
+        L = [-delta z + (conj(delta) P - delta conj(Q)) w - Q z^2 / 2 + z w
+             + conj(Q) w^2 / 2] / P
+          = [-delta z + (conj(delta) P + delta Q) w + z w - Q (z^2 + w^2) / 2] / P,
+
+    the second form because Q is imaginary.
+
+    Then <alpha|U_0b^dag U_1b|alpha> = e^{i omega0 t / 2} <0|U_1b|0>
+    exp(L - |alpha|^2) at z = conj(alpha) e^{i omega0 t}, w = alpha. The
+    vacuum's Gaussian exponent, L and -|alpha|^2 are summed before the one
+    exp, so a far-displaced, large-alpha trace never forms 0 * inf.
+    """
     t = np.asarray(t, dtype=float)
     theta = vap.omega1 * t
     sigma = 0.5 * (vap.S + 1.0 / vap.S)
-    W = np.cos(theta) + 1j * sigma * np.sin(theta)
+    sin_th = np.sin(theta)
+    P = np.cos(theta) + 1j * sigma * sin_th
     sh, ch = np.sin(0.5 * theta), np.cos(0.5 * theta)
     den = vap.S**2 * ch**2 + sh**2
     # Regular everywhere: den >= min(1, S^2) > 0.
     expo = -vap.a0 * vap.x0**2 * (sh**2 + 1j * vap.S * sh * ch) / den
-    return np.exp(1j * vap.omega0 * t / 2.0) * np.exp(expo) / _continuous_sqrt(W, theta)
+    Q = 0.5j * (1.0 / vap.S - vap.S) * sin_th
+    delta = vap.x0 * math.sqrt(0.5 * vap.a0) * (-2.0 * sh**2 + 1j * sin_th / vap.S)
+    z, w = np.conj(alpha) * np.exp(1j * vap.omega0 * t), alpha
+    L = (-delta * z + (np.conj(delta) * P + delta * Q) * w + z * w
+         - 0.5 * Q * (z * z + w * w)) / P
+    return (np.exp(1j * vap.omega0 * t / 2.0) * np.exp(expo + L - abs(alpha) ** 2)
+            / _continuous_sqrt(P, theta))
 
 
 def vacuum_coherent_amplitude(
@@ -120,29 +154,31 @@ def vacuum_coherent_amplitude(
 
 
 def coherent_visibility(
-    params: model.SystemParams, x0: float | None, alpha: float, t, level: int = 1
+    params: model.SystemParams, x0: float | None, alpha: complex, t, level: int = 1
 ) -> np.ndarray:
-    """Oracle: |<alpha| U_0^dag(t) U_1(t) |alpha>| for a real coherent state
-    of the ground trap, from the overlap of two phase-space Gaussians.
+    """Oracle: |<alpha| U_0^dag(t) U_1(t) |alpha>| for a coherent state of
+    the ground trap, from the overlap of two phase-space Gaussians.
 
-    Independent of the Fock-space route. In units X = x sqrt(a0),
-    P = p / sqrt(hbar M0 omega0), |alpha> has mean (sqrt(2) alpha, 0) and
-    covariance I/2. U_0 rotates the mean at omega0; U_1 carries mean and
-    covariance along the excited trap's classical flow (frequency omega_1,
-    M_1 omega_1 / M0 omega0 = 1/S, center at -x0). Two pure Gaussians with
-    covariance sum Sigma and mean difference d overlap with modulus
-    det(Sigma)^(-1/4) exp(-d^T Sigma^-1 d / 4). alpha = 0 reproduces
-    closed_form_visibility.
+    Independent of the Fock-space and kernel routes. In units X = x sqrt(a0),
+    P = p / sqrt(hbar M0 omega0), |alpha> has mean (sqrt(2) Re alpha,
+    sqrt(2) Im alpha) and covariance I/2. U_0 rotates the mean at omega0;
+    U_1 carries mean and covariance along the excited trap's classical flow
+    (frequency omega_1, M_1 omega_1 / M0 omega0 = 1/S, center at -x0). Two
+    pure Gaussians with covariance sum Sigma and mean difference d overlap
+    with modulus det(Sigma)^(-1/4) exp(-d^T Sigma^-1 d / 4). alpha = 0
+    reproduces closed_form_visibility.
     """
     vap = VacuumAmplitudeParams.from_system(params, level=level, x0=x0)
     t = np.asarray(t, dtype=float)
     m = 1.0 / vap.S
     c1, s1 = np.cos(vap.omega1 * t), np.sin(vap.omega1 * t)
-    x_mean = math.sqrt(2.0) * alpha
+    c0, s0 = np.cos(vap.omega0 * t), np.sin(vap.omega0 * t)
+    alpha = complex(alpha)
+    x_mean, p_mean = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
     X0 = vap.x0 * math.sqrt(vap.a0)
     x_rel = x_mean + X0                       # start, relative to the excited center
-    dx = x_rel * c1 - X0 - x_mean * np.cos(vap.omega0 * t)
-    dp = -m * x_rel * s1 + x_mean * np.sin(vap.omega0 * t)
+    dx = x_rel * c1 + p_mean * s1 / m - X0 - (x_mean * c0 + p_mean * s0)
+    dp = -m * x_rel * s1 + p_mean * c1 - (p_mean * c0 - x_mean * s0)
     sxx = 0.5 + 0.5 * (c1**2 + (s1 / m) ** 2)
     sxp = 0.5 * c1 * s1 * (1.0 / m - m)
     spp = 0.5 + 0.5 * ((m * s1) ** 2 + c1**2)

@@ -186,10 +186,14 @@ def read_csv(path: str) -> tuple[dict, list[str], np.ndarray]:
 # column per name, and the JSON summary payload.
 
 def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
+    """A vacuum or coherent state with params.dim omitted takes the exact
+    Gaussian kernel (route "gaussian_kernel", dim null); every other run
+    takes the eigh route at the given or converged dim."""
     phys = model.build_system(system)
     level = int(params.get("level", 1))
     state_spec = params.get("state", {"type": "fock", "n": 0})
     dim = params.get("dim")
+    # Built on every route, so a bad or truncated state spec fails the same way.
     state = _build_state(state_spec, 128 if dim is None else int(dim))
     frame = model.derive_mode_frame(phys, level)
     if "times" in params:
@@ -200,41 +204,42 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
         times = np.linspace(0.0, periods * 2.0 * math.pi / frame.omega_i, points)
     x0 = params.get("x0")
     x0 = None if x0 is None else float(x0)
-    trace = ramsey.ramsey_trace(
-        phys, state, times, level=level, x0=x0,
-        dim=dim, dim_tol=float(params.get("dim_tol", 1e-8)),
-        corotating=bool(params.get("corotating", False)),
-    )
+    corotating = bool(params.get("corotating", False))
+    kind = state_spec.get("type")
+    is_vacuum = kind == "fock" and int(state_spec.get("n", 0)) == 0
+    alpha = complex(state_spec.get("alpha", 0.0)) if kind == "coherent" else 0j
+    gaussian = is_vacuum or kind == "coherent"
+    if gaussian and dim is None:
+        route = "gaussian_kernel"
+        trace = ramsey.coherent_trace(phys, alpha, times, level=level, x0=x0,
+                                      corotating=corotating)
+    else:
+        route = "eigh"
+        trace = ramsey.ramsey_trace(
+            phys, state, times, level=level, x0=x0,
+            dim=dim, dim_tol=float(params.get("dim_tol", 1e-8)), corotating=corotating,
+        )
 
     columns = ["t", "P", "V", "phase"]
     data = [times, trace.probability, trace.visibility, trace.phase]
-    summary = {"dim": trace.dim, "x0": trace.x0, "level": level}
-    is_vacuum = state_spec.get("type") == "fock" and int(state_spec.get("n", 0)) == 0
-    is_real_coherent = (
-        state_spec.get("type") == "coherent"
-        and complex(state_spec.get("alpha", 0.0)).imag == 0.0
-    )
-    if is_vacuum and not trace.corotating:
-        amp = analytic.vacuum_coherent_amplitude(phys, trace.x0, times, level=level)
-        columns += ["V_analytic", "phase_analytic"]
-        data += [np.abs(amp), np.unwrap(np.angle(amp))]
-        summary["oracle_max_deviation"] = float(
-            np.max(np.abs(np.abs(amp) - trace.visibility))
-        )
-        t_min, v_min, t_rev, v_rev = analytic.visibility_extrema(
-            phys, trace.x0, level=level
-        )
-        summary.update(t_min=t_min, V_min=v_min, t_rev=t_rev, V_rev=v_rev)
-    elif is_real_coherent and not trace.corotating:
-        # The vacuum's phase and extrema closed forms do not hold here.
-        v_analytic = analytic.coherent_visibility(
-            phys, trace.x0, complex(state_spec["alpha"]).real, times, level=level
-        )
+    summary = {"dim": trace.dim, "route": route, "x0": trace.x0, "level": level}
+    if gaussian:
+        # The phase-space overlap shares no code with either route.
+        v_analytic = analytic.coherent_visibility(phys, trace.x0, alpha, times, level=level)
         columns.append("V_analytic")
         data.append(v_analytic)
         summary["oracle_max_deviation"] = float(
             np.max(np.abs(v_analytic - trace.visibility))
         )
+    if is_vacuum and not corotating:
+        # The vacuum's phase and extrema closed forms hold for it alone.
+        amp = analytic.vacuum_coherent_amplitude(phys, trace.x0, times, level=level)
+        columns.append("phase_analytic")
+        data.append(np.unwrap(np.angle(amp)))
+        t_min, v_min, t_rev, v_rev = analytic.visibility_extrema(
+            phys, trace.x0, level=level
+        )
+        summary.update(t_min=t_min, V_min=v_min, t_rev=t_rev, V_rev=v_rev)
     return columns, np.column_stack(data), summary
 
 

@@ -14,14 +14,20 @@ The enormous rest-energy phases enter only through the cancellation-safe
 offset gap (see model.offset_gap); the co-rotating frame uses its own
 cancellation-free rate (see _scalar_rate).
 
-Solver path: a_1 is real, so H_1b is built from fock.mode_number, the real
-pentadiagonal number operator written from its bands in O(dim), and
-fock.spectrum solves it with one real eigh, giving a real eigenbasis V1;
-U_0b needs no solve. With dim=None the truncation is converged on the
-doubling schedule, starting at the first size >= state.dim, and the
-spectrum of the last probe is reused for the full time grid rather than
-solved again. The time grid is then contracted in fixed chunks of
-_TIME_CHUNK times, one matrix product per chunk over the state's support.
+Solver path: a vacuum or coherent initial state has a closed form.
+coherent_trace takes it from analytic.bounded_amplitude, the Gaussian
+kernel of U_1b evaluated at the state's alpha, in O(1) per time point with
+no truncation and no eigensolve; its RamseyTrace has dim None. Any other
+state, and any run at an explicit dim, goes through ramsey_trace, which is
+also the oracle for the kernel: a_1 is real, so H_1b is built from
+fock.mode_number, the real pentadiagonal number operator written from its
+bands in O(dim), and fock.spectrum solves it with one real eigh, giving a
+real eigenbasis V1; U_0b needs no solve. With dim=None the truncation is
+converged on the doubling schedule, starting at the first size >=
+state.dim, and the spectrum of the last probe is reused for the full time
+grid rather than solved again. The time grid is then contracted in fixed
+chunks of _TIME_CHUNK times, one matrix product per chunk over the state's
+support.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, model
+from . import analytic, fock, model
 from .errors import DimensionMismatch, GridTooCoarse
 from .states import CMState, fock_state
 
@@ -58,14 +64,15 @@ class RamseyTrace:
 
     phase is NaN where the visibility is below PHASE_FLOOR and is unwrapped
     across the other points only, so a gap is crossed in one nearest-branch
-    step.
+    step. dim is the Fock truncation of an eigh-route trace and None for a
+    trace from the Gaussian kernel (coherent_trace), which has none.
     """
 
     times: np.ndarray
     trace: np.ndarray
     level: int
     x0: float
-    dim: int
+    dim: int | None
     corotating: bool = False
 
     @property
@@ -146,10 +153,42 @@ def _scalar_rate(params: model.SystemParams, level: int, corotating: bool) -> fl
     )
 
 
+def _scalar_phase(
+    params: model.SystemParams, level: int, corotating: bool, times: np.ndarray
+) -> np.ndarray:
+    """exp(-i rate t) for _scalar_rate, with rate t reduced mod 2 pi first."""
+    rate = _scalar_rate(params, level, corotating)
+    return np.exp(-1j * ((rate * times) % (2.0 * math.pi)))
+
+
 def _resolve_x0(params: model.SystemParams, x0) -> float:
     if x0 is None:
         return params.g / params.omega0**2
     return float(x0)
+
+
+def coherent_trace(
+    params: model.SystemParams,
+    alpha: complex,
+    times,
+    level: int = 1,
+    x0: float | None = None,
+    corotating: bool = False,
+) -> RamseyTrace:
+    """Exact interference trace between levels 0 and level for the coherent
+    state |alpha> of the ground trap (alpha = 0: its vacuum), from the
+    Gaussian kernel analytic.bounded_amplitude: no truncation, no
+    eigensolve, and dim None in the result. x0=None uses the
+    gravitational-sag separation g/omega0^2.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    x0v = _resolve_x0(params, x0)
+    vap = analytic.VacuumAmplitudeParams.from_system(params, level=level, x0=x0v)
+    tr = analytic.bounded_amplitude(vap, times, alpha)
+    return RamseyTrace(
+        times=times, trace=tr * _scalar_phase(params, level, corotating, times),
+        level=level, x0=x0v, dim=None, corotating=corotating,
+    )
 
 
 def ramsey_trace(
@@ -202,8 +241,7 @@ def ramsey_trace(
         spec = fock.spectrum(frame, alpha, dim)
 
     tr = _bounded_trace(spec, params.omega0, state, times)
-    rate = _scalar_rate(params, level, corotating)
-    tr = tr * np.exp(-1j * ((rate * times) % (2.0 * math.pi)))
+    tr = tr * _scalar_phase(params, level, corotating, times)
     return RamseyTrace(
         times=times, trace=tr, level=level, x0=x0v, dim=dim, corotating=corotating
     )

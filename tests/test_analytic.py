@@ -113,6 +113,19 @@ def test_closed_form_matches_fock_propagators():
     assert f1.omega_i < p.omega0  # heavier level, softer mode
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.5, -0.9j, 1.2 - 0.7j])
+def test_coherent_visibility_matches_fock_trace(alpha):
+    # The phase-space overlap against the truncated eigh trace, which shares
+    # none of its code, for real and complex alpha.
+    c, S = 10.0, 0.7
+    p = natural_params(E1=c * c * (1.0 / S**2 - 1.0), c=c, g=0.4)
+    w1 = model.derive_mode_frame(p, 1).omega_i
+    times = np.linspace(0.0, 4.0 * math.pi / w1, 60)
+    tr = ramsey.ramsey_trace(p, states.coherent_state(64, alpha), times, x0=1.3, dim=256)
+    ref = analytic.coherent_visibility(p, 1.3, alpha, times)
+    assert np.max(np.abs(tr.visibility - ref)) < 1e-10
+
+
 def test_from_system_rejects_foreign_ratio():
     p = natural_params()
     vap = analytic.VacuumAmplitudeParams.from_system(p)

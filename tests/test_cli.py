@@ -57,13 +57,71 @@ def test_ramsey_run_outputs(tmp_path):
 
 
 def test_ramsey_default_params(tmp_path):
-    # The default state has dim 128 and dim is converged: the schedule must
-    # start at the state's dim rather than at 64.
+    # The default state is the vacuum. With dim omitted it takes the exact
+    # Gaussian kernel, which has no truncation dim.
     cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
            "output": {"path": "ramsey_default"}, "params": {}}
     assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
     summary = json.loads((tmp_path / "ramsey_default_summary.json").read_text())
-    assert summary["dim"] >= 128
+    assert summary["dim"] is None and summary["route"] == "gaussian_kernel"
+    assert summary["oracle_max_deviation"] < 1e-6
+    # A Fock n > 0 state of the default dim 128 converges its truncation:
+    # the schedule must start at the state's dim rather than at 64.
+    cfg["params"] = {"state": {"type": "fock", "n": 1}}
+    assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "ramsey_default_summary.json").read_text())
+    assert summary["dim"] >= 128 and summary["route"] == "eigh"
+
+
+_S_08 = {"unit_system": "natural", "c": 10.0, "levels": [0.0, 100.0 * (1.0 / 0.8**2 - 1.0)],
+         "g": 0.5}
+_SI_SYSTEM = {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "levels": [0.0, 1e-19]}
+
+
+@pytest.mark.parametrize("system", [_S_08, _SI_SYSTEM], ids=["natural", "si"])
+@pytest.mark.parametrize("params, route", [
+    ({}, "gaussian_kernel"),
+    ({"state": {"type": "coherent", "alpha": "1.2-0.7j"}}, "gaussian_kernel"),
+    ({"state": {"type": "coherent", "alpha": 1.1, "dim": 64}, "corotating": True},
+     "gaussian_kernel"),
+    ({"dim": 96}, "eigh"),
+    ({"state": {"type": "coherent", "alpha": "1.2-0.7j"}, "dim": 128}, "eigh"),
+    ({"state": {"type": "fock", "n": 2}}, "eigh"),
+    ({"state": {"type": "thermal", "nbar": 0.5, "dim": 64}, "dim": 64}, "eigh"),
+])
+def test_ramsey_route_contract(tmp_path, system, params, route):
+    # Vacuum and coherent runs with dim omitted write dim null and the
+    # kernel route; Fock n > 0 and every explicit dim write an int dim and
+    # the eigh route. Every vacuum or coherent run carries the phase-space
+    # oracle, complex alpha included.
+    cfg = {"experiment": "ramsey", "system": dict(system),
+           "output": {"path": "route"}, "params": {"points": 300, **params}}
+    assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "route_summary.json").read_text())
+    assert summary["route"] == route
+    if route == "gaussian_kernel":
+        assert summary["dim"] is None
+    else:
+        assert isinstance(summary["dim"], int)
+    state = params.get("state", {"type": "fock", "n": 0})
+    if state["type"] == "coherent" or state.get("n") == 0:
+        assert summary["oracle_max_deviation"] <= 1e-6
+    else:
+        assert "oracle_max_deviation" not in summary
+
+
+@pytest.mark.parametrize("state, code", [
+    ({"type": "coherent", "alpha": math.nan}, cli.EXIT_NUMERIC),
+    ({"type": "coherent", "alpha": "nan+1j"}, cli.EXIT_NUMERIC),
+    ({"type": "coherent", "alpha": 4.0, "dim": 16}, cli.EXIT_NUMERIC),
+    ({"type": "coherent", "alpha": 1.0, "bogus": 1}, cli.EXIT_CONFIG),
+])
+def test_kernel_route_still_builds_and_checks_the_state(tmp_path, state, code):
+    # The state is built and checked before the route is picked, so a bad
+    # state fails with dim omitted as it does at an explicit dim.
+    cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "bad_state"}, "params": {"state": state}}
+    assert run(tmp_path, cfg, "ramsey") == code
 
 
 def test_ramsey_state_takes_params_dim(tmp_path):

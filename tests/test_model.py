@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapmass import constants, model
 from trapmass.errors import (
@@ -153,6 +156,43 @@ def test_offset_gap_matches_naive_at_benign_scale():
     assert model.offset_gap(p, 1, 0) == pytest.approx(
         f1.offset_i - f0.offset_i, rel=1e-12
     )
+
+
+def _exact_offset_gap(p, i, j):
+    """offset_i - offset_j in exact rationals from the stored floats, with
+    offset_i = M_i c^2 - g^2 M_i^2 / 2k and M_i = M0 + E_i / c^2."""
+    c2 = Fraction(p.c) ** 2
+
+    def offset(level):
+        M = Fraction(p.M0) + Fraction(p.levels[level]) / c2
+        return M * c2 - Fraction(p.g) ** 2 * M * M / (2 * Fraction(p.k))
+
+    return offset(i) - offset(j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    si=st.booleans(),
+    M0=st.floats(1e-27, 1e-24),
+    log_omega0=st.floats(2.0, 7.0),
+    energies=st.lists(st.floats(0.01, 10.0), min_size=2, max_size=2, unique=True),
+    g_frac=st.floats(0.0, 1.0),
+    c=st.floats(2.0, 100.0),
+)
+def test_offset_gap_matches_fraction_reference(si, M0, log_omega0, energies, g_frac, c):
+    # SI: energies of 1e-20..1e-17 J on masses of 1e-27..1e-24 kg, where
+    # the offsets are 1e7 to 1e13 times the gap. Natural: c down to 2 and g
+    # up to 1, where the gravitational term is a large part of the gap.
+    levels = [0.0] + sorted(energies)
+    if si:
+        p = model.build_system({"unit_system": "si", "M0": M0, "omega0": 10**log_omega0,
+                                "levels": [1e-18 * E for E in levels], "g": 1e3 * g_frac})
+    else:
+        p = model.build_system({"unit_system": "natural", "c": c, "levels": levels,
+                                "g": g_frac})
+    for i, j in ((1, 0), (2, 0), (2, 1), (0, 2)):
+        ref = _exact_offset_gap(p, i, j)
+        assert abs(Fraction(model.offset_gap(p, i, j)) - ref) <= abs(ref) * Fraction(1, 10**15)
 
 
 def test_displacement_lowest_order():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapmass import analytic, fock, model, ramsey, states
+from trapmass import analytic, constants, fock, model, ramsey, states
 from trapmass.errors import DimensionMismatch, GridTooCoarse
 
 
@@ -269,6 +269,70 @@ def test_convergence_starts_at_state_dim(monkeypatch):
     assert solves[-1] == (tr.dim, False)
     ref = ramsey.ramsey_trace(p, states.fock_state(128, 0), tr.times, dim=tr.dim)
     assert np.max(np.abs(tr.trace - ref.trace)) < 1e-13
+
+
+@pytest.mark.parametrize("corotating", [False, True])
+@settings(max_examples=8, deadline=None)
+@given(
+    S=st.floats(0.5, 0.99),
+    x0=st.floats(0.0, 8.0),
+    radius=st.floats(0.0, 2.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+)
+def test_gaussian_kernel_matches_eigh(corotating, S, x0, radius, angle):
+    # The kernel route against the truncated eigh route at dim 1024, which
+    # holds every drawn state and displacement.
+    alpha = radius * complex(math.cos(angle), math.sin(angle))
+    p = natural_params(E1=100.0 * (1.0 / S**2 - 1.0), c=10.0)
+    w1 = model.derive_mode_frame(p, 1).omega_i
+    times = np.linspace(0.0, 4.0 * math.pi / w1, 13)
+    kernel = ramsey.coherent_trace(p, alpha, times, x0=x0, corotating=corotating)
+    ref = ramsey.ramsey_trace(p, states.coherent_state(64, alpha), times, x0=x0,
+                              dim=1024, corotating=corotating)
+    assert kernel.dim is None and kernel.x0 == ref.x0
+    assert np.max(np.abs(kernel.trace - ref.trace)) < 1e-11
+
+
+def test_gaussian_kernel_far_displaced_large_alpha():
+    # x0 = 30 and alpha = 3: the vacuum factor alone underflows and exp(L)
+    # alone is large; their exponents are summed before one exp.
+    p = natural_params(E1=100.0 * (1.0 / 0.7**2 - 1.0), c=10.0)
+    w1 = model.derive_mode_frame(p, 1).omega_i
+    times = np.linspace(0.0, 4.0 * math.pi / w1, 2001)
+    tr = ramsey.coherent_trace(p, 3.0, times, x0=30.0)
+    assert np.all(np.isfinite(tr.trace))
+    assert np.all(tr.visibility <= 1.0 + 1e-12)
+    ref = analytic.coherent_visibility(p, 30.0, 3.0, times)
+    assert np.max(np.abs(tr.visibility - ref)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    M0=st.floats(1e-27, 1e-24),
+    omega0=st.floats(1e3, 1e6),
+    defect=st.floats(1e-3, 1.0),
+    g=st.floats(0.0, 50.0),
+    radius=st.floats(0.0, 2.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+)
+def test_si_and_natural_units_give_one_trace(M0, omega0, defect, g, radius, angle):
+    # One system in SI and in natural units: the visibility and the
+    # co-rotating trace, phase included, are the same function of omega0 t.
+    # (The lab-frame phase, E_1 t / hbar, is a large number rounded
+    # differently in each unit system.)
+    hbar, c = constants.HBAR, constants.C_LIGHT
+    levels = [0.0, defect * M0 * c**2]
+    si = model.build_system({"unit_system": "si", "M0": M0, "omega0": omega0,
+                             "levels": levels, "g": g})
+    nat = model.build_system({"unit_system": "natural", "M0": M0, "omega0": omega0,
+                              "levels": levels, "g": g, "hbar": hbar, "c": c})
+    alpha = radius * complex(math.cos(angle), math.sin(angle))
+    t_nat = np.linspace(0.0, 4.0 * math.pi / model.derive_mode_frame(nat, 1).omega_i, 41)
+    a = ramsey.coherent_trace(si, alpha, t_nat / omega0, corotating=True)
+    b = ramsey.coherent_trace(nat, alpha, t_nat, corotating=True)
+    assert a.x0 == pytest.approx(b.x0 * math.sqrt(hbar / (M0 * omega0)), rel=1e-12)
+    assert np.max(np.abs(a.visibility - b.visibility)) < 1e-12
+    assert np.max(np.abs(a.trace - b.trace)) < 1e-10
 
 
 def test_extract_visibility_phase_trivial():
