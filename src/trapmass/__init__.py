@@ -16,7 +16,8 @@ Modules:
 from . import analytic, clock, constants, drive, errors, fock, model, phasespace, ramsey, states, verify
 from .model import SystemParams, ModeFrame, build_system, derive_mode_frame, offset_gap
 from .states import CMState, coherent_state, fock_state, mixed_state, pure_state, thermal_state_cm
-from .ramsey import RamseyTrace, coherent_trace, ramsey_trace, extract_visibility_phase
+from .ramsey import RamseyTrace, coherent_trace, extract_visibility_phase, ramsey_trace
+from .ramsey import fock_trace, thermal_trace
 
 __version__ = "0.1.0"
 
@@ -26,6 +27,6 @@ __all__ = [
     "SystemParams", "ModeFrame", "build_system", "derive_mode_frame", "offset_gap",
     "CMState", "coherent_state", "fock_state", "mixed_state", "pure_state",
     "thermal_state_cm",
-    "RamseyTrace", "coherent_trace", "ramsey_trace", "extract_visibility_phase",
-    "__version__",
+    "RamseyTrace", "coherent_trace", "fock_trace", "thermal_trace", "ramsey_trace",
+    "extract_visibility_phase", "__version__",
 ]

@@ -12,7 +12,8 @@ result is smooth through every revival. A coherent state |alpha> adds one
 more Gaussian exponent in alpha (see bounded_amplitude). The full trace
 multiplies this bounded amplitude by the scalar-offset phase
 exp(-i (offset_1-offset_0) t / hbar), computed through the
-cancellation-safe gap.
+cancellation-safe gap. The same kernel gives Tr(y^n U_1b) (generating_function):
+a thermal trace is one value of it, a Fock trace a circle sum (fock_diagonal).
 """
 
 from __future__ import annotations
@@ -81,12 +82,24 @@ class VacuumAmplitudeParams:
         )
 
 
-def _continuous_sqrt(W: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """sqrt of W = cos(th) + i sigma sin(th) on the branch that follows the
-    winding of exp(i th), so the amplitude is continuous in t."""
-    ref = W * np.exp(-1j * theta)
-    delta = np.arctan2(np.imag(ref), np.real(ref))
-    return np.sqrt(np.abs(W)) * np.exp(0.5j * (theta + delta))
+def _bogoliubov(vap: VacuumAmplitudeParams, t: np.ndarray):
+    """(P, Q, delta, expo, root) of U_1b at t: its Bogoliubov map
+    U_1b a U_1b^dag = P a + Q a^dag + delta, and <0|U_1b|0> = exp(expo) / root,
+    root the square root of P on the branch that follows the winding of
+    exp(i th), so the amplitude is continuous in t."""
+    theta = vap.omega1 * t
+    sigma = 0.5 * (vap.S + 1.0 / vap.S)
+    sin_th = np.sin(theta)
+    P = np.cos(theta) + 1j * sigma * sin_th
+    sh, ch = np.sin(0.5 * theta), np.cos(0.5 * theta)
+    den = vap.S**2 * ch**2 + sh**2
+    # Regular everywhere: den >= min(1, S^2) > 0.
+    expo = -vap.a0 * vap.x0**2 * (sh**2 + 1j * vap.S * sh * ch) / den
+    Q = 0.5j * (1.0 / vap.S - vap.S) * sin_th
+    delta = vap.x0 * math.sqrt(0.5 * vap.a0) * (-2.0 * sh**2 + 1j * sin_th / vap.S)
+    ref = P * np.exp(-1j * theta)
+    winding = theta + np.arctan2(np.imag(ref), np.real(ref))
+    return P, Q, delta, expo, np.sqrt(np.abs(P)) * np.exp(0.5j * winding)
 
 
 def bounded_amplitude(vap: VacuumAmplitudeParams, t, alpha: complex = 0.0) -> np.ndarray:
@@ -118,21 +131,53 @@ def bounded_amplitude(vap: VacuumAmplitudeParams, t, alpha: complex = 0.0) -> np
     exp, so a far-displaced, large-alpha trace never forms 0 * inf.
     """
     t = np.asarray(t, dtype=float)
-    theta = vap.omega1 * t
-    sigma = 0.5 * (vap.S + 1.0 / vap.S)
-    sin_th = np.sin(theta)
-    P = np.cos(theta) + 1j * sigma * sin_th
-    sh, ch = np.sin(0.5 * theta), np.cos(0.5 * theta)
-    den = vap.S**2 * ch**2 + sh**2
-    # Regular everywhere: den >= min(1, S^2) > 0.
-    expo = -vap.a0 * vap.x0**2 * (sh**2 + 1j * vap.S * sh * ch) / den
-    Q = 0.5j * (1.0 / vap.S - vap.S) * sin_th
-    delta = vap.x0 * math.sqrt(0.5 * vap.a0) * (-2.0 * sh**2 + 1j * sin_th / vap.S)
+    P, Q, delta, expo, root = _bogoliubov(vap, t)
     z, w = np.conj(alpha) * np.exp(1j * vap.omega0 * t), alpha
     L = (-delta * z + (np.conj(delta) * P + delta * Q) * w + z * w
          - 0.5 * Q * (z * z + w * w)) / P
-    return (np.exp(1j * vap.omega0 * t / 2.0) * np.exp(expo + L - abs(alpha) ** 2)
-            / _continuous_sqrt(P, theta))
+    return np.exp(1j * vap.omega0 * t / 2.0) * np.exp(expo + L - abs(alpha) ** 2) / root
+
+
+def generating_function(vap: VacuumAmplitudeParams, t, y) -> np.ndarray:
+    """G(y) = Tr(y^n U_1b(t)) = sum_n y^n <n|U_1b|n> for |y| < 1, exact; t
+    and y broadcast. The trace of y^n against the kernel of bounded_amplitude
+    is one Gaussian integral (Miatto & Quesada, Quantum 4, 366, 2020): with
+    a = 1 - y/P, u = -y delta/P and v = (conj(delta) P + delta Q)/P,
+
+        G(y) = <0|U_1b|0> exp([a u v - Q (u^2 + y^2 v^2) / 2P] / D) / sqrt(D),
+        D = a^2 - y^2 (Q/P)^2 = (1 - z1 y)(1 - z2 y),  z1,2 = (1 +- Q)/P.
+
+    |z1| = |z2| = 1 since |P|^2 - |Q|^2 = 1, so for |y| < 1 both factors of D
+    have positive real part: sqrt(D) = sqrt(1 - z1 y) sqrt(1 - z2 y) on
+    principal branches, with no branch to follow in t.
+    """
+    t = np.asarray(t, dtype=float)
+    P, Q, delta, expo, root = _bogoliubov(vap, t)
+    a = 1.0 - y / P
+    u = -y * delta / P
+    v = (np.conj(delta) * P + delta * Q) / P
+    f1, f2 = 1.0 - y * (1.0 + Q) / P, 1.0 - y * (1.0 - Q) / P
+    E = (a * u * v - 0.5 * Q / P * (u * u + y * y * v * v)) / (f1 * f2)
+    return np.exp(expo + E) / (root * np.sqrt(f1) * np.sqrt(f2))
+
+
+def fock_diagonal(vap: VacuumAmplitudeParams, t, n: int) -> np.ndarray:
+    """<n|U_1b(t)|n> for 1-d t: the y^n coefficient of generating_function
+    as a trapezoidal sum over M points of the circle |y| = rho (radius as in
+    Bornemann, Found. Comput. Math. 11, 1, 2011), w = e^{2 pi i / M}:
+
+        <n|U_1b|n> = (M rho^n)^-1 sum_k G(rho w^k) w^{-kn},
+        rho = 100^{-1/max(n, 1)},  M = 2^ceil(log2(8 (n + 1))).
+
+    Aliasing adds the coefficients n + jM (each of modulus <= 1) times
+    rho^{jM}, and rho^M <= 1e-16; roundoff is about 100 / (1 - rho) ulps.
+    """
+    rho = 100.0 ** (-1.0 / max(n, 1))
+    M = 2 ** math.ceil(math.log2(8 * (n + 1)))
+    k = np.arange(M)
+    y = rho * np.exp(2j * math.pi * k / M)
+    weights = np.exp(-2j * math.pi * ((k * n) % M) / M) / (M * rho**n)
+    return generating_function(vap, np.asarray(t, dtype=float)[:, None], y) @ weights
 
 
 def vacuum_coherent_amplitude(

@@ -52,7 +52,7 @@ _SYSTEM_KEYS = {"unit_system", "M0", "levels", "k", "omega0", "g", "c", "hbar"}
 _STATE_KEYS = {"type", "n", "alpha", "nbar", "dim"}
 _EXPERIMENT_KEYS = {
     "ramsey": {"state", "x0", "level", "periods", "points", "times", "corotating",
-               "dim", "dim_tol"},
+               "dim"},
     "shift": {"omega0_grid", "n_values", "temperature", "level"},
     "drive": {"state", "N", "dim", "level"},
     "qfunc": {"state", "distribution", "t", "delta", "dim"},
@@ -92,25 +92,41 @@ def load_config(path: str, experiment: str) -> dict:
     return cfg
 
 
-def _build_state(spec: dict, dim: int = 128) -> states.CMState:
-    """The state spec, at its own dim if it gives one and at dim otherwise."""
+def _integer(value) -> int:
+    """int(value), refusing to truncate a fractional value."""
+    if int(value) != float(value):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+# Per state type: its parameter's key, parse and default, and its constructor.
+_STATE_TYPES = {
+    "fock": ("n", _integer, 0, states.fock_state),
+    "coherent": ("alpha", complex, 0.0, states.coherent_state),
+    "thermal": ("nbar", float, 0.0, states.thermal_state_cm),
+}
+
+
+def _build_state(spec: dict, dim: int = 128) -> tuple[str, int | complex | float, states.CMState]:
+    """(type, parameter, state) of a state spec, the state at the spec's own
+    dim if it gives one and at dim otherwise."""
     _check_keys(spec, _STATE_KEYS, "state")
     kind = spec.get("type")
-    dim = int(spec.get("dim", dim))
-    if kind == "fock":
-        return states.fock_state(dim, int(spec.get("n", 0)))
-    if kind == "coherent":
-        return states.coherent_state(dim, complex(spec.get("alpha", 0.0)))
-    if kind == "thermal":
-        return states.thermal_state_cm(dim, float(spec.get("nbar", 0.0)))
-    raise ConfigError(f"unknown state type {kind!r}")
+    if kind not in _STATE_TYPES:
+        raise ConfigError(f"unknown state type {kind!r}")
+    key, parse, default, build = _STATE_TYPES[kind]
+    try:
+        value, dim = parse(spec.get(key, default)), _integer(spec.get("dim", dim))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed {kind} state spec {spec}: {exc}") from exc
+    return kind, value, build(dim, value)
 
 
 def _state_at_params_dim(params: dict) -> states.CMState:
     """params.state sized by params.dim (default 128), which an explicit
     state dim must equal."""
     dim = int(params.get("dim", 128))
-    state = _build_state(params.get("state", {"type": "fock", "n": 0}), dim)
+    _, _, state = _build_state(params.get("state", {"type": "fock", "n": 0}), dim)
     if "dim" in params and state.dim != dim:
         raise ConfigError(f"state dim {state.dim} != params dim {dim}")
     return state
@@ -186,39 +202,47 @@ def read_csv(path: str) -> tuple[dict, list[str], np.ndarray]:
 # column per name, and the JSON summary payload.
 
 def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
-    """A vacuum or coherent state with params.dim omitted takes the exact
-    Gaussian kernel (route "gaussian_kernel", dim null); every other run
-    takes the eigh route at the given or converged dim."""
+    """With params.dim omitted every state takes an exact route with no
+    truncation and writes dim null: a vacuum or coherent state the Gaussian
+    kernel ("gaussian_kernel"), a Fock n > 0 or thermal state the
+    generating function ("generating_function"). An explicit params.dim
+    takes the eigh route at that dim ("eigh")."""
     phys = model.build_system(system)
-    level = int(params.get("level", 1))
-    state_spec = params.get("state", {"type": "fock", "n": 0})
-    dim = params.get("dim")
+    try:
+        level = _integer(params.get("level", 1))
+        dim = None if params.get("dim") is None else _integer(params["dim"])
+        x0 = None if params.get("x0") is None else float(params["x0"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed ramsey params: {exc}") from exc
     # Built on every route, so a bad or truncated state spec fails the same way.
-    state = _build_state(state_spec, 128 if dim is None else int(dim))
-    frame = model.derive_mode_frame(phys, level)
-    if "times" in params:
-        times = np.asarray([float(t) for t in params["times"]])
-    else:
-        periods = float(params.get("periods", 2.0))
-        points = int(params.get("points", 400))
-        times = np.linspace(0.0, periods * 2.0 * math.pi / frame.omega_i, points)
-    x0 = params.get("x0")
-    x0 = None if x0 is None else float(x0)
+    kind, value, state = _build_state(params.get("state", {"type": "fock", "n": 0}),
+                                      128 if dim is None else dim)
+    omega1 = model.derive_mode_frame(phys, level).omega_i
+    try:
+        if "times" in params:
+            times = np.asarray([float(t) for t in params["times"]])
+        else:
+            t_end = float(params.get("periods", 2.0)) * 2.0 * math.pi / omega1
+            times = np.linspace(0.0, t_end, _integer(params.get("points", 400)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed ramsey time grid: {exc}") from exc
+    if times.size < 1:
+        raise ConfigError("ramsey needs at least one time point")
     corotating = bool(params.get("corotating", False))
-    kind = state_spec.get("type")
-    is_vacuum = kind == "fock" and int(state_spec.get("n", 0)) == 0
-    alpha = complex(state_spec.get("alpha", 0.0)) if kind == "coherent" else 0j
+    is_vacuum = kind == "fock" and value == 0
+    alpha = value if kind == "coherent" else 0j
     gaussian = is_vacuum or kind == "coherent"
-    if gaussian and dim is None:
-        route = "gaussian_kernel"
-        trace = ramsey.coherent_trace(phys, alpha, times, level=level, x0=x0,
-                                      corotating=corotating)
-    else:
+    where = {"level": level, "x0": x0, "corotating": corotating}
+    if dim is not None:
         route = "eigh"
-        trace = ramsey.ramsey_trace(
-            phys, state, times, level=level, x0=x0,
-            dim=dim, dim_tol=float(params.get("dim_tol", 1e-8)), corotating=corotating,
-        )
+        trace = ramsey.ramsey_trace(phys, state, times, dim=dim, **where)
+    elif gaussian:
+        route = "gaussian_kernel"
+        trace = ramsey.coherent_trace(phys, alpha, times, **where)
+    else:
+        route = "generating_function"
+        exact = ramsey.fock_trace if kind == "fock" else ramsey.thermal_trace
+        trace = exact(phys, value, times, **where)
 
     columns = ["t", "P", "V", "phase"]
     data = [times, trace.probability, trace.visibility, trace.phase]

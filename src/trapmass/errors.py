@@ -53,16 +53,6 @@ class TruncationInsufficient(TrapMassError):
     pass
 
 
-class NoConvergence(TrapMassError):
-    def __init__(self, dim_max, last_change=None):
-        self.dim_max = dim_max
-        self.last_change = last_change
-        msg = f"no convergence up to dim_max={dim_max}"
-        if last_change is not None:
-            msg += f" (last change {last_change:.3e})"
-        super().__init__(msg)
-
-
 # --- traces / fits / optimization ---
 
 class GridTooCoarse(TrapMassError):

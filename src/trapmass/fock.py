@@ -4,7 +4,7 @@ Level i sees a displaced, squeezed copy of the ground-trap oscillator,
 
     a_i = cosh(r_i) a - sinh(r_i) a^T + alpha,
 
-and every solver path builds its number operator a_i^T a_i with
+and every truncated solver path builds its number operator a_i^T a_i with
 `mode_number`, a real pentadiagonal matrix written from its five bands.
 `spectrum` diagonalizes hbar omega_i (n_i + 1/2) with one real eigh (the
 ground mode is already diagonal and needs none) and `Spectrum.propagator`
@@ -24,7 +24,8 @@ phase rides on the eigenvectors.
 All matrices are dense numpy arrays of size dim x dim. Hard truncation
 necessarily violates operator identities in the last rows/columns, so
 commutator and transformation checks are meaningful only on the interior
-block (see `interior`).
+block (see `interior`). The dim is always the caller's; the exact Ramsey
+traces, which need no truncation, are in `ramsey`.
 """
 
 from __future__ import annotations
@@ -35,11 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionTooSmall, NoConvergence
+from .errors import ConvergenceFailure, DimensionTooSmall
 from .model import ModeFrame, SystemParams
-
-DIM_MAX_DEFAULT = 4096
-_SCHEDULE_START = 64
 
 
 def interior(dim: int) -> int:
@@ -165,41 +163,3 @@ def displace_matrix(dim: int, alpha: complex) -> np.ndarray:
 def parity_matrix(dim: int) -> np.ndarray:
     """exp(-i pi n) = diag((-1)^n)."""
     return np.diag((-1.0) ** np.arange(dim))
-
-
-def dim_schedule(dim_max: int = DIM_MAX_DEFAULT, min_dim: int = 0) -> list[int]:
-    """The doubling sizes 64, 128, ... up to dim_max, from the first >= min_dim."""
-    dims = []
-    d = _SCHEDULE_START
-    while d <= dim_max:
-        if d >= min_dim:
-            dims.append(d)
-        d *= 2
-    return dims
-
-
-def converge_dim(
-    request, tol: float, dim_max: int = DIM_MAX_DEFAULT, min_dim: int = 0
-) -> int:
-    """Smallest dim in the doubling schedule {64, 128, ...} at which the
-    scalar `request(dim)` changes by < tol from the previous size.
-
-    The schedule starts at its first size >= min_dim. `request` must return
-    a (complex) scalar. Raises NoConvergence if the schedule is exhausted.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    schedule = dim_schedule(dim_max, min_dim)
-    if not schedule:
-        raise NoConvergence(dim_max)
-    if math.isinf(tol):
-        return schedule[0]
-    prev = complex(request(schedule[0]))
-    change = None
-    for d in schedule[1:]:
-        cur = complex(request(d))
-        change = abs(cur - prev)
-        if change < tol:
-            return d
-        prev = cur
-    raise NoConvergence(dim_max, change)

@@ -14,20 +14,19 @@ The enormous rest-energy phases enter only through the cancellation-safe
 offset gap (see model.offset_gap); the co-rotating frame uses its own
 cancellation-free rate (see _scalar_rate).
 
-Solver path: a vacuum or coherent initial state has a closed form.
-coherent_trace takes it from analytic.bounded_amplitude, the Gaussian
-kernel of U_1b evaluated at the state's alpha, in O(1) per time point with
-no truncation and no eigensolve; its RamseyTrace has dim None. Any other
-state, and any run at an explicit dim, goes through ramsey_trace, which is
-also the oracle for the kernel: a_1 is real, so H_1b is built from
-fock.mode_number, the real pentadiagonal number operator written from its
-bands in O(dim), and fock.spectrum solves it with one real eigh, giving a
-real eigenbasis V1; U_0b needs no solve. With dim=None the truncation is
-converged on the doubling schedule, starting at the first size >=
-state.dim, and the spectrum of the last probe is reused for the full time
-grid rather than solved again. The time grid is then contracted in fixed
-chunks of _TIME_CHUNK times, one matrix product per chunk over the state's
-support.
+Solver paths. Every CLI state type has an exact trace with no truncation
+and no eigensolve, a RamseyTrace with dim None: coherent_trace (vacuum or
+coherent |alpha>) from the Gaussian kernel analytic.bounded_amplitude,
+thermal_trace from the generating function analytic.generating_function at
+one point per time, and fock_trace (|n>) from analytic.fock_diagonal, the
+generating function summed over a circle of O(n) points per time.
+ramsey_trace takes any CMState at an explicit truncation dim: it is the
+truncated model and the oracle of the other three. a_1 is real, so H_1b is
+built from fock.mode_number, the real pentadiagonal number operator
+written from its bands in O(dim), and fock.spectrum solves it with one
+real eigh, giving a real eigenbasis V1; U_0b needs no solve. The time grid
+is then contracted in fixed chunks of _TIME_CHUNK times, one matrix
+product per chunk over the state's support.
 """
 
 from __future__ import annotations
@@ -38,15 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, fock, model
-from .errors import DimensionMismatch, GridTooCoarse
-from .states import CMState, fock_state
+from .errors import DimensionMismatch, GridTooCoarse, NotNormalized
+from .states import CMState
 
 _PHASE_JUMP_TOL = math.pi * (1.0 - 1e-9)
 # Visibility below which a trace point's phase is reported as NaN: far above
 # the ~1e-13 roundoff of the trace, whose phase there would be noise.
 PHASE_FLOOR = 1e-10
-# Time points per batched contraction; keeps each temporary of
-# _bounded_trace at most _TIME_CHUNK x dim complex.
+# Time points per batched contraction; bounds each temporary of _bounded_trace
+# by _TIME_CHUNK x dim and of fock_trace by _TIME_CHUNK x M (circle points).
 _TIME_CHUNK = 256
 # Grid points per period of the fastest phase in uniform_time_grid.
 _POINTS_PER_PERIOD = 50
@@ -64,8 +63,8 @@ class RamseyTrace:
 
     phase is NaN where the visibility is below PHASE_FLOOR and is unwrapped
     across the other points only, so a gap is crossed in one nearest-branch
-    step. dim is the Fock truncation of an eigh-route trace and None for a
-    trace from the Gaussian kernel (coherent_trace), which has none.
+    step. dim is the Fock truncation of a ramsey_trace result and None for
+    a trace from coherent_trace, fock_trace or thermal_trace, which have none.
     """
 
     times: np.ndarray
@@ -167,105 +166,90 @@ def _resolve_x0(params: model.SystemParams, x0) -> float:
     return float(x0)
 
 
-def coherent_trace(
-    params: model.SystemParams,
-    alpha: complex,
-    times,
-    level: int = 1,
-    x0: float | None = None,
-    corotating: bool = False,
-) -> RamseyTrace:
+def _kernel_trace(params, times, level, x0, corotating, bounded) -> RamseyTrace:
+    """RamseyTrace of bounded(vap, times) times the scalar phase, dim None."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    x0v = _resolve_x0(params, x0)
+    vap = analytic.VacuumAmplitudeParams.from_system(params, level=level, x0=x0v)
+    tr = bounded(vap, times) * _scalar_phase(params, level, corotating, times)
+    return RamseyTrace(times=times, trace=tr, level=level, x0=x0v, dim=None, corotating=corotating)
+
+
+def coherent_trace(params: model.SystemParams, alpha: complex, times, level: int = 1,
+                   x0: float | None = None, corotating: bool = False) -> RamseyTrace:
     """Exact interference trace between levels 0 and level for the coherent
     state |alpha> of the ground trap (alpha = 0: its vacuum), from the
     Gaussian kernel analytic.bounded_amplitude: no truncation, no
     eigensolve, and dim None in the result. x0=None uses the
     gravitational-sag separation g/omega0^2.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    x0v = _resolve_x0(params, x0)
-    vap = analytic.VacuumAmplitudeParams.from_system(params, level=level, x0=x0v)
-    tr = analytic.bounded_amplitude(vap, times, alpha)
-    return RamseyTrace(
-        times=times, trace=tr * _scalar_phase(params, level, corotating, times),
-        level=level, x0=x0v, dim=None, corotating=corotating,
-    )
+    return _kernel_trace(params, times, level, x0, corotating,
+                         lambda vap, t: analytic.bounded_amplitude(vap, t, alpha))
 
 
-def ramsey_trace(
-    params: model.SystemParams,
-    state: CMState,
-    times,
-    level: int = 1,
-    x0: float | None = None,
-    dim: int | None = None,
-    dim_tol: float = 1e-8,
-    dim_max: int = fock.DIM_MAX_DEFAULT,
-    corotating: bool = False,
-) -> RamseyTrace:
-    """Exact interference trace between levels 0 and level for an
-    arbitrary initial CM state.
+def fock_trace(params: model.SystemParams, n: int, times, level: int = 1,
+               x0: float | None = None, corotating: bool = False) -> RamseyTrace:
+    """coherent_trace's sibling for the Fock state |n>:
+    e^{i omega0 t (n + 1/2)} <n|U_1b|n>, from analytic.fock_diagonal in
+    chunks of _TIME_CHUNK times."""
+    if n < 0:
+        raise DimensionMismatch(f"Fock index {n} is negative")
 
-    dim=None converges the truncation on the doubling schedule from the
-    first size >= state.dim (bounded trace at the latest time must move by
-    < dim_tol between sizes); an explicit dim skips convergence. x0=None
-    uses the gravitational-sag separation g/omega0^2.
+    def bounded(vap, t):
+        diag = np.empty(t.size, dtype=complex)
+        for lo in range(0, t.size, _TIME_CHUNK):
+            diag[lo : lo + _TIME_CHUNK] = analytic.fock_diagonal(vap, t[lo : lo + _TIME_CHUNK], n)
+        return np.exp(1j * vap.omega0 * t * (n + 0.5)) * diag
+
+    return _kernel_trace(params, times, level, x0, corotating, bounded)
+
+
+def thermal_trace(params: model.SystemParams, nbar: float, times, level: int = 1,
+                  x0: float | None = None, corotating: bool = False) -> RamseyTrace:
+    """coherent_trace's sibling for the thermal state of mean occupation
+    nbar: (1 - q) e^{i omega0 t / 2} G(q e^{i omega0 t}), q = nbar / (1 + nbar),
+    G = analytic.generating_function."""
+    if not (math.isfinite(nbar) and nbar >= 0.0):
+        raise NotNormalized(f"nbar must be finite and >= 0, got {nbar}")
+    q = nbar / (1.0 + nbar)
+
+    def bounded(vap, t):
+        half = np.exp(0.5j * vap.omega0 * t)
+        return (1.0 - q) * half * analytic.generating_function(vap, t, q * half * half)
+
+    return _kernel_trace(params, times, level, x0, corotating, bounded)
+
+
+def ramsey_trace(params: model.SystemParams, state: CMState, times, level: int = 1,
+                 x0: float | None = None, *, dim: int, corotating: bool = False) -> RamseyTrace:
+    """Interference trace between levels 0 and level for any CM state, in
+    the Fock space truncated at dim (>= state.dim). x0=None uses the
+    gravitational-sag separation g/omega0^2.
     """
     params._check_level(level)
+    if dim < state.dim:
+        raise DimensionMismatch(f"truncation dim {dim} smaller than state dim {state.dim}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     x0v = _resolve_x0(params, x0)
-
     frame = model.derive_mode_frame(params, level)
     alpha = math.sqrt(frame.M_i * frame.omega_i / (2.0 * params.hbar)) * x0v
-
-    spec = None
-    if dim is None:
-        t_ref = float(np.max(np.abs(times))) if times.size else 0.0
-        latest = {}
-
-        def probe(d: int) -> complex:
-            latest.clear()  # hold one spectrum at a time
-            latest[d] = fock.spectrum(frame, alpha, d)
-            return complex(
-                _bounded_trace(latest[d], params.omega0, state, np.array([t_ref]))[0]
-            )
-
-        dim = fock.converge_dim(probe, dim_tol, dim_max, min_dim=state.dim)
-        # The last probe solved the converged dim; it is absent only when
-        # converge_dim returned without probing (dim_tol = inf).
-        spec = latest.get(dim)
-    elif dim < state.dim:
-        raise DimensionMismatch(
-            f"truncation dim {dim} smaller than state dim {state.dim}"
-        )
-    if spec is None:
-        spec = fock.spectrum(frame, alpha, dim)
-
-    tr = _bounded_trace(spec, params.omega0, state, times)
+    tr = _bounded_trace(fock.spectrum(frame, alpha, dim), params.omega0, state, times)
     tr = tr * _scalar_phase(params, level, corotating, times)
     return RamseyTrace(
         times=times, trace=tr, level=level, x0=x0v, dim=dim, corotating=corotating
     )
 
 
-def fock_revival_values(
-    params: model.SystemParams,
-    n0: int,
-    x0: float | None = None,
-    dim: int | None = None,
-    level: int = 1,
-) -> tuple[float, float]:
-    """Visibility at the canonical times (pi/omega_1, 2*pi/omega_1) for |n0>.
+def fock_revival_values(params: model.SystemParams, n0: int, x0: float | None = None,
+                        level: int = 1) -> tuple[float, float]:
+    """Visibility of fock_trace at (pi/omega_1, 2*pi/omega_1) for |n0>.
 
     At 2*pi/omega_1 the excited-mode propagator is a global phase, so the
     value is 1 for any n0; at pi/omega_1 it is 1 exactly when x0 = 0 (pure
     squeezing preserves parity).
     """
-    frame = model.derive_mode_frame(params, level)
-    if dim is None:
-        dim = max(256, 8 * (n0 + 1))
-    state = fock_state(dim, n0)
-    t_rev = math.pi / frame.omega_i
-    trace = ramsey_trace(params, state, [t_rev, 2.0 * t_rev], level=level, x0=x0, dim=dim)
+    t_rev = math.pi / model.derive_mode_frame(params, level).omega_i
+    trace = fock_trace(params, n0, [t_rev, 2.0 * t_rev], level=level, x0=x0)
     return float(trace.visibility[0]), float(trace.visibility[1])
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import analytic, drive, model, ramsey, states
+from . import analytic, drive, fock, model, ramsey, states
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,14 @@ def oracle_vacuum_visibility(
     s_values=(0.5, 0.9, 0.99),
     x0_values=(0.0, 0.02, 5.0),
     n_times: int = 400,
-    dim_max: int = 512,
-    dim_tol: float = 1e-8,
+    dim: int = 512,
     vis_tol: float = 1e-6,
     phase_tol: float = 1e-5,
 ) -> OracleReport:
-    """Dense Fock trace vs the closed-form vacuum amplitude over the full
-    (S, x0, omega_1 t in [0, 4 pi]) grid. Phase is compared pointwise where
-    the amplitude is resolvable (V > 1e-6); below that the phase carries no
+    """Dense Fock trace at dim (the eigh route, which shares no code with the
+    closed form) vs the closed-form vacuum amplitude over the full (S, x0,
+    omega_1 t in [0, 4 pi]) grid. Phase is compared pointwise where the
+    amplitude is resolvable (V > 1e-6); below that the phase carries no
     numerical meaning."""
     worst_v = worst_p = 0.0
     for S in s_values:
@@ -88,8 +88,7 @@ def oracle_vacuum_visibility(
         times = np.linspace(0.0, 4.0 * math.pi / w1, n_times)
         for x0 in x0_values:
             trace = ramsey.ramsey_trace(
-                params, states.fock_state(64, 0), times, x0=x0,
-                dim_tol=dim_tol, dim_max=dim_max,
+                params, states.fock_state(64, 0), times, x0=x0, dim=dim
             )
             amp = analytic.vacuum_coherent_amplitude(params, x0, times)
             worst_v = max(worst_v, float(np.max(np.abs(np.abs(amp) - trace.visibility))))
@@ -98,7 +97,7 @@ def oracle_vacuum_visibility(
             worst_p = max(worst_p, float(np.max(dphi)))
     return _report(
         "vacuum_visibility",
-        {"S": s_values, "x0": x0_values, "n_times": n_times, "dim_max": dim_max},
+        {"S": s_values, "x0": x0_values, "n_times": n_times, "dim": dim},
         {"visibility": worst_v / vis_tol, "phase": worst_p / phase_tol},
         {"visibility_deviation": worst_v, "phase_deviation": worst_p},
     )
@@ -147,6 +146,22 @@ def _fit_exponent(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
+def _cycle_deviations(u_values, g: float, dim: int) -> tuple[list[float], list[float]]:
+    """Per Delta_M/M_0 = u, the comparator deviation of the cycle product from
+    the full -i P S(2r) D(beta) and from the bare -i P S(2r), which drops the
+    displacement factor."""
+    full, bare = [], []
+    for u in u_values:
+        params = model.build_system({"unit_system": "natural", "c": math.sqrt(100.0 / u),
+                                     "levels": [0.0, 100.0], "g": g})
+        cyc = drive.cycle_operator(params, dim)
+        S = fock.squeeze_matrix(dim, cyc.schedule.per_cycle_r)
+        full.append(drive.comparator_deviation(cyc))
+        bare.append(drive.comparator_deviation(
+            replace(cyc, comparator=-1j * fock.parity_matrix(dim) @ S)))
+    return full, bare
+
+
 def oracle_cycle_identity(
     u_values=(1e-2, 5e-3, 2.5e-3),
     g: float = 0.3,
@@ -156,14 +171,7 @@ def oracle_cycle_identity(
     """The per-cycle product must deviate from -i P S(2r) D(beta) at second
     order in Delta_M/M_0: the fitted log-log slope of the deviation versus
     Delta_M/M_0 must be 2.0 +/- 0.2."""
-    devs = []
-    for u in u_values:
-        c = math.sqrt(100.0 / u)
-        params = model.build_system(
-            {"unit_system": "natural", "c": c, "levels": [0.0, 100.0], "g": g}
-        )
-        cyc = drive.cycle_operator(params, dim)
-        devs.append(drive.comparator_deviation(cyc))
+    devs, _ = _cycle_deviations(u_values, g, dim)
     exponent = _fit_exponent(u_values, devs)
     return _report(
         "cycle_identity",
@@ -178,22 +186,7 @@ def ablation_cycle_identity(
 ) -> float:
     """Exponent of the deviation when the displacement factor is dropped
     from the comparator: degrades to ~1, demonstrating its necessity."""
-    import trapmass.fock as fock
-
-    devs = []
-    for u in u_values:
-        c = math.sqrt(100.0 / u)
-        params = model.build_system(
-            {"unit_system": "natural", "c": c, "levels": [0.0, 100.0], "g": g}
-        )
-        cyc = drive.cycle_operator(params, dim)
-        bare = (
-            -1j
-            * fock.parity_matrix(dim)
-            @ fock.squeeze_matrix(dim, cyc.schedule.per_cycle_r)
-        )
-        m = fock.interior(dim)
-        devs.append(float(np.linalg.norm(cyc.product[:m, :m] - bare[:m, :m], 2)))
+    _, devs = _cycle_deviations(u_values, g, dim)
     return _fit_exponent(u_values, devs)
 
 

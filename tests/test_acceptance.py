@@ -24,7 +24,7 @@ def test_criterion_1_ramsey_closed_form_vs_fock_grid():
         s_values=(0.5, 0.9, 0.99),
         x0_values=(0.0, 0.02, 5.0),
         n_times=400,
-        dim_max=512,
+        dim=512,
         vis_tol=1e-6,
         phase_tol=1e-5,
     )

@@ -65,12 +65,16 @@ def test_ramsey_default_params(tmp_path):
     summary = json.loads((tmp_path / "ramsey_default_summary.json").read_text())
     assert summary["dim"] is None and summary["route"] == "gaussian_kernel"
     assert summary["oracle_max_deviation"] < 1e-6
-    # A Fock n > 0 state of the default dim 128 converges its truncation:
-    # the schedule must start at the state's dim rather than at 64.
-    cfg["params"] = {"state": {"type": "fock", "n": 1}}
-    assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
-    summary = json.loads((tmp_path / "ramsey_default_summary.json").read_text())
-    assert summary["dim"] >= 128 and summary["route"] == "eigh"
+    # Fock n > 0 and thermal states with dim omitted take the generating
+    # function, which has no truncation dim either.
+    for state in ({"type": "fock", "n": 1}, {"type": "thermal", "nbar": 1.5}):
+        cfg["params"] = {"state": state}
+        assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+        summary = json.loads((tmp_path / "ramsey_default_summary.json").read_text())
+        assert summary["dim"] is None and summary["route"] == "generating_function"
+    # The dim-convergence tolerance is gone: its key is unknown.
+    cfg["params"] = {"state": {"type": "fock", "n": 1}, "dim_tol": 1e-8}
+    assert run(tmp_path, cfg, "ramsey") == cli.EXIT_CONFIG
 
 
 _S_08 = {"unit_system": "natural", "c": 10.0, "levels": [0.0, 100.0 * (1.0 / 0.8**2 - 1.0)],
@@ -86,12 +90,15 @@ _SI_SYSTEM = {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "levels": [0.0, 1
      "gaussian_kernel"),
     ({"dim": 96}, "eigh"),
     ({"state": {"type": "coherent", "alpha": "1.2-0.7j"}, "dim": 128}, "eigh"),
-    ({"state": {"type": "fock", "n": 2}}, "eigh"),
+    ({"state": {"type": "fock", "n": 2}, "dim": 96}, "eigh"),
     ({"state": {"type": "thermal", "nbar": 0.5, "dim": 64}, "dim": 64}, "eigh"),
+    ({"state": {"type": "fock", "n": 2}}, "generating_function"),
+    ({"state": {"type": "thermal", "nbar": 0.5, "dim": 64}}, "generating_function"),
 ])
 def test_ramsey_route_contract(tmp_path, system, params, route):
-    # Vacuum and coherent runs with dim omitted write dim null and the
-    # kernel route; Fock n > 0 and every explicit dim write an int dim and
+    # Runs with dim omitted write dim null and an exact route: the kernel
+    # for vacuum and coherent states, the generating function for Fock
+    # n > 0 and thermal states. Every explicit dim writes an int dim and
     # the eigh route. Every vacuum or coherent run carries the phase-space
     # oracle, complex alpha included.
     cfg = {"experiment": "ramsey", "system": dict(system),
@@ -99,10 +106,10 @@ def test_ramsey_route_contract(tmp_path, system, params, route):
     assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
     summary = json.loads((tmp_path / "route_summary.json").read_text())
     assert summary["route"] == route
-    if route == "gaussian_kernel":
-        assert summary["dim"] is None
-    else:
+    if route == "eigh":
         assert isinstance(summary["dim"], int)
+    else:
+        assert summary["dim"] is None
     state = params.get("state", {"type": "fock", "n": 0})
     if state["type"] == "coherent" or state.get("n") == 0:
         assert summary["oracle_max_deviation"] <= 1e-6
@@ -122,6 +129,39 @@ def test_kernel_route_still_builds_and_checks_the_state(tmp_path, state, code):
     cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
            "output": {"path": "bad_state"}, "params": {"state": state}}
     assert run(tmp_path, cfg, "ramsey") == code
+
+
+@pytest.mark.parametrize("state", [
+    {"type": "coherent", "alpha": "abc"},
+    {"type": "coherent", "alpha": [1, 2]},
+    {"type": "fock", "n": "x"},
+    {"type": "fock", "n": 1.5},
+    {"type": "fock", "n": math.inf},
+    {"type": "thermal", "nbar": "x"},
+    {"type": "fock", "n": 1, "dim": "x"},
+    {"type": "fock", "n": 1, "dim": 64.5},
+    {"type": "thermal", "nbar": 1.0, "dim": None},
+])
+def test_malformed_state_specs_are_config_errors(tmp_path, state):
+    # A state parameter or dim that does not parse is a config error, on the
+    # exact routes and at an explicit dim alike.
+    for extra in ({}, {"dim": 128}):
+        cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
+               "output": {"path": "bad_state"}, "params": {"state": state, **extra}}
+        assert run(tmp_path, cfg, "ramsey") == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("bad", [{"points": 0}, {"times": []}, {"points": -3},
+                                 {"points": "x"}, {"times": 5}, {"x0": "abc"},
+                                 {"level": "x"}, {"level": 1.5}])
+def test_empty_time_grid_and_malformed_params_are_config_errors(tmp_path, bad, capsys):
+    # No time point, or a param that does not parse, is a config error on
+    # every route, not a traceback.
+    for extra in ({}, {"dim": 64}, {"state": {"type": "thermal", "nbar": 1.0}}):
+        cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
+               "output": {"path": "no_times"}, "params": {**bad, **extra}}
+        assert run(tmp_path, cfg, "ramsey") == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_ramsey_state_takes_params_dim(tmp_path):

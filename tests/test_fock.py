@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from test_ramsey import _count_solves
 
-from trapmass import clock, constants, drive, fock, model, phasespace, ramsey, states
-from trapmass.errors import ConvergenceFailure, DimensionTooSmall, NoConvergence
+from trapmass import clock, constants, drive, fock, model, phasespace, states
+from trapmass.errors import ConvergenceFailure, DimensionTooSmall
 
 
 def natural_params(**over):
@@ -157,42 +157,3 @@ def test_squeeze_displace_and_drive_series_match_expm(
 def test_parity_matrix():
     P = fock.parity_matrix(5)
     assert np.allclose(np.diag(P), [1, -1, 1, -1, 1])
-
-
-def test_dim_schedule():
-    assert fock.dim_schedule(512) == [64, 128, 256, 512]
-    assert fock.dim_schedule(300) == [64, 128, 256]
-    assert fock.dim_schedule(512, min_dim=100) == [128, 256, 512]
-    assert fock.dim_schedule(512, min_dim=128) == [128, 256, 512]
-    assert fock.dim_schedule(512, min_dim=600) == []
-
-
-def test_converge_dim():
-    calls = []
-
-    def request(d):
-        calls.append(d)
-        return 1.0 + 2.0 ** -d  # converges fast
-
-    assert fock.converge_dim(request, 1e-8) == 128
-    assert calls == [64, 128]
-    assert fock.converge_dim(request, 1e-8, min_dim=65) == 256
-    assert calls[2:] == [128, 256]
-    assert fock.converge_dim(lambda d: 1.0, math.inf) == 64
-    with pytest.raises(NoConvergence):
-        fock.converge_dim(lambda d: float(d), 1e-8, dim_max=256)
-    with pytest.raises(NoConvergence):
-        fock.converge_dim(request, 1e-8, dim_max=256, min_dim=512)
-
-
-def test_vacuum_trace_converges_by_256():
-    # Mass jump of 50% at x0 = 0: the doubling schedule settles at or
-    # below dim 256 with tol 1e-8.
-    p = model.build_system(
-        {"unit_system": "natural", "c": math.sqrt(2.0), "levels": [0.0, 1.0], "g": 0.0}
-    )
-    assert (p.mass(1) - p.M0) / p.M0 == pytest.approx(0.5, rel=1e-12)
-    trace = ramsey.ramsey_trace(
-        p, states.fock_state(64, 0), [2.0], x0=0.0, dim_tol=1e-8
-    )
-    assert trace.dim <= 256

@@ -245,30 +245,22 @@ def _count_solves(monkeypatch):
 
 
 def test_one_real_solve_per_schedule_dim(monkeypatch):
+    # An explicit dim is solved once, with a real eigh.
     solves = _count_solves(monkeypatch)
     p = natural_params(E1=2.0, c=2.0, g=0.0)
     times = np.linspace(0.0, 6.0, 300)
-    tr = ramsey.ramsey_trace(p, states.fock_state(64, 1), times, x0=4.5)
-    expected = [d for d in fock.dim_schedule() if d <= tr.dim]
-    assert tr.dim > 128
-    assert solves == [(d, False) for d in expected]
-
-    solves.clear()
     ramsey.ramsey_trace(p, states.fock_state(64, 1), times, x0=4.5, dim=96)
     assert solves == [(96, False)]
 
 
-def test_convergence_starts_at_state_dim(monkeypatch):
-    # A state wider than the first schedule size converges from the first
-    # doubling size that holds it instead of failing to embed.
+def test_exact_routes_make_no_solve(monkeypatch):
     solves = _count_solves(monkeypatch)
     p = natural_params(E1=2.0, c=2.0, g=0.0)
-    tr = ramsey.ramsey_trace(p, states.fock_state(128, 0), np.linspace(0.0, 5.0, 20))
-    assert tr.dim >= 128
-    assert solves[0] == (128, False)
-    assert solves[-1] == (tr.dim, False)
-    ref = ramsey.ramsey_trace(p, states.fock_state(128, 0), tr.times, dim=tr.dim)
-    assert np.max(np.abs(tr.trace - ref.trace)) < 1e-13
+    times = np.linspace(0.0, 6.0, 300)
+    ramsey.coherent_trace(p, 0.8 - 0.3j, times, x0=4.5)
+    ramsey.fock_trace(p, 3, times, x0=4.5)
+    ramsey.thermal_trace(p, 1.5, times, x0=4.5)
+    assert solves == []
 
 
 @pytest.mark.parametrize("corotating", [False, True])
@@ -293,6 +285,40 @@ def test_gaussian_kernel_matches_eigh(corotating, S, x0, radius, angle):
     assert np.max(np.abs(kernel.trace - ref.trace)) < 1e-11
 
 
+@pytest.mark.parametrize("corotating", [False, True])
+@settings(max_examples=8, deadline=None)
+@given(
+    S=st.floats(0.5, 0.99),
+    x0=st.floats(0.0, 8.0),
+    n=st.integers(0, 8),
+    nbar=st.floats(0.0, 3.0),
+)
+def test_generating_function_matches_eigh(corotating, S, x0, n, nbar):
+    # fock_trace and thermal_trace against the truncated eigh route at dim
+    # 1024, which holds every drawn state and displacement.
+    p = natural_params(E1=100.0 * (1.0 / S**2 - 1.0), c=10.0)
+    w1 = model.derive_mode_frame(p, 1).omega_i
+    times = np.linspace(0.0, 4.0 * math.pi / w1, 13)
+    cases = [(ramsey.fock_trace(p, n, times, x0=x0, corotating=corotating),
+              states.fock_state(64, n)),
+             (ramsey.thermal_trace(p, nbar, times, x0=x0, corotating=corotating),
+              states.thermal_state_cm(256, nbar))]
+    for exact, state in cases:
+        ref = ramsey.ramsey_trace(p, state, times, x0=x0, dim=1024, corotating=corotating)
+        assert exact.dim is None and exact.x0 == ref.x0
+        assert np.max(np.abs(exact.trace - ref.trace)) < 1e-11
+
+
+def test_fock_trace_n60_matches_eigh_at_dim_2048():
+    # n = 60: the circle sum has 512 points and radius 100^(-1/60).
+    p = natural_params(E1=100.0 * (1.0 / 0.7**2 - 1.0), c=10.0)
+    w1 = model.derive_mode_frame(p, 1).omega_i
+    times = np.linspace(0.0, 4.0 * math.pi / w1, 7)
+    exact = ramsey.fock_trace(p, 60, times, x0=2.0)
+    ref = ramsey.ramsey_trace(p, states.fock_state(64, 60), times, x0=2.0, dim=2048)
+    assert np.max(np.abs(exact.trace - ref.trace)) < 1e-11
+
+
 def test_gaussian_kernel_far_displaced_large_alpha():
     # x0 = 30 and alpha = 3: the vacuum factor alone underflows and exp(L)
     # alone is large; their exponents are summed before one exp.
@@ -314,10 +340,13 @@ def test_gaussian_kernel_far_displaced_large_alpha():
     g=st.floats(0.0, 50.0),
     radius=st.floats(0.0, 2.0),
     angle=st.floats(0.0, 2.0 * math.pi),
+    n=st.integers(1, 8),
+    nbar=st.floats(0.0, 3.0),
 )
-def test_si_and_natural_units_give_one_trace(M0, omega0, defect, g, radius, angle):
+def test_si_and_natural_units_give_one_trace(M0, omega0, defect, g, radius, angle, n, nbar):
     # One system in SI and in natural units: the visibility and the
-    # co-rotating trace, phase included, are the same function of omega0 t.
+    # co-rotating trace, phase included, are the same function of omega0 t,
+    # for a coherent, a Fock and a thermal state.
     # (The lab-frame phase, E_1 t / hbar, is a large number rounded
     # differently in each unit system.)
     hbar, c = constants.HBAR, constants.C_LIGHT
@@ -328,11 +357,13 @@ def test_si_and_natural_units_give_one_trace(M0, omega0, defect, g, radius, angl
                               "levels": levels, "g": g, "hbar": hbar, "c": c})
     alpha = radius * complex(math.cos(angle), math.sin(angle))
     t_nat = np.linspace(0.0, 4.0 * math.pi / model.derive_mode_frame(nat, 1).omega_i, 41)
-    a = ramsey.coherent_trace(si, alpha, t_nat / omega0, corotating=True)
-    b = ramsey.coherent_trace(nat, alpha, t_nat, corotating=True)
-    assert a.x0 == pytest.approx(b.x0 * math.sqrt(hbar / (M0 * omega0)), rel=1e-12)
-    assert np.max(np.abs(a.visibility - b.visibility)) < 1e-12
-    assert np.max(np.abs(a.trace - b.trace)) < 1e-10
+    for route, value in ((ramsey.coherent_trace, alpha), (ramsey.fock_trace, n),
+                         (ramsey.thermal_trace, nbar)):
+        a = route(si, value, t_nat / omega0, corotating=True)
+        b = route(nat, value, t_nat, corotating=True)
+        assert a.x0 == pytest.approx(b.x0 * math.sqrt(hbar / (M0 * omega0)), rel=1e-12)
+        assert np.max(np.abs(a.visibility - b.visibility)) < 1e-12
+        assert np.max(np.abs(a.trace - b.trace)) < 1e-10
 
 
 def test_extract_visibility_phase_trivial():
@@ -377,7 +408,7 @@ def test_phase_is_stable_across_sub_floor_gaps():
     p = natural_params(E1=c * c * (1.0 / S**2 - 1.0), c=c)
     w1 = model.derive_mode_frame(p, 1).omega_i
     times = np.linspace(0.0, 4.0 * math.pi / w1, 2000)
-    tr = ramsey.ramsey_trace(p, states.fock_state(128, 2), times, x0=7.0)
+    tr = ramsey.fock_trace(p, 2, times, x0=7.0)
     low = tr.visibility < ramsey.PHASE_FLOOR
     assert low.sum() > 500
     assert np.array_equal(np.isnan(tr.phase), low)

@@ -40,11 +40,10 @@ def test_vacuum_visibility_oracle_detects_perturbation():
 
 
 def test_vacuum_visibility_oracle_fails_without_convergence():
-    # Negative control: freezing the truncation at 64 with no convergence
-    # requirement leaves S = 0.5, x0 = 5 unconverged and the oracle fails.
+    # Negative control: a truncation at dim 64 leaves S = 0.5, x0 = 5
+    # unconverged and the oracle fails.
     rep = verify.oracle_vacuum_visibility(
-        s_values=(0.5,), x0_values=(5.0,), n_times=50,
-        dim_max=64, dim_tol=math.inf,
+        s_values=(0.5,), x0_values=(5.0,), n_times=50, dim=64,
     )
     assert not rep.passed
 
