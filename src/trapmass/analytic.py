@@ -9,7 +9,7 @@ initial and final ground-trap Gaussians). For the vacuum its modulus is
 
 and the phase is assembled with a continuous square-root branch so the
 result is smooth through every revival. A coherent state |alpha> adds one
-more Gaussian exponent in alpha (see bounded_amplitude). The full trace
+more Gaussian exponent in alpha (see bounded_amplitude). ramsey.coherent_trace
 multiplies this bounded amplitude by the scalar-offset phase
 exp(-i (offset_1-offset_0) t / hbar), computed through the
 cancellation-safe gap. The same kernel gives Tr(y^n U_1b) (generating_function):
@@ -26,7 +26,6 @@ import numpy as np
 
 from . import fock, model
 from .errors import (
-    DimensionMismatch,
     NotNormalized,
     ParamMismatch,
     RegimeWarning,
@@ -43,10 +42,8 @@ class VacuumAmplitudeParams:
     """Dimensionless inputs of the closed-form vacuum/coherent amplitude.
 
     S = sqrt(M0/M1); a0 = M0 omega0 / hbar; x0 is the trap-center
-    separation (only x0^2 enters the visibility, the sign enters the
-    phase through nothing - it is recorded for provenance). gap_rate is
-    the scalar-offset phase rate (offset_1 - offset_0)/hbar, evaluated
-    without cancellation.
+    separation (x0=None in from_system: the gravitational-sag separation
+    g/omega0^2). The scalar-offset phase is not here: ramsey applies it.
     """
 
     S: float
@@ -54,7 +51,6 @@ class VacuumAmplitudeParams:
     x0: float
     omega0: float
     omega1: float
-    gap_rate: float
 
     def __post_init__(self):
         if not 0.0 < self.S:
@@ -65,8 +61,6 @@ class VacuumAmplitudeParams:
         cls, params: model.SystemParams, level: int = 1, x0: float | None = None
     ) -> "VacuumAmplitudeParams":
         frame = model.derive_mode_frame(params, level)
-        if x0 is None:
-            x0 = params.g / params.omega0**2
         S = math.sqrt(params.M0 / frame.M_i)
         # Consistency probe: S must match both the mass ratio and the
         # frequency ratio omega_1/omega_0.
@@ -75,10 +69,9 @@ class VacuumAmplitudeParams:
         return cls(
             S=S,
             a0=params.M0 * params.omega0 / params.hbar,
-            x0=float(x0),
+            x0=float(params.g / params.omega0**2 if x0 is None else x0),
             omega0=params.omega0,
             omega1=frame.omega_i,
-            gap_rate=model.offset_gap(params, level, 0) / params.hbar,
         )
 
 
@@ -178,24 +171,6 @@ def fock_diagonal(vap: VacuumAmplitudeParams, t, n: int) -> np.ndarray:
     y = rho * np.exp(2j * math.pi * k / M)
     weights = np.exp(-2j * math.pi * ((k * n) % M) / M) / (M * rho**n)
     return generating_function(vap, np.asarray(t, dtype=float)[:, None], y) @ weights
-
-
-def vacuum_coherent_amplitude(
-    params: model.SystemParams,
-    x0: float | None,
-    t,
-    level: int = 1,
-) -> np.ndarray:
-    """Full closed-form trace V(t) e^{i phi(t)} for the vacuum of the
-    ground trap displaced by x0 from the excited-trap center.
-
-    Includes the relative scalar phase Delta_phi = (phi0 - phi1) t;
-    x0=None means g/omega0^2.
-    """
-    vap = VacuumAmplitudeParams.from_system(params, level=level, x0=x0)
-    t = np.asarray(t, dtype=float)
-    rel = np.exp(-1j * ((vap.gap_rate * t) % (2.0 * math.pi)))
-    return bounded_amplitude(vap, t) * rel
 
 
 def coherent_visibility(

@@ -107,26 +107,28 @@ _STATE_TYPES = {
 }
 
 
-def _build_state(spec: dict, dim: int = 128) -> tuple[str, int | complex | float, states.CMState]:
-    """(type, parameter, state) of a state spec, the state at the spec's own
-    dim if it gives one and at dim otherwise."""
+def _state_spec(params: dict, dim: int | None) -> tuple[str, int | complex | float, int | None]:
+    """(type, parameter, size) of params.state, the vacuum by default; size is
+    the spec's own dim if it gives one and dim otherwise."""
+    spec = params.get("state", {"type": "fock", "n": 0})
     _check_keys(spec, _STATE_KEYS, "state")
     kind = spec.get("type")
     if kind not in _STATE_TYPES:
         raise ConfigError(f"unknown state type {kind!r}")
-    key, parse, default, build = _STATE_TYPES[kind]
+    key, parse, default, _ = _STATE_TYPES[kind]
     try:
-        value, dim = parse(spec.get(key, default)), _integer(spec.get("dim", dim))
+        value = parse(spec.get(key, default))
+        return kind, value, _integer(spec["dim"]) if "dim" in spec else dim
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed {kind} state spec {spec}: {exc}") from exc
-    return kind, value, build(dim, value)
 
 
 def _state_at_params_dim(params: dict) -> states.CMState:
     """params.state sized by params.dim (default 128), which an explicit
     state dim must equal."""
     dim = int(params.get("dim", 128))
-    _, _, state = _build_state(params.get("state", {"type": "fock", "n": 0}), dim)
+    kind, value, size = _state_spec(params, dim)
+    state = _STATE_TYPES[kind][3](size, value)
     if "dim" in params and state.dim != dim:
         raise ConfigError(f"state dim {state.dim} != params dim {dim}")
     return state
@@ -202,11 +204,11 @@ def read_csv(path: str) -> tuple[dict, list[str], np.ndarray]:
 # column per name, and the JSON summary payload.
 
 def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
-    """With params.dim omitted every state takes an exact route with no
-    truncation and writes dim null: a vacuum or coherent state the Gaussian
-    kernel ("gaussian_kernel"), a Fock n > 0 or thermal state the
+    """With params.dim omitted every state takes an exact route, builds no
+    truncated state and writes dim null: a vacuum or coherent state the
+    Gaussian kernel ("gaussian_kernel"), a Fock n > 0 or thermal state the
     generating function ("generating_function"). An explicit params.dim
-    takes the eigh route at that dim ("eigh")."""
+    takes the eigh route ("eigh"), the state at its spec dim or params.dim."""
     phys = model.build_system(system)
     try:
         level = _integer(params.get("level", 1))
@@ -214,9 +216,8 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
         x0 = None if params.get("x0") is None else float(params["x0"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed ramsey params: {exc}") from exc
-    # Built on every route, so a bad or truncated state spec fails the same way.
-    kind, value, state = _build_state(params.get("state", {"type": "fock", "n": 0}),
-                                      128 if dim is None else dim)
+    kind, value, size = _state_spec(params, dim)
+    state = None if dim is None else _STATE_TYPES[kind][3](size, value)
     omega1 = model.derive_mode_frame(phys, level).omega_i
     try:
         if "times" in params:
@@ -257,9 +258,9 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
         )
     if is_vacuum and not corotating:
         # The vacuum's phase and extrema closed forms hold for it alone.
-        amp = analytic.vacuum_coherent_amplitude(phys, trace.x0, times, level=level)
+        kernel = trace if dim is None else ramsey.coherent_trace(phys, 0.0, times, **where)
         columns.append("phase_analytic")
-        data.append(np.unwrap(np.angle(amp)))
+        data.append(np.unwrap(np.angle(kernel.trace)))
         t_min, v_min, t_rev, v_rev = analytic.visibility_extrema(
             phys, trace.x0, level=level
         )
@@ -335,18 +336,23 @@ def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     level = int(params.get("level", 1))
     state = _state_at_params_dim(params)
     res = drive.iterate_drive(phys, state, N, level)
-    exact = res.exact if res.exact is not None else np.full(N, np.nan)
+    series = {"P_exact": res.exact, "P_approx": res.approx}
+    both = np.isfinite(res.exact) & np.isfinite(res.approx)
     summary = {
         "per_cycle_r": res.schedule.per_cycle_r,
         "beta_g": [res.schedule.beta_g.real, res.schedule.beta_g.imag],
+        # Over the cycles where both series are finite.
         "max_deviation": (
-            float(np.max(np.abs(res.exact - res.approx)))
-            if res.exact is not None else None
+            float(np.max(np.abs(res.exact - res.approx)[both])) if both.any() else None
         ),
         "variance_growth_N": drive.position_variance_growth(phys, N, level),
     }
-    data = np.column_stack([np.arange(1, N + 1), exact, res.approx])
-    return ["k", "P_exact", "P_approx"], data, summary
+    first_nan = {col: int(np.argmax(np.isnan(v))) + 1
+                 for col, v in series.items() if np.isnan(v).any()}
+    if first_nan:
+        summary["first_nan_k"] = first_nan
+    data = np.column_stack([np.arange(1, N + 1), *series.values()])
+    return ["k", *series], data, summary
 
 
 def run_qfunc(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
@@ -420,9 +426,9 @@ def run_verify_all(out_dir: str) -> int:
 # ------------------------------------------------------------ verification ---
 
 _UNIT_INTERVAL_COLUMNS = {"V", "V_analytic", "P_exact", "P_approx", "P"}
-# NaN marks a drive longer than drive.N_EXACT_MAX cycles (P_exact) and a
-# trace point below ramsey.PHASE_FLOOR (phase).
-_NAN_COLUMNS = {"P_exact", "phase"}
+# NaN marks a drive cycle past drive.N_EXACT_MAX or past the truncation-tail
+# gate (P_exact, P_approx) and a trace point below ramsey.PHASE_FLOOR (phase).
+_NAN_COLUMNS = {"P_exact", "P_approx", "phase"}
 
 
 def verify_outputs(paths: list[str]) -> list[str]:

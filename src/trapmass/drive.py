@@ -17,6 +17,7 @@ accumulates to S(2Nr).
 Every unitary here comes from a real eigh through `fock.Spectrum`. The
 pure-squeezing series is a spectral sum over the squeeze spectrum (w, V),
 <psi0|S(s)|psi0> = sum_n |(V^dag psi0)_n|^2 e^{i s w_n}, O(dim) per cycle.
+Both truncated series stop at the states.TAIL_BOUND gate of iterate_drive.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import fock, model
 from .errors import DimensionMismatch
-from .states import CMState
+from .states import TAIL_BOUND, CMState
 
 N_EXACT_MAX = 10_000
 
@@ -119,9 +120,10 @@ def displacement_component(op: np.ndarray) -> complex:
 @dataclass(frozen=True)
 class DriveResult:
     """Overlap decay P_k = |<psi0|psi_k>|^2 over k = 1..N cycles,
-    N = approx.size."""
+    N = approx.size. A series is NaN at the k it does not compute: past
+    the truncation-tail gate (see iterate_drive), or exact past N_EXACT_MAX."""
 
-    exact: np.ndarray | None      # from repeated matrix products
+    exact: np.ndarray             # from repeated matrix products
     approx: np.ndarray            # |<psi0|S(2kr)|psi0>|^2
     schedule: DriveSchedule
 
@@ -134,29 +136,50 @@ def iterate_drive(
 ) -> DriveResult:
     """Overlap series computed exactly and in the pure-squeezing
     approximation, at the dim of psi0. For N > 10000 the exact product path
-    is refused (accumulated roundoff and runtime) and only the approximation
-    is returned, with a warning."""
+    is refused (accumulated roundoff and runtime) and exact is all NaN, with
+    a warning.
+
+    Tail gate: a series is NaN from the first k whose state has more than
+    TAIL_BOUND of its weight beyond fock.interior(dim). The exact loop checks
+    psi_k each cycle; the approximation checks S(s_N) psi0, and only if that
+    fails bisects for a failing k whose predecessor passes.
+    """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if not psi0.is_pure:
         raise DimensionMismatch("iterate_drive requires a pure initial state")
-    dim = psi0.dim
+    dim, m = psi0.dim, fock.interior(psi0.dim)
     sched = drive_schedule(params, level)
+
+    def breaks_gate(psi: np.ndarray) -> bool:
+        return np.vdot(psi[m:], psi[m:]).real > TAIL_BOUND
 
     # Approximation: the spectral sum of the module docstring.
     spec = fock.squeeze_spectrum(dim)
-    weights = np.abs(spec.V.conj().T @ psi0.data) ** 2
+    coeffs = spec.V.conj().T @ psi0.data
+    weights = np.abs(coeffs) ** 2
     approx = np.empty(N)
     for k in range(N):
         approx[k] = abs(weights @ np.exp(1j * sched.effective_r(k + 1) * spec.w)) ** 2
 
-    exact = None
+    def squeezed_fails(k: int) -> bool:
+        return breaks_gate(spec.V @ (np.exp(1j * sched.effective_r(k) * spec.w) * coeffs))
+
+    if squeezed_fails(N):
+        passing, failing = 0, N
+        while failing - passing > 1:
+            mid = (passing + failing) // 2
+            passing, failing = (passing, mid) if squeezed_fails(mid) else (mid, failing)
+        approx[failing - 1 :] = np.nan
+
+    exact = np.full(N, np.nan)
     if N <= N_EXACT_MAX:
         product = _cycle_product(params, sched, dim)
-        exact = np.empty(N)
         psi = psi0.data.copy()
         for k in range(N):
             psi = product @ psi
+            if breaks_gate(psi):
+                break
             exact[k] = abs(psi0.data.conj() @ psi) ** 2
     else:
         warnings.warn(

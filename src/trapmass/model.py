@@ -145,7 +145,7 @@ def build_system(config: dict) -> SystemParams:
         unit_system=unit_system,
     )
     if unit_system == UNIT_NATURAL:
-        params = _to_natural(params)
+        params = to_natural(params)
     return params
 
 
@@ -157,7 +157,7 @@ def _positive(field: str, value) -> float:
     return value
 
 
-def _to_natural(p: SystemParams) -> SystemParams:
+def to_natural(p: SystemParams) -> SystemParams:
     """Rescale so hbar = M0 = omega0 = 1, preserving all dimensionless ratios.
 
     Units: mass M0, energy hbar*omega0, length sqrt(hbar/M0 omega0),

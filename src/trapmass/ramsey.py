@@ -14,14 +14,16 @@ The enormous rest-energy phases enter only through the cancellation-safe
 offset gap (see model.offset_gap); the co-rotating frame uses its own
 cancellation-free rate (see _scalar_rate).
 
-Solver paths. Every CLI state type has an exact trace with no truncation
-and no eigensolve, a RamseyTrace with dim None: coherent_trace (vacuum or
+Solver paths. All four traces share one prologue (_trace): it resolves x0
+through analytic.VacuumAmplitudeParams.from_system and multiplies a bounded
+trace by the scalar phase. Every CLI state type has an exact bounded trace
+with no truncation and no eigensolve (dim None): coherent_trace (vacuum or
 coherent |alpha>) from the Gaussian kernel analytic.bounded_amplitude,
-thermal_trace from the generating function analytic.generating_function at
-one point per time, and fock_trace (|n>) from analytic.fock_diagonal, the
-generating function summed over a circle of O(n) points per time.
-ramsey_trace takes any CMState at an explicit truncation dim: it is the
-truncated model and the oracle of the other three. a_1 is real, so H_1b is
+thermal_trace from analytic.generating_function at one point per time, and
+fock_trace (|n>) from analytic.fock_diagonal, the generating function summed
+over a circle of O(n) points per time. ramsey_trace takes any CMState at an
+explicit dim: it is the truncated model and the oracle of the other three,
+and the only one that reads a CMState. a_1 is real, so H_1b is
 built from fock.mode_number, the real pentadiagonal number operator
 written from its bands in O(dim), and fock.spectrum solves it with one
 real eigh, giving a real eigenbasis V1; U_0b needs no solve. The time grid
@@ -31,6 +33,7 @@ product per chunk over the state's support.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -142,49 +145,52 @@ def _scalar_rate(params: model.SystemParams, level: int, corotating: bool) -> fl
 
         -g^2 ((E_i - E_0) / c^2) (M_i + M0) / (2 k hbar),
 
-    formed directly so that the two ~E_i / hbar rates never cancel.
+    formed directly so that the two ~E_i / hbar rates never cancel, as
+    omega0 times _corotating_rate_per_omega0.
     """
     if not corotating:
         return model.offset_gap(params, level, 0) / params.hbar
-    delta_M = (params.levels[level] - params.levels[0]) / params.c**2
-    return -(params.g**2) * delta_M * (params.mass(level) + params.M0) / (
-        2.0 * params.k * params.hbar
-    )
+    return _corotating_rate_per_omega0(params, level) * params.omega0
 
 
-def _scalar_phase(
-    params: model.SystemParams, level: int, corotating: bool, times: np.ndarray
-) -> np.ndarray:
-    """exp(-i rate t) for _scalar_rate, with rate t reduced mod 2 pi first."""
-    rate = _scalar_rate(params, level, corotating)
-    return np.exp(-1j * ((rate * times) % (2.0 * math.pi)))
+def _corotating_rate_per_omega0(params: model.SystemParams, level: int) -> float:
+    """The co-rotating rate over omega0, formed in natural units (hbar = M0 =
+    omega0 = 1, model.to_natural), so one system gives the same number
+    whether it was built in SI or in natural units."""
+    nat = model.to_natural(params)
+    delta_M = (nat.levels[level] - nat.levels[0]) / nat.c**2
+    return -0.5 * nat.g**2 * delta_M * (nat.mass(level) + 1.0)
 
 
-def _resolve_x0(params: model.SystemParams, x0) -> float:
-    if x0 is None:
-        return params.g / params.omega0**2
-    return float(x0)
-
-
-def _kernel_trace(params, times, level, x0, corotating, bounded) -> RamseyTrace:
-    """RamseyTrace of bounded(vap, times) times the scalar phase, dim None."""
+def _trace(params, times, level, x0, corotating, bounded, dim=None) -> RamseyTrace:
+    """Every trace's prologue: x0 resolved by VacuumAmplitudeParams.from_system
+    (None: the sag g/omega0^2), and the RamseyTrace at dim of bounded(vap, t)
+    times exp(-i rate t), rate = _scalar_rate, rate t reduced mod 2 pi."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    x0v = _resolve_x0(params, x0)
-    vap = analytic.VacuumAmplitudeParams.from_system(params, level=level, x0=x0v)
-    tr = bounded(vap, times) * _scalar_phase(params, level, corotating, times)
-    return RamseyTrace(times=times, trace=tr, level=level, x0=x0v, dim=None, corotating=corotating)
+    vap = analytic.VacuumAmplitudeParams.from_system(params, level=level, x0=x0)
+    if corotating:
+        # As (rate / omega0)(omega0 t): the co-rotating phase reaches ~1e6 rad,
+        # where one ulp is ~1e-10 rad, and this form rounds alike in both
+        # unit systems.
+        phase = _corotating_rate_per_omega0(params, level) * (params.omega0 * times)
+    else:
+        phase = _scalar_rate(params, level, corotating) * times
+    tr = bounded(vap, times) * np.exp(-1j * (phase % (2.0 * math.pi)))
+    return RamseyTrace(times=times, trace=tr, level=level, x0=vap.x0, dim=dim,
+                       corotating=corotating)
 
 
 def coherent_trace(params: model.SystemParams, alpha: complex, times, level: int = 1,
                    x0: float | None = None, corotating: bool = False) -> RamseyTrace:
     """Exact interference trace between levels 0 and level for the coherent
-    state |alpha> of the ground trap (alpha = 0: its vacuum), from the
-    Gaussian kernel analytic.bounded_amplitude: no truncation, no
-    eigensolve, and dim None in the result. x0=None uses the
-    gravitational-sag separation g/omega0^2.
-    """
-    return _kernel_trace(params, times, level, x0, corotating,
-                         lambda vap, t: analytic.bounded_amplitude(vap, t, alpha))
+    state |alpha> of the ground trap (alpha = 0: its vacuum), from the Gaussian
+    kernel analytic.bounded_amplitude: no truncation, no eigensolve, dim None.
+    x0=None uses the gravitational-sag separation g/omega0^2."""
+    # |alpha|^2 enters the kernel's exponent, so alpha^2 must be finite too.
+    if not cmath.isfinite(alpha * alpha):
+        raise NotNormalized(f"alpha and alpha^2 must be finite, got {alpha}")
+    return _trace(params, times, level, x0, corotating,
+                  lambda vap, t: analytic.bounded_amplitude(vap, t, alpha))
 
 
 def fock_trace(params: model.SystemParams, n: int, times, level: int = 1,
@@ -201,7 +207,7 @@ def fock_trace(params: model.SystemParams, n: int, times, level: int = 1,
             diag[lo : lo + _TIME_CHUNK] = analytic.fock_diagonal(vap, t[lo : lo + _TIME_CHUNK], n)
         return np.exp(1j * vap.omega0 * t * (n + 0.5)) * diag
 
-    return _kernel_trace(params, times, level, x0, corotating, bounded)
+    return _trace(params, times, level, x0, corotating, bounded)
 
 
 def thermal_trace(params: model.SystemParams, nbar: float, times, level: int = 1,
@@ -209,35 +215,31 @@ def thermal_trace(params: model.SystemParams, nbar: float, times, level: int = 1
     """coherent_trace's sibling for the thermal state of mean occupation
     nbar: (1 - q) e^{i omega0 t / 2} G(q e^{i omega0 t}), q = nbar / (1 + nbar),
     G = analytic.generating_function."""
-    if not (math.isfinite(nbar) and nbar >= 0.0):
-        raise NotNormalized(f"nbar must be finite and >= 0, got {nbar}")
+    # Above nbar ~ 1e16, q rounds to 1, where G has no value.
+    if not (nbar >= 0.0 and nbar / (1.0 + nbar) < 1.0):
+        raise NotNormalized(f"nbar must be finite, >= 0 and give q < 1, got {nbar}")
     q = nbar / (1.0 + nbar)
 
     def bounded(vap, t):
         half = np.exp(0.5j * vap.omega0 * t)
         return (1.0 - q) * half * analytic.generating_function(vap, t, q * half * half)
 
-    return _kernel_trace(params, times, level, x0, corotating, bounded)
+    return _trace(params, times, level, x0, corotating, bounded)
 
 
 def ramsey_trace(params: model.SystemParams, state: CMState, times, level: int = 1,
                  x0: float | None = None, *, dim: int, corotating: bool = False) -> RamseyTrace:
-    """Interference trace between levels 0 and level for any CM state, in
-    the Fock space truncated at dim (>= state.dim). x0=None uses the
-    gravitational-sag separation g/omega0^2.
-    """
-    params._check_level(level)
+    """Interference trace between levels 0 and level for any CM state, in the
+    Fock space truncated at dim (>= state.dim); x0 as in coherent_trace."""
+    frame = model.derive_mode_frame(params, level)
     if dim < state.dim:
         raise DimensionMismatch(f"truncation dim {dim} smaller than state dim {state.dim}")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    x0v = _resolve_x0(params, x0)
-    frame = model.derive_mode_frame(params, level)
-    alpha = math.sqrt(frame.M_i * frame.omega_i / (2.0 * params.hbar)) * x0v
-    tr = _bounded_trace(fock.spectrum(frame, alpha, dim), params.omega0, state, times)
-    tr = tr * _scalar_phase(params, level, corotating, times)
-    return RamseyTrace(
-        times=times, trace=tr, level=level, x0=x0v, dim=dim, corotating=corotating
-    )
+
+    def bounded(vap, t):
+        alpha = math.sqrt(frame.M_i * frame.omega_i / (2.0 * params.hbar)) * vap.x0
+        return _bounded_trace(fock.spectrum(frame, alpha, dim), vap.omega0, state, t)
+
+    return _trace(params, times, level, x0, corotating, bounded, dim)
 
 
 def fock_revival_values(params: model.SystemParams, n0: int, x0: float | None = None,

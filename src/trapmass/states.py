@@ -46,12 +46,12 @@ class CMState:
 
 
 def pure_state(vec: np.ndarray) -> CMState:
+    """The pure state of a unit vector; a norm more than _NORM_TOL from 1
+    raises NotNormalized, with no renormalization."""
     vec = np.asarray(vec, dtype=complex).ravel()
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > _NORM_TOL:
-        if norm == 0:
-            raise NotNormalized("zero state vector")
-        vec = vec / norm
+    if not abs(norm - 1.0) <= _NORM_TOL:  # also catches a NaN norm
+        raise NotNormalized(f"state vector norm {norm} != 1")
     return CMState(vec)
 
 
@@ -148,7 +148,10 @@ def coherent_state(dim: int, alpha: complex) -> CMState:
     if not cmath.isfinite(alpha):
         raise NotNormalized(f"alpha must be finite, got {alpha}")
     check_coherent_tail(dim, abs(alpha))
-    return pure_state(coherent_amplitudes(dim, [alpha])[0])
+    vec = coherent_amplitudes(dim, [alpha])[0]
+    norm = np.linalg.norm(vec)
+    # Amplitudes already within _NORM_TOL of unit norm keep their bits.
+    return pure_state(vec if abs(norm - 1.0) <= _NORM_TOL else vec / norm)
 
 
 def thermal_state_cm(dim: int, nbar: float) -> CMState:

@@ -19,7 +19,7 @@ def natural_params(E1=2.0, c=2.0, g=0.0):
 
 def test_amplitude_at_t_zero():
     p = natural_params()
-    amp = analytic.vacuum_coherent_amplitude(p, 0.7, 0.0)
+    amp = ramsey.coherent_trace(p, 0, 0.0, x0=0.7).trace[0]
     assert amp == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
 
@@ -32,7 +32,7 @@ def test_revival_visibility_value():
     assert vap.S == pytest.approx(0.9, rel=1e-12)
     assert vap.a0 == pytest.approx(1.0, rel=1e-12)
     t_rev = math.pi / vap.omega1
-    amp = analytic.vacuum_coherent_amplitude(p, 5.0, t_rev)
+    amp = ramsey.coherent_trace(p, 0, t_rev, x0=5.0).trace[0]
     assert abs(amp) == pytest.approx(math.exp(-25.0), rel=1e-10)
 
 
@@ -108,7 +108,7 @@ def test_closed_form_matches_fock_propagators():
     f1 = model.derive_mode_frame(p, 1)
     times = np.linspace(0.1, 5.0, 7)
     tr = ramsey.ramsey_trace(p, states.fock_state(dim, 0), times, x0=x0, dim=dim)
-    amp = analytic.vacuum_coherent_amplitude(p, x0, times)
+    amp = ramsey.coherent_trace(p, 0, times, x0=x0).trace
     assert np.max(np.abs(tr.trace - amp)) < 1e-8
     assert f1.omega_i < p.omega0  # heavier level, softer mode
 
@@ -131,7 +131,7 @@ def test_from_system_rejects_foreign_ratio():
     vap = analytic.VacuumAmplitudeParams.from_system(p)
     with pytest.raises(ParamMismatch):
         analytic.VacuumAmplitudeParams(
-            S=-1.0, a0=vap.a0, x0=0.0, omega0=1.0, omega1=1.0, gap_rate=0.0,
+            S=-1.0, a0=vap.a0, x0=0.0, omega0=1.0, omega1=1.0,
         )
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapmass
-from trapmass import cli, clock, model, ramsey
+from trapmass import cli, clock, drive, model, ramsey, states
 
 
 NATURAL_SYSTEM = {"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 0.0}
@@ -124,11 +124,74 @@ def test_ramsey_route_contract(tmp_path, system, params, route):
     ({"type": "coherent", "alpha": 1.0, "bogus": 1}, cli.EXIT_CONFIG),
 ])
 def test_kernel_route_still_builds_and_checks_the_state(tmp_path, state, code):
-    # The state is built and checked before the route is picked, so a bad
-    # state fails with dim omitted as it does at an explicit dim.
+    # The kernel route checks alpha itself and the spec's keys are checked on
+    # every route, so a bad state fails with dim omitted as it does at an
+    # explicit dim. A spec dim sizes a state only at an explicit params.dim:
+    # alpha = 4 fails the tail rule at dim 16 and runs with dim omitted.
     cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
            "output": {"path": "bad_state"}, "params": {"state": state}}
+    if "dim" in state:
+        assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+        cfg["params"]["dim"] = state["dim"]
     assert run(tmp_path, cfg, "ramsey") == code
+
+
+_HEAVY_STATES = [({"type": "thermal", "nbar": 200.0}, "generating_function"),
+                 ({"type": "coherent", "alpha": 12.0}, "gaussian_kernel"),
+                 ({"type": "fock", "n": 300}, "generating_function")]
+
+
+@pytest.mark.parametrize("state, route", _HEAVY_STATES)
+def test_exact_routes_take_states_past_the_default_dim(tmp_path, state, route):
+    # No truncated state is built with dim omitted, so states that dim 128
+    # cannot hold run on their exact route; at params.dim 128 they fail the
+    # truncation rule as before.
+    cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "heavy"}, "params": {"state": state, "points": 200}}
+    assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "heavy_summary.json").read_text())
+    assert summary["dim"] is None and summary["route"] == route
+    _, columns, rows = cli.read_csv(str(tmp_path / "heavy.csv"))
+    assert np.isfinite(rows[:, columns.index("V")]).all()
+    cfg["params"]["dim"] = 128
+    assert run(tmp_path, cfg, "ramsey") == cli.EXIT_NUMERIC
+
+
+def _spy_on_state_constructors(monkeypatch) -> list[str]:
+    """Record every call of a states constructor, the CLI's table included."""
+    calls = []
+
+    def spy(name):
+        real = getattr(states, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(states, name, wrapper)
+        return wrapper
+
+    for name in ("pure_state", "mixed_state"):
+        spy(name)
+    monkeypatch.setattr(cli, "_STATE_TYPES", {
+        kind: (key, parse, default, spy(build.__name__))
+        for kind, (key, parse, default, build) in cli._STATE_TYPES.items()})
+    return calls
+
+
+def test_exact_routes_build_no_state(tmp_path, monkeypatch):
+    calls = _spy_on_state_constructors(monkeypatch)
+    for state in ({"type": "fock", "n": 0}, {"type": "fock", "n": 2, "dim": 64},
+                  {"type": "coherent", "alpha": "1.2-0.7j"},
+                  {"type": "thermal", "nbar": 1.5, "dim": 64}):
+        cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
+               "output": {"path": "spy"}, "params": {"state": state, "points": 50}}
+        assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+        assert calls == []
+        # The spy sees the eigh route build its state.
+        cfg["params"]["dim"] = 64
+        assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+        assert calls
+        calls.clear()
 
 
 @pytest.mark.parametrize("state", [
@@ -275,6 +338,26 @@ def test_drive_run(tmp_path):
     assert summary["variance_growth_N"]["position"] > 0
 
 
+def test_default_drive_is_gated_at_the_truncation_tail(tmp_path):
+    # N = 50 at dim 128 squeezes the vacuum to |2Nr| = 10, which dim 128
+    # cannot hold: both series stop at the tail gate and are NaN at k = 50,
+    # and every value written matches |<0|S(2kr)|0>|^2 = 1/cosh(2kr).
+    cfg = {"experiment": "drive", "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "drive_default"}}
+    assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
+    _, _, rows = cli.read_csv(str(tmp_path / "drive_default.csv"))
+    summary = json.loads((tmp_path / "drive_default_summary.json").read_text())
+    ref = np.array([drive.vacuum_overlap_closed_form(k * summary["per_cycle_r"])
+                    for k in rows[:, 0]])
+    for col in (1, 2):
+        finite = np.isfinite(rows[:, col])
+        assert np.isnan(rows[-1, col]) and finite[0]
+        assert np.max(np.abs(rows[finite, col] - ref[finite])) < 1e-12
+        first = summary["first_nan_k"][("P_exact", "P_approx")[col - 1]]
+        assert np.array_equal(finite, rows[:, 0] < first)
+    assert summary["max_deviation"] < 1e-12
+
+
 def test_drive_beyond_double_range_runs(tmp_path):
     # 10001 cycles of 2|r| = 0.41 take the position variance growth past
     # the double range: the summary reports inf and the run exits 0.
@@ -286,6 +369,7 @@ def test_drive_beyond_double_range_runs(tmp_path):
     assert summary["variance_growth_N"] == {"position": math.inf, "momentum": -1.0}
     _, _, rows = cli.read_csv(str(tmp_path / "drive_long.csv"))
     assert rows.shape == (10001, 3) and np.isnan(rows[:, 1]).all()
+    assert summary["max_deviation"] is None and summary["first_nan_k"]["P_exact"] == 1
 
 
 def test_qfunc_run(tmp_path):
@@ -592,7 +676,7 @@ def _hand_csv(path, columns, rows):
 
 def test_verify_flags_non_finite_values_outside_p_exact(tmp_path):
     ok = _hand_csv(tmp_path / "drive.csv", ["k", "P_exact", "P_approx"],
-                   [[1, "nan", 0.9], [2, "nan", 0.8]])
+                   [[1, "nan", 0.9], [2, "nan", "nan"]])
     ok_phase = _hand_csv(tmp_path / "phase.csv", ["t", "P", "V", "phase"],
                          [[0.0, 1.0, 1.0, 0.0], [1.0, 0.5, 0.0, "nan"]])
     assert cli.verify_outputs([ok, ok_phase]) == []
@@ -601,6 +685,7 @@ def test_verify_flags_non_finite_values_outside_p_exact(tmp_path):
         ("q.csv", ["re_beta", "im_beta", "Q"], [[0.0, 0.0, "nan"]]),
         ("t.csv", ["t", "P", "V", "phase"], [["inf", 1.0, 1.0, 0.0]]),
         ("pe.csv", ["k", "P_exact", "P_approx"], [[1, "inf", 0.9]]),
+        ("pa.csv", ["k", "P_exact", "P_approx"], [[1, 0.9, "inf"]]),
         ("ph.csv", ["t", "P", "V", "phase"], [[0.0, 1.0, 1.0, "inf"]]),
     ]:
         problems = cli.verify_outputs([_hand_csv(tmp_path / name, columns, rows)])

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trapmass import analytic, constants, fock, model, ramsey, states
-from trapmass.errors import DimensionMismatch, GridTooCoarse
+from trapmass.errors import DimensionMismatch, GridTooCoarse, NotNormalized
 
 
 def natural_params(E1=2.0, c=2.0, g=0.0):
@@ -343,6 +343,10 @@ def test_gaussian_kernel_far_displaced_large_alpha():
     n=st.integers(1, 8),
     nbar=st.floats(0.0, 3.0),
 )
+# A co-rotating phase of ~2e5 rad: formed from SI and natural-unit rates that
+# differ by a few ulps, the two traces once differed by 1.2e-10.
+@example(M0=6.203535597789642e-25, omega0=1000.0, defect=1.0, g=36.0, radius=0.0,
+         angle=0.0, n=1, nbar=0.0)
 def test_si_and_natural_units_give_one_trace(M0, omega0, defect, g, radius, angle, n, nbar):
     # One system in SI and in natural units: the visibility and the
     # co-rotating trace, phase included, are the same function of omega0 t,
@@ -427,7 +431,7 @@ def test_numeric_phase_matches_analytic():
     w1 = model.derive_mode_frame(p, 1).omega_i
     times = np.linspace(0.0, 2.0 * math.pi / w1, 200)
     tr = ramsey.ramsey_trace(p, states.fock_state(64, 0), times, x0=0.3, dim=256)
-    amp = analytic.vacuum_coherent_amplitude(p, 0.3, times)
+    amp = ramsey.coherent_trace(p, 0, times, x0=0.3).trace
     assert np.max(np.abs(np.abs(amp) - tr.visibility)) < 1e-6
     dphi = np.angle(tr.trace * np.conj(amp))
     assert np.max(np.abs(dphi)) < 1e-5
@@ -448,3 +452,20 @@ def test_embedding_mismatch():
     p = natural_params()
     with pytest.raises(DimensionMismatch):
         ramsey.ramsey_trace(p, states.fock_state(128, 0), [0.1], dim=64)
+
+
+@pytest.mark.parametrize("trace, value, error", [
+    (ramsey.coherent_trace, complex(math.nan, 1.0), NotNormalized),
+    (ramsey.coherent_trace, 1e200, NotNormalized),
+    (ramsey.thermal_trace, math.nan, NotNormalized),
+    (ramsey.thermal_trace, math.inf, NotNormalized),
+    (ramsey.thermal_trace, -1.0, NotNormalized),
+    (ramsey.thermal_trace, 1e17, NotNormalized),
+    (ramsey.fock_trace, -1, DimensionMismatch),
+])
+def test_exact_routes_check_their_own_parameter(trace, value, error):
+    # With no truncated state to check it, each exact route refuses a
+    # parameter it has no value for: a non-finite alpha or alpha^2, an nbar
+    # that is not finite and >= 0 or whose q rounds to 1, a negative n.
+    with pytest.raises(error):
+        trace(natural_params(), value, [0.0, 0.1])

@@ -19,10 +19,14 @@ def test_fock_state():
 
 
 def test_pure_state_normalizes():
-    st = states.pure_state(np.array([3.0, 4.0]))
-    assert np.linalg.norm(st.data) == pytest.approx(1.0, abs=1e-15)
+    # A vector off unit norm is refused, not silently renormalized.
     with pytest.raises(NotNormalized):
-        states.pure_state(np.zeros(4))
+        states.pure_state(np.array([3.0, 4.0]))
+    st = states.pure_state(np.array([0.6, 0.8j]))
+    assert np.linalg.norm(st.data) == pytest.approx(1.0, abs=1e-15)
+    for bad in (np.zeros(4), np.array([np.nan, 0.0])):
+        with pytest.raises(NotNormalized):
+            states.pure_state(bad)
 
 
 def test_coherent_state_moments():
@@ -115,7 +119,13 @@ def test_heavy_tails_raise_naming_the_dim_needed():
     while gammainc(need, 16.0) > states.TAIL_BOUND:
         need += 1
     assert str(err.value).endswith(f"for dim 16; needs dim >= {need}")
-    states.coherent_state(need, 4.0)
+    # The kept amplitudes miss up to TAIL_BOUND of the weight; coherent_state
+    # divides them by their own norm, which pure_state would refuse.
+    kept = states.coherent_amplitudes(need, [4.0])[0]
+    assert 1e-12 < 1.0 - np.linalg.norm(kept) <= states.TAIL_BOUND
+    st = states.coherent_state(need, 4.0)
+    assert np.linalg.norm(st.data) == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(st.data, kept / np.linalg.norm(kept), rtol=0, atol=1e-16)
     # q = 3/4: q^48 = 1.007e-6 and q^49 = 7.5e-7.
     with pytest.raises(TruncationInsufficient) as err:
         states.thermal_state_cm(8, 3.0)
