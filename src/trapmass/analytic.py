@@ -14,6 +14,9 @@ multiplies this bounded amplitude by the scalar-offset phase
 exp(-i (offset_1-offset_0) t / hbar), computed through the
 cancellation-safe gap. The same kernel gives Tr(y^n U_1b) (generating_function):
 a thermal trace is one value of it, a Fock trace a circle sum (fock_diagonal).
+The kernel holds for any Gaussian unitary W (_trace_kernel). A product of
+them is a product of 3x3 Heisenberg matrices (heisenberg), and fock_weight
+gives |<n|W|n>|^2 of any such matrix: the drive's series come from it.
 """
 
 from __future__ import annotations
@@ -131,35 +134,52 @@ def bounded_amplitude(vap: VacuumAmplitudeParams, t, alpha: complex = 0.0) -> np
     return np.exp(1j * vap.omega0 * t / 2.0) * np.exp(expo + L - abs(alpha) ** 2) / root
 
 
-def generating_function(vap: VacuumAmplitudeParams, t, y) -> np.ndarray:
-    """G(y) = Tr(y^n U_1b(t)) = sum_n y^n <n|U_1b|n> for |y| < 1, exact; t
-    and y broadcast. The trace of y^n against the kernel of bounded_amplitude
-    is one Gaussian integral (Miatto & Quesada, Quantum 4, 366, 2020): with
-    a = 1 - y/P, u = -y delta/P and v = (conj(delta) P + delta Q)/P,
+def _trace_kernel(P, Q, delta, expo, root, y):
+    """exp(expo) / root times G(y) / <0|W|0>, G(y) = Tr(y^n W) = sum_n y^n <n|W|n>
+    for |y| < 1, of the Gaussian unitary W with W a W^dag = P a + Q a^dag + delta;
+    with <0|W|0> = exp(expo) / root it is G(y) itself. Exact; all arguments
+    broadcast. The trace of y^n against the Bargmann kernel of
+    bounded_amplitude (its first form of L) is one Gaussian integral
+    (Miatto & Quesada, Quantum 4, 366, 2020): with a = 1 - y/P, u = -y delta/P
+    and v = (conj(delta) P - delta conj(Q))/P,
 
-        G(y) = <0|U_1b|0> exp([a u v - Q (u^2 + y^2 v^2) / 2P] / D) / sqrt(D),
-        D = a^2 - y^2 (Q/P)^2 = (1 - z1 y)(1 - z2 y),  z1,2 = (1 +- Q)/P.
+        G(y) = <0|W|0> exp([a u v + (conj(Q) u^2 - Q y^2 v^2) / 2P] / D) / sqrt(D),
+        D = a^2 + y^2 |Q|^2 / P^2 = (1 - z1 y)(1 - z2 y),  z1,2 = (1 +- i|Q|)/P.
 
     |z1| = |z2| = 1 since |P|^2 - |Q|^2 = 1, so for |y| < 1 both factors of D
     have positive real part: sqrt(D) = sqrt(1 - z1 y) sqrt(1 - z2 y) on
-    principal branches, with no branch to follow in t.
+    principal branches, with no branch to follow. The exponents are summed
+    before the one exp.
     """
-    t = np.asarray(t, dtype=float)
-    P, Q, delta, expo, root = _bogoliubov(vap, t)
     a = 1.0 - y / P
     u = -y * delta / P
-    v = (np.conj(delta) * P + delta * Q) / P
-    f1, f2 = 1.0 - y * (1.0 + Q) / P, 1.0 - y * (1.0 - Q) / P
-    E = (a * u * v - 0.5 * Q / P * (u * u + y * y * v * v)) / (f1 * f2)
+    v = (np.conj(delta) * P - delta * np.conj(Q)) / P
+    iq = 1j * np.abs(Q)
+    f1, f2 = 1.0 - y * (1.0 + iq) / P, 1.0 - y * (1.0 - iq) / P
+    E = (a * u * v + 0.5 / P * (np.conj(Q) * u * u - Q * y * y * v * v)) / (f1 * f2)
     return np.exp(expo + E) / (root * np.sqrt(f1) * np.sqrt(f2))
 
 
-def fock_diagonal(vap: VacuumAmplitudeParams, t, n: int) -> np.ndarray:
-    """<n|U_1b(t)|n> for 1-d t: the y^n coefficient of generating_function
-    as a trapezoidal sum over M points of the circle |y| = rho (radius as in
-    Bornemann, Found. Comput. Math. 11, 1, 2011), w = e^{2 pi i / M}:
+def generating_function(vap: VacuumAmplitudeParams, t, y) -> np.ndarray:
+    """G(y) = Tr(y^n U_1b(t)) for |y| < 1, exact (_trace_kernel of the
+    Bogoliubov map of U_1b); t and y broadcast."""
+    return _trace_kernel(*_bogoliubov(vap, np.asarray(t, dtype=float)), y)
 
-        <n|U_1b|n> = (M rho^n)^-1 sum_k G(rho w^k) w^{-kn},
+
+# Rows (times or cycles) and circle points per block of _diagonal's sum, so
+# its temporaries do not grow with n; a circle of M <= _CIRCLE_CHUNK points
+# (n <= 3) is summed in one piece.
+_ROW_CHUNK = 256
+_CIRCLE_CHUNK = 64
+
+
+def _diagonal(unitary, n: int) -> np.ndarray:
+    """<n|W|n> for each W of unitary = (P, Q, delta, expo, root), 1-d arrays
+    as in _trace_kernel: the y^n coefficient of G as a trapezoidal sum over M
+    points of the circle |y| = rho (radius as in Bornemann, Found. Comput.
+    Math. 11, 1, 2011), w = e^{2 pi i / M}:
+
+        <n|W|n> = (M rho^n)^-1 sum_k G(rho w^k) w^{-kn},
         rho = 100^{-1/max(n, 1)},  M = 2^ceil(log2(8 (n + 1))).
 
     Aliasing adds the coefficients n + jM (each of modulus <= 1) times
@@ -167,10 +187,78 @@ def fock_diagonal(vap: VacuumAmplitudeParams, t, n: int) -> np.ndarray:
     """
     rho = 100.0 ** (-1.0 / max(n, 1))
     M = 2 ** math.ceil(math.log2(8 * (n + 1)))
-    k = np.arange(M)
-    y = rho * np.exp(2j * math.pi * k / M)
-    weights = np.exp(-2j * math.pi * ((k * n) % M) / M) / (M * rho**n)
-    return generating_function(vap, np.asarray(t, dtype=float)[:, None], y) @ weights
+    out = np.zeros(unitary[0].size, dtype=complex)
+    for lo in range(0, M, _CIRCLE_CHUNK):
+        k = np.arange(lo, min(lo + _CIRCLE_CHUNK, M))
+        y = rho * np.exp(2j * math.pi * k / M)
+        weights = np.exp(-2j * math.pi * ((k * n) % M) / M) / (M * rho**n)
+        for row in range(0, out.size, _ROW_CHUNK):
+            block = tuple(x[row : row + _ROW_CHUNK, None] for x in unitary)
+            out[row : row + _ROW_CHUNK] += _trace_kernel(*block, y) @ weights
+    return out
+
+
+def fock_diagonal(vap: VacuumAmplitudeParams, t, n: int) -> np.ndarray:
+    """<n|U_1b(t)|n> for 1-d t, the circle sum _diagonal of generating_function."""
+    return _diagonal(_bogoliubov(vap, np.asarray(t, dtype=float)), n)
+
+
+def heisenberg(A, B, d) -> np.ndarray:
+    """Heisenberg matrices [[A, B, d], [conj B, conj A, conj d], [0, 0, 1]] of
+    the Gaussian unitaries W with W^dag a W = A a + B a^dag + d (Weedbrook et
+    al., Rev. Mod. Phys. 84, 621, 2012), shape (..., 3, 3) over the broadcast
+    shape of A, B and d. The matrix of a product W1 W2 is the product of the
+    matrices; the scalar phase of W is not kept. Examples: U_1b(t) is
+    (conj P, -Q, conj delta) of _bogoliubov, S(s) = exp(s (a^2 - adag^2)/2)
+    is (cosh s, -sinh s, 0), D(alpha) is (1, 0, alpha)."""
+    A, B, d = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (A, B, d)))
+    H = np.zeros(A.shape + (3, 3), dtype=complex)
+    H[..., 0, :] = np.stack([A, B, d], axis=-1)
+    H[..., 1, :] = np.conj(np.stack([B, A, d], axis=-1))
+    H[..., 2, 2] = 1.0
+    return H
+
+
+def bounded_heisenberg(vap: VacuumAmplitudeParams, t) -> np.ndarray:
+    """heisenberg matrix of U_1b(t), from the Bogoliubov map of _bogoliubov."""
+    P, Q, delta, _, _ = _bogoliubov(vap, np.asarray(t, dtype=float))
+    return heisenberg(np.conj(P), -Q, np.conj(delta))
+
+
+# fock_weight's floor for n > 0: the circle kernel's exponent terms grow like
+# |d|^2 and cancel to O(1), so its relative rounding error is about
+# 10-400 eps |d|^2 (against 100-digit mpmath); past eps |d|^2 = this it is NaN.
+DISPLACEMENT_FLOOR = 1e-10
+
+
+def fock_weight(H: np.ndarray, n: int) -> np.ndarray:
+    """|<n|W|n>|^2 for the Gaussian unitaries W of the heisenberg matrices H,
+    shape (K, 3, 3); exact, no truncation. W a W^dag = P a + Q a^dag + delta
+    has P = conj A, Q = -B and delta = B conj(d) - conj(A) d, and
+
+        |<0|W|0>|^2 = exp(-|d|^2 + Re(conj(B) d^2 / A)) / |A|
+                    = exp(-Re(w)^2 / (|A| (|A| + |B|)) - (1 + |B/A|) Im(w)^2) / |A|,
+
+    w = d e^{i arg(conj(B) / A) / 2}, the second form from |A|^2 - |B|^2 = 1.
+    It forms no difference of the two large terms of the first, so a strongly
+    squeezed W keeps its accuracy. n > 0 takes the circle sum _diagonal with
+    expo the half exponent and root sqrt(|A|), and is NaN where
+    eps |d|^2 > DISPLACEMENT_FLOOR. Where H has overflowed (an accumulated
+    squeeze past the double range) the weight, below 1/|A|, is 0.0.
+    """
+    A, B, d = H[:, 0, 0], H[:, 0, 1], H[:, 0, 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        absA, absB = np.abs(A), np.abs(B)
+        w = d * np.exp(0.5j * np.angle(np.conj(B) / A))
+        expo = -0.5 * (np.real(w) ** 2 / (absA * (absA + absB))
+                       + (1.0 + absB / absA) * np.imag(w) ** 2)
+        if n == 0:
+            return np.nan_to_num(np.exp(2.0 * expo) / absA, nan=0.0)
+        unitary = (np.conj(A), -B, B * np.conj(d) - np.conj(A) * d, expo,
+                   np.sqrt(absA))
+        weight = np.nan_to_num(np.abs(_diagonal(unitary, n)) ** 2, nan=0.0, posinf=0.0)
+        return np.where(np.finfo(float).eps * np.abs(d) ** 2 > DISPLACEMENT_FLOOR,
+                        np.nan, weight)
 
 
 def coherent_visibility(
@@ -293,7 +381,6 @@ class EffectiveShift:
     A0_term: complex
     Ag_term: complex
     delta_omega: float
-    visibility_quadratic_coefficient: float | None = None
 
 
 def moments_from_state(state: CMState) -> dict:

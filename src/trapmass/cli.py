@@ -32,7 +32,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import analytic, clock, constants, drive, model, phasespace, ramsey, states, verify
-from .errors import TrapMassError
+from .errors import DimensionMismatch, TrapMassError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -296,7 +296,10 @@ def _shift_tables(system: dict, level: int, omegas: np.ndarray, n_values: list[f
 
 
 def run_shift(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
-    level = int(params.get("level", 1))
+    try:
+        level = _integer(params.get("level", 1))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed shift level: {exc}") from exc
     omegas = _grid_from_spec(params.get("omega0_grid", {"min": 1e2, "max": 1e7,
                                                         "points": 200, "log": True}))
     n_values = [float(n) for n in params.get("n_values", [0.0])]
@@ -331,26 +334,50 @@ def run_shift(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
 
 
 def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
+    """With params.dim omitted both columns come from the Gaussian core
+    ("generating_function"): P_exact from drive.gaussian_drive, exact at every
+    cycle with no truncated state and no N limit (NaN only for a Fock n > 0
+    past analytic.DISPLACEMENT_FLOOR), and dim null. An explicit
+    params.dim takes P_exact from the truncated loop drive.iterate_drive
+    ("eigh"), with its tail gate and N_EXACT_MAX, the state at its spec dim
+    or params.dim. P_approx is drive.squeezed_overlaps on both routes. A
+    thermal state is refused (exit 3)."""
     phys = model.build_system(system)
-    N = int(params.get("N", 50))
-    level = int(params.get("level", 1))
-    state = _state_at_params_dim(params)
-    res = drive.iterate_drive(phys, state, N, level)
-    series = {"P_exact": res.exact, "P_approx": res.approx}
-    both = np.isfinite(res.exact) & np.isfinite(res.approx)
+    try:
+        N = _integer(params.get("N", 50))
+        level = _integer(params.get("level", 1))
+        dim = None if params.get("dim") is None else _integer(params["dim"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed drive params: {exc}") from exc
+    if N < 1:
+        raise ConfigError(f"drive needs N >= 1 cycles, got {N}")
+    kind, value, _ = _state_spec(params, dim)
+    if kind == "thermal":
+        raise DimensionMismatch("drive requires a pure initial state")
+    n, alpha = (value, 0j) if kind == "fock" else (0, value)
+    if dim is None:
+        route = "generating_function"
+        res = drive.gaussian_drive(phys, N, level, n, alpha)
+    else:
+        route = "eigh"
+        res = drive.iterate_drive(phys, _state_at_params_dim(params), N, level)
+    series = {"P_exact": res.exact,
+              "P_approx": drive.squeezed_overlaps(phys, N, level, n, alpha)}
+    finite = np.isfinite(res.exact)
     summary = {
+        "dim": dim,
+        "route": route,
         "per_cycle_r": res.schedule.per_cycle_r,
         "beta_g": [res.schedule.beta_g.real, res.schedule.beta_g.imag],
-        # Over the cycles where both series are finite.
+        # Over the cycles where P_exact is finite.
         "max_deviation": (
-            float(np.max(np.abs(res.exact - res.approx)[both])) if both.any() else None
+            float(np.max(np.abs(res.exact - series["P_approx"])[finite]))
+            if finite.any() else None
         ),
         "variance_growth_N": drive.position_variance_growth(phys, N, level),
     }
-    first_nan = {col: int(np.argmax(np.isnan(v))) + 1
-                 for col, v in series.items() if np.isnan(v).any()}
-    if first_nan:
-        summary["first_nan_k"] = first_nan
+    if not finite.all():
+        summary["first_nan_k"] = {"P_exact": int(np.argmin(finite)) + 1}
     data = np.column_stack([np.arange(1, N + 1), *series.values()])
     return ["k", *series], data, summary
 
@@ -426,9 +453,10 @@ def run_verify_all(out_dir: str) -> int:
 # ------------------------------------------------------------ verification ---
 
 _UNIT_INTERVAL_COLUMNS = {"V", "V_analytic", "P_exact", "P_approx", "P"}
-# NaN marks a drive cycle past drive.N_EXACT_MAX or past the truncation-tail
-# gate (P_exact, P_approx) and a trace point below ramsey.PHASE_FLOOR (phase).
-_NAN_COLUMNS = {"P_exact", "P_approx", "phase"}
+# NaN marks a drive cycle P_exact does not compute (a truncated one past
+# drive.N_EXACT_MAX or its tail gate, a Fock n > 0 one past
+# analytic.DISPLACEMENT_FLOOR) and a trace point below ramsey.PHASE_FLOOR.
+_NAN_COLUMNS = {"P_exact", "phase"}
 
 
 def verify_outputs(paths: list[str]) -> list[str]:

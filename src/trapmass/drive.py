@@ -14,22 +14,29 @@ second order in Delta_M/M_0. Over an even number of cycles the parity and
 displacement contributions cancel to first order and the squeezing
 accumulates to S(2Nr).
 
-Every unitary here comes from a real eigh through `fock.Spectrum`. The
-pure-squeezing series is a spectral sum over the squeeze spectrum (w, V),
-<psi0|S(s)|psi0> = sum_n |(V^dag psi0)_n|^2 e^{i s w_n}, O(dim) per cycle.
-Both truncated series stop at the states.TAIL_BOUND gate of iterate_drive.
+Every factor is a Gaussian unitary, so the k-fold cycle is one 3x3
+Heisenberg matrix (analytic.heisenberg): the cycle's is diag(-i, i, 1)
+times that of U_1b(t_1), its k-th power is the k-fold cycle's, and
+analytic.fock_weight gives |<n|W|n>|^2 from the Ramsey generating function
+with no truncation. gaussian_drive takes the overlap series of a Fock or
+coherent state from these powers, and squeezed_overlaps the pure-squeezing
+approximation from the matrices of S(2kr). iterate_drive is the truncated
+model: the cycle product from the levels' `fock.spectrum` propagators,
+applied to any pure state at its dim and stopped at the states.TAIL_BOUND
+gate.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, model
-from .errors import DimensionMismatch
+from . import analytic, fock, model
+from .errors import DimensionMismatch, NotNormalized
 from .states import TAIL_BOUND, CMState
 
 N_EXACT_MAX = 10_000
@@ -117,15 +124,74 @@ def displacement_component(op: np.ndarray) -> complex:
     return complex(psi.conj() @ (a @ psi))
 
 
+def _cycle_matrix(params: model.SystemParams, sched: DriveSchedule) -> np.ndarray:
+    """Heisenberg matrix of U_0b(t_0) U_1b(t_1): U_0b(t_0) maps a to -i a, and
+    U_1b is the Ramsey core's at x0 = x_shift_i (so its displacement is the
+    frame's alpha_gi)."""
+    x0 = model.derive_mode_frame(params, sched.level).x_shift_i
+    vap = analytic.VacuumAmplitudeParams.from_system(params, sched.level, x0=x0)
+    return np.diag([-1j, 1j, 1.0]) @ analytic.bounded_heisenberg(vap, sched.t1)
+
+
+def _powers(H: np.ndarray, N: int) -> np.ndarray:
+    """H^k for k = 1..N, shape (N, 3, 3), by doubling: each pass multiplies
+    the block of powers found so far by the highest of them."""
+    out = np.empty((N, 3, 3), dtype=complex)
+    out[0] = H
+    m = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m < N:
+            step = min(m, N - m)
+            out[m : m + step] = out[m - 1] @ out[:step]
+            m += step
+    return out
+
+
+def _overlaps(H: np.ndarray, n: int, alpha: complex) -> np.ndarray:
+    """|<psi0|W|psi0>|^2 for each heisenberg matrix of H, psi0 = D(alpha)|n>:
+    the weight of |n> under D(-alpha) W D(alpha)."""
+    if n < 0:
+        raise DimensionMismatch(f"Fock index {n} is negative")
+    # As in ramsey.coherent_trace: |alpha|^2 enters the weight's exponent.
+    if not cmath.isfinite(alpha * alpha):
+        raise NotNormalized(f"alpha and alpha^2 must be finite, got {alpha}")
+    if alpha != 0:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: weight 0.0
+            H = analytic.heisenberg(1.0, 0.0, -alpha) @ H @ analytic.heisenberg(1.0, 0.0, alpha)
+    return analytic.fock_weight(H, n)
+
+
 @dataclass(frozen=True)
 class DriveResult:
-    """Overlap decay P_k = |<psi0|psi_k>|^2 over k = 1..N cycles,
-    N = approx.size. A series is NaN at the k it does not compute: past
-    the truncation-tail gate (see iterate_drive), or exact past N_EXACT_MAX."""
+    """Overlap decay P_k = |<psi0|psi_k>|^2 through the cycle over
+    k = 1..N cycles, N = exact.size; NaN at a k the route does not compute
+    (iterate_drive: past the truncation-tail gate, or past N_EXACT_MAX;
+    gaussian_drive: past analytic.DISPLACEMENT_FLOOR)."""
 
-    exact: np.ndarray             # from repeated matrix products
-    approx: np.ndarray            # |<psi0|S(2kr)|psi0>|^2
+    exact: np.ndarray
     schedule: DriveSchedule
+
+
+def gaussian_drive(params: model.SystemParams, N: int, level: int = 1,
+                   n: int = 0, alpha: complex = 0j) -> DriveResult:
+    """The overlap series of psi0 = D(alpha)|n> (|n> or |alpha>) from the
+    powers of the cycle's Heisenberg matrix: exact at every k, with no
+    truncation and no N limit; N >= 1. For n > 0 with gravity the k-fold
+    displacement grows with the squeeze, and the series is NaN past
+    analytic.DISPLACEMENT_FLOOR."""
+    sched = drive_schedule(params, level)
+    powers = _powers(_cycle_matrix(params, sched), N)
+    return DriveResult(exact=_overlaps(powers, n, alpha), schedule=sched)
+
+
+def squeezed_overlaps(params: model.SystemParams, N: int, level: int = 1,
+                      n: int = 0, alpha: complex = 0j) -> np.ndarray:
+    """|<psi0|S(2kr)|psi0>|^2 for k = 1..N, psi0 as in gaussian_drive: the
+    pure-squeezing approximation, exact in S."""
+    s = drive_schedule(params, level).effective_r(np.arange(1, N + 1))
+    with np.errstate(over="ignore"):
+        H = analytic.heisenberg(np.cosh(s), -np.sinh(s), 0.0)
+    return _overlaps(H, n, alpha)
 
 
 def iterate_drive(
@@ -134,15 +200,12 @@ def iterate_drive(
     N: int,
     level: int = 1,
 ) -> DriveResult:
-    """Overlap series computed exactly and in the pure-squeezing
-    approximation, at the dim of psi0. For N > 10000 the exact product path
-    is refused (accumulated roundoff and runtime) and exact is all NaN, with
-    a warning.
+    """The overlap series of any pure psi0 through the truncated cycle
+    product at the dim of psi0. For N > 10000 the product path is refused
+    (accumulated roundoff and runtime) and exact is all NaN, with a warning.
 
-    Tail gate: a series is NaN from the first k whose state has more than
-    TAIL_BOUND of its weight beyond fock.interior(dim). The exact loop checks
-    psi_k each cycle; the approximation checks S(s_N) psi0, and only if that
-    fails bisects for a failing k whose predecessor passes.
+    Tail gate: exact is NaN from the first k whose state psi_k has more than
+    TAIL_BOUND of its weight beyond fock.interior(dim).
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -150,44 +213,22 @@ def iterate_drive(
         raise DimensionMismatch("iterate_drive requires a pure initial state")
     dim, m = psi0.dim, fock.interior(psi0.dim)
     sched = drive_schedule(params, level)
-
-    def breaks_gate(psi: np.ndarray) -> bool:
-        return np.vdot(psi[m:], psi[m:]).real > TAIL_BOUND
-
-    # Approximation: the spectral sum of the module docstring.
-    spec = fock.squeeze_spectrum(dim)
-    coeffs = spec.V.conj().T @ psi0.data
-    weights = np.abs(coeffs) ** 2
-    approx = np.empty(N)
-    for k in range(N):
-        approx[k] = abs(weights @ np.exp(1j * sched.effective_r(k + 1) * spec.w)) ** 2
-
-    def squeezed_fails(k: int) -> bool:
-        return breaks_gate(spec.V @ (np.exp(1j * sched.effective_r(k) * spec.w) * coeffs))
-
-    if squeezed_fails(N):
-        passing, failing = 0, N
-        while failing - passing > 1:
-            mid = (passing + failing) // 2
-            passing, failing = (passing, mid) if squeezed_fails(mid) else (mid, failing)
-        approx[failing - 1 :] = np.nan
-
     exact = np.full(N, np.nan)
     if N <= N_EXACT_MAX:
         product = _cycle_product(params, sched, dim)
         psi = psi0.data.copy()
         for k in range(N):
             psi = product @ psi
-            if breaks_gate(psi):
+            if np.vdot(psi[m:], psi[m:]).real > TAIL_BOUND:
                 break
             exact[k] = abs(psi0.data.conj() @ psi) ** 2
     else:
         warnings.warn(
             f"N={N} exceeds the exact-product limit {N_EXACT_MAX}; "
-            "returning only the S(2Nr) approximation",
+            "exact is all NaN",
             UserWarning,
         )
-    return DriveResult(exact=exact, approx=approx, schedule=sched)
+    return DriveResult(exact=exact, schedule=sched)
 
 
 def vacuum_overlap_closed_form(total_r: float) -> float:

@@ -138,17 +138,12 @@ def _ladder_spectrum(dim: int, k: int, theta: float) -> Spectrum:
     return Spectrum(w=w, V=np.exp(1j * theta * np.arange(dim))[:, None] * V)
 
 
-def squeeze_spectrum(dim: int) -> Spectrum:
-    """Spectrum of Q G Q^dag, G = (a^2 + adag^2) / 2, Q = diag(e^{i pi n / 4}),
-    so that S(r) = propagator(-r) for every real r."""
-    return _ladder_spectrum(dim, 2, math.pi / 4)
-
-
 def squeeze_matrix(dim: int, r: float) -> np.ndarray:
-    """S(r) = exp(r (a^2 - adag^2) / 2)."""
+    """S(r) = exp(r (a^2 - adag^2) / 2), the propagator at -r of the spectrum
+    of Q G Q^dag, G = (a^2 + adag^2) / 2, Q = diag(e^{i pi n / 4})."""
     if r == 0.0:
         return np.eye(dim, dtype=complex)
-    return squeeze_spectrum(dim).propagator(-r)
+    return _ladder_spectrum(dim, 2, math.pi / 4).propagator(-r)
 
 
 def displace_matrix(dim: int, alpha: complex) -> np.ndarray:

@@ -21,12 +21,13 @@ with no truncation and no eigensolve (dim None): coherent_trace (vacuum or
 coherent |alpha>) from the Gaussian kernel analytic.bounded_amplitude,
 thermal_trace from analytic.generating_function at one point per time, and
 fock_trace (|n>) from analytic.fock_diagonal, the generating function summed
-over a circle of O(n) points per time. ramsey_trace takes any CMState at an
-explicit dim: it is the truncated model and the oracle of the other three,
-and the only one that reads a CMState. a_1 is real, so H_1b is
-built from fock.mode_number, the real pentadiagonal number operator
-written from its bands in O(dim), and fock.spectrum solves it with one
-real eigh, giving a real eigenbasis V1; U_0b needs no solve. The time grid
+over a circle of O(n) points per time, in blocks whose size does not grow
+with n. ramsey_trace takes any CMState at an explicit dim: it is the
+truncated model and the oracle of the other three, and the only one that
+reads a CMState. a_1 is real, so H_1b is built from fock.mode_number, the
+real pentadiagonal number operator written from its bands in O(dim), and
+fock.spectrum solves it with one real eigh, giving a real eigenbasis V1;
+U_0b needs no solve. The time grid
 is then contracted in fixed chunks of _TIME_CHUNK times, one matrix
 product per chunk over the state's support.
 """
@@ -48,7 +49,7 @@ _PHASE_JUMP_TOL = math.pi * (1.0 - 1e-9)
 # the ~1e-13 roundoff of the trace, whose phase there would be noise.
 PHASE_FLOOR = 1e-10
 # Time points per batched contraction; bounds each temporary of _bounded_trace
-# by _TIME_CHUNK x dim and of fock_trace by _TIME_CHUNK x M (circle points).
+# by _TIME_CHUNK x dim.
 _TIME_CHUNK = 256
 # Grid points per period of the fastest phase in uniform_time_grid.
 _POINTS_PER_PERIOD = 50
@@ -196,18 +197,11 @@ def coherent_trace(params: model.SystemParams, alpha: complex, times, level: int
 def fock_trace(params: model.SystemParams, n: int, times, level: int = 1,
                x0: float | None = None, corotating: bool = False) -> RamseyTrace:
     """coherent_trace's sibling for the Fock state |n>:
-    e^{i omega0 t (n + 1/2)} <n|U_1b|n>, from analytic.fock_diagonal in
-    chunks of _TIME_CHUNK times."""
+    e^{i omega0 t (n + 1/2)} <n|U_1b|n>, from analytic.fock_diagonal."""
     if n < 0:
         raise DimensionMismatch(f"Fock index {n} is negative")
-
-    def bounded(vap, t):
-        diag = np.empty(t.size, dtype=complex)
-        for lo in range(0, t.size, _TIME_CHUNK):
-            diag[lo : lo + _TIME_CHUNK] = analytic.fock_diagonal(vap, t[lo : lo + _TIME_CHUNK], n)
-        return np.exp(1j * vap.omega0 * t * (n + 0.5)) * diag
-
-    return _trace(params, times, level, x0, corotating, bounded)
+    return _trace(params, times, level, x0, corotating, lambda vap, t: (
+        np.exp(1j * vap.omega0 * t * (n + 0.5)) * analytic.fock_diagonal(vap, t, n)))
 
 
 def thermal_trace(params: model.SystemParams, nbar: float, times, level: int = 1,

@@ -3,6 +3,7 @@ import math
 from decimal import Decimal
 
 import numpy as np
+from numpy.polynomial import legendre
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -266,3 +267,15 @@ def test_number_operator_moments_limits():
     mc = analytic.number_operator_moments(f0, coh)
     assert mc["n_k"] == pytest.approx(1.1**2, rel=1e-10)
     assert mc["n_k2"] == pytest.approx(1.1**4 + 1.1**2, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 40])
+def test_fock_weight_matches_the_legendre_squeeze_diagonal(n):
+    # <n|S(s)|n> = P_n(sech s) / sqrt(cosh s), P_n the Legendre polynomial.
+    # The rotation R = exp(-i phi n) is diagonal in n, so R S R^dag has the
+    # same weights, with a complex B.
+    s = np.array([0.1, 0.5, 1.0, 3.0, -2.0])
+    rotate = analytic.heisenberg(np.exp(-0.7j), 0.0, 0.0)
+    H = rotate @ analytic.heisenberg(np.cosh(s), -np.sinh(s), 0.0) @ rotate.conj()
+    ref = legendre.legval(1.0 / np.cosh(s), [0.0] * n + [1.0]) ** 2 / np.cosh(s)
+    assert np.max(np.abs(analytic.fock_weight(H, n) - ref)) < 1e-13

@@ -340,22 +340,100 @@ def test_drive_run(tmp_path):
 
 def test_default_drive_is_gated_at_the_truncation_tail(tmp_path):
     # N = 50 at dim 128 squeezes the vacuum to |2Nr| = 10, which dim 128
-    # cannot hold: both series stop at the tail gate and are NaN at k = 50,
-    # and every value written matches |<0|S(2kr)|0>|^2 = 1/cosh(2kr).
+    # cannot hold: the truncated P_exact stops at the tail gate and is NaN at
+    # k = 50, while P_approx, from the Gaussian core on every route, is
+    # finite throughout. Every value written matches 1/cosh(2kr).
     cfg = {"experiment": "drive", "system": dict(NATURAL_SYSTEM),
-           "output": {"path": "drive_default"}}
+           "output": {"path": "drive_default"}, "params": {"dim": 128}}
     assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
     _, _, rows = cli.read_csv(str(tmp_path / "drive_default.csv"))
     summary = json.loads((tmp_path / "drive_default_summary.json").read_text())
+    assert summary["route"] == "eigh" and summary["dim"] == 128
     ref = np.array([drive.vacuum_overlap_closed_form(k * summary["per_cycle_r"])
                     for k in rows[:, 0]])
-    for col in (1, 2):
-        finite = np.isfinite(rows[:, col])
-        assert np.isnan(rows[-1, col]) and finite[0]
-        assert np.max(np.abs(rows[finite, col] - ref[finite])) < 1e-12
-        first = summary["first_nan_k"][("P_exact", "P_approx")[col - 1]]
-        assert np.array_equal(finite, rows[:, 0] < first)
+    finite = np.isfinite(rows[:, 1])
+    assert np.isnan(rows[-1, 1]) and finite[0]
+    assert np.array_equal(finite, rows[:, 0] < summary["first_nan_k"]["P_exact"])
+    assert np.max(np.abs(rows[finite, 1] - ref[finite])) < 1e-12
+    assert np.max(np.abs(rows[:, 2] - ref)) < 1e-12
+    assert list(summary["first_nan_k"]) == ["P_exact"]
     assert summary["max_deviation"] < 1e-12
+
+
+@pytest.mark.parametrize("system, N", [(NATURAL_SYSTEM, 50), (NATURAL_SYSTEM, 10001),
+                                       ({"unit_system": "si", "M0": 1e-26, "omega0": 1e6,
+                                         "levels": [0.0, 1e-19], "g": 0.0}, 50)])
+def test_default_drive_is_exact_at_every_cycle(tmp_path, system, N):
+    # With dim omitted both columns come from the Gaussian core: finite at
+    # every cycle, the 10001-cycle drive included (past |2kr| = 710 both
+    # saturate to 0.0), and within 1e-12 of |<0|S(2kr)|0>|^2 = 1/cosh(2kr).
+    params = {} if N == 50 else {"N": N}
+    cfg = {"experiment": "drive", "system": dict(system),
+           "output": {"path": "drive_exact"}, "params": params}
+    assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
+    _, _, rows = cli.read_csv(str(tmp_path / "drive_exact.csv"))
+    summary = json.loads((tmp_path / "drive_exact_summary.json").read_text())
+    assert summary["route"] == "generating_function" and summary["dim"] is None
+    assert "first_nan_k" not in summary and rows.shape == (N, 3)
+    ref = np.array([drive.vacuum_overlap_closed_form(k * summary["per_cycle_r"])
+                    for k in rows[:, 0]])
+    assert np.isfinite(rows).all()
+    assert np.max(np.abs(rows[:, 1:] - ref[:, None])) < 1e-12
+
+
+@pytest.mark.parametrize("state", [{"type": "fock", "n": 300},
+                                   {"type": "coherent", "alpha": 12.0},
+                                   {"type": "coherent", "alpha": "1.2-0.7j"}])
+def test_drive_takes_states_past_the_default_dim(tmp_path, state):
+    # The Gaussian route builds no truncated state; at params.dim 128 these
+    # heavy states fail the truncation rule.
+    cfg = {"experiment": "drive", "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "drive_heavy"}, "params": {"state": state}}
+    assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
+    _, _, rows = cli.read_csv(str(tmp_path / "drive_heavy.csv"))
+    assert np.isfinite(rows).all()
+    if state.get("n") == 300 or state.get("alpha") == 12.0:
+        cfg["params"]["dim"] = 128
+        assert run(tmp_path, cfg, "drive") == cli.EXIT_NUMERIC
+
+
+def test_gaussian_drive_nan_past_the_rounding_floor_passes_verify(tmp_path):
+    # A Fock n > 0 drive with gravity reaches the fock_weight floor: P_exact
+    # is NaN from there on (first_nan_k names it), P_approx stays finite.
+    system = {"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 0.5}
+    cfg = {"experiment": "drive", "system": system, "output": {"path": "drive_floor"},
+           "params": {"N": 200, "state": {"type": "fock", "n": 3}}}
+    assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
+    _, _, rows = cli.read_csv(str(tmp_path / "drive_floor.csv"))
+    summary = json.loads((tmp_path / "drive_floor_summary.json").read_text())
+    first = summary["first_nan_k"]["P_exact"]
+    assert summary["route"] == "generating_function" and 1 < first < 200
+    assert np.isfinite(rows[: first - 1, 1]).all() and np.isnan(rows[first - 1, 1])
+    assert np.isfinite(rows[:, 2]).all()
+
+
+@pytest.mark.parametrize("dim", [None, 64])
+def test_drive_refuses_thermal_states(tmp_path, dim, capsys):
+    params = {"state": {"type": "thermal", "nbar": 1.0}, "N": 5}
+    if dim is not None:
+        params["dim"] = dim
+    cfg = {"experiment": "drive", "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "drive_thermal"}, "params": params}
+    assert run(tmp_path, cfg, "drive") == cli.EXIT_NUMERIC
+    assert "pure initial state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("drive", {"N": 0}), ("drive", {"N": -3}), ("drive", {"N": 5.7}),
+    ("drive", {"N": 5, "level": 1.9}), ("drive", {"N": "x"}),
+    ("shift", {"level": 1.9}),
+])
+def test_integer_params_are_config_errors(tmp_path, experiment, params):
+    # N < 1 and fractional N or level were an uncaught ValueError (exit 1)
+    # or silently truncated (5.7 cycles ran as 5).
+    cfg = {"experiment": experiment, "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "bad_int"}, "params": params}
+    assert run(tmp_path, cfg, experiment) == cli.EXIT_CONFIG
 
 
 def test_drive_beyond_double_range_runs(tmp_path):
@@ -676,7 +754,7 @@ def _hand_csv(path, columns, rows):
 
 def test_verify_flags_non_finite_values_outside_p_exact(tmp_path):
     ok = _hand_csv(tmp_path / "drive.csv", ["k", "P_exact", "P_approx"],
-                   [[1, "nan", 0.9], [2, "nan", "nan"]])
+                   [[1, "nan", 0.9], [2, "nan", 0.8]])
     ok_phase = _hand_csv(tmp_path / "phase.csv", ["t", "P", "V", "phase"],
                          [[0.0, 1.0, 1.0, 0.0], [1.0, 0.5, 0.0, "nan"]])
     assert cli.verify_outputs([ok, ok_phase]) == []
@@ -686,6 +764,7 @@ def test_verify_flags_non_finite_values_outside_p_exact(tmp_path):
         ("t.csv", ["t", "P", "V", "phase"], [["inf", 1.0, 1.0, 0.0]]),
         ("pe.csv", ["k", "P_exact", "P_approx"], [[1, "inf", 0.9]]),
         ("pa.csv", ["k", "P_exact", "P_approx"], [[1, 0.9, "inf"]]),
+        ("pan.csv", ["k", "P_exact", "P_approx"], [[1, 0.9, "nan"]]),
         ("ph.csv", ["t", "P", "V", "phase"], [[0.0, 1.0, 1.0, "inf"]]),
     ]:
         problems = cli.verify_outputs([_hand_csv(tmp_path / name, columns, rows)])

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_ramsey import _count_solves
 
-from trapmass import drive, fock, model, states
+from trapmass import analytic, drive, fock, model, states
 from trapmass.errors import DimensionMismatch
 
 
@@ -74,11 +76,12 @@ def test_vacuum_overlap_closed_form_even_cycles():
     p = natural_params(u=4e-2, g=0.0)
     dim = 256
     res = drive.iterate_drive(p, states.fock_state(dim, 0), 12)
+    approx = drive.squeezed_overlaps(p, 12)
     sched = res.schedule
     for k in (2, 4, 6, 8, 10, 12):
         closed = drive.vacuum_overlap_closed_form(sched.effective_r(k))
         assert abs(res.exact[k - 1] - closed) < 1e-6
-        assert abs(res.approx[k - 1] - closed) < 1e-10
+        assert abs(approx[k - 1] - closed) < 1e-10
     assert np.all(res.exact >= 0.0) and np.all(res.exact <= 1.0 + 1e-12)
 
 
@@ -102,18 +105,17 @@ def test_iterate_drive_validation_and_refusal():
     with pytest.warns(UserWarning):
         res = drive.iterate_drive(p, states.fock_state(32, 0), drive.N_EXACT_MAX + 1)
     assert np.isnan(res.exact).all() and res.exact.size == drive.N_EXACT_MAX + 1
-    assert res.approx.size == drive.N_EXACT_MAX + 1
 
 
 def test_iterate_drive_skips_the_comparator(monkeypatch):
-    # Only the cycle product is iterated: one real solve for the squeeze
-    # spectrum and one for the excited leg, none for the comparator.
+    # Only the cycle product is iterated: one real solve for the excited
+    # leg, none for the comparator.
     p = natural_params(u=3e-2, g=0.2)
     dim, N = 96, 7
     psi0 = states.coherent_state(dim, 0.4)
     solves = _count_solves(monkeypatch)
     res = drive.iterate_drive(p, psi0, N)
-    assert solves == [(dim, False), (dim, False)]
+    assert solves == [(dim, False)]
 
     product = drive.cycle_operator(p, dim).product
     expected = np.empty(N)
@@ -122,6 +124,84 @@ def test_iterate_drive_skips_the_comparator(monkeypatch):
         psi = product @ psi
         expected[k] = abs(psi0.data.conj() @ psi) ** 2
     assert np.array_equal(res.exact, expected)
+
+
+def test_gaussian_series_take_no_solve(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    p = natural_params(u=3e-2, g=0.2)
+    drive.gaussian_drive(p, 50, n=3)
+    drive.squeezed_overlaps(p, 50, alpha=0.5j)
+    assert solves == []
+
+
+def test_cycle_matrix_matches_the_truncated_cycle():
+    # W^dag a W read off the interior block of the truncated cycle product.
+    p = natural_params(u=2e-2, g=0.4)
+    dim = 128
+    U = drive.cycle_operator(p, dim).product
+    a = fock.annihilation(dim)
+    heisenberg = (U.conj().T @ a @ U)[:20, :20]
+    H = drive._cycle_matrix(p, drive.drive_schedule(p))
+    A, B, d = H[0]
+    assert np.max(np.abs(heisenberg - (A * a + B * a.T + d * np.eye(dim))[:20, :20])) < 1e-12
+    assert np.allclose(H[1], np.conj([B, A, d])) and np.array_equal(H[2], [0, 0, 1])
+
+
+def test_displaced_fock_weight_is_nan_past_its_rounding_floor():
+    # With gravity the k-fold displacement d grows with the squeeze, and the
+    # Fock-n circle kernel loses about eps |d|^2 of relative accuracy: the
+    # series matches a 100-digit mpmath evaluation of the same cycle matrix
+    # while eps |d|^2 is below analytic.DISPLACEMENT_FLOOR and is NaN past it
+    # (it read 9.6e307 at k = 107 without the floor).
+    p = model.build_system(
+        {"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 0.5})
+    exact = drive.gaussian_drive(p, 200, n=3).exact
+    mpmath_reference = {1: 0.439423242986293, 10: 0.0253988062827408,
+                        20: 1.66384785968526e-4, 30: 1.3538622922865e-5,
+                        40: 1.77554207024664e-6}
+    for k, ref in mpmath_reference.items():
+        assert exact[k - 1] == pytest.approx(ref, rel=1e-9)
+    H = drive._powers(drive._cycle_matrix(p, drive.drive_schedule(p)), 200)
+    floored = np.finfo(float).eps * np.abs(H[:, 0, 2]) ** 2 > analytic.DISPLACEMENT_FLOOR
+    assert floored.any() and np.array_equal(np.isnan(exact), floored)
+    assert np.all((exact[~floored] >= 0.0) & (exact[~floored] <= 1.0))
+    # The vacuum needs no floor: its closed form keeps its absolute accuracy.
+    vacuum = drive.gaussian_drive(p, 200).exact
+    assert np.isfinite(vacuum).all() and np.all((vacuum >= 0.0) & (vacuum <= 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(0, 5),
+    alpha_abs=st.floats(0.0, 2.0),
+    alpha_arg=st.floats(-math.pi, math.pi),
+    coherent=st.booleans(),
+    g=st.floats(0.0, 0.5),
+    u=st.floats(1e-3, 6e-2),
+    N=st.integers(1, 60),
+)
+def test_gaussian_series_match_truncated_products(n, alpha_abs, alpha_arg, coherent, g, u, N):
+    # Wherever the truncated state passes the tail gate, the exact Gaussian
+    # series equal the dim-256 products: the cycle loop of iterate_drive for
+    # P_exact and fock.squeeze_matrix for P_approx.
+    dim = 256
+    p = natural_params(u=u, g=g)
+    alpha = alpha_abs * complex(math.cos(alpha_arg), math.sin(alpha_arg)) if coherent else 0j
+    n = 0 if coherent else n
+    psi0 = states.coherent_state(dim, alpha) if coherent else states.fock_state(dim, n)
+    exact = drive.gaussian_drive(p, N, n=n, alpha=alpha).exact
+    truncated = drive.iterate_drive(p, psi0, N).exact
+    gated = np.isnan(truncated)
+    assert np.max(np.abs(exact - truncated)[~gated], initial=0.0) < 1e-10
+
+    approx = drive.squeezed_overlaps(p, N, n=n, alpha=alpha)
+    step = fock.squeeze_matrix(dim, drive.drive_schedule(p).per_cycle_r)
+    psi, m = psi0.data, fock.interior(dim)
+    for k in range(N):
+        psi = step @ psi
+        if np.vdot(psi[m:], psi[m:]).real > states.TAIL_BOUND:
+            break
+        assert abs(approx[k] - abs(np.vdot(psi0.data, psi)) ** 2) < 1e-10
 
 
 def test_cycle_product_unitary():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -317,6 +318,20 @@ def test_fock_trace_n60_matches_eigh_at_dim_2048():
     exact = ramsey.fock_trace(p, 60, times, x0=2.0)
     ref = ramsey.ramsey_trace(p, states.fock_state(64, 60), times, x0=2.0, dim=2048)
     assert np.max(np.abs(exact.trace - ref.trace)) < 1e-11
+
+
+def test_fock_trace_memory_does_not_grow_with_n():
+    # The circle sum runs in blocks of fixed size: at 256 times the peak was
+    # 17 MB at n = 60 and 269 MB at n = 1000 when the circle was one block.
+    p = natural_params(E1=2.0, c=2.0, g=0.0)
+    times = np.linspace(0.0, 10.0, 256)
+    peaks = {}
+    for n in (60, 1000):
+        tracemalloc.start()
+        ramsey.fock_trace(p, n, times)
+        peaks[n] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[1000] <= 2.0 * peaks[60]
 
 
 def test_gaussian_kernel_far_displaced_large_alpha():
