@@ -8,7 +8,9 @@ and every truncated solver path builds its number operator a_i^T a_i with
 `mode_number`, a real pentadiagonal matrix written from its five bands.
 `spectrum` diagonalizes hbar omega_i (n_i + 1/2) with one real eigh (the
 ground mode is already diagonal and needs none) and `Spectrum.propagator`
-turns it into exp(-i H_b t / hbar). `mode_matrix_direct` rebuilds a_i from
+turns it into exp(-i H_b t / hbar). For a real eigenbasis V that is one
+`real_matmul`, V times the complex diag(e^{-iwt}) V^T as two real products,
+with no complex upcast of V. `mode_matrix_direct` rebuilds a_i from
 x and p and is kept only as an oracle for `mode_number`.
 
 `Spectrum.propagator` is the one exponential of the package. Squeeze and
@@ -83,11 +85,19 @@ class Spectrum:
     V: np.ndarray
 
     def propagator(self, t: float) -> np.ndarray:
-        """exp(-i H t) = V diag(exp(-i w t)) V^dag; for a real V, V.conj()
-        is V itself, with no copy."""
+        """exp(-i H t) = V diag(exp(-i w t)) V^dag; for a real V, one
+        real_matmul of V by diag(exp(-i w t)) V^T."""
         if not math.isfinite(t):
             raise ConvergenceFailure(f"non-finite time {t!r}")
-        return (self.V * np.exp(-1j * self.w * t)) @ self.V.conj().T
+        phases = np.exp(-1j * self.w * t)
+        if np.isrealobj(self.V):
+            return real_matmul(self.V, phases[:, None] * self.V.T)
+        return (self.V * phases) @ self.V.conj().T
+
+
+def real_matmul(R: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """R @ Z for real R and complex Z as two real products (half the flops)."""
+    return R @ Z.real + 1j * (R @ Z.imag)
 
 
 def spectrum(frame: ModeFrame, alpha: float, dim: int) -> Spectrum:

@@ -29,7 +29,13 @@ real pentadiagonal number operator written from its bands in O(dim), and
 fock.spectrum solves it with one real eigh, giving a real eigenbasis V1;
 U_0b needs no solve. The time grid
 is then contracted in fixed chunks of _TIME_CHUNK times, one matrix
-product per chunk over the state's support.
+product per chunk over the support of C[n, m] = V1[m, n] (V1^T rho)[n, m]
+that can change a double: with tau = (eps / 4) sum |C|, the trailing Fock
+columns m holding at most tau / 2 of sum |C| and then the eigen-rows n
+holding at most tau / (2 dim) of it in the kept columns are left out, so
+each trace point moves by at most tau (5.6e-17 for a normalized thermal
+state, whose sum |C| is 1). At dim 512 a thermal state of nbar 0.5 to 5
+keeps 35 to 210 columns and 37 to 404 rows.
 """
 
 from __future__ import annotations
@@ -105,37 +111,48 @@ def _bounded_trace(
         Tr(t) = sum_{n, m} exp(-i w1_n t) C[n, m] exp(+i w0_m t),
         C[n, m] = V1[m, n] (V1^T rho)[n, m].
 
-    For a pure psi, V1^T rho is the outer product (V1^T psi) psi^dag. Columns m
-    past the state's support (its last nonzero Fock amplitude) are exactly
-    zero and are dropped, so each chunk costs one (chunk x dim) @ (dim x k)
-    product, k the support size. The state may be smaller than the spectrum;
-    the Fock levels it lacks are empty.
+    For a pure psi, V1^T rho is the outer product (V1^T psi) psi^dag. Only
+    the part of C kept by _support is contracted: with
+    tau = (eps / 4) sum |C|, it drops the trailing Fock columns holding at
+    most tau / 2 of sum |C|, then the eigen-rows holding at most
+    tau / (2 rows) of it in the kept columns. Every exponential has modulus
+    1, so each point moves by at most tau. Each chunk then costs one
+    (chunk x rows) @ (rows x k) product. The state may be smaller than the
+    spectrum; the Fock levels it lacks are empty.
     """
     data = state.data
-    nonzero = data != 0
-    if not state.is_pure:
-        nonzero = nonzero.any(axis=0) | nonzero.any(axis=1)
-    k = int(np.flatnonzero(nonzero)[-1]) + 1
-    V1k = spec.V[:k]
+    V1 = spec.V[: state.dim]
     if state.is_pure:
-        psi = data[:k]
-        V1t_rho = np.outer(_real_matmul(V1k.T, psi), psi.conj())
+        V1t_rho = np.outer(fock.real_matmul(V1.T, data), data.conj())
     else:
-        V1t_rho = _real_matmul(V1k.T, data[:k, :k])
-    C = V1k.T * V1t_rho
+        V1t_rho = fock.real_matmul(V1.T, data)
+    C = V1.T * V1t_rho
+    rows, k = _support(C)
+    C, w1 = C[rows, :k], spec.w[rows]
     w0 = omega0 * (np.arange(k) + 0.5)
     out = np.empty(times.size, dtype=complex)
     for lo in range(0, times.size, _TIME_CHUNK):
         t = times[lo : lo + _TIME_CHUNK]
-        E1 = np.exp(-1j * np.outer(t, spec.w))
+        E1 = np.exp(-1j * np.outer(t, w1))
         E0 = np.exp(1j * np.outer(t, w0))
         out[lo : lo + _TIME_CHUNK] = np.einsum("tm,tm->t", E1 @ C, E0)
     return out
 
 
-def _real_matmul(R: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """R @ Z for real R and complex Z as two real products (half the flops)."""
-    return R @ Z.real + 1j * (R @ Z.imag)
+def _support(C: np.ndarray) -> tuple[np.ndarray, int]:
+    """(rows, k): the eigen-rows and the number of leading Fock columns of C
+    that _bounded_trace contracts; the entries it leaves out sum to at most
+    tau = (eps / 4) sum |C| in modulus. A zero column has zero weight, so
+    the columns past the state's support always go."""
+    A = np.abs(C)
+    cols = A.sum(axis=0)
+    tau = 0.25 * np.finfo(float).eps * cols.sum()
+    # Tail sums of the column weights: non-increasing, so the kept columns
+    # are a prefix.
+    tail = np.cumsum(cols[::-1])[::-1]
+    k = int(np.count_nonzero(tail > 0.5 * tau))
+    rows = np.flatnonzero(A[:, :k].sum(axis=1) > 0.5 * tau / C.shape[0])
+    return rows, k
 
 
 def _scalar_rate(params: model.SystemParams, level: int, corotating: bool) -> float:

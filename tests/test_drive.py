@@ -215,6 +215,20 @@ def test_cycle_product_unitary():
     )
 
 
+@pytest.mark.parametrize("dim", [64, 384])
+def test_cycle_product_matches_dense_legs(dim):
+    # The diagonal ground leg scales the rows of U_1b, and U_1b comes from a
+    # real_matmul: both agree with the dense complex product of the two legs.
+    p = natural_params(u=3e-2, g=0.2)
+    sched = drive.drive_schedule(p)
+    w0 = model.derive_mode_frame(p, 0).omega_i * (np.arange(dim) + 0.5)
+    U0 = np.diag(np.exp(-1j * w0 * sched.t0))
+    frame1 = model.derive_mode_frame(p, 1)
+    spec = fock.spectrum(frame1, frame1.alpha_gi, dim)
+    U1 = (spec.V * np.exp(-1j * spec.w * sched.t1)) @ spec.V.T.astype(complex)
+    assert np.max(np.abs(drive._cycle_product(p, sched, dim) - U0 @ U1)) < 1e-14
+
+
 def test_position_variance_growth():
     p = natural_params(u=1e-2, g=0.0)
     out0 = drive.position_variance_growth(p, 0)

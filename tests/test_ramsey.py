@@ -233,6 +233,84 @@ def test_chunked_contraction_matches_per_time_loop(n_times):
         assert np.max(np.abs(got - _per_time_trace(spec, p.omega0, padded, times))) < 1e-12
 
 
+def _uncut_trace(spec, omega0, state, times):
+    """Reference: sum_{n, m} e^{-i w1_n t} C[n, m] e^{+i w0_m t} over every
+    eigen-row n and Fock column m, C[n, m] = V1[m, n] (V1^T rho)[n, m]."""
+    V1 = spec.V[: state.dim]
+    C = V1.T * (V1.T @ state.density())
+    E1 = np.exp(-1j * np.outer(times, spec.w))
+    E0 = np.exp(1j * np.outer(times, omega0 * (np.arange(state.dim) + 0.5)))
+    return ((E1 @ C) * E0).sum(axis=1)
+
+
+def _excited_spectrum(p, x0, dim):
+    frame = model.derive_mode_frame(p, 1)
+    return fock.spectrum(frame, math.sqrt(frame.M_i * frame.omega_i / (2.0 * p.hbar)) * x0, dim)
+
+
+def _squeeze_params(S):
+    """Natural units with omega_1 / omega_0 = S: E1 = 100 (1/S^2 - 1) at c = 10."""
+    return natural_params(E1=100.0 * (1.0 / S**2 - 1.0), c=10.0)
+
+
+# The cut moves a point by at most (eps / 4) sum |C| (5.6e-17 for a thermal
+# state), but two double contractions summed in different orders already
+# differ by about 1e-15: without the cut, _bounded_trace deviates from
+# _uncut_trace by 1.005e-15 at nbar = 5, S = 0.75, x0 = 0, and with it by up
+# to 1.55e-15 over a 5 x 5 x 4 grid of the property's box at dim 256.
+_CONTRACTION_ROUNDOFF = 4e-15
+
+
+def test_cut_contraction_matches_uncut_sum():
+    # The roundoff-bounded support of _bounded_trace leaves every point at
+    # roundoff distance from the whole contraction: a dim-512 thermal state, a
+    # coherent state with every Fock amplitude nonzero, and a mixture with
+    # complex off-diagonal coherences.
+    p = _squeeze_params(0.8)
+    times = np.linspace(0.0, 4.0 * math.pi, 2000)
+    spec = _excited_spectrum(p, 1.0, 512)
+    coherent = states.coherent_state(128, 3.0 - 2.0j)
+    assert np.all(coherent.data != 0)
+    mix = states.mixed_state(
+        0.5 * states.coherent_state(64, 1.2 + 0.6j).density()
+        + 0.3 * states.coherent_state(64, -0.4 + 1.1j).density()
+        + 0.2 * states.fock_state(64, 2).density()
+    )
+    assert np.max(np.abs(np.imag(mix.data))) > 0.1
+    for state in [states.thermal_state_cm(512, 3.0), coherent, mix]:
+        got = ramsey._bounded_trace(spec, p.omega0, state, times)
+        assert np.max(np.abs(got - _uncut_trace(spec, p.omega0, state, times))) < _CONTRACTION_ROUNDOFF
+
+
+def test_support_drops_thermal_tail_and_fock_zeros():
+    p = _squeeze_params(0.8)
+    spec = _excited_spectrum(p, 1.0, 512)
+    V1 = spec.V
+    C = V1.T * (V1.T @ states.thermal_state_cm(512, 3.0).data)
+    rows, k = ramsey._support(C)
+    # (1 - q) q^m, q = 3/4, falls below 1e-17 past m ~ 130.
+    assert 100 < k < 200
+    assert rows.size < 400
+    tau = 0.25 * np.finfo(float).eps * np.abs(C).sum()
+    assert np.abs(C).sum() - np.abs(C[rows, :k]).sum() <= tau
+    # A Fock state keeps exactly its support: the zero columns past it go.
+    psi = states.fock_state(20, 3).data
+    C = V1[:20].T * np.outer(V1[:20].T @ psi, psi.conj())
+    assert ramsey._support(C)[1] == 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(nbar=st.floats(0.0, 5.0), S=st.floats(0.6, 0.99), x0=st.floats(0.0, 3.0))
+@example(nbar=5.0, S=0.75, x0=0.0)
+def test_cut_thermal_contraction_property(nbar, S, x0):
+    p = _squeeze_params(S)
+    spec = _excited_spectrum(p, x0, 256)
+    state = states.thermal_state_cm(256, nbar)
+    times = np.linspace(0.0, 4.0 * math.pi, 300)
+    got = ramsey._bounded_trace(spec, p.omega0, state, times)
+    assert np.max(np.abs(got - _uncut_trace(spec, p.omega0, state, times))) < _CONTRACTION_ROUNDOFF
+
+
 def _count_solves(monkeypatch):
     solves = []
     real_eigh = np.linalg.eigh
