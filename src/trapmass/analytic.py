@@ -14,9 +14,11 @@ multiplies this bounded amplitude by the scalar-offset phase
 exp(-i (offset_1-offset_0) t / hbar), computed through the
 cancellation-safe gap. The same kernel gives Tr(y^n U_1b) (generating_function):
 a thermal trace is one value of it, a Fock trace a circle sum (fock_diagonal).
-The kernel holds for any Gaussian unitary W (_trace_kernel). A product of
-them is a product of 3x3 Heisenberg matrices (heisenberg), and fock_weight
-gives |<n|W|n>|^2 of any such matrix: the drive's series come from it.
+The kernel holds for any Gaussian unitary W (_trace_kernel), and every one
+in the package is described by the same tuple (P, Q, c1, c2, expo, root) of
+its Bogoliubov map, Bargmann coefficients and vacuum amplitude. fock_weight
+gives |<n|W|n>|^2 of a squeeze-rotation conjugated by a displacement
+D(beta), from coefficients bounded in beta: the drive's series come from it.
 """
 
 from __future__ import annotations
@@ -79,10 +81,12 @@ class VacuumAmplitudeParams:
 
 
 def _bogoliubov(vap: VacuumAmplitudeParams, t: np.ndarray):
-    """(P, Q, delta, expo, root) of U_1b at t: its Bogoliubov map
-    U_1b a U_1b^dag = P a + Q a^dag + delta, and <0|U_1b|0> = exp(expo) / root,
-    root the square root of P on the branch that follows the winding of
-    exp(i th), so the amplitude is continuous in t."""
+    """(P, Q, c1, c2, expo, root) of U_1b at t: its Bogoliubov map
+    U_1b a U_1b^dag = P a + Q a^dag + delta, the linear coefficients
+    c1 = -delta / P and c2 = conj(delta) + delta Q / P of its Bargmann kernel
+    (bounded_amplitude), and <0|U_1b|0> = exp(expo) / root, root the square
+    root of P on the branch that follows the winding of exp(i th), so the
+    amplitude is continuous in t."""
     theta = vap.omega1 * t
     sigma = 0.5 * (vap.S + 1.0 / vap.S)
     sin_th = np.sin(theta)
@@ -95,7 +99,8 @@ def _bogoliubov(vap: VacuumAmplitudeParams, t: np.ndarray):
     delta = vap.x0 * math.sqrt(0.5 * vap.a0) * (-2.0 * sh**2 + 1j * sin_th / vap.S)
     ref = P * np.exp(-1j * theta)
     winding = theta + np.arctan2(np.imag(ref), np.real(ref))
-    return P, Q, delta, expo, np.sqrt(np.abs(P)) * np.exp(0.5j * winding)
+    return (P, Q, -delta / P, np.conj(delta) + delta * Q / P, expo,
+            np.sqrt(np.abs(P)) * np.exp(0.5j * winding))
 
 
 def bounded_amplitude(vap: VacuumAmplitudeParams, t, alpha: complex = 0.0) -> np.ndarray:
@@ -115,11 +120,11 @@ def bounded_amplitude(vap: VacuumAmplitudeParams, t, alpha: complex = 0.0) -> np
     sigma = (S + 1/S)/2, and the Bargmann kernel <0|e^{z a} U_1b e^{w a^dag}|0>
     is <0|U_1b|0> exp(L),
 
-        L = [-delta z + (conj(delta) P - delta conj(Q)) w - Q z^2 / 2 + z w
-             + conj(Q) w^2 / 2] / P
-          = [-delta z + (conj(delta) P + delta Q) w + z w - Q (z^2 + w^2) / 2] / P,
+        L = c1 z + c2 w + [z w - Q z^2 / 2 + conj(Q) w^2 / 2] / P,
+        c1 = -delta / P,  c2 = conj(delta) - delta conj(Q) / P,
 
-    the second form because Q is imaginary.
+    which holds for any Gaussian unitary in place of U_1b; here Q is
+    imaginary, so conj(Q) = -Q (the c2 of _bogoliubov).
 
     Then <alpha|U_0b^dag U_1b|alpha> = e^{i omega0 t / 2} <0|U_1b|0>
     exp(L - |alpha|^2) at z = conj(alpha) e^{i omega0 t}, w = alpha. The
@@ -127,21 +132,20 @@ def bounded_amplitude(vap: VacuumAmplitudeParams, t, alpha: complex = 0.0) -> np
     exp, so a far-displaced, large-alpha trace never forms 0 * inf.
     """
     t = np.asarray(t, dtype=float)
-    P, Q, delta, expo, root = _bogoliubov(vap, t)
+    P, Q, c1, c2, expo, root = _bogoliubov(vap, t)
     z, w = np.conj(alpha) * np.exp(1j * vap.omega0 * t), alpha
-    L = (-delta * z + (np.conj(delta) * P + delta * Q) * w + z * w
-         - 0.5 * Q * (z * z + w * w)) / P
+    L = c1 * z + c2 * w + (z * w - 0.5 * Q * (z * z + w * w)) / P
     return np.exp(1j * vap.omega0 * t / 2.0) * np.exp(expo + L - abs(alpha) ** 2) / root
 
 
-def _trace_kernel(P, Q, delta, expo, root, y):
+def _trace_kernel(P, Q, c1, c2, expo, root, y):
     """exp(expo) / root times G(y) / <0|W|0>, G(y) = Tr(y^n W) = sum_n y^n <n|W|n>
-    for |y| < 1, of the Gaussian unitary W with W a W^dag = P a + Q a^dag + delta;
-    with <0|W|0> = exp(expo) / root it is G(y) itself. Exact; all arguments
-    broadcast. The trace of y^n against the Bargmann kernel of
-    bounded_amplitude (its first form of L) is one Gaussian integral
-    (Miatto & Quesada, Quantum 4, 366, 2020): with a = 1 - y/P, u = -y delta/P
-    and v = (conj(delta) P - delta conj(Q))/P,
+    for |y| < 1, of the Gaussian unitary W with W a W^dag = P a + Q a^dag + delta
+    and Bargmann coefficients c1, c2 (bounded_amplitude); with
+    <0|W|0> = exp(expo) / root it is G(y) itself. Exact; all arguments
+    broadcast. The trace of y^n against the Bargmann kernel is one Gaussian
+    integral (Miatto & Quesada, Quantum 4, 366, 2020): with a = 1 - y/P,
+    u = y c1 and v = c2,
 
         G(y) = <0|W|0> exp([a u v + (conj(Q) u^2 - Q y^2 v^2) / 2P] / D) / sqrt(D),
         D = a^2 + y^2 |Q|^2 / P^2 = (1 - z1 y)(1 - z2 y),  z1,2 = (1 +- i|Q|)/P.
@@ -152,11 +156,10 @@ def _trace_kernel(P, Q, delta, expo, root, y):
     before the one exp.
     """
     a = 1.0 - y / P
-    u = -y * delta / P
-    v = (np.conj(delta) * P - delta * np.conj(Q)) / P
+    u = y * c1
     iq = 1j * np.abs(Q)
     f1, f2 = 1.0 - y * (1.0 + iq) / P, 1.0 - y * (1.0 - iq) / P
-    E = (a * u * v + 0.5 / P * (np.conj(Q) * u * u - Q * y * y * v * v)) / (f1 * f2)
+    E = (a * u * c2 + 0.5 / P * (np.conj(Q) * u * u - Q * y * y * c2 * c2)) / (f1 * f2)
     return np.exp(expo + E) / (root * np.sqrt(f1) * np.sqrt(f2))
 
 
@@ -174,7 +177,7 @@ _CIRCLE_CHUNK = 64
 
 
 def _diagonal(unitary, n: int) -> np.ndarray:
-    """<n|W|n> for each W of unitary = (P, Q, delta, expo, root), 1-d arrays
+    """<n|W|n> for each W of unitary = (P, Q, c1, c2, expo, root), 1-d arrays
     as in _trace_kernel: the y^n coefficient of G as a trapezoidal sum over M
     points of the circle |y| = rho (radius as in Bornemann, Found. Comput.
     Math. 11, 1, 2011), w = e^{2 pi i / M}:
@@ -203,62 +206,37 @@ def fock_diagonal(vap: VacuumAmplitudeParams, t, n: int) -> np.ndarray:
     return _diagonal(_bogoliubov(vap, np.asarray(t, dtype=float)), n)
 
 
-def heisenberg(A, B, d) -> np.ndarray:
-    """Heisenberg matrices [[A, B, d], [conj B, conj A, conj d], [0, 0, 1]] of
-    the Gaussian unitaries W with W^dag a W = A a + B a^dag + d (Weedbrook et
-    al., Rev. Mod. Phys. 84, 621, 2012), shape (..., 3, 3) over the broadcast
-    shape of A, B and d. The matrix of a product W1 W2 is the product of the
-    matrices; the scalar phase of W is not kept. Examples: U_1b(t) is
-    (conj P, -Q, conj delta) of _bogoliubov, S(s) = exp(s (a^2 - adag^2)/2)
-    is (cosh s, -sinh s, 0), D(alpha) is (1, 0, alpha)."""
-    A, B, d = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (A, B, d)))
-    H = np.zeros(A.shape + (3, 3), dtype=complex)
-    H[..., 0, :] = np.stack([A, B, d], axis=-1)
-    H[..., 1, :] = np.conj(np.stack([B, A, d], axis=-1))
-    H[..., 2, 2] = 1.0
-    return H
+def fock_weight(A, B, beta: complex, n: int) -> np.ndarray:
+    """|<n|D(beta)^dag L D(beta)|n>|^2 for the Gaussian unitaries L with
+    L^dag a L = A a + B a^dag, 1-d A and B (|A|^2 - |B|^2 = 1); exact, with no
+    truncation. Examples: S(s) = exp(s (a^2 - adag^2)/2) is (cosh s, -sinh s).
+    W = D(beta)^dag L D(beta) has W a W^dag = P a + Q a^dag + delta with
+    P = conj A, Q = -B and delta = (P - 1) beta + Q conj(beta), which grows
+    like |A| |beta|; its Bargmann coefficients (bounded_amplitude) and its
+    vacuum weight are written from bounded factors only:
 
+        c1 = beta / P - beta - (Q / P) conj(beta),
+        c2 = conj(beta) / P - conj(beta) + (conj(Q) / P) beta,
+        |<0|W|0>|^2 = exp(2 E) / |A|,
+        E = -|beta|^2 (1 - Re A / |A|^2) - Im A Im(B conj(beta)^2) / |A|^2.
 
-def bounded_heisenberg(vap: VacuumAmplitudeParams, t) -> np.ndarray:
-    """heisenberg matrix of U_1b(t), from the Bogoliubov map of _bogoliubov."""
-    P, Q, delta, _, _ = _bogoliubov(vap, np.asarray(t, dtype=float))
-    return heisenberg(np.conj(P), -Q, np.conj(delta))
-
-
-# fock_weight's floor for n > 0: the circle kernel's exponent terms grow like
-# |d|^2 and cancel to O(1), so its relative rounding error is about
-# 10-400 eps |d|^2 (against 100-digit mpmath); past eps |d|^2 = this it is NaN.
-DISPLACEMENT_FLOOR = 1e-10
-
-
-def fock_weight(H: np.ndarray, n: int) -> np.ndarray:
-    """|<n|W|n>|^2 for the Gaussian unitaries W of the heisenberg matrices H,
-    shape (K, 3, 3); exact, no truncation. W a W^dag = P a + Q a^dag + delta
-    has P = conj A, Q = -B and delta = B conj(d) - conj(A) d, and
-
-        |<0|W|0>|^2 = exp(-|d|^2 + Re(conj(B) d^2 / A)) / |A|
-                    = exp(-Re(w)^2 / (|A| (|A| + |B|)) - (1 + |B/A|) Im(w)^2) / |A|,
-
-    w = d e^{i arg(conj(B) / A) / 2}, the second form from |A|^2 - |B|^2 = 1.
-    It forms no difference of the two large terms of the first, so a strongly
-    squeezed W keeps its accuracy. n > 0 takes the circle sum _diagonal with
-    expo the half exponent and root sqrt(|A|), and is NaN where
-    eps |d|^2 > DISPLACEMENT_FLOOR. Where H has overflowed (an accumulated
-    squeeze past the double range) the weight, below 1/|A|, is 0.0.
+    n > 0 takes the circle sum _diagonal with expo = E and root sqrt(|A|).
+    Where A has overflowed (an accumulated squeeze past the double range)
+    the weight, below 1/|A|, is 0.0.
     """
-    A, B, d = H[:, 0, 0], H[:, 0, 1], H[:, 0, 2]
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        absA, absB = np.abs(A), np.abs(B)
-        w = d * np.exp(0.5j * np.angle(np.conj(B) / A))
-        expo = -0.5 * (np.real(w) ** 2 / (absA * (absA + absB))
-                       + (1.0 + absB / absA) * np.imag(w) ** 2)
+        P, Q, inv = np.conj(A), -B, 1.0 / np.conj(A)    # inv = A / |A|^2
+        absA = np.abs(A)
+        expo = (-abs(beta) ** 2 * (1.0 - inv.real)
+                - inv.imag * np.imag(B * np.conj(beta) ** 2))
         if n == 0:
-            return np.nan_to_num(np.exp(2.0 * expo) / absA, nan=0.0)
-        unitary = (np.conj(A), -B, B * np.conj(d) - np.conj(A) * d, expo,
-                   np.sqrt(absA))
-        weight = np.nan_to_num(np.abs(_diagonal(unitary, n)) ** 2, nan=0.0, posinf=0.0)
-        return np.where(np.finfo(float).eps * np.abs(d) ** 2 > DISPLACEMENT_FLOOR,
-                        np.nan, weight)
+            weight = np.exp(2.0 * expo) / absA
+        else:
+            c1 = beta * inv - beta - Q * inv * np.conj(beta)
+            c2 = np.conj(beta) * inv - np.conj(beta) + np.conj(Q) * inv * beta
+            weight = np.abs(_diagonal((P, Q, c1, c2, expo, np.sqrt(absA)), n)) ** 2
+    return np.nan_to_num(weight, nan=0.0)
 
 
 def coherent_visibility(

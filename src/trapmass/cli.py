@@ -335,13 +335,13 @@ def run_shift(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
 
 def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     """With params.dim omitted both columns come from the Gaussian core
-    ("generating_function"): P_exact from drive.gaussian_drive, exact at every
-    cycle with no truncated state and no N limit (NaN only for a Fock n > 0
-    past analytic.DISPLACEMENT_FLOOR), and dim null. An explicit
-    params.dim takes P_exact from the truncated loop drive.iterate_drive
-    ("eigh"), with its tail gate and N_EXACT_MAX, the state at its spec dim
-    or params.dim. P_approx is drive.squeezed_overlaps on both routes. A
-    thermal state is refused (exit 3)."""
+    ("generating_function"): P_exact from drive.gaussian_drive, exact and
+    finite at every cycle with no truncated state and no N limit, and dim
+    null. An explicit params.dim takes P_exact from the truncated loop
+    drive.iterate_drive ("eigh"), with its tail gate and N_EXACT_MAX (the
+    summary's first_nan_k names the first cycle it leaves NaN), the state at
+    its spec dim or params.dim. P_approx is drive.squeezed_overlaps on both
+    routes. A thermal state is refused (exit 3)."""
     phys = model.build_system(system)
     try:
         N = _integer(params.get("N", 50))
@@ -453,9 +453,9 @@ def run_verify_all(out_dir: str) -> int:
 # ------------------------------------------------------------ verification ---
 
 _UNIT_INTERVAL_COLUMNS = {"V", "V_analytic", "P_exact", "P_approx", "P"}
-# NaN marks a drive cycle P_exact does not compute (a truncated one past
-# drive.N_EXACT_MAX or its tail gate, a Fock n > 0 one past
-# analytic.DISPLACEMENT_FLOOR) and a trace point below ramsey.PHASE_FLOOR.
+# NaN marks a drive cycle the truncated P_exact does not compute (past
+# drive.N_EXACT_MAX or its tail gate; the Gaussian route is finite at every
+# cycle) and a trace point below ramsey.PHASE_FLOOR.
 _NAN_COLUMNS = {"P_exact", "phase"}
 
 

@@ -14,13 +14,15 @@ second order in Delta_M/M_0. Over an even number of cycles the parity and
 displacement contributions cancel to first order and the squeezing
 accumulates to S(2Nr).
 
-Every factor is a Gaussian unitary, so the k-fold cycle is one 3x3
-Heisenberg matrix (analytic.heisenberg): the cycle's is diag(-i, i, 1)
-times that of U_1b(t_1), its k-th power is the k-fold cycle's, and
-analytic.fock_weight gives |<n|W|n>|^2 from the Ramsey generating function
-with no truncation. gaussian_drive takes the overlap series of a Fock or
-coherent state from these powers, and squeezed_overlaps the pure-squeezing
-approximation from the matrices of S(2kr). iterate_drive is the truncated
+Every factor is a Gaussian unitary, and the cycle maps a to
+A1 a + B1 a^dag + d1 with the linear part of -S(2r), A1 = -cosh 2r and
+B1 = sinh 2r. This affine map has one fixed point z*, so the cycle is
+D(z*) (-S(2r)) D(z*)^dag up to a phase and the k-fold cycle is
+D(z*) (-1)^k S(2kr) D(z*)^dag in closed form. gaussian_drive takes the
+overlap series of psi0 = D(alpha)|n> from analytic.fock_weight, the weight
+of |n> under that squeeze conjugated by D(alpha - z*), exact at every k
+with no truncation; squeezed_overlaps is the pure-squeezing approximation
+S(2kr), the same call with z* = 0 and no sign. iterate_drive is the truncated
 model: the cycle product at the dim of any pure state, stopped at the
 states.TAIL_BOUND gate. Its ground leg U_0b(t_0) is diagonal in the Fock
 basis and scales the rows of the excited leg's `fock.spectrum` propagator,
@@ -126,49 +128,47 @@ def displacement_component(op: np.ndarray) -> complex:
     return complex(psi.conj() @ (a @ psi))
 
 
-def _cycle_matrix(params: model.SystemParams, sched: DriveSchedule) -> np.ndarray:
-    """Heisenberg matrix of U_0b(t_0) U_1b(t_1): U_0b(t_0) maps a to -i a, and
-    U_1b is the Ramsey core's at x0 = x_shift_i (so its displacement is the
-    frame's alpha_gi)."""
+def _fixed_point(params: model.SystemParams, sched: DriveSchedule) -> complex:
+    """The fixed point z* of the cycle's map z -> A1 z + B1 conj(z) + d1.
+
+    U_0b(t_0) maps a to -i a, and U_1b(t_1) is the Ramsey core's at
+    omega_1 t_1 = pi/2 and x0 = x_shift_i (analytic._bogoliubov), so with
+    S = sqrt(M0 / M_1) = e^{2r} the cycle has A1 = -cosh 2r, B1 = sinh 2r
+    (the linear part of -S(2r)) and d1 = x_shift sqrt(a0/2) (i - 1/S).
+    Solving the real 2x2 system, Re z* = Re d1 / (1 + 1/S) and
+    Im z* = Im d1 / (1 + S), that is z* = x_shift sqrt(a0/2) (i - 1) / (1 + S).
+    """
     x0 = model.derive_mode_frame(params, sched.level).x_shift_i
     vap = analytic.VacuumAmplitudeParams.from_system(params, sched.level, x0=x0)
-    return np.diag([-1j, 1j, 1.0]) @ analytic.bounded_heisenberg(vap, sched.t1)
+    return vap.x0 * math.sqrt(0.5 * vap.a0) * (1j - 1.0) / (1.0 + vap.S)
 
 
-def _powers(H: np.ndarray, N: int) -> np.ndarray:
-    """H^k for k = 1..N, shape (N, 3, 3), by doubling: each pass multiplies
-    the block of powers found so far by the highest of them."""
-    out = np.empty((N, 3, 3), dtype=complex)
-    out[0] = H
-    m = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while m < N:
-            step = min(m, N - m)
-            out[m : m + step] = out[m - 1] @ out[:step]
-            m += step
-    return out
-
-
-def _overlaps(H: np.ndarray, n: int, alpha: complex) -> np.ndarray:
-    """|<psi0|W|psi0>|^2 for each heisenberg matrix of H, psi0 = D(alpha)|n>:
-    the weight of |n> under D(-alpha) W D(alpha)."""
+def _overlaps(s: np.ndarray, sign: np.ndarray | float, n: int, alpha: complex,
+              z_star: complex = 0j) -> np.ndarray:
+    """|<psi0|W_k|psi0>|^2 for psi0 = D(alpha)|n> and
+    W_k = D(z*) sign_k S(s_k) D(z*)^dag: the weight of |n> under
+    D(beta)^dag sign_k S(s_k) D(beta), beta = alpha - z*."""
     if n < 0:
         raise DimensionMismatch(f"Fock index {n} is negative")
     # As in ramsey.coherent_trace: |alpha|^2 enters the weight's exponent.
     if not cmath.isfinite(alpha * alpha):
         raise NotNormalized(f"alpha and alpha^2 must be finite, got {alpha}")
-    if alpha != 0:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow: weight 0.0
-            H = analytic.heisenberg(1.0, 0.0, -alpha) @ H @ analytic.heisenberg(1.0, 0.0, alpha)
-    return analytic.fock_weight(H, n)
+    with np.errstate(over="ignore"):  # overflow: weight 0.0
+        return analytic.fock_weight(sign * np.cosh(s), -sign * np.sinh(s),
+                                    alpha - z_star, n)
+
+
+def _check_cycles(N: int) -> None:
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
 
 
 @dataclass(frozen=True)
 class DriveResult:
     """Overlap decay P_k = |<psi0|psi_k>|^2 through the cycle over
-    k = 1..N cycles, N = exact.size; NaN at a k the route does not compute
-    (iterate_drive: past the truncation-tail gate, or past N_EXACT_MAX;
-    gaussian_drive: past analytic.DISPLACEMENT_FLOOR)."""
+    k = 1..N cycles, N = exact.size; NaN at a k that iterate_drive does not
+    compute (past its truncation-tail gate, or past N_EXACT_MAX).
+    gaussian_drive is finite at every k."""
 
     exact: np.ndarray
     schedule: DriveSchedule
@@ -176,24 +176,25 @@ class DriveResult:
 
 def gaussian_drive(params: model.SystemParams, N: int, level: int = 1,
                    n: int = 0, alpha: complex = 0j) -> DriveResult:
-    """The overlap series of psi0 = D(alpha)|n> (|n> or |alpha>) from the
-    powers of the cycle's Heisenberg matrix: exact at every k, with no
-    truncation and no N limit; N >= 1. For n > 0 with gravity the k-fold
-    displacement grows with the squeeze, and the series is NaN past
-    analytic.DISPLACEMENT_FLOOR."""
+    """The overlap series of psi0 = D(alpha)|n> (|n> or |alpha>) in closed
+    form: the cycle is W = D(z*) (-S(2r)) D(z*)^dag (_fixed_point), so
+    W^k = D(z*) (-1)^k S(2kr) D(z*)^dag and the weight at every k is that of
+    |n> under a squeeze conjugated by the one displacement D(alpha - z*).
+    Exact at every k, with no truncation and no N limit; N >= 1."""
+    _check_cycles(N)
     sched = drive_schedule(params, level)
-    powers = _powers(_cycle_matrix(params, sched), N)
-    return DriveResult(exact=_overlaps(powers, n, alpha), schedule=sched)
+    k = np.arange(1, N + 1)
+    exact = _overlaps(sched.effective_r(k), (-1.0) ** k, n, alpha, _fixed_point(params, sched))
+    return DriveResult(exact=exact, schedule=sched)
 
 
 def squeezed_overlaps(params: model.SystemParams, N: int, level: int = 1,
                       n: int = 0, alpha: complex = 0j) -> np.ndarray:
     """|<psi0|S(2kr)|psi0>|^2 for k = 1..N, psi0 as in gaussian_drive: the
-    pure-squeezing approximation, exact in S."""
-    s = drive_schedule(params, level).effective_r(np.arange(1, N + 1))
-    with np.errstate(over="ignore"):
-        H = analytic.heisenberg(np.cosh(s), -np.sinh(s), 0.0)
-    return _overlaps(H, n, alpha)
+    pure-squeezing approximation, exact in S; N >= 1."""
+    _check_cycles(N)
+    return _overlaps(drive_schedule(params, level).effective_r(np.arange(1, N + 1)),
+                     1.0, n, alpha)
 
 
 def iterate_drive(
@@ -209,8 +210,7 @@ def iterate_drive(
     Tail gate: exact is NaN from the first k whose state psi_k has more than
     TAIL_BOUND of its weight beyond fock.interior(dim).
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    _check_cycles(N)
     if not psi0.is_pure:
         raise DimensionMismatch("iterate_drive requires a pure initial state")
     dim, m = psi0.dim, fock.interior(psi0.dim)

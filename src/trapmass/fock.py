@@ -96,7 +96,10 @@ class Spectrum:
 
 
 def real_matmul(R: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """R @ Z for real R and complex Z as two real products (half the flops)."""
+    """R @ Z for real R and complex Z as two real products (half the flops),
+    or as one where the imaginary part of Z is zero (a thermal density)."""
+    if not Z.imag.any():
+        return (R @ Z.real).astype(complex)
     return R @ Z.real + 1j * (R @ Z.imag)
 
 

@@ -1,3 +1,4 @@
+import cmath
 import decimal
 import math
 from decimal import Decimal
@@ -273,9 +274,88 @@ def test_number_operator_moments_limits():
 def test_fock_weight_matches_the_legendre_squeeze_diagonal(n):
     # <n|S(s)|n> = P_n(sech s) / sqrt(cosh s), P_n the Legendre polynomial.
     # The rotation R = exp(-i phi n) is diagonal in n, so R S R^dag has the
-    # same weights, with a complex B.
+    # same weights, with a complex B = -sinh(s) e^{-2 i phi}.
     s = np.array([0.1, 0.5, 1.0, 3.0, -2.0])
-    rotate = analytic.heisenberg(np.exp(-0.7j), 0.0, 0.0)
-    H = rotate @ analytic.heisenberg(np.cosh(s), -np.sinh(s), 0.0) @ rotate.conj()
+    weight = analytic.fock_weight(np.cosh(s), -np.sinh(s) * np.exp(-1.4j), 0j, n)
     ref = legendre.legval(1.0 / np.cosh(s), [0.0] * n + [1.0]) ** 2 / np.cosh(s)
-    assert np.max(np.abs(analytic.fock_weight(H, n) - ref)) < 1e-13
+    assert np.max(np.abs(weight - ref)) < 1e-13
+
+
+class _Dc:
+    """A complex number with decimal parts, for the 50-digit reference."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Decimal(re), Decimal(im)
+
+    @classmethod
+    def of(cls, z):
+        return cls(complex(z).real, complex(z).imag)
+
+    def __add__(self, o):
+        return _Dc(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return _Dc(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return _Dc(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        den = o.re**2 + o.im**2
+        return _Dc((self.re * o.re + self.im * o.im) / den,
+                   (self.im * o.re - self.re * o.im) / den)
+
+    def __pow__(self, k):
+        out = _Dc(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def conj(self):
+        return _Dc(self.re, -self.im)
+
+    def abs2(self):
+        return self.re**2 + self.im**2
+
+
+def _first_form_weight(A, B, beta, n):
+    """|<n|W|n>|^2 at 50 digits, W = D(beta)^dag L D(beta), L^dag a L = A a + B a^dag,
+    from the displacement d = A beta + B conj(beta) - beta of
+    W^dag a W = A a + B a^dag + d: delta = B conj(d) - conj(A) d, the first
+    form of bounded_amplitude's kernel, <0|e^{z a} W e^{w a^dag}|0> =
+    <0|W|0> exp(L), and |<0|W|0>|^2 = exp(-|d|^2 + Re(conj(B) d^2 / A)) / |A|.
+    <n|W|n> is n! times the z^n w^n coefficient of exp(L)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        A, B, beta = _Dc.of(A), _Dc.of(B), _Dc.of(beta)
+        d = A * beta + B * beta.conj() - beta
+        P, Q = A.conj(), _Dc(0) - B
+        delta = B * d.conj() - P * d
+        vacuum = ((B.conj() * d * d / A).re - d.abs2()).exp() / A.abs2().sqrt()
+        lz, lw = _Dc(0) - delta / P, (delta.conj() * P - delta * Q.conj()) / P
+        qzz, qzw, qww = _Dc(0) - Q / (P * _Dc(2)), _Dc(1) / P, Q.conj() / (P * _Dc(2))
+        total = _Dc(0)
+        for c in range(n + 1):
+            for b in range((n - c) // 2 + 1):
+                for b2 in range((n - c) // 2 + 1):
+                    a, a2 = n - 2 * b - c, n - 2 * b2 - c
+                    f = math.factorial
+                    scale = Decimal(f(n)) / (f(a) * f(a2) * f(b) * f(b2) * f(c))
+                    total = total + (lz**a * lw**a2 * qzz**b * qww**b2 * qzw**c
+                                     * _Dc(scale))
+        return float(vacuum * total.abs2())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_fock_weight_matches_the_first_form_kernel(n):
+    # Complex A, B and beta together: the only case in which the Im A term
+    # of the vacuum exponent enters. The reference forms the large
+    # displacement d and its cancelling terms at 50 digits.
+    worst = 0.0
+    for s in (0.7, 2.5):
+        for arg_a in (0.9, -2.0):
+            A, B = math.cosh(s) * cmath.exp(1j * arg_a), math.sinh(s) * cmath.exp(0.4j)
+            for beta in (0.6 - 0.35j, 1.3 + 0.2j):
+                weight = analytic.fock_weight(np.array([A]), np.array([B]), beta, n)[0]
+                worst = max(worst, abs(weight - _first_form_weight(A, B, beta, n)))
+    assert worst < 1e-13

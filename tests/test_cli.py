@@ -397,19 +397,18 @@ def test_drive_takes_states_past_the_default_dim(tmp_path, state):
         assert run(tmp_path, cfg, "drive") == cli.EXIT_NUMERIC
 
 
-def test_gaussian_drive_nan_past_the_rounding_floor_passes_verify(tmp_path):
-    # A Fock n > 0 drive with gravity reaches the fock_weight floor: P_exact
-    # is NaN from there on (first_nan_k names it), P_approx stays finite.
+def test_gaussian_drive_with_gravity_is_finite_and_passes_verify(tmp_path):
+    # A Fock n > 0 drive with gravity: its k-fold displacement grows with the
+    # squeeze, but P_exact is finite at every cycle, so the summary names no
+    # first_nan_k.
     system = {"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 0.5}
     cfg = {"experiment": "drive", "system": system, "output": {"path": "drive_floor"},
            "params": {"N": 200, "state": {"type": "fock", "n": 3}}}
     assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
     _, _, rows = cli.read_csv(str(tmp_path / "drive_floor.csv"))
     summary = json.loads((tmp_path / "drive_floor_summary.json").read_text())
-    first = summary["first_nan_k"]["P_exact"]
-    assert summary["route"] == "generating_function" and 1 < first < 200
-    assert np.isfinite(rows[: first - 1, 1]).all() and np.isnan(rows[first - 1, 1])
-    assert np.isfinite(rows[:, 2]).all()
+    assert summary["route"] == "generating_function" and "first_nan_k" not in summary
+    assert rows.shape == (200, 3) and np.isfinite(rows).all()
 
 
 @pytest.mark.parametrize("dim", [None, 64])

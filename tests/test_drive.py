@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_ramsey import _count_solves
 
-from trapmass import analytic, drive, fock, model, states
+from trapmass import drive, fock, model, states
 from trapmass.errors import DimensionMismatch
 
 
@@ -135,39 +135,89 @@ def test_gaussian_series_take_no_solve(monkeypatch):
 
 
 def test_cycle_matrix_matches_the_truncated_cycle():
-    # W^dag a W read off the interior block of the truncated cycle product.
+    # W^dag a W = A1 a + B1 a^dag + d1 read off the interior block of the
+    # truncated cycle product: (A1, B1) = (-cosh 2r, sinh 2r), the linear
+    # part of -S(2r), and d1 = z* - A1 z* - B1 conj(z*) from the fixed point.
     p = natural_params(u=2e-2, g=0.4)
     dim = 128
     U = drive.cycle_operator(p, dim).product
     a = fock.annihilation(dim)
     heisenberg = (U.conj().T @ a @ U)[:20, :20]
-    H = drive._cycle_matrix(p, drive.drive_schedule(p))
-    A, B, d = H[0]
+    sched = drive.drive_schedule(p)
+    A, B = -math.cosh(sched.per_cycle_r), math.sinh(sched.per_cycle_r)
+    z = drive._fixed_point(p, sched)
+    d = z - A * z - B * np.conj(z)
+    assert abs(d) > 5e-3
     assert np.max(np.abs(heisenberg - (A * a + B * a.T + d * np.eye(dim))[:20, :20])) < 1e-12
-    assert np.allclose(H[1], np.conj([B, A, d])) and np.array_equal(H[2], [0, 0, 1])
 
 
-def test_displaced_fock_weight_is_nan_past_its_rounding_floor():
-    # With gravity the k-fold displacement d grows with the squeeze, and the
-    # Fock-n circle kernel loses about eps |d|^2 of relative accuracy: the
-    # series matches a 100-digit mpmath evaluation of the same cycle matrix
-    # while eps |d|^2 is below analytic.DISPLACEMENT_FLOOR and is NaN past it
-    # (it read 9.6e307 at k = 107 without the floor).
-    p = model.build_system(
+def _gravity_params():
+    return model.build_system(
         {"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 0.5})
-    exact = drive.gaussian_drive(p, 200, n=3).exact
+
+
+def test_displaced_fock_weight_is_finite_at_every_k():
+    # With gravity the k-fold displacement grows with the squeeze (|d| ~ 1e17
+    # at k = 200). The weight, formed from the fixed-point displacement
+    # beta = alpha - z* with bounded coefficients, is finite at every k and
+    # matches a 160-digit mpmath evaluation of 3x3 Heisenberg matrix powers
+    # of the cycle and the first-form kernel in their displacement. Formed
+    # from d in double, it was NaN from k = 44.
+    exact = drive.gaussian_drive(_gravity_params(), 400, n=3).exact
+    assert np.isfinite(exact).all() and np.all((exact >= 0.0) & (exact <= 1.0))
     mpmath_reference = {1: 0.439423242986293, 10: 0.0253988062827408,
                         20: 1.66384785968526e-4, 30: 1.3538622922865e-5,
-                        40: 1.77554207024664e-6}
+                        40: 1.77554207024664e-6, 44: 7.8950346872062e-7,
+                        60: 3.08190715388964e-8, 107: 2.24224773066485e-12,
+                        200: 1.45358370713779e-20, 400: 3.57531359966577e-38}
     for k, ref in mpmath_reference.items():
-        assert exact[k - 1] == pytest.approx(ref, rel=1e-9)
-    H = drive._powers(drive._cycle_matrix(p, drive.drive_schedule(p)), 200)
-    floored = np.finfo(float).eps * np.abs(H[:, 0, 2]) ** 2 > analytic.DISPLACEMENT_FLOOR
-    assert floored.any() and np.array_equal(np.isnan(exact), floored)
-    assert np.all((exact[~floored] >= 0.0) & (exact[~floored] <= 1.0))
-    # The vacuum needs no floor: its closed form keeps its absolute accuracy.
-    vacuum = drive.gaussian_drive(p, 200).exact
-    assert np.isfinite(vacuum).all() and np.all((vacuum >= 0.0) & (vacuum <= 1.0))
+        assert exact[k - 1] == pytest.approx(ref, rel=1e-12)
+
+
+def test_displaced_vacuum_weight_keeps_its_relative_accuracy():
+    # The vacuum weight of the same system, against the same 160-digit
+    # reference; the exponent formed from d lost it (1.90052514e-11 at
+    # k = 125, 7.4e-291 at k = 202).
+    vacuum = drive.gaussian_drive(_gravity_params(), 202).exact
+    assert vacuum[124] == pytest.approx(1.900527071624918e-11, rel=1e-12)
+    assert vacuum[201] == pytest.approx(3.157625252214569e-18, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_drive_series_reject_fewer_than_one_cycle(N):
+    p = natural_params()
+    calls = [lambda: drive.gaussian_drive(p, N), lambda: drive.squeezed_overlaps(p, N),
+             lambda: drive.iterate_drive(p, states.fock_state(32, 0), N)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"N must be >= 1, got {N}"):
+            call()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 5),
+    alpha_abs=st.floats(0.0, 2.0),
+    alpha_arg=st.floats(-math.pi, math.pi),
+    g=st.floats(0.0, 0.5),
+    u=st.floats(1e-3, 6e-2),
+    N=st.integers(1, 400),
+)
+def test_gaussian_series_are_weights_and_reduce_to_squeezing(n, alpha_abs, alpha_arg, g, u, N):
+    # P_exact of D(alpha)|n> is finite and in [0, 1] at every cycle. Without
+    # gravity the fixed point is 0 and the cycle is -S(2r), whose parity
+    # (-1)^k leaves the weight of |n> unchanged: P_exact equals P_approx,
+    # for the vacuum bit for bit (the weight is 1/cosh(2kr)). For n > 0 the
+    # sign permutes the terms of the circle sum, whose roundoff reaches
+    # 3.2e-14 here, so the bound is the circle's 1e-13 of the Legendre test.
+    alpha = alpha_abs * complex(math.cos(alpha_arg), math.sin(alpha_arg))
+    exact = drive.gaussian_drive(natural_params(u=u, g=g), N, n=n, alpha=alpha).exact
+    assert np.isfinite(exact).all() and np.all((exact >= 0.0) & (exact <= 1.0))
+    p0 = natural_params(u=u, g=0.0)
+    fock_exact = drive.gaussian_drive(p0, N, n=n).exact
+    approx = drive.squeezed_overlaps(p0, N, n=n)
+    if n == 0:
+        assert np.array_equal(fock_exact, approx)
+    assert np.max(np.abs(fock_exact - approx)) < 1e-13
 
 
 @settings(max_examples=25, deadline=None)

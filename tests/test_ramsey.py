@@ -311,6 +311,19 @@ def test_cut_thermal_contraction_property(nbar, S, x0):
     assert np.max(np.abs(got - _uncut_trace(spec, p.omega0, state, times))) < _CONTRACTION_ROUNDOFF
 
 
+def test_thermal_trace_takes_one_real_product_bit_for_bit(monkeypatch):
+    # A thermal density has a zero imaginary part, so fock.real_matmul builds
+    # V1^T rho with one real product: the dim-512 trace is bit-identical to
+    # the one built with the two-product form.
+    p = _squeeze_params(0.8)
+    state = states.thermal_state_cm(512, 3.0)
+    assert not state.data.imag.any()
+    times = np.linspace(0.0, 4.0 * math.pi, 500)
+    got = ramsey.ramsey_trace(p, state, times, x0=1.0, dim=512).trace
+    monkeypatch.setattr(fock, "real_matmul", lambda R, Z: R @ Z.real + 1j * (R @ Z.imag))
+    assert np.array_equal(got, ramsey.ramsey_trace(p, state, times, x0=1.0, dim=512).trace)
+
+
 def _count_solves(monkeypatch):
     solves = []
     real_eigh = np.linalg.eigh
