@@ -30,16 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, model
-from .errors import (
-    NotNormalized,
-    ParamMismatch,
-    RegimeWarning,
-    TruncationInsufficient,
-)
+from .errors import NotNormalized, ParamMismatch, RegimeWarning
 from .states import CMState
 
 _SMALL_REGIME = 1e-3
-_ROUTE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -362,13 +356,17 @@ class EffectiveShift:
 
 
 def moments_from_state(state: CMState) -> dict:
-    """First and second ladder moments {<a>, <a^2>, <a^dag^2>, <n>}."""
-    a = fock.annihilation(state.dim)
+    """First and second ladder moments {<a>, <a^2>, <a^dag^2>, <n>}, each a
+    sum over one band of the state (fock.ladder_moment); <a^dag^2> is
+    conj(<a^2>) and <n> weighs the populations by n."""
+    data = state.data
+    populations = np.abs(data) ** 2 if state.is_pure else np.diagonal(data).real
+    a2 = fock.ladder_moment(data, 2)
     return {
-        "a": state.expectation(a),
-        "a2": state.expectation(a @ a),
-        "adag2": state.expectation(a.conj().T @ a.conj().T),
-        "n": state.expectation(a.conj().T @ a).real,
+        "a": fock.ladder_moment(data, 1),
+        "a2": a2,
+        "adag2": a2.conjugate(),
+        "n": float(np.arange(state.dim) @ populations),
     }
 
 
@@ -452,15 +450,19 @@ def approx_visibility(
     t = np.asarray(t, dtype=float)
 
     frame = model.derive_mode_frame(params, level)
-    dim = p.size + 8  # buffer so truncated products are exact on the support
-    n_k = fock.mode_number(frame.r_i, frame.alpha_gi, dim)
-    O = frame.omega_i * n_k - params.omega0 * np.diag(np.arange(dim, dtype=float))
-    diag_O = np.diag(O)[: p.size]
-    diag_O2 = np.diag(O @ O)[: p.size]
-    mean = float(p @ diag_O)
-    var = float(p @ diag_O2) - mean**2
-
+    c, s = math.cosh(frame.r_i), math.sinh(frame.r_i)
+    w1, alpha = frame.omega_i, frame.alpha_gi
     ns = np.arange(p.size)
+    n = ns.astype(float)
+    # Column n of O = omega_1 n_k - omega_0 n_0 (the bands of fock.mode_number):
+    # its diagonal, w1 c s on offsets +-2 and w1 alpha (c - s) on offsets +-1,
+    # so <n|O^2|n> is the sum of their squares.
+    diag_O = w1 * (c * c * n + s * s * (n + 1.0) + alpha * alpha) - params.omega0 * n
+    off2 = (w1 * c * s) ** 2 * ((n + 1.0) * (n + 2.0) + n * (n - 1.0))
+    off1 = (w1 * alpha * (c - s)) ** 2 * (2.0 * n + 1.0)
+    mean = float(p @ diag_O)
+    var = float(p @ (diag_O**2 + off2 + off1)) - mean**2
+
     n_mean = float(p @ ns)
     dn = math.sqrt(max(float(p @ ns**2) - n_mean**2, 0.0))
     omega_c = params.omega_c(level)
@@ -475,49 +477,3 @@ def approx_visibility(
         thermal_form=thermal,
         variance=var,
     )
-
-
-def number_operator_moments(frame: model.ModeFrame, state: CMState) -> dict:
-    """{<n_k>, <n_k^2>, <[n_0, n_k]>} via two independent routes.
-
-    The matrix route is fock.mode_number, the truncated product a_k^T a_k.
-    The oracle route builds n_k from the exact normal-ordered expansion
-
-        n_k = cosh(2r) n_0 + sinh^2 r - (sinh 2r / 2)(a^2 + a^dag2)
-              + alpha_g e^{-r} (a + a^dag) + alpha_g^2
-
-    with no product of ladder matrices. They must agree within 1e-10;
-    disagreement means the state has weight at the truncation edge.
-    """
-    dim = state.dim
-    a = fock.annihilation(dim)
-    adag = a.T
-    eye = np.eye(dim)
-    r, alpha = frame.r_i, frame.alpha_gi
-
-    Nk_exp = (
-        math.cosh(2.0 * r) * (adag @ a)
-        + math.sinh(r) ** 2 * eye
-        - 0.5 * math.sinh(2.0 * r) * (a @ a + adag @ adag)
-        + alpha * math.exp(-r) * (a + adag)
-        + alpha**2 * eye
-    )
-    Nk_mat = fock.mode_number(r, alpha, dim)
-    N0 = adag @ a
-
-    out = {}
-    pairs = {
-        "n_k": (Nk_exp, Nk_mat),
-        "n_k2": (Nk_exp @ Nk_exp, Nk_mat @ Nk_mat),
-        "comm_n0_nk": (N0 @ Nk_exp - Nk_exp @ N0, N0 @ Nk_mat - Nk_mat @ N0),
-    }
-    for key, (op_a, op_b) in pairs.items():
-        va = state.expectation(op_a)
-        vb = state.expectation(op_b)
-        scale = max(abs(va), abs(vb), 1.0)
-        if abs(va - vb) > _ROUTE_TOL * scale:
-            raise TruncationInsufficient(
-                f"{key}: expansion vs matrix routes differ by {abs(va - vb):.3e}"
-            )
-        out[key] = va if key == "comm_n0_nk" else float(np.real(va))
-    return out

@@ -92,6 +92,22 @@ def load_config(path: str, experiment: str) -> dict:
     return cfg
 
 
+def _param(section: dict, key: str, parse, default=None):
+    """parse(section[key]), or default where the key is absent. A value that
+    parse refuses (TypeError, ValueError or OverflowError) is a ConfigError."""
+    if key not in section:
+        return default
+    try:
+        return parse(section[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed {key} {section[key]!r}: {exc}") from exc
+
+
+def _optional(parse):
+    """parse, reading null as None (the key omitted)."""
+    return lambda value: None if value is None else parse(value)
+
+
 def _integer(value) -> int:
     """int(value), refusing to truncate a fractional value."""
     if int(value) != float(value):
@@ -99,10 +115,29 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _boolean(value) -> bool:
+    """A JSON true or false; bool("false") would read as true."""
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
+def _positive(value) -> float:
+    """float(value), refusing a value that is not finite and > 0."""
+    x = float(value)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError("must be finite and > 0")
+    return x
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
 # Per state type: its parameter's key, parse and default, and its constructor.
 _STATE_TYPES = {
     "fock": ("n", _integer, 0, states.fock_state),
-    "coherent": ("alpha", complex, 0.0, states.coherent_state),
+    "coherent": ("alpha", complex, 0j, states.coherent_state),
     "thermal": ("nbar", float, 0.0, states.thermal_state_cm),
 }
 
@@ -116,17 +151,13 @@ def _state_spec(params: dict, dim: int | None) -> tuple[str, int | complex | flo
     if kind not in _STATE_TYPES:
         raise ConfigError(f"unknown state type {kind!r}")
     key, parse, default, _ = _STATE_TYPES[kind]
-    try:
-        value = parse(spec.get(key, default))
-        return kind, value, _integer(spec["dim"]) if "dim" in spec else dim
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed {kind} state spec {spec}: {exc}") from exc
+    return kind, _param(spec, key, parse, default), _param(spec, "dim", _integer, dim)
 
 
 def _state_at_params_dim(params: dict) -> states.CMState:
     """params.state sized by params.dim (default 128), which an explicit
     state dim must equal."""
-    dim = int(params.get("dim", 128))
+    dim = _param(params, "dim", _integer, 128)
     kind, value, size = _state_spec(params, dim)
     state = _STATE_TYPES[kind][3](size, value)
     if "dim" in params and state.dim != dim:
@@ -210,26 +241,20 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     generating function ("generating_function"). An explicit params.dim
     takes the eigh route ("eigh"), the state at its spec dim or params.dim."""
     phys = model.build_system(system)
-    try:
-        level = _integer(params.get("level", 1))
-        dim = None if params.get("dim") is None else _integer(params["dim"])
-        x0 = None if params.get("x0") is None else float(params["x0"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed ramsey params: {exc}") from exc
+    level = _param(params, "level", _integer, 1)
+    dim = _param(params, "dim", _optional(_integer))
+    x0 = _param(params, "x0", _optional(float))
     kind, value, size = _state_spec(params, dim)
     state = None if dim is None else _STATE_TYPES[kind][3](size, value)
     omega1 = model.derive_mode_frame(phys, level).omega_i
-    try:
-        if "times" in params:
-            times = np.asarray([float(t) for t in params["times"]])
-        else:
-            t_end = float(params.get("periods", 2.0)) * 2.0 * math.pi / omega1
-            times = np.linspace(0.0, t_end, _integer(params.get("points", 400)))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed ramsey time grid: {exc}") from exc
+    if "times" in params:
+        times = np.asarray(_param(params, "times", _floats))
+    else:
+        t_end = _param(params, "periods", float, 2.0) * 2.0 * math.pi / omega1
+        times = np.linspace(0.0, t_end, max(_param(params, "points", _integer, 400), 0))
     if times.size < 1:
         raise ConfigError("ramsey needs at least one time point")
-    corotating = bool(params.get("corotating", False))
+    corotating = _param(params, "corotating", _boolean, False)
     is_vacuum = kind == "fock" and value == 0
     alpha = value if kind == "coherent" else 0j
     gaussian = is_vacuum or kind == "coherent"
@@ -269,15 +294,23 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
 
 
 def _grid_from_spec(spec) -> np.ndarray:
+    """A list of values, or {min, max, points[, log]}: that many values
+    spaced evenly, or evenly in log, from min to max."""
     if isinstance(spec, list):
-        return np.asarray([float(v) for v in spec])
+        return np.asarray(_floats(spec))
     _check_keys(spec, {"min", "max", "points", "log"}, "grid")
-    lo, hi, n = float(spec["min"]), float(spec["max"]), int(spec["points"])
+    missing = {"min", "max", "points"} - set(spec)
+    if missing:
+        raise ConfigError(f"grid needs {sorted(missing)}")
+    lo, hi, n = float(spec["min"]), float(spec["max"]), _integer(spec["points"])
     if n < 1:
         raise ConfigError(f"grid points must be >= 1, got {n}")
-    if spec.get("log", False):
+    if _boolean(spec.get("log", False)):
         return np.logspace(math.log10(lo), math.log10(hi), n)
     return np.linspace(lo, hi, n)
+
+
+_DEFAULT_OMEGA0_GRID = _grid_from_spec({"min": 1e2, "max": 1e7, "points": 200, "log": True})
 
 
 def _shift_tables(system: dict, level: int, omegas: np.ndarray, n_values: list[float]
@@ -296,13 +329,10 @@ def _shift_tables(system: dict, level: int, omegas: np.ndarray, n_values: list[f
 
 
 def run_shift(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
-    try:
-        level = _integer(params.get("level", 1))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed shift level: {exc}") from exc
-    omegas = _grid_from_spec(params.get("omega0_grid", {"min": 1e2, "max": 1e7,
-                                                        "points": 200, "log": True}))
-    n_values = [float(n) for n in params.get("n_values", [0.0])]
+    level = _param(params, "level", _integer, 1)
+    omegas = _param(params, "omega0_grid", _grid_from_spec, _DEFAULT_OMEGA0_GRID)
+    n_values = _param(params, "n_values", _floats, [0.0])
+    temperature = _param(params, "temperature", _positive)
     phys, tables = _shift_tables(system, level, omegas, n_values)
 
     blocks, minima = [], {}
@@ -321,11 +351,10 @@ def run_shift(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
             minima[f"n={n}"] = {"error": str(exc)}
 
     summary = {"minima": minima}
-    if "temperature" in params:
-        rep = clock.thermal_shift(model.build_system(system),
-                                  float(params["temperature"]), level)
+    if temperature is not None:
+        rep = clock.thermal_shift(model.build_system(system), temperature, level)
         summary["thermal"] = {
-            "T": float(params["temperature"]),
+            "T": temperature,
             "n_mean": rep.n,
             "fractional_shift": rep.fractional_shift,
         }
@@ -343,12 +372,9 @@ def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     its spec dim or params.dim. P_approx is drive.squeezed_overlaps on both
     routes. A thermal state is refused (exit 3)."""
     phys = model.build_system(system)
-    try:
-        N = _integer(params.get("N", 50))
-        level = _integer(params.get("level", 1))
-        dim = None if params.get("dim") is None else _integer(params["dim"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed drive params: {exc}") from exc
+    N = _param(params, "N", _integer, 50)
+    level = _param(params, "level", _integer, 1)
+    dim = _param(params, "dim", _optional(_integer))
     if N < 1:
         raise ConfigError(f"drive needs N >= 1 cycles, got {N}")
     kind, value, _ = _state_spec(params, dim)
@@ -384,16 +410,17 @@ def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
 
 def run_qfunc(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     phys = model.build_system(system)
+    t = _param(params, "t", float, 0.0)
+    probabilities = _param(params, "distribution", _floats)
+    delta = _param(params, "delta", _positive, 0.1)
     state = _state_at_params_dim(params)
-    t = float(params.get("t", 0.0))
     summary = {}
-    if "distribution" in params:
-        dist = phasespace.InternalDistribution(
-            tuple(float(v) for v in params["distribution"]))
+    if probabilities is not None:
+        dist = phasespace.InternalDistribution(tuple(probabilities))
         evolved = phasespace.evolve_mixed_cm(phys, state, dist, t)
     else:
         evolved = state
-    grid = phasespace.qfunction(evolved, delta=float(params.get("delta", 0.1)))
+    grid = phasespace.qfunction(evolved, delta=delta)
     summary["normalization"] = grid.normalization()
     try:
         fit = phasespace.effective_squeezing_fit(grid)
@@ -417,8 +444,10 @@ def run_sweep(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     if op == "fractional_shift":
         _check_keys(axes, {"omega0", "n"}, "axes")
         columns = ["omega0", "n", "delta"]
-        omegas = np.asarray(axes.get("omega0", [system.get("omega0", 1e6)]), dtype=float)
-        n_values = [float(n) for n in axes.get("n", [0.0])]
+        # The axis defaults to the system's omega0 and is parsed like a given one.
+        omegas = np.asarray(_param({"omega0": [system.get("omega0", 1e6)], **axes},
+                                   "omega0", _floats))
+        n_values = _param(axes, "n", _floats, [0.0])
         _, tables = _shift_tables(system, 1, omegas, n_values)
         # Rows run omega0-major: every n for the first omega0, then the next.
         data = np.column_stack([
@@ -430,7 +459,7 @@ def run_sweep(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
         _check_keys(axes, {"x0"}, "axes")
         columns = ["x0", "t_min", "V_min", "t_rev", "V_rev"]
         phys = model.build_system(system)
-        x0 = np.asarray(axes.get("x0", [0.0]), dtype=float)
+        x0 = np.asarray(_param(axes, "x0", _floats, [0.0]))
         data = np.column_stack([x0, *analytic.visibility_extrema(phys, x0)])
     return columns, data, {"op": op, "rows": len(data)}
 

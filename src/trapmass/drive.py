@@ -91,12 +91,10 @@ def cycle_operator(params: model.SystemParams, dim: int, level: int = 1) -> Cycl
     """
     sched = drive_schedule(params, level)
     product = _cycle_product(params, sched, dim)
+    parity = (-1.0) ** np.arange(dim)  # P = exp(-i pi n) as a row sign
     comparator = (
-        -1j
-        * fock.parity_matrix(dim)
-        @ fock.squeeze_matrix(dim, sched.per_cycle_r)
-        @ fock.displace_matrix(dim, sched.beta_g)
-    )
+        -1j * parity[:, None] * fock.squeeze_matrix(dim, sched.per_cycle_r)
+    ) @ fock.displace_matrix(dim, sched.beta_g)
     return CycleOperator(product=product, comparator=comparator, schedule=sched)
 
 
@@ -121,11 +119,8 @@ def comparator_deviation(cycle: CycleOperator) -> float:
 def displacement_component(op: np.ndarray) -> complex:
     """First moment <a> of op|0>, normalized; reads off the displacement of
     a Gaussian unitary without a matrix logarithm."""
-    dim = op.shape[0]
-    psi = op[:, 0].copy()
-    psi /= np.linalg.norm(psi)
-    a = fock.annihilation(dim)
-    return complex(psi.conj() @ (a @ psi))
+    psi = op[:, 0] / np.linalg.norm(op[:, 0])
+    return fock.ladder_moment(psi, 1)
 
 
 def _fixed_point(params: model.SystemParams, sched: DriveSchedule) -> complex:

@@ -10,7 +10,9 @@ and every truncated solver path builds its number operator a_i^T a_i with
 ground mode is already diagonal and needs none) and `Spectrum.propagator`
 turns it into exp(-i H_b t / hbar). For a real eigenbasis V that is one
 `real_matmul`, V times the complex diag(e^{-iwt}) V^T as two real products,
-with no complex upcast of V. `mode_matrix_direct` rebuilds a_i from
+with no complex upcast of V. Every ladder matrix and moment takes its
+bands from `ladder_band`; `ladder_moment` reads <a^k> of a state from
+one band, with no ladder product. `mode_matrix_direct` rebuilds a_i from
 x and p and is kept only as an oracle for `mode_number`.
 
 `Spectrum.propagator` is the one exponential of the package. Squeeze and
@@ -47,11 +49,27 @@ def interior(dim: int) -> int:
     return dim - math.ceil(dim / 8)
 
 
+def ladder_band(dim: int, k: int) -> np.ndarray:
+    """sqrt((n+1)...(n+k)) for n = 0 .. dim-k-1: the band of a^k at offset k,
+    (a^k)[n, n+k], truncated to dim levels."""
+    n = np.arange(max(dim - k, 0), dtype=float)
+    band = n + 1.0
+    for j in range(2, k + 1):
+        band *= n + j
+    return np.sqrt(band)
+
+
+def ladder_moment(data: np.ndarray, k: int) -> complex:
+    """<a^k> of a state vector or density, k >= 1, as a sum over the k-th
+    band: sum_n sqrt((n+1)...(n+k)) conj(psi_n) psi_{n+k}, or rho_{n+k, n}."""
+    band = ladder_band(data.shape[0], k)
+    if data.ndim == 1:
+        return complex(band @ (data[:-k].conj() * data[k:]))
+    return complex(band @ np.diagonal(data, -k))
+
+
 def annihilation(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim))
-    ms = np.arange(dim - 1)
-    a[ms, ms + 1] = np.sqrt(ms + 1.0)
-    return a
+    return np.diag(ladder_band(dim, 1), 1)
 
 
 def mode_number(r: float, alpha: float, dim: int) -> np.ndarray:
@@ -67,10 +85,9 @@ def mode_number(r: float, alpha: float, dim: int) -> np.ndarray:
     a_adag = n + 1.0
     a_adag[-1] = 0.0
     N = np.diag(c * c * n + s * s * a_adag + alpha * alpha)
-    i = np.arange(dim - 1)
-    N[i, i + 1] = N[i + 1, i] = alpha * (c - s) * np.sqrt(n[1:])
-    j = np.arange(dim - 2)
-    N[j, j + 2] = N[j + 2, j] = -c * s * np.sqrt(n[1:-1] * n[2:])
+    for k, coeff in ((1, alpha * (c - s)), (2, -c * s)):
+        i = np.arange(dim - k)
+        N[i, i + k] = N[i + k, i] = coeff * ladder_band(dim, k)
     return N
 
 
@@ -144,9 +161,8 @@ def _ladder_spectrum(dim: int, k: int, theta: float) -> Spectrum:
     X_k = (a^k + adag^k) / k has one band at offset k and takes one real
     eigh, and Phi multiplies the rows of its eigenvectors."""
     n = np.arange(dim - k)
-    band = np.sqrt(np.prod([n + j for j in range(1, k + 1)], axis=0)) / k
     X = np.zeros((dim, dim))
-    X[n, n + k] = X[n + k, n] = band
+    X[n, n + k] = X[n + k, n] = ladder_band(dim, k) / k
     w, V = np.linalg.eigh(X)
     return Spectrum(w=w, V=np.exp(1j * theta * np.arange(dim))[:, None] * V)
 
@@ -166,8 +182,3 @@ def displace_matrix(dim: int, alpha: complex) -> np.ndarray:
         return np.eye(dim, dtype=complex)
     theta = cmath.phase(alpha) - math.pi / 2
     return _ladder_spectrum(dim, 1, theta).propagator(-abs(alpha))
-
-
-def parity_matrix(dim: int) -> np.ndarray:
-    """exp(-i pi n) = diag((-1)^n)."""
-    return np.diag((-1.0) ** np.arange(dim))

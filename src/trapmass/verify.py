@@ -158,7 +158,7 @@ def _cycle_deviations(u_values, g: float, dim: int) -> tuple[list[float], list[f
         S = fock.squeeze_matrix(dim, cyc.schedule.per_cycle_r)
         full.append(drive.comparator_deviation(cyc))
         bare.append(drive.comparator_deviation(
-            replace(cyc, comparator=-1j * fock.parity_matrix(dim) @ S)))
+            replace(cyc, comparator=-1j * ((-1.0) ** np.arange(dim))[:, None] * S)))
     return full, bare
 
 

@@ -187,7 +187,7 @@ def test_criterion_7_qfunction_scaling_fit_and_normalization():
         row = states.coherent_amplitudes(dim, beta)[0]
         q_exact = float(np.real(row.conj() @ exact.data @ row))
         q_st = float(np.real(
-            phasespace.qfunction_short_time(p, alpha, dist, beta, t, dim=dim)[0]
+            phasespace.qfunction_short_time(p, alpha, dist, beta, t)[0]
         ))
         return abs(q_exact - q_st)
 
@@ -202,7 +202,7 @@ def test_criterion_7_qfunction_scaling_fit_and_normalization():
     ax = np.linspace(-2.0, 2.0, 81)
     grid_beta = ax[None, :] + 1j * ax[:, None]
     q = np.real(phasespace.qfunction_short_time(
-        p_small, 0.0, dist1, grid_beta.ravel(), t, dim=64
+        p_small, 0.0, dist1, grid_beta.ravel(), t
     )).reshape(grid_beta.shape)
     grid = phasespace.QGrid(beta=grid_beta, q=q, delta=ax[1] - ax[0])
     fit = phasespace.effective_squeezing_fit(grid)

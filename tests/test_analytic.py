@@ -251,23 +251,26 @@ def test_approx_visibility_quadratic_error_scaling():
 
 def test_number_operator_moments_limits():
     p = natural_params(E1=2.0, c=2.0, g=0.5)
-    f0 = model.derive_mode_frame(p, 0)
     f1 = model.derive_mode_frame(p, 1)
     vac = states.fock_state(64, 0)
-    # Level 0: n_0 moments of the bare vacuum.
-    m0 = analytic.number_operator_moments(f0, vac)
-    assert m0["n_k"] == pytest.approx(0.0, abs=1e-13)
-    assert m0["comm_n0_nk"] == pytest.approx(0.0, abs=1e-13)
+    # Level 0: the bare vacuum has no quanta and no ladder moments.
+    m0 = analytic.moments_from_state(vac)
+    assert m0 == {"a": 0.0, "a2": 0.0, "adag2": 0.0, "n": 0.0}
     # Level 1 vacuum: <n_1> = sinh^2 r + alpha_g^2.
-    m1 = analytic.number_operator_moments(f1, vac)
-    assert m1["n_k"] == pytest.approx(
-        math.sinh(f1.r_i) ** 2 + f1.alpha_gi**2, rel=1e-12
-    )
-    # Coherent state at level 0: <n_0> = |alpha|^2, <n_0^2> = |a|^4 + |a|^2.
-    coh = states.coherent_state(96, 1.1)
-    mc = analytic.number_operator_moments(f0, coh)
-    assert mc["n_k"] == pytest.approx(1.1**2, rel=1e-10)
-    assert mc["n_k2"] == pytest.approx(1.1**4 + 1.1**2, rel=1e-10)
+    n1 = vac.expectation(fock.mode_number(f1.r_i, f1.alpha_gi, 64)).real
+    assert n1 == pytest.approx(math.sinh(f1.r_i) ** 2 + f1.alpha_gi**2, rel=1e-12)
+    # Coherent state: <n> = |alpha|^2, <n^2> = |alpha|^4 + |alpha|^2, and the
+    # ladder moments alpha, alpha^2 and conj(alpha)^2.
+    alpha = 1.1 - 0.4j
+    coh = states.coherent_state(96, alpha)
+    mc = analytic.moments_from_state(coh)
+    n0 = fock.mode_number(0.0, 0.0, 96)
+    assert mc["n"] == pytest.approx(abs(alpha) ** 2, rel=1e-10)
+    assert coh.expectation(n0 @ n0).real == pytest.approx(
+        abs(alpha) ** 4 + abs(alpha) ** 2, rel=1e-10)
+    assert abs(mc["a"] - alpha) < 1e-12
+    assert abs(mc["a2"] - alpha**2) < 1e-12
+    assert abs(mc["adag2"] - np.conj(alpha) ** 2) < 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 40])

@@ -821,3 +821,29 @@ def test_qfunc_alpha_key_is_rejected(tmp_path):
 def test_heavy_state_tails_are_numeric_failures(tmp_path, state, capsys):
     assert run(tmp_path, ramsey_cfg(state=state), "ramsey") == cli.EXIT_NUMERIC
     assert "needs dim >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("qfunc", {"t": "abc"}),
+    ("qfunc", {"dim": "x"}),
+    ("qfunc", {"distribution": ["x", 0.5]}),
+    ("qfunc", {"distribution": 0.5}),
+    ("qfunc", {"delta": 0}),
+    ("shift", {"temperature": "hot"}),
+    ("shift", {"temperature": 0}),
+    ("shift", {"n_values": ["a"]}),
+    ("shift", {"omega0_grid": {"min": 1e2, "max": 1e7}}),
+    ("shift", {"omega0_grid": {"min": 1e2, "max": 1e7, "points": 3.7}}),
+    ("shift", {"omega0_grid": {"min": 1e2, "max": 1e7, "points": 5, "log": "false"}}),
+    ("ramsey", {"corotating": "false"}),
+    ("sweep", {"op": "visibility_extrema", "axes": {"x0": ["a"]}}),
+])
+def test_malformed_params_are_config_errors(tmp_path, capsys, experiment, params):
+    # Each of these once escaped main as a traceback (exit 1): a ValueError,
+    # TypeError, KeyError or ZeroDivisionError. A fractional grid point count
+    # was truncated (3.7 points ran as 3), and the string "false" read as true.
+    system = NATURAL_SYSTEM if experiment == "qfunc" else SI_SHIFT_SYSTEM
+    cfg = {"experiment": experiment, "system": dict(system),
+           "output": {"path": "malformed"}, "params": params}
+    assert run(tmp_path, cfg, experiment) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err

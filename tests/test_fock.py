@@ -136,6 +136,25 @@ def test_squeeze_and_displace_match_expm(dim, r, alpha_abs, alpha_arg):
     assert np.max(np.abs(fock.displace_matrix(dim, alpha) - D_ref)) < 1e-11
 
 
-def test_parity_matrix():
-    P = fock.parity_matrix(5)
-    assert np.allclose(np.diag(P), [1, -1, 1, -1, 1])
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 128),
+    k=st.sampled_from([1, 2]),
+    rank=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ladder_moment_matches_dense_expectation(dim, k, rank, seed):
+    # <a^k> from one band against the dense expectation of a^k, for a pure
+    # state (rank 0) and for mixtures of 1-3 random vectors.
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(dim, max(rank, 1))) + 1j * rng.normal(size=(dim, max(rank, 1)))
+    vecs /= np.linalg.norm(vecs, axis=0)
+    if rank == 0:
+        state = states.pure_state(vecs[:, 0])
+    else:
+        weights = rng.dirichlet(np.ones(rank))
+        rho = (vecs * weights) @ vecs.conj().T
+        state = states.mixed_state(0.5 * (rho + rho.conj().T))
+    dense = state.expectation(np.linalg.matrix_power(fock.annihilation(dim), k))
+    got = fock.ladder_moment(state.data, k)
+    assert abs(got - dense) <= 1e-13 * max(abs(dense), 1.0)

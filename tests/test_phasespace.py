@@ -1,4 +1,6 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import factorial, gammainc
 
-from trapmass import model, phasespace, states
+from trapmass import fock, model, phasespace, states
 from trapmass.errors import (
     InvalidDistribution,
     NonGaussianProfile,
@@ -249,13 +251,64 @@ def test_short_time_error_is_fourth_order():
         row = states.coherent_amplitudes(dim, beta)[0]
         q_exact = float(np.real(row.conj() @ exact.data @ row))
         q_st = float(np.real(
-            phasespace.qfunction_short_time(p, alpha, dist, beta, t, dim=dim)[0]
+            phasespace.qfunction_short_time(p, alpha, dist, beta, t)[0]
         ))
         return abs(q_exact - q_st)
 
     t0 = 0.2
     ratio = err(t0) / err(t0 / 2.0)
     assert ratio == pytest.approx(16.0, abs=4.0)
+
+
+def _dense_short_time(params, alpha, dist, beta, t):
+    """The short-time Q from truncated matrices, <beta|n_k|alpha> and
+    <beta|n_k^2|alpha> as products with fock.mode_number, at a dim that
+    holds |alpha> and every |beta>."""
+    reach = max(abs(alpha), float(np.max(np.abs(beta))))
+    dim = int(math.ceil(reach**2 + 12.0 * reach + 32.0))
+    va = states.coherent_amplitudes(dim, [alpha])[0]
+    VB = states.coherent_amplitudes(dim, beta)
+    overlap = VB.conj() @ va
+    total = np.zeros(beta.shape, dtype=complex)
+    for k, pk in enumerate(dist.p):
+        frame = model.derive_mode_frame(params, k)
+        Nk = fock.mode_number(frame.r_i, frame.alpha_gi, dim)
+        m1 = (VB.conj() @ (Nk @ va)) / overlap
+        m2 = (VB.conj() @ (Nk @ (Nk @ va))) / overlap
+        total += pk * np.exp(-((frame.omega_i * t) ** 2) * (m2 - m1**2))
+    return np.abs(overlap) ** 2 * total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    E=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=2, unique=True),
+    g=st.floats(0.0, 0.6),
+    alpha_abs=st.floats(0.0, 1.2),
+    alpha_arg=st.floats(-math.pi, math.pi),
+    t=st.floats(0.0, 1.3),
+    p0=st.floats(0.0, 1.0),
+)
+def test_short_time_closed_form_matches_dense_matrices(E, g, alpha_abs, alpha_arg, t, p0):
+    p = model.build_system({"unit_system": "natural", "c": 2.0,
+                            "levels": [0.0, *sorted(E)], "g": g})
+    rest = (1.0 - p0) / len(E)
+    dist = phasespace.InternalDistribution((p0, *[rest] * len(E)))
+    alpha = cmath.rect(alpha_abs, alpha_arg)
+    ax = np.linspace(-2.0, 2.0, 9)
+    beta = (ax[None, :] + 1j * ax[:, None]).ravel()
+    got = phasespace.qfunction_short_time(p, alpha, dist, beta, t)
+    assert np.max(np.abs(got - _dense_short_time(p, alpha, dist, beta, t))) < 1e-14
+
+
+@pytest.mark.parametrize("beta", [39.0, 45.0])
+def test_short_time_far_from_alpha_is_zero(beta):
+    # There <beta|alpha> underflows; the truncated route divided 0 by 0.
+    p = natural_params(g=0.5)
+    dist = phasespace.InternalDistribution((0.5, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = phasespace.qfunction_short_time(p, 0.6, dist, [beta], 0.4)
+    assert np.isfinite(q).all() and q[0] == 0.0
 
 
 def test_effective_squeezing_fit_on_synthetic_gaussian():
@@ -287,7 +340,7 @@ def test_predicted_r_eff_matches_short_time_profile():
     ax = np.linspace(-2.0, 2.0, 81)
     beta = ax[None, :] + 1j * ax[:, None]
     q = np.real(
-        phasespace.qfunction_short_time(p, 0.0, dist, beta.ravel(), t, dim=64)
+        phasespace.qfunction_short_time(p, 0.0, dist, beta.ravel(), t)
     ).reshape(beta.shape)
     grid = phasespace.QGrid(beta=beta, q=q, delta=ax[1] - ax[0])
     fit = phasespace.effective_squeezing_fit(grid)
