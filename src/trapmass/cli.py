@@ -48,7 +48,6 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------- config ---
 
-_SYSTEM_KEYS = {"unit_system", "M0", "levels", "k", "omega0", "g", "c", "hbar"}
 _STATE_KEYS = {"type", "n", "alpha", "nbar", "dim"}
 _EXPERIMENT_KEYS = {
     "ramsey": {"state", "x0", "level", "periods", "points", "times", "corotating",
@@ -86,7 +85,11 @@ def load_config(path: str, experiment: str) -> dict:
             f"config experiment {cfg['experiment']!r} does not match "
             f"subcommand {experiment!r}"
         )
-    _check_keys(cfg["system"], _SYSTEM_KEYS, "system")
+    _check_keys(cfg["system"], set(_SYSTEM_PARSERS), "system")
+    # Checked, not replaced: the config hash and model.build_system see the
+    # section as written.
+    for key, parse in _SYSTEM_PARSERS.items():
+        _param(cfg["system"], key, parse)
     _check_keys(cfg["output"], {"path"}, "output")
     _check_keys(cfg.get("params", {}), _EXPERIMENT_KEYS[experiment], "params")
     return cfg
@@ -131,7 +134,22 @@ def _positive(value) -> float:
 
 
 def _floats(values) -> list[float]:
+    """A JSON list of numbers; a string or a scalar is refused."""
+    if not isinstance(values, list):
+        raise TypeError("must be a list")
     return [float(v) for v in values]
+
+
+def _unit_system(value) -> str:
+    if not (isinstance(value, str) and value.lower() in (model.UNIT_SI, model.UNIT_NATURAL)):
+        raise ValueError(f"must be {model.UNIT_SI!r} or {model.UNIT_NATURAL!r}")
+    return value
+
+
+_SYSTEM_PARSERS = {
+    "unit_system": _unit_system, "levels": _floats,
+    **dict.fromkeys(("M0", "k", "omega0", "g", "c", "hbar"), float),
+}
 
 
 # Per state type: its parameter's key, parse and default, and its constructor.
@@ -412,6 +430,8 @@ def run_qfunc(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     phys = model.build_system(system)
     t = _param(params, "t", float, 0.0)
     probabilities = _param(params, "distribution", _floats)
+    if probabilities is None and "t" in params:
+        raise ConfigError("t needs a distribution: without one the state is not evolved")
     delta = _param(params, "delta", _positive, 0.1)
     state = _state_at_params_dim(params)
     summary = {}

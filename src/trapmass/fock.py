@@ -49,6 +49,19 @@ def interior(dim: int) -> int:
     return dim - math.ceil(dim / 8)
 
 
+def support(A: np.ndarray) -> int:
+    """The number k >= 1 of leading Fock columns of A that can change a
+    double: with tau = (eps / 4) sum |A|, the columns past k hold at most
+    tau / 2 of sum |A|. A zero column has zero weight, so the columns past
+    a state's support always go."""
+    cols = np.abs(A).sum(axis=0)
+    tau = 0.25 * np.finfo(float).eps * cols.sum()
+    # Tail sums of the column weights: non-increasing, so the kept columns
+    # are a prefix.
+    tail = np.cumsum(cols[::-1])[::-1]
+    return max(int(np.count_nonzero(tail > 0.5 * tau)), 1)
+
+
 def ladder_band(dim: int, k: int) -> np.ndarray:
     """sqrt((n+1)...(n+k)) for n = 0 .. dim-k-1: the band of a^k at offset k,
     (a^k)[n, n+k], truncated to dim levels."""

@@ -3,6 +3,14 @@ Q-function diagnostics.
 
 Q convention: Q(beta) = <beta|rho|beta> with no 1/pi prefactor, so the
 normalization quadrature is sum(Q) * delta^2 / pi = 1.
+
+evolve_mixed_cm and qfunction contract only the block rho[:s, :s] of a
+density, s = fock.support(rho). The entries left out (n >= s or m >= s) sum
+to at most tau = (eps / 4) sum |rho| in modulus, as |rho| is symmetric and
+the columns past s hold at most tau / 2. Since |<n|beta>| <= 1 and
+|<beta|U D U^dag|beta>| <= ||D||_2 <= sum |D|, each cut moves a Q value by at
+most tau: 5.6e-17 for a thermal state, 8.2e-16 for a coherent state at
+|alpha| = 3.
 """
 
 from __future__ import annotations
@@ -82,13 +90,16 @@ def evolve_mixed_cm(
 ) -> CMState:
     """rho_cm(t) = sum_k p_k U_k rho0 U_k^dag at the dim of rho0; the scalar
     rest-energy phase of each U_k cancels against its conjugate, so only
-    bounded propagators appear."""
+    bounded propagators appear. Each term is U_k[:, :s] rho0[:s, :s]
+    U_k[:, :s]^dag, s = fock.support(rho0) (see the module docstring)."""
     frames = _weighted_frames(params, dist)
     dim = rho0.dim
     rho = rho0.density()
+    s = fock.support(rho)
+    rho = rho[:s, :s]
     out = np.zeros((dim, dim), dtype=complex)
     for pk, frame in frames:
-        U = fock.spectrum(frame, frame.alpha_gi, dim).propagator(t)
+        U = fock.spectrum(frame, frame.alpha_gi, dim).propagator(t)[:, :s]
         out += pk * (U @ rho @ U.conj().T)
     # Symmetrize away eigensolver roundoff before validation.
     out = 0.5 * (out + out.conj().T)
@@ -122,10 +133,14 @@ def qfunction(
     so the previous grid is the centre block of the next one and only the
     new annulus is evaluated. Fails with TruncationInsufficient, naming the
     dim required, when the truncated basis cannot represent the boundary
-    coherent states.
+    coherent states. Only the block of fock.support is contracted, with as
+    many coherent columns (see the module docstring); the truncation check
+    and the edge rule keep the full dim.
     """
     dim = rho.dim
     density = rho.density()
+    s = fock.support(density)
+    density = density[:s, :s]
     hw = float(half_width)
     q_old = np.empty((0, 0))
     while True:

@@ -142,15 +142,14 @@ def _bounded_trace(
 def _support(C: np.ndarray) -> tuple[np.ndarray, int]:
     """(rows, k): the eigen-rows and the number of leading Fock columns of C
     that _bounded_trace contracts; the entries it leaves out sum to at most
-    tau = (eps / 4) sum |C| in modulus. A zero column has zero weight, so
-    the columns past the state's support always go."""
+    tau = (eps / 4) sum |C| in modulus. The columns are fock.support's,
+    which leave out at most tau / 2, and the rows those holding at most
+    tau / (2 rows) in the kept columns."""
+    # fock.support frees its |C| before A is made, so one dim x dim float
+    # temporary is alive at a time.
+    k = fock.support(C)
     A = np.abs(C)
-    cols = A.sum(axis=0)
-    tau = 0.25 * np.finfo(float).eps * cols.sum()
-    # Tail sums of the column weights: non-increasing, so the kept columns
-    # are a prefix.
-    tail = np.cumsum(cols[::-1])[::-1]
-    k = int(np.count_nonzero(tail > 0.5 * tau))
+    tau = 0.25 * np.finfo(float).eps * A.sum(axis=0).sum()
     rows = np.flatnonzero(A[:, :k].sum(axis=1) > 0.5 * tau / C.shape[0])
     return rows, k
 

@@ -837,13 +837,45 @@ def test_heavy_state_tails_are_numeric_failures(tmp_path, state, capsys):
     ("shift", {"omega0_grid": {"min": 1e2, "max": 1e7, "points": 5, "log": "false"}}),
     ("ramsey", {"corotating": "false"}),
     ("sweep", {"op": "visibility_extrema", "axes": {"x0": ["a"]}}),
+    ("qfunc", {"t": 5.0}),
 ])
 def test_malformed_params_are_config_errors(tmp_path, capsys, experiment, params):
     # Each of these once escaped main as a traceback (exit 1): a ValueError,
     # TypeError, KeyError or ZeroDivisionError. A fractional grid point count
-    # was truncated (3.7 points ran as 3), and the string "false" read as true.
+    # was truncated (3.7 points ran as 3), the string "false" read as true,
+    # and a qfunc t without a distribution was ignored (t 0.0 and 5.0 wrote
+    # the same Q grid).
     system = NATURAL_SYSTEM if experiment == "qfunc" else SI_SHIFT_SYSTEM
     cfg = {"experiment": experiment, "system": dict(system),
            "output": {"path": "malformed"}, "params": params}
     assert run(tmp_path, cfg, experiment) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+_SYSTEM_RUNS = [("ramsey", {}), ("shift", {}), ("drive", {}), ("qfunc", {}),
+                ("sweep", {"op": "fractional_shift"}),
+                ("sweep", {"op": "visibility_extrema"})]
+# Per system key, values that are not a number (or, for levels, not a list
+# of numbers; for unit_system, not a unit system's name).
+_BAD_SYSTEM_VALUES = {
+    **dict.fromkeys(("M0", "k", "omega0", "g", "c", "hbar"), ["x", [], None, {"a": 1}]),
+    "levels": [["x", 2.0], "02", 2.0, [[0.0], 1.0]],
+    "unit_system": ["x", 5, None],
+}
+
+
+@pytest.mark.parametrize("units", [NATURAL_SYSTEM, SI_SHIFT_SYSTEM], ids=["natural", "si"])
+@pytest.mark.parametrize("experiment, params", _SYSTEM_RUNS,
+                         ids=[p.get("op", e) for e, p in _SYSTEM_RUNS])
+def test_malformed_system_values_are_config_errors(tmp_path, capsys, units, experiment,
+                                                   params):
+    # A non-numeric system value once escaped main as a ValueError or
+    # TypeError traceback (exit 1) from model.build_system: "c": "x",
+    # "levels": ["x", 2.0] and SI "M0": "x" among them, and "g": [].
+    for key, values in _BAD_SYSTEM_VALUES.items():
+        for value in values:
+            cfg = {"experiment": experiment, "system": {**units, key: value},
+                   "output": {"path": "malformed"}, "params": params}
+            assert run(tmp_path, cfg, experiment) == cli.EXIT_CONFIG, (key, value)
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: malformed {key} "), (key, value, err)

@@ -158,3 +158,27 @@ def test_ladder_moment_matches_dense_expectation(dim, k, rank, seed):
     dense = state.expectation(np.linalg.matrix_power(fock.annihilation(dim), k))
     got = fock.ladder_moment(state.data, k)
     assert abs(got - dense) <= 1e-13 * max(abs(dense), 1.0)
+
+
+def test_support_keeps_the_columns_that_can_change_a_double():
+    eps = np.finfo(float).eps
+    # Zero columns past the last nonzero one go, and so does everything of a
+    # zero matrix but its first column.
+    A = np.zeros((6, 9), dtype=complex)
+    A[:, :4] = 1.0 - 2.0j
+    assert fock.support(A) == 4
+    assert fock.support(np.zeros((5, 5))) == 1
+    # A thermal density at dim 512: the columns left out hold at most tau / 2
+    # of sum |rho|, tau = (eps / 4) sum |rho|, and keeping one column fewer
+    # would leave out more.
+    rho = states.thermal_state_cm(512, 3.0).data
+    k = fock.support(rho)
+    tau = 0.25 * eps * np.abs(rho).sum()
+    assert 100 < k < 200
+    assert np.abs(rho[:, k:]).sum() <= 0.5 * tau < np.abs(rho[:, k - 1:]).sum()
+    # A coherent state's outer product: complex entries, no zero column.
+    rho = states.coherent_state(128, 2.0 - 1.5j).density()
+    k = fock.support(rho)
+    tau = 0.25 * eps * np.abs(rho).sum()
+    assert np.all(rho != 0) and 20 < k < 128
+    assert np.abs(rho[:, k:]).sum() <= 0.5 * tau < np.abs(rho[:, k - 1:]).sum()

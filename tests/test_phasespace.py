@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import factorial, gammainc
+from scipy.special import factorial, gammainc, gammaincc
 
 from trapmass import fock, model, phasespace, states
 from trapmass.errors import (
@@ -152,6 +152,70 @@ def test_qfunction_matches_einsum_reference(state, m):
     assert np.max(np.abs(grid.q - _reference_q(state, grid.beta))) < 1e-13
 
 
+@st.composite
+def _coherent_mixtures(draw):
+    """Coherent states |alpha| <= 3 at dim 128, pure or a mixture with
+    complex coherences: Fock weights that do not decay from n = 0, and a
+    support of 1 (the vacuum) to 65 (|alpha| = 3) of the 128 columns."""
+    alphas = draw(st.lists(st.complex_numbers(max_magnitude=3.0), min_size=1, max_size=3))
+    if len(alphas) == 1:
+        return states.coherent_state(128, alphas[0])
+    p = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(alphas),
+                               max_size=len(alphas))))
+    rho = sum(pk * states.coherent_state(128, a).density() for pk, a in zip(p / p.sum(), alphas))
+    return states.mixed_state(0.5 * (rho + rho.conj().T))
+
+
+@st.composite
+def _states_and_half_widths(draw):
+    """(state, grid half-width): a _random_states draw with the half-width of
+    test_qfunction_matches_einsum_reference, or a _coherent_mixtures draw on
+    a grid that reaches |beta| = 7.8, where the left-out columns weigh most."""
+    if draw(st.booleans()):
+        state = draw(_random_states())
+        return state, 0.25 * math.sqrt(state.dim)
+    return draw(_coherent_mixtures()), draw(st.floats(1.0, 5.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_states_and_half_widths(), m=st.integers(1, 32))
+def test_cut_qfunction_within_tau_of_uncut(case, m):
+    # qfunction contracts only the block of fock.support, which moves each Q
+    # value by at most tau = (eps / 4) sum |rho|. The uncut value is _husimi
+    # on the whole density, with the same coherent rows: against the
+    # independent _reference_q the two routes already differ by up to 8e-15
+    # in roundoff, with or without the cut.
+    state, hw = case
+    grid = phasespace.qfunction(state, delta=hw / m, half_width=hw, auto_expand=False)
+    uncut = phasespace._husimi(state.density(), grid.beta.ravel()).reshape(grid.beta.shape)
+    tau = 0.25 * np.finfo(float).eps * np.abs(state.density()).sum()
+    assert np.max(np.abs(grid.q - uncut)) <= tau + 1e-15
+    assert np.max(np.abs(grid.q - _reference_q(state, grid.beta))) < 1e-13
+
+
+def test_husimi_receives_the_support_block(monkeypatch):
+    # A vacuum at dim 2600 is contracted as a 1 x 1 block; the maximally
+    # mixed state, whose support is full, as the whole density.
+    shapes = []
+    husimi = phasespace._husimi
+
+    def recording(density, betas):
+        shapes.append(density.shape)
+        return husimi(density, betas)
+
+    monkeypatch.setattr(phasespace, "_husimi", recording)
+    phasespace.qfunction(states.fock_state(2600, 0), half_width=40.0, delta=10.0,
+                         auto_expand=False)
+    assert shapes == [(1, 1)]
+    shapes.clear()
+    flat = states.mixed_state(np.eye(32) / 32.0)
+    grid = phasespace.qfunction(flat, half_width=1.0, delta=0.25, auto_expand=False)
+    assert shapes == [(32, 32)]
+    # Q of the maximally mixed state is (1/dim) sum_n |<n|beta>|^2.
+    expected = gammaincc(32, np.abs(grid.beta) ** 2) / 32.0
+    assert np.max(np.abs(grid.q - expected)) < 1e-15
+
+
 def test_qfunction_annulus_reuse(monkeypatch):
     # Growing from half-width 1 takes several rounds; each round evaluates
     # only its new annulus, and the result equals one evaluation of the
@@ -214,6 +278,31 @@ def test_distribution_rejects_non_finite_probabilities():
         phasespace.qfunction_short_time(
             p, 0.3, phasespace.InternalDistribution((math.nan, math.nan)), [0.0, 0.5], 0.1
         )
+
+
+def test_evolve_mixed_cm_propagates_the_support_block():
+    # Only rho0[:s, :s], s = fock.support(rho0), is propagated; the part left
+    # out sums to at most tau = (eps / 4) sum |rho0|, and so moves every
+    # <beta|rho(t)|beta> by at most tau against the whole product.
+    p = natural_params(g=0.4)
+    dist = phasespace.InternalDistribution((0.3, 0.7))
+    rho0 = states.mixed_state(
+        0.6 * states.coherent_state(96, 1.5 - 1.0j).density()
+        + 0.4 * states.fock_state(96, 3).density()
+    )
+    assert fock.support(rho0.data) < 60
+    out = phasespace.evolve_mixed_cm(p, rho0, dist, 0.9).data
+    whole = np.zeros((96, 96), dtype=complex)
+    for k, pk in enumerate(dist.p):
+        frame = model.derive_mode_frame(p, k)
+        U = fock.spectrum(frame, frame.alpha_gi, 96).propagator(0.9)
+        whole += pk * (U @ rho0.data @ U.conj().T)
+    ax = np.linspace(-4.0, 4.0, 17)
+    B = states.coherent_amplitudes(96, (ax[None, :] + 1j * ax[:, None]).ravel())
+    tau = 0.25 * np.finfo(float).eps * np.abs(rho0.data).sum()
+    q_cut = ((B.conj() @ out) * B).sum(1).real
+    q_whole = ((B.conj() @ whole) * B).sum(1).real
+    assert np.max(np.abs(q_cut - q_whole)) <= tau + 1e-15
 
 
 def test_evolve_mixed_cm_validation():
