@@ -32,7 +32,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import analytic, clock, constants, drive, model, phasespace, ramsey, states, verify
-from .errors import DimensionMismatch, TrapMassError
+from .errors import DimensionMismatch, MissingField, TrapMassError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -570,7 +570,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command)
         columns, data, summary = _RUNNERS[args.command](cfg["system"],
                                                         cfg.get("params", {}))
-    except ConfigError as exc:
+    except (ConfigError, MissingField) as exc:  # MissingField: a required system key
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrapMassError as exc:

@@ -43,6 +43,8 @@ import numpy as np
 from .errors import ConvergenceFailure, DimensionTooSmall
 from .model import ModeFrame, SystemParams
 
+_EPS = float(np.finfo(float).eps)
+
 
 def interior(dim: int) -> int:
     """Number of leading rows/columns on which truncated identities are asserted."""
@@ -50,16 +52,19 @@ def interior(dim: int) -> int:
 
 
 def support(A: np.ndarray) -> int:
-    """The number k >= 1 of leading Fock columns of A that can change a
-    double: with tau = (eps / 4) sum |A|, the columns past k hold at most
-    tau / 2 of sum |A|. A zero column has zero weight, so the columns past
-    a state's support always go."""
-    cols = np.abs(A).sum(axis=0)
-    tau = 0.25 * np.finfo(float).eps * cols.sum()
-    # Tail sums of the column weights: non-increasing, so the kept columns
-    # are a prefix.
-    tail = np.cumsum(cols[::-1])[::-1]
-    return max(int(np.count_nonzero(tail > 0.5 * tau)), 1)
+    """The number k >= 1 of leading Fock entries of a state vector, or
+    columns of a matrix, that can change a double: with
+    tau = (eps / 4) sum |A|, the entries past k hold at most tau / 2 of
+    sum |A|. A zero entry has zero weight, so the entries past a state's
+    support always go."""
+    cols = np.abs(A)
+    if cols.ndim == 2:
+        cols = cols.sum(axis=0)
+    tau = 0.25 * _EPS * cols.sum()
+    # Tail sums of the weights from the last entry: non-decreasing, so the
+    # dropped entries are the ones whose tail sum is <= tau / 2.
+    tail = cols[::-1].cumsum()
+    return max(cols.size - int(tail.searchsorted(0.5 * tau, side="right")), 1)
 
 
 def ladder_band(dim: int, k: int) -> np.ndarray:

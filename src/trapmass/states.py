@@ -59,14 +59,16 @@ def mixed_state(rho: np.ndarray) -> CMState:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatch(f"density matrix must be square, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > _TRACE_TOL:
+    diagonal = np.diagonal(rho)
+    is_diagonal = np.count_nonzero(rho) == np.count_nonzero(diagonal)
+    # On a diagonal matrix, rho - rho^dag is 2i Im(diag), bit for bit.
+    asymmetry = 2.0 * np.abs(diagonal.imag) if is_diagonal else np.abs(rho - rho.conj().T)
+    if np.max(asymmetry) > _TRACE_TOL:
         raise NotNormalized("density matrix not Hermitian")
     tr = float(np.trace(rho).real)
     if not abs(tr - 1.0) <= _TRACE_TOL:  # also catches a NaN trace
         raise NotNormalized(f"trace {tr} != 1")
     # A diagonal matrix's eigenvalues are its diagonal.
-    diagonal = np.diagonal(rho)
-    is_diagonal = np.count_nonzero(rho) == np.count_nonzero(diagonal)
     evals = diagonal.real if is_diagonal else np.linalg.eigvalsh(rho)
     if evals.min() < _PSD_FLOOR:
         raise NotNormalized(f"negative eigenvalue {evals.min():.3e}")

@@ -879,3 +879,33 @@ def test_malformed_system_values_are_config_errors(tmp_path, capsys, units, expe
             assert run(tmp_path, cfg, experiment) == cli.EXIT_CONFIG, (key, value)
             err = capsys.readouterr().err
             assert err.startswith(f"config error: malformed {key} "), (key, value, err)
+
+
+# (system, missing field): a required system field left out.
+_MISSING_SYSTEM_FIELDS = [
+    ({k: v for k, v in NATURAL_SYSTEM.items() if k != "c"}, "c"),
+    ({k: v for k, v in SI_SHIFT_SYSTEM.items() if k != "M0"}, "M0"),
+    ({k: v for k, v in NATURAL_SYSTEM.items() if k != "levels"}, "levels"),
+    ({k: v for k, v in SI_SHIFT_SYSTEM.items() if k != "levels"}, "levels"),
+    ({k: v for k, v in SI_SHIFT_SYSTEM.items() if k != "omega0"}, "k"),
+]
+
+
+@pytest.mark.parametrize("experiment, params", _SYSTEM_RUNS,
+                         ids=[p.get("op", e) for e, p in _SYSTEM_RUNS])
+def test_missing_system_fields_are_config_errors(tmp_path, capsys, experiment, params):
+    # A missing required system field once exited 3 ("numeric failure:
+    # required field missing") from model.build_system. Shift and the
+    # fractional-shift sweep set omega0 from their own grid, so an SI system
+    # without k or omega0 runs there.
+    own_trap = experiment == "shift" or params.get("op") == "fractional_shift"
+    for system, field in _MISSING_SYSTEM_FIELDS:
+        cfg = {"experiment": experiment, "system": system,
+               "output": {"path": "missing"}, "params": params}
+        code = run(tmp_path, cfg, experiment)
+        err = capsys.readouterr().err
+        if field == "k" and own_trap:
+            assert code == cli.EXIT_OK, err
+        else:
+            assert code == cli.EXIT_CONFIG, (field, err)
+            assert err == f"config error: required field missing: {field!r}\n"

@@ -117,13 +117,82 @@ def test_iterate_drive_skips_the_comparator(monkeypatch):
     res = drive.iterate_drive(p, psi0, N)
     assert solves == [(dim, False)]
 
-    product = drive.cycle_operator(p, dim).product
-    expected = np.empty(N)
-    psi = psi0.data.copy()
+    expected, bound = _dense_drive(p, psi0, N)
+    assert np.all(np.abs(res.exact - expected) <= bound + 1e-15)
+
+
+def _dense_drive(p, psi0, N):
+    """Reference for iterate_drive: the whole cycle product into psi and the
+    tail gate at every cycle. Returns P_k and the bound within which the cut
+    loop must stay: 2 sum tau_j over the states psi_0 .. psi_{k-1} that
+    cycles 1 .. k take in, tau_j = (eps / 4) sum |psi_j|."""
+    product = drive.cycle_operator(p, psi0.dim).product
+    m = fock.interior(psi0.dim)
+    exact, bound = np.full(N, np.nan), np.empty(N)
+    psi, total = psi0.data, 0.0
     for k in range(N):
+        total += 0.25 * np.finfo(float).eps * np.abs(psi).sum()
+        bound[k] = 2.0 * total
         psi = product @ psi
-        expected[k] = abs(psi0.data.conj() @ psi) ** 2
-    assert np.array_equal(res.exact, expected)
+        if np.vdot(psi[m:], psi[m:]).real > states.TAIL_BOUND:
+            break
+        exact[k] = abs(np.vdot(psi0.data, psi)) ** 2
+    return exact, bound
+
+
+def _random_pure_state(rng, dim):
+    """A random unit vector on a random leading block of the Fock basis,
+    under a random exponential envelope."""
+    size = int(rng.integers(1, dim // 3 + 1))
+    envelope = np.exp(-rng.uniform(0.0, 0.5) * np.arange(size))
+    vec = np.zeros(dim, dtype=complex)
+    vec[:size] = envelope * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    return states.pure_state(vec / np.linalg.norm(vec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["fock", "coherent", "random"]),
+    dim=st.integers(48, 128),
+    n=st.integers(0, 6),
+    alpha_abs=st.floats(0.0, 2.0),
+    alpha_arg=st.floats(-math.pi, math.pi),
+    seed=st.integers(0, 2**32 - 1),
+    g=st.floats(0.05, 0.5),
+    u=st.floats(1e-3, 6e-2),
+    N=st.integers(1, 150),
+)
+def test_cut_drive_stays_within_its_bound_of_the_dense_loop(kind, dim, n, alpha_abs, alpha_arg,
+                                                            seed, g, u, N):
+    # iterate_drive multiplies only the block of the product that can change
+    # a double: each cycle moves psi by at most tau_j, so P_k stays within
+    # 2 sum_j tau_j of the dense loop, and the tail gate trips at the same k.
+    p = natural_params(u=u, g=g)
+    if kind == "fock":
+        psi0 = states.fock_state(dim, n)
+    elif kind == "coherent":
+        psi0 = states.coherent_state(dim, alpha_abs * complex(math.cos(alpha_arg),
+                                                              math.sin(alpha_arg)))
+    else:
+        psi0 = _random_pure_state(np.random.default_rng(seed), dim)
+    got = drive.iterate_drive(p, psi0, N).exact
+    expected, bound = _dense_drive(p, psi0, N)
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    finite = ~np.isnan(expected)
+    assert np.all(np.abs(got - expected)[finite] <= bound[finite] + 1e-15)
+
+
+def test_tail_gate_tripping_mid_block_matches_the_dense_loop():
+    # The gate is evaluated once per block of cycles; a trip inside a block
+    # must leave NaN from the same cycle as the per-cycle gate.
+    p = natural_params(u=3e-2, g=0.3)
+    psi0 = states.fock_state(64, 0)
+    N = 3 * drive._BLOCK
+    got = drive.iterate_drive(p, psi0, N).exact
+    expected, _ = _dense_drive(p, psi0, N)
+    first_nan = int(np.argmax(np.isnan(expected)))
+    assert 0 < first_nan % drive._BLOCK and drive._BLOCK < first_nan < N
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
 
 
 def test_gaussian_series_take_no_solve(monkeypatch):

@@ -182,3 +182,20 @@ def test_support_keeps_the_columns_that_can_change_a_double():
     tau = 0.25 * eps * np.abs(rho).sum()
     assert np.all(rho != 0) and 20 < k < 128
     assert np.abs(rho[:, k:]).sum() <= 0.5 * tau < np.abs(rho[:, k - 1:]).sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 200), decay=st.floats(0.0, 3.0), zeros=st.integers(0, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_support_of_a_vector_is_that_of_its_one_row_matrix(dim, decay, zeros, seed):
+    # A state vector takes the column rule entry by entry: its k is that of
+    # the 1 x dim matrix, and the entries left out hold at most tau / 2.
+    rng = np.random.default_rng(seed)
+    vec = np.exp(-decay * np.arange(dim)) * (rng.standard_normal(dim)
+                                            + 1j * rng.standard_normal(dim))
+    vec[dim - min(zeros, dim - 1):] = 0.0
+    k = fock.support(vec)
+    assert k == fock.support(vec[None, :])
+    tau = 0.25 * np.finfo(float).eps * np.abs(vec).sum()
+    assert np.abs(vec[k:]).sum() <= 0.5 * tau
+    assert k == 1 or np.abs(vec[k - 1:]).sum() > 0.5 * tau

@@ -299,6 +299,29 @@ def test_support_drops_thermal_tail_and_fock_zeros():
     assert ramsey._support(C)[1] == 4
 
 
+def test_bounded_trace_builds_c_over_the_state_support(monkeypatch):
+    # V1^T rho is built from rho[:s, :s] (psi[:s] for a pure state), with
+    # s = fock.support of the state, not from the whole dim x dim density.
+    p = _squeeze_params(0.8)
+    spec = _excited_spectrum(p, 1.0, 512)
+    times = np.linspace(0.0, 4.0 * math.pi, 300)
+    real_matmul = fock.real_matmul
+    operands = []
+
+    def spy(R, Z):
+        operands.append((R.shape, Z.shape))
+        return real_matmul(R, Z)
+
+    monkeypatch.setattr(fock, "real_matmul", spy)
+    for state in (states.thermal_state_cm(512, 3.0), states.coherent_state(512, 1.5 - 0.5j)):
+        s = fock.support(state.data)
+        assert s < 200
+        operands.clear()
+        got = ramsey._bounded_trace(spec, p.omega0, state, times)
+        assert operands[0] == ((512, s), (s,) if state.is_pure else (s, s))
+        assert np.max(np.abs(got - _uncut_trace(spec, p.omega0, state, times))) < _CONTRACTION_ROUNDOFF
+
+
 @settings(max_examples=25, deadline=None)
 @given(nbar=st.floats(0.0, 5.0), S=st.floats(0.6, 0.99), x0=st.floats(0.0, 3.0))
 @example(nbar=5.0, S=0.75, x0=0.0)

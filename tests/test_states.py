@@ -155,6 +155,38 @@ def test_mixed_state_checks_diagonal_matrices_from_the_diagonal(monkeypatch):
     assert shapes == []
 
 
+def _dense_hermitian_check(rho):
+    """The Hermitian and trace checks of mixed_state on the whole matrix:
+    the message of the first that fails, or None."""
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+        asymmetry = np.max(np.abs(rho - rho.conj().T))
+    if asymmetry > states._TRACE_TOL:
+        return "density matrix not Hermitian"
+    tr = float(np.trace(rho).real)
+    if not abs(tr - 1.0) <= states._TRACE_TOL:
+        return f"trace {tr} != 1"
+    return None
+
+
+@pytest.mark.parametrize("diagonal", [
+    [0.25, 0.75], [0.25 + 1e-11j, 0.75], [0.25 + 1e-9j, 0.75], [0.25 - 1e-9j, 0.75],
+    [np.nan, 1.0], [complex(0.5, np.nan), 0.5], [np.inf, 0.0], [complex(0.5, np.inf), 0.5],
+    [complex(np.inf, np.inf), 0.0], [complex(np.nan, np.inf), 0.5], [-np.inf, 1.0],
+], ids=["real", "imag-1e-11", "imag-1e-9", "imag-neg-1e-9", "nan", "nan-imag", "inf",
+        "inf-imag", "inf-both", "nan-inf", "neg-inf"])
+def test_diagonal_hermitian_check_matches_the_dense_formula(diagonal):
+    # On a diagonal matrix mixed_state checks 2 |Im diag| in place of
+    # rho - rho^dag: it accepts and rejects as the dense formula does, with
+    # the same message.
+    rho = np.diag(np.asarray(diagonal, dtype=complex))
+    try:
+        states.mixed_state(rho)
+        got = None
+    except NotNormalized as exc:
+        got = str(exc)
+    assert got == _dense_hermitian_check(rho)
+
+
 def test_mixed_state_checks_other_matrices_densely(monkeypatch):
     shapes = _counting_eigvalsh(monkeypatch)
     # Non-negative diagonal, eigenvalues 1.2 and -0.2.
