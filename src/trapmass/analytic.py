@@ -12,8 +12,9 @@ result is smooth through every revival. A coherent state |alpha> adds one
 more Gaussian exponent in alpha (see bounded_amplitude). ramsey.coherent_trace
 multiplies this bounded amplitude by the scalar-offset phase
 exp(-i (offset_1-offset_0) t / hbar), computed through the
-cancellation-safe gap. The same kernel gives Tr(y^n U_1b) (generating_function):
-a thermal trace is one value of it, a Fock trace a circle sum (fock_diagonal).
+cancellation-safe gap. The same kernel gives Tr(y^n W) of the Ramsey
+unitary W = U_0b^dag U_1b (generating_function): a thermal trace is one
+value of it, a Fock trace a circle sum (fock_diagonal).
 The kernel holds for any Gaussian unitary W (_trace_kernel), and every one
 in the package is described by the same tuple (P, Q, c1, c2, expo, root) of
 its Bogoliubov map, Bargmann coefficients and vacuum amplitude. fock_weight
@@ -40,61 +41,73 @@ _SMALL_REGIME = 1e-3
 class VacuumAmplitudeParams:
     """Dimensionless inputs of the closed-form vacuum/coherent amplitude.
 
-    S = sqrt(M0/M1); a0 = M0 omega0 / hbar; x0 is the trap-center
-    separation (x0=None in from_system: the gravitational-sag separation
-    g/omega0^2). The scalar-offset phase is not here: ramsey applies it.
+    r = ModeFrame.r_i, S = sqrt(M0/M1) = e^{2r}; a0 = M0 omega0 / hbar; x0 is
+    the trap-center separation (x0=None in from_system: the gravitational-sag
+    separation g/omega0^2). The scalar-offset phase is not here: ramsey applies it.
     """
 
-    S: float
+    r: float
     a0: float
     x0: float
     omega0: float
     omega1: float
 
     def __post_init__(self):
-        if not 0.0 < self.S:
-            raise ParamMismatch(f"S must be positive, got {self.S}")
+        if not math.isfinite(self.r):
+            raise ParamMismatch(f"r must be finite, got {self.r}")
+
+    @property
+    def S(self) -> float:
+        return math.exp(2.0 * self.r)
 
     @classmethod
     def from_system(
         cls, params: model.SystemParams, level: int = 1, x0: float | None = None
     ) -> "VacuumAmplitudeParams":
         frame = model.derive_mode_frame(params, level)
-        S = math.sqrt(params.M0 / frame.M_i)
-        # Consistency probe: S must match both the mass ratio and the
-        # frequency ratio omega_1/omega_0.
-        if not math.isclose(S, frame.omega_i / params.omega0, rel_tol=1e-12):
-            raise ParamMismatch("mass and frequency ratios disagree")
-        return cls(
-            S=S,
+        vap = cls(
+            r=frame.r_i,
             a0=params.M0 * params.omega0 / params.hbar,
             x0=float(params.g / params.omega0**2 if x0 is None else x0),
             omega0=params.omega0,
             omega1=frame.omega_i,
         )
+        # Consistency probe: th = omega_1 t and phi (_bogoliubov) share one ratio.
+        if not math.isclose(vap.S, vap.omega1 / vap.omega0, rel_tol=1e-12):
+            raise ParamMismatch("mass and frequency ratios disagree")
+        return vap
 
 
 def _bogoliubov(vap: VacuumAmplitudeParams, t: np.ndarray):
-    """(P, Q, c1, c2, expo, root) of U_1b at t: its Bogoliubov map
-    U_1b a U_1b^dag = P a + Q a^dag + delta, the linear coefficients
-    c1 = -delta / P and c2 = conj(delta) + delta Q / P of its Bargmann kernel
-    (bounded_amplitude), and <0|U_1b|0> = exp(expo) / root, root the square
-    root of P on the branch that follows the winding of exp(i th), so the
-    amplitude is continuous in t."""
+    """(P, Q, c1, c2, expo, root) of the Ramsey unitary W = U_0b^dag U_1b at t:
+    its Bogoliubov map W a W^dag = P a + Q a^dag + delta, the coefficients
+    c1, c2 of its Bargmann kernel (bounded_amplitude) and
+    <0|W|0> = exp(expo) / root. U_1b = exp(-i th (a_1^dag a_1 + 1/2)),
+    th = omega_1 t, a_1 = cosh(r) a - sinh(r) a^dag + alpha_d, and U_0b^dag
+    rotates a by e^{-i omega0 t}, so with phi = th - omega0 t = omega0 t expm1(2r),
+
+        P = ref e^{i phi},  ref = 1 + 2 sinh^2 r sin th (sin th + i cos th),
+        Q = -i sinh(2r) sin th e^{i omega0 t},
+        delta = alpha_d (cosh r e^{i th} + sinh r e^{-i th} - e^r)
+              = sqrt(a0/2) x0 (-2 sin^2(th/2) + i sin th / S).
+
+    phi, ref - 1 and Q are formed from r, so no O(1) angle is subtracted and
+    an SI-scale phase keeps its digits. Re ref >= 1, so
+    root = sqrt|ref| e^{i (phi + arg ref) / 2} is continuous on principal branches.
+    """
     theta = vap.omega1 * t
-    sigma = 0.5 * (vap.S + 1.0 / vap.S)
-    sin_th = np.sin(theta)
-    P = np.cos(theta) + 1j * sigma * sin_th
-    sh, ch = np.sin(0.5 * theta), np.cos(0.5 * theta)
-    den = vap.S**2 * ch**2 + sh**2
+    sin_th, cos_th = np.sin(theta), np.cos(theta)
+    phi = vap.omega0 * t * math.expm1(2.0 * vap.r)
+    ref = 1.0 + 2.0 * math.sinh(vap.r) ** 2 * sin_th * (sin_th + 1j * cos_th)
+    P = ref * np.exp(1j * phi)
+    Q = -1j * math.sinh(2.0 * vap.r) * sin_th * np.exp(1j * vap.omega0 * t)
+    S, sh, ch = vap.S, np.sin(0.5 * theta), np.cos(0.5 * theta)
+    den = S**2 * ch**2 + sh**2
     # Regular everywhere: den >= min(1, S^2) > 0.
-    expo = -vap.a0 * vap.x0**2 * (sh**2 + 1j * vap.S * sh * ch) / den
-    Q = 0.5j * (1.0 / vap.S - vap.S) * sin_th
-    delta = vap.x0 * math.sqrt(0.5 * vap.a0) * (-2.0 * sh**2 + 1j * sin_th / vap.S)
-    ref = P * np.exp(-1j * theta)
-    winding = theta + np.arctan2(np.imag(ref), np.real(ref))
-    return (P, Q, -delta / P, np.conj(delta) + delta * Q / P, expo,
-            np.sqrt(np.abs(P)) * np.exp(0.5j * winding))
+    expo = -vap.a0 * vap.x0**2 * (sh**2 + 1j * S * sh * ch) / den
+    delta = vap.x0 * math.sqrt(0.5 * vap.a0) * (-2.0 * sh**2 + 1j * sin_th / S)
+    root = np.sqrt(np.abs(ref)) * np.exp(0.5j * (phi + np.angle(ref)))
+    return P, Q, -delta / P, np.conj(delta) - delta * np.conj(Q) / P, expo, root
 
 
 def bounded_amplitude(vap: VacuumAmplitudeParams, t, alpha: complex = 0.0) -> np.ndarray:
@@ -102,34 +115,22 @@ def bounded_amplitude(vap: VacuumAmplitudeParams, t, alpha: complex = 0.0) -> np
     trap (alpha = 0: its vacuum): the complete amplitude minus the
     scalar-offset phase. Exact for all t, x0 and alpha.
 
-    U_1b = exp(-i th (a_1^dag a_1 + 1/2)), a_1 = c a - s a^dag + alpha_d, maps
-    U_1b a U_1b^dag = P a + Q a^dag + delta. With c = cosh r, s = sinh r,
-    e^r = sqrt(S) and alpha_d = sqrt(M_1 omega_1 / 2 hbar) x0,
-
-        P = c^2 e^{i th} - s^2 e^{-i th} = cos th + i sigma sin th,
-        Q = -2i c s sin th = (i/2)(1/S - S) sin th,
-        delta = alpha_d (c e^{i th} + s e^{-i th} - e^r)
-              = sqrt(a0/2) x0 (-2 sin^2(th/2) + i sin th / S),
-
-    sigma = (S + 1/S)/2, and the Bargmann kernel <0|e^{z a} U_1b e^{w a^dag}|0>
-    is <0|U_1b|0> exp(L),
+    W = U_0b^dag U_1b maps W a W^dag = P a + Q a^dag + delta (_bogoliubov),
+    and its Bargmann kernel <0|e^{z a} W e^{w a^dag}|0> is <0|W|0> exp(L),
 
         L = c1 z + c2 w + [z w - Q z^2 / 2 + conj(Q) w^2 / 2] / P,
         c1 = -delta / P,  c2 = conj(delta) - delta conj(Q) / P,
 
-    which holds for any Gaussian unitary in place of U_1b; here Q is
-    imaginary, so conj(Q) = -Q (the c2 of _bogoliubov).
-
-    Then <alpha|U_0b^dag U_1b|alpha> = e^{i omega0 t / 2} <0|U_1b|0>
-    exp(L - |alpha|^2) at z = conj(alpha) e^{i omega0 t}, w = alpha. The
-    vacuum's Gaussian exponent, L and -|alpha|^2 are summed before the one
-    exp, so a far-displaced, large-alpha trace never forms 0 * inf.
+    which holds for any Gaussian unitary W. Then <alpha|W|alpha> =
+    <0|W|0> exp(L - |alpha|^2) at z = conj(alpha), w = alpha. The vacuum's
+    Gaussian exponent, L and -|alpha|^2 are summed before the one exp, so a
+    far-displaced, large-alpha trace never forms 0 * inf.
     """
     t = np.asarray(t, dtype=float)
     P, Q, c1, c2, expo, root = _bogoliubov(vap, t)
-    z, w = np.conj(alpha) * np.exp(1j * vap.omega0 * t), alpha
-    L = c1 * z + c2 * w + (z * w - 0.5 * Q * (z * z + w * w)) / P
-    return np.exp(1j * vap.omega0 * t / 2.0) * np.exp(expo + L - abs(alpha) ** 2) / root
+    z, w = np.conj(alpha), alpha
+    L = c1 * z + c2 * w + (z * w - 0.5 * (Q * z * z - np.conj(Q) * w * w)) / P
+    return np.exp(expo + L - abs(alpha) ** 2) / root
 
 
 def _trace_kernel(P, Q, c1, c2, expo, root, y):
@@ -158,8 +159,9 @@ def _trace_kernel(P, Q, c1, c2, expo, root, y):
 
 
 def generating_function(vap: VacuumAmplitudeParams, t, y) -> np.ndarray:
-    """G(y) = Tr(y^n U_1b(t)) for |y| < 1, exact (_trace_kernel of the
-    Bogoliubov map of U_1b); t and y broadcast."""
+    """G(y) = Tr(y^n W(t)) for |y| < 1 of the Ramsey unitary
+    W = U_0b^dag U_1b, exact (_trace_kernel of _bogoliubov's tuple); t and
+    y broadcast."""
     return _trace_kernel(*_bogoliubov(vap, np.asarray(t, dtype=float)), y)
 
 
@@ -196,7 +198,7 @@ def _diagonal(unitary, n: int) -> np.ndarray:
 
 
 def fock_diagonal(vap: VacuumAmplitudeParams, t, n: int) -> np.ndarray:
-    """<n|U_1b(t)|n> for 1-d t, the circle sum _diagonal of generating_function."""
+    """<n|U_0b^dag U_1b|n> at 1-d t: the circle sum _diagonal of generating_function."""
     return _diagonal(_bogoliubov(vap, np.asarray(t, dtype=float)), n)
 
 

@@ -131,10 +131,11 @@ def displacement_component(op: np.ndarray) -> complex:
 def _fixed_point(params: model.SystemParams, sched: DriveSchedule) -> complex:
     """The fixed point z* of the cycle's map z -> A1 z + B1 conj(z) + d1.
 
-    U_0b(t_0) maps a to -i a, and U_1b(t_1) is the Ramsey core's at
-    omega_1 t_1 = pi/2 and x0 = x_shift_i (analytic._bogoliubov), so with
-    S = sqrt(M0 / M_1) = e^{2r} the cycle has A1 = -cosh 2r, B1 = sinh 2r
-    (the linear part of -S(2r)) and d1 = x_shift sqrt(a0/2) (i - 1/S).
+    U_0b(t_0) maps a to -i a, and U_1b(t_1) = U_0b(t_1) W(t_1), W the Ramsey
+    core's U_0b^dag U_1b (analytic._bogoliubov) at omega_1 t_1 = pi/2 and
+    x0 = x_shift_i, so with S = VacuumAmplitudeParams.S = e^{2r} the cycle has
+    A1 = -cosh 2r, B1 = sinh 2r (the linear part of -S(2r)) and
+    d1 = x_shift sqrt(a0/2) (i - 1/S).
     Solving the real 2x2 system, Re z* = Re d1 / (1 + 1/S) and
     Im z* = Im d1 / (1 + S), that is z* = x_shift sqrt(a0/2) (i - 1) / (1 + S).
     """

@@ -12,17 +12,18 @@ excited-level bounded Hamiltonian is
 
 The enormous rest-energy phases enter only through the cancellation-safe
 offset gap (see model.offset_gap); the co-rotating frame uses its own
-cancellation-free rate (see _scalar_rate).
+cancellation-free rate (see _corotating_rate_per_omega0).
 
 Solver paths. All four traces share one prologue (_trace): it resolves x0
 through analytic.VacuumAmplitudeParams.from_system and multiplies a bounded
 trace by the scalar phase. Every CLI state type has an exact bounded trace
-with no truncation and no eigensolve (dim None): coherent_trace (vacuum or
-coherent |alpha>) from the Gaussian kernel analytic.bounded_amplitude,
-thermal_trace from analytic.generating_function at one point per time, and
-fock_trace (|n>) from analytic.fock_diagonal, the generating function summed
-over a circle of O(n) points per time, in blocks whose size does not grow
-with n. ramsey_trace takes any CMState at an explicit dim: it is the
+with no truncation and no eigensolve (dim None), read with no rotation from
+the Gaussian core's W = U_0b^dag U_1b: coherent_trace (vacuum or coherent
+|alpha>) from the Gaussian kernel analytic.bounded_amplitude, thermal_trace
+from analytic.generating_function at one point per time, and fock_trace
+(|n>) from analytic.fock_diagonal, the generating function summed over a
+circle of O(n) points per time, in blocks whose size does not grow with n.
+ramsey_trace takes any CMState at an explicit dim: it is the
 truncated model and the oracle of the other three, and the only one that
 reads a CMState. a_1 is real, so H_1b is built from fock.mode_number, the
 real pentadiagonal number operator written from its bands in O(dim), and
@@ -162,26 +163,15 @@ def _support(C: np.ndarray) -> tuple[np.ndarray, int]:
     return rows, k
 
 
-def _scalar_rate(params: model.SystemParams, level: int, corotating: bool) -> float:
-    """Rate of the scalar phase exp(-i rate t) that multiplies the bounded trace.
-
-    Lab frame: (offset_i - offset_0) / hbar. The co-rotating frame removes
-    omega_c = E_i / hbar from it, which leaves
+def _corotating_rate_per_omega0(params: model.SystemParams, level: int) -> float:
+    """The rate of the co-rotating scalar phase over omega0. The lab-frame
+    rate (offset_i - offset_0) / hbar less omega_c = E_i / hbar leaves
 
         -g^2 ((E_i - E_0) / c^2) (M_i + M0) / (2 k hbar),
 
-    formed directly so that the two ~E_i / hbar rates never cancel, as
-    omega0 times _corotating_rate_per_omega0.
-    """
-    if not corotating:
-        return model.offset_gap(params, level, 0) / params.hbar
-    return _corotating_rate_per_omega0(params, level) * params.omega0
-
-
-def _corotating_rate_per_omega0(params: model.SystemParams, level: int) -> float:
-    """The co-rotating rate over omega0, formed in natural units (hbar = M0 =
-    omega0 = 1, model.to_natural), so one system gives the same number
-    whether it was built in SI or in natural units."""
+    formed directly so that the two ~E_i / hbar rates never cancel, and in
+    natural units (hbar = M0 = omega0 = 1, model.to_natural), so one system
+    gives the same number whether it was built in SI or in natural units."""
     nat = model.to_natural(params)
     delta_M = (nat.levels[level] - nat.levels[0]) / nat.c**2
     return -0.5 * nat.g**2 * delta_M * (nat.mass(level) + 1.0)
@@ -190,7 +180,9 @@ def _corotating_rate_per_omega0(params: model.SystemParams, level: int) -> float
 def _trace(params, times, level, x0, corotating, bounded, dim=None) -> RamseyTrace:
     """Every trace's prologue: x0 resolved by VacuumAmplitudeParams.from_system
     (None: the sag g/omega0^2), and the RamseyTrace at dim of bounded(vap, t)
-    times exp(-i rate t), rate = _scalar_rate, rate t reduced mod 2 pi."""
+    times exp(-i rate t), rate t reduced mod 2 pi: rate is the offset gap over
+    hbar in the lab frame, _corotating_rate_per_omega0 times omega0 in the
+    co-rotating one."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     vap = analytic.VacuumAmplitudeParams.from_system(params, level=level, x0=x0)
     if corotating:
@@ -199,7 +191,7 @@ def _trace(params, times, level, x0, corotating, bounded, dim=None) -> RamseyTra
         # unit systems.
         phase = _corotating_rate_per_omega0(params, level) * (params.omega0 * times)
     else:
-        phase = _scalar_rate(params, level, corotating) * times
+        phase = model.offset_gap(params, level, 0) / params.hbar * times
     tr = bounded(vap, times) * np.exp(-1j * (phase % (2.0 * math.pi)))
     return RamseyTrace(times=times, trace=tr, level=level, x0=vap.x0, dim=dim,
                        corotating=corotating)
@@ -221,28 +213,23 @@ def coherent_trace(params: model.SystemParams, alpha: complex, times, level: int
 def fock_trace(params: model.SystemParams, n: int, times, level: int = 1,
                x0: float | None = None, corotating: bool = False) -> RamseyTrace:
     """coherent_trace's sibling for the Fock state |n>:
-    e^{i omega0 t (n + 1/2)} <n|U_1b|n>, from analytic.fock_diagonal."""
+    <n|U_0b^dag U_1b|n>, from analytic.fock_diagonal."""
     if n < 0:
         raise DimensionMismatch(f"Fock index {n} is negative")
-    return _trace(params, times, level, x0, corotating, lambda vap, t: (
-        np.exp(1j * vap.omega0 * t * (n + 0.5)) * analytic.fock_diagonal(vap, t, n)))
+    return _trace(params, times, level, x0, corotating,
+                  lambda vap, t: analytic.fock_diagonal(vap, t, n))
 
 
 def thermal_trace(params: model.SystemParams, nbar: float, times, level: int = 1,
                   x0: float | None = None, corotating: bool = False) -> RamseyTrace:
     """coherent_trace's sibling for the thermal state of mean occupation
-    nbar: (1 - q) e^{i omega0 t / 2} G(q e^{i omega0 t}), q = nbar / (1 + nbar),
-    G = analytic.generating_function."""
+    nbar: (1 - q) G(q), q = nbar / (1 + nbar), G = analytic.generating_function."""
     # Above nbar ~ 1e16, q rounds to 1, where G has no value.
     if not (nbar >= 0.0 and nbar / (1.0 + nbar) < 1.0):
         raise NotNormalized(f"nbar must be finite, >= 0 and give q < 1, got {nbar}")
     q = nbar / (1.0 + nbar)
-
-    def bounded(vap, t):
-        half = np.exp(0.5j * vap.omega0 * t)
-        return (1.0 - q) * half * analytic.generating_function(vap, t, q * half * half)
-
-    return _trace(params, times, level, x0, corotating, bounded)
+    return _trace(params, times, level, x0, corotating,
+                  lambda vap, t: (1.0 - q) * analytic.generating_function(vap, t, q))
 
 
 def ramsey_trace(params: model.SystemParams, state: CMState, times, level: int = 1,

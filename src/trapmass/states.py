@@ -62,12 +62,16 @@ def mixed_state(rho: np.ndarray) -> CMState:
     diagonal = np.diagonal(rho)
     is_diagonal = np.count_nonzero(rho) == np.count_nonzero(diagonal)
     # On a diagonal matrix, rho - rho^dag is 2i Im(diag), bit for bit.
-    asymmetry = 2.0 * np.abs(diagonal.imag) if is_diagonal else np.abs(rho - rho.conj().T)
+    with np.errstate(invalid="ignore"):  # inf - inf: rejected below as non-finite
+        asymmetry = 2.0 * np.abs(diagonal.imag) if is_diagonal else np.abs(rho - rho.conj().T)
     if np.max(asymmetry) > _TRACE_TOL:
         raise NotNormalized("density matrix not Hermitian")
     tr = float(np.trace(rho).real)
     if not abs(tr - 1.0) <= _TRACE_TOL:  # also catches a NaN trace
         raise NotNormalized(f"trace {tr} != 1")
+    # A NaN passes both checks above, and eigvalsh must not see one.
+    if not np.isfinite(rho).all():
+        raise NotNormalized("density matrix has a non-finite entry")
     # A diagonal matrix's eigenvalues are its diagonal.
     evals = diagonal.real if is_diagonal else np.linalg.eigvalsh(rho)
     if evals.min() < _PSD_FLOOR:

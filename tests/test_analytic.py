@@ -131,10 +131,32 @@ def test_coherent_visibility_matches_fock_trace(alpha):
 def test_from_system_rejects_foreign_ratio():
     p = natural_params()
     vap = analytic.VacuumAmplitudeParams.from_system(p)
-    with pytest.raises(ParamMismatch):
-        analytic.VacuumAmplitudeParams(
-            S=-1.0, a0=vap.a0, x0=0.0, omega0=1.0, omega1=1.0,
-        )
+    for r in (math.nan, -math.inf):
+        with pytest.raises(ParamMismatch):
+            analytic.VacuumAmplitudeParams(
+                r=r, a0=vap.a0, x0=0.0, omega0=1.0, omega1=1.0,
+            )
+
+
+def test_si_sag_vacuum_phase_keeps_its_digits():
+    # SI with the sag: r_1 ~ -2.8e-11 and the phase is at most ~5e-9 rad.
+    # <0|W|0> = exp(expo) / root, whose phase is Im(expo) - (phi + arg ref) / 2
+    # with arg ref = O(r^2), so it is Im(expo) - omega0 t expm1(2 r_1) / 2 to
+    # about 1e-21 rad. Subtracting O(1) angles would leave ~1e-15 rad.
+    p = model.build_system(
+        {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "g": 9.81,
+         "levels": [0.0, 1e-19]}
+    )
+    vap = analytic.VacuumAmplitudeParams.from_system(p)
+    times = np.linspace(0.0, 4.0 * math.pi / vap.omega1, 41)
+    amp = analytic.bounded_amplitude(vap, times)
+    phi = vap.omega0 * times * math.expm1(2.0 * model.derive_mode_frame(p, 1).r_i)
+    theta = vap.omega1 * times
+    sh, ch = np.sin(0.5 * theta), np.cos(0.5 * theta)
+    im_expo = -vap.a0 * vap.x0**2 * vap.S * sh * ch / (vap.S**2 * ch**2 + sh**2)
+    ref = im_expo - 0.5 * phi
+    assert np.max(np.abs(ref)) > 4e-9
+    assert np.max(np.abs(np.angle(amp) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_effective_shift_vacuum():

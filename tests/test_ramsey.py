@@ -156,7 +156,7 @@ def test_corotating_si_phase_is_cancellation_free():
     dM = F(p.levels[1]) / F(p.c) ** 2
     M1 = F(p.M0) + dM
     rate_ref = -F(p.g) ** 2 * dM * (M1 + F(p.M0)) / (2 * F(p.k) * F(p.hbar))
-    rate = ramsey._scalar_rate(p, 1, corotating=True)
+    rate = ramsey._corotating_rate_per_omega0(p, 1) * p.omega0
     assert abs(F(rate) - rate_ref) <= abs(rate_ref) * F(1, 10**14)
 
     times = np.linspace(1e-4, 1e-2, 50)
@@ -167,6 +167,27 @@ def test_corotating_si_phase_is_cancellation_free():
     ref_phase = np.array([float(-rate_ref * F(t)) for t in times])
     err = np.angle(rot.trace / bounded * np.exp(-1j * ref_phase))
     assert np.max(np.abs(err)) < 1e-9
+
+
+@pytest.mark.parametrize("nbar", [None, 2.0])
+def test_corotating_si_trace_phase_is_the_zero_point_shift(nbar):
+    # SI, g = 0, x0 = 0: the co-rotating trace of the vacuum or of a thermal
+    # state is Tr(rho U_0b^dag U_1b), whose phase is the zero-point shift
+    # -(nbar + 1/2) (omega_1 - omega_0) t = -(nbar + 1/2) omega0 t expm1(2 r_1)
+    # up to a relative O(r_1) ~ 3e-11. It is at most ~1e-9 rad, so a phase
+    # formed as a difference of ~10 rad angles keeps only ~6 digits of it.
+    p = model.build_system(
+        {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "g": 0.0,
+         "levels": [0.0, 1e-19]}
+    )
+    r1 = model.derive_mode_frame(p, 1).r_i
+    times = np.linspace(0.0, 4.0 * math.pi / p.omega0, 41)[1:]
+    if nbar is None:
+        tr = ramsey.coherent_trace(p, 0.0, times, x0=0.0, corotating=True)
+    else:
+        tr = ramsey.thermal_trace(p, nbar, times, x0=0.0, corotating=True)
+    ref = -((nbar or 0.0) + 0.5) * p.omega0 * times * math.expm1(2.0 * r1)
+    assert np.max(np.abs(tr.phase / ref - 1.0)) < 1e-9
 
 
 def _dense_excited_hamiltonian(p, frame, x0, dim):

@@ -165,6 +165,8 @@ def _dense_hermitian_check(rho):
     tr = float(np.trace(rho).real)
     if not abs(tr - 1.0) <= states._TRACE_TOL:
         return f"trace {tr} != 1"
+    if not np.isfinite(rho).all():
+        return "density matrix has a non-finite entry"
     return None
 
 
@@ -185,6 +187,21 @@ def test_diagonal_hermitian_check_matches_the_dense_formula(diagonal):
     except NotNormalized as exc:
         got = str(exc)
     assert got == _dense_hermitian_check(rho)
+
+
+@pytest.mark.parametrize("rho", [
+    [[0.5, np.nan], [np.nan, 0.5]],
+    [[0.5, complex(0.0, np.nan)], [complex(0.0, np.nan), 0.5]],
+    [[complex(0.5, np.nan), 0.0], [0.0, 0.5]],
+    [[0.5, np.inf], [np.inf, 0.5]],
+], ids=["nan-off", "nan-imag-off", "nan-imag-diag", "inf-off"])
+def test_mixed_state_rejects_a_non_finite_density(monkeypatch, rho):
+    # Each passes the Hermitian and trace checks (a NaN compares False), so
+    # the finite check must reject it before any eigenvalue is taken.
+    shapes = _counting_eigvalsh(monkeypatch)
+    with pytest.raises(NotNormalized, match="non-finite"):
+        states.mixed_state(np.array(rho, dtype=complex))
+    assert shapes == []
 
 
 def test_mixed_state_checks_other_matrices_densely(monkeypatch):
