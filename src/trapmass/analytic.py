@@ -8,22 +8,20 @@ initial and final ground-trap Gaussians). For the vacuum its modulus is
         / (4 S^2 + (1 - S^2)^2 sin^2(th))^(1/4),        th = omega_1 t,
 
 and the phase is assembled with a continuous square-root branch so the
-result is smooth through every revival. A coherent state |alpha> adds one
-more Gaussian exponent in alpha (see bounded_amplitude). ramsey.coherent_trace
-multiplies this bounded amplitude by the scalar-offset phase
-exp(-i (offset_1-offset_0) t / hbar), computed through the
-cancellation-safe gap. The same kernel gives Tr(y^n W) of the Ramsey
-unitary W = U_0b^dag U_1b (generating_function): a thermal trace is one
-value of it, a Fock trace a circle sum (fock_diagonal).
-The kernel holds for any Gaussian unitary W (_trace_kernel), and every one
-in the package is described by the same tuple (P, Q, c1, c2, expo, root) of
-its Bogoliubov map, Bargmann coefficients and vacuum amplitude. fock_weight
-gives |<n|W|n>|^2 of a squeeze-rotation conjugated by a displacement
-D(beta), from coefficients bounded in beta: the drive's series come from it.
+result is smooth through every revival. Every Gaussian unitary W in the
+package is one tuple (P, Q, c1, c2, expo, root) of its Bogoliubov map,
+Bargmann coefficients and vacuum amplitude (_bogoliubov: the Ramsey unitary
+W = U_0b^dag U_1b, less the scalar-offset phase that ramsey applies).
+_displaced gives the tuple of D(beta)^dag W D(beta), _trace_kernel
+Tr(y^n W) and _diagonal <n|W|n>. So a coherent amplitude is a displaced
+vacuum amplitude (bounded_amplitude), a thermal trace one value of Tr(y^n W)
+(generating_function), a Fock trace a circle sum (fock_diagonal), and the
+drive's weights displaced squeeze diagonals (fock_weight).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,10 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, model
-from .errors import NotNormalized, ParamMismatch, RegimeWarning
+from .errors import DimensionMismatch, NotNormalized, ParamMismatch, RegimeWarning
 from .states import CMState
 
 _SMALL_REGIME = 1e-3
+
+
+def _check_separation(a0: float, x0) -> None:
+    """ParamMismatch unless a0 x0^2, the scale of the core's exponents, is finite."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(a0 * np.square(x0)).all():
+            raise ParamMismatch(f"a0 x0^2 must be finite, got x0 = {x0}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ class VacuumAmplitudeParams:
 
     r = ModeFrame.r_i, S = sqrt(M0/M1) = e^{2r}; a0 = M0 omega0 / hbar; x0 is
     the trap-center separation (x0=None in from_system: the gravitational-sag
-    separation g/omega0^2). The scalar-offset phase is not here: ramsey applies it.
+    separation g/omega0^2; a0 x0^2 must be finite). ramsey applies the scalar phase.
     """
 
     r: float
@@ -55,6 +60,7 @@ class VacuumAmplitudeParams:
     def __post_init__(self):
         if not math.isfinite(self.r):
             raise ParamMismatch(f"r must be finite, got {self.r}")
+        _check_separation(self.a0, self.x0)
 
     @property
     def S(self) -> float:
@@ -81,7 +87,7 @@ class VacuumAmplitudeParams:
 def _bogoliubov(vap: VacuumAmplitudeParams, t: np.ndarray):
     """(P, Q, c1, c2, expo, root) of the Ramsey unitary W = U_0b^dag U_1b at t:
     its Bogoliubov map W a W^dag = P a + Q a^dag + delta, the coefficients
-    c1, c2 of its Bargmann kernel (bounded_amplitude) and
+    c1, c2 of its Bargmann kernel (_displaced) and
     <0|W|0> = exp(expo) / root. U_1b = exp(-i th (a_1^dag a_1 + 1/2)),
     th = omega_1 t, a_1 = cosh(r) a - sinh(r) a^dag + alpha_d, and U_0b^dag
     rotates a by e^{-i omega0 t}, so with phi = th - omega0 t = omega0 t expm1(2r),
@@ -110,33 +116,46 @@ def _bogoliubov(vap: VacuumAmplitudeParams, t: np.ndarray):
     return P, Q, -delta / P, np.conj(delta) - delta * np.conj(Q) / P, expo, root
 
 
-def bounded_amplitude(vap: VacuumAmplitudeParams, t, alpha: complex = 0.0) -> np.ndarray:
-    """<alpha| U_0b^dag(t) U_1b(t) |alpha> for a coherent state of the ground
-    trap (alpha = 0: its vacuum): the complete amplitude minus the
-    scalar-offset phase. Exact for all t, x0 and alpha.
-
-    W = U_0b^dag U_1b maps W a W^dag = P a + Q a^dag + delta (_bogoliubov),
-    and its Bargmann kernel <0|e^{z a} W e^{w a^dag}|0> is <0|W|0> exp(L),
+def _displaced(unitary, beta: complex):
+    """The tuple of D(beta)^dag W D(beta) from W's (P, Q, c1, c2, expo, root).
+    W a W^dag = P a + Q a^dag + delta has the Bargmann kernel (Miatto &
+    Quesada, Quantum 4, 366, 2020) <0|e^{z a} W e^{w a^dag}|0> = <0|W|0> exp(L),
 
         L = c1 z + c2 w + [z w - Q z^2 / 2 + conj(Q) w^2 / 2] / P,
-        c1 = -delta / P,  c2 = conj(delta) - delta conj(Q) / P,
+        c1 = -delta / P,  c2 = conj(delta) - delta conj(Q) / P.
 
-    which holds for any Gaussian unitary W. Then <alpha|W|alpha> =
-    <0|W|0> exp(L - |alpha|^2) at z = conj(alpha), w = alpha. The vacuum's
-    Gaussian exponent, L and -|alpha|^2 are summed before the one exp, so a
-    far-displaced, large-alpha trace never forms 0 * inf.
-    """
-    t = np.asarray(t, dtype=float)
-    P, Q, c1, c2, expo, root = _bogoliubov(vap, t)
-    z, w = np.conj(alpha), alpha
-    L = c1 * z + c2 * w + (z * w - 0.5 * (Q * z * z - np.conj(Q) * w * w)) / P
-    return np.exp(expo + L - abs(alpha) ** 2) / root
+    D(beta) adds (P - 1) beta + Q conj(beta) to delta, and <beta|W|beta> is
+    <0|W|0> exp(L - |beta|^2) at z = conj(beta), w = beta. So P, Q and root
+    stay, expo gains L - |beta|^2 and, from the factors 1/P, Q/P and
+    conj(Q)/P only (each of modulus <= 1, as |P|^2 - |Q|^2 = 1),
+
+        c1' = c1 + beta / P - beta - (Q / P) conj(beta),
+        c2' = c2 + conj(beta) / P - conj(beta) + (conj(Q) / P) beta.
+
+    Exponents stay summed, so a large beta never forms 0 * inf. A beta or
+    beta^2 that is not finite raises NotNormalized."""
+    beta = complex(beta)
+    if not cmath.isfinite(beta * beta):
+        raise NotNormalized(f"displacement beta and beta^2 must be finite, got {beta}")
+    P, Q, c1, c2, expo, root = unitary
+    inv, q, qc = 1.0 / P, Q / P, np.conj(Q) / P
+    bc, norm2 = beta.conjugate(), abs(beta) ** 2
+    L = c1 * bc + c2 * beta + norm2 * inv - 0.5 * (q * bc * bc - qc * beta * beta)
+    return (P, Q, c1 + beta * inv - beta - q * bc, c2 + bc * inv - bc + qc * beta,
+            expo + L - norm2, root)
+
+
+def bounded_amplitude(vap: VacuumAmplitudeParams, t, alpha: complex = 0.0) -> np.ndarray:
+    """<alpha|U_0b^dag(t) U_1b(t)|alpha> of a coherent state of the ground trap
+    (alpha = 0: its vacuum) less the scalar-offset phase, exact: the vacuum
+    amplitude of W (_bogoliubov) displaced by alpha (_displaced)."""
+    return _diagonal(_displaced(_bogoliubov(vap, np.asarray(t, dtype=float)), alpha), 0)
 
 
 def _trace_kernel(P, Q, c1, c2, expo, root, y):
     """exp(expo) / root times G(y) / <0|W|0>, G(y) = Tr(y^n W) = sum_n y^n <n|W|n>
     for |y| < 1, of the Gaussian unitary W with W a W^dag = P a + Q a^dag + delta
-    and Bargmann coefficients c1, c2 (bounded_amplitude); with
+    and Bargmann coefficients c1, c2 (_displaced); with
     <0|W|0> = exp(expo) / root it is G(y) itself. Exact; all arguments
     broadcast. The trace of y^n against the Bargmann kernel is one Gaussian
     integral (Miatto & Quesada, Quantum 4, 366, 2020): with a = 1 - y/P,
@@ -173,18 +192,23 @@ _CIRCLE_CHUNK = 64
 
 
 def _diagonal(unitary, n: int) -> np.ndarray:
-    """<n|W|n> for each W of unitary = (P, Q, c1, c2, expo, root), 1-d arrays
-    as in _trace_kernel: the y^n coefficient of G as a trapezoidal sum over M
-    points of the circle |y| = rho (radius as in Bornemann, Found. Comput.
-    Math. 11, 1, 2011), w = e^{2 pi i / M}:
+    """<n|W|n> for each W of unitary = (P, Q, c1, c2, expo, root) as in
+    _trace_kernel; n < 0 raises DimensionMismatch. n = 0 is exp(expo) / root.
+    n > 0 (1-d arrays) is the y^n coefficient of G as a trapezoidal sum over
+    M points of |y| = rho (radius as in Bornemann, Found. Comput. Math. 11,
+    1, 2011), w = e^{2 pi i / M}:
 
         <n|W|n> = (M rho^n)^-1 sum_k G(rho w^k) w^{-kn},
-        rho = 100^{-1/max(n, 1)},  M = 2^ceil(log2(8 (n + 1))).
+        rho = 100^{-1/n},  M = 2^ceil(log2(8 (n + 1))).
 
     Aliasing adds the coefficients n + jM (each of modulus <= 1) times
     rho^{jM}, and rho^M <= 1e-16; roundoff is about 100 / (1 - rho) ulps.
     """
-    rho = 100.0 ** (-1.0 / max(n, 1))
+    if n < 0:
+        raise DimensionMismatch(f"Fock index {n} is negative")
+    if n == 0:
+        return np.exp(unitary[4]) / unitary[5]
+    rho = 100.0 ** (-1.0 / n)
     M = 2 ** math.ceil(math.log2(8 * (n + 1)))
     out = np.zeros(unitary[0].size, dtype=complex)
     for lo in range(0, M, _CIRCLE_CHUNK):
@@ -206,33 +230,15 @@ def fock_weight(A, B, beta: complex, n: int) -> np.ndarray:
     """|<n|D(beta)^dag L D(beta)|n>|^2 for the Gaussian unitaries L with
     L^dag a L = A a + B a^dag, 1-d A and B (|A|^2 - |B|^2 = 1); exact, with no
     truncation. Examples: S(s) = exp(s (a^2 - adag^2)/2) is (cosh s, -sinh s).
-    W = D(beta)^dag L D(beta) has W a W^dag = P a + Q a^dag + delta with
-    P = conj A, Q = -B and delta = (P - 1) beta + Q conj(beta), which grows
-    like |A| |beta|; its Bargmann coefficients (bounded_amplitude) and its
-    vacuum weight are written from bounded factors only:
-
-        c1 = beta / P - beta - (Q / P) conj(beta),
-        c2 = conj(beta) / P - conj(beta) + (conj(Q) / P) beta,
-        |<0|W|0>|^2 = exp(2 E) / |A|,
-        E = -|beta|^2 (1 - Re A / |A|^2) - Im A Im(B conj(beta)^2) / |A|^2.
-
-    n > 0 takes the circle sum _diagonal with expo = E and root sqrt(|A|).
+    L a L^dag = conj(A) a - B a^dag, so up to a phase, which the weight does
+    not see, L is the tuple (conj A, -B, 0, 0, 0, sqrt|A|), and _displaced
+    conjugates it from factors bounded however large |A| and beta grow.
     Where A has overflowed (an accumulated squeeze past the double range)
     the weight, below 1/|A|, is 0.0.
     """
-    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        P, Q, inv = np.conj(A), -B, 1.0 / np.conj(A)    # inv = A / |A|^2
-        absA = np.abs(A)
-        expo = (-abs(beta) ** 2 * (1.0 - inv.real)
-                - inv.imag * np.imag(B * np.conj(beta) ** 2))
-        if n == 0:
-            weight = np.exp(2.0 * expo) / absA
-        else:
-            c1 = beta * inv - beta - Q * inv * np.conj(beta)
-            c2 = np.conj(beta) * inv - np.conj(beta) + np.conj(Q) * inv * beta
-            weight = np.abs(_diagonal((P, Q, c1, c2, expo, np.sqrt(absA)), n)) ** 2
-    return np.nan_to_num(weight, nan=0.0)
+        L = _displaced((np.conj(A), -B, 0.0, 0.0, 0.0, np.sqrt(np.abs(A))), beta)
+        return np.nan_to_num(np.abs(_diagonal(L, n)) ** 2, nan=0.0)
 
 
 def coherent_visibility(
@@ -326,14 +332,14 @@ def visibility_extrema(params: model.SystemParams, x0=None, level: int = 1):
 
     t_rev = pi/omega_1 with V_rev = exp(-a0 x0^2) exactly; t_min is found
     by golden_section over th = omega_1 t in (1e-9 pi, (1 - 1e-9) pi). For
-    an array x0 all four are arrays of its shape, found in one call.
+    an array x0 all four are arrays of its shape, found in one call; a0 x0^2 must be finite.
     """
     vap = VacuumAmplitudeParams.from_system(params, level=level)
     x0 = np.asarray(vap.x0 if x0 is None else x0, dtype=float)
-    # A scalar runs as a 1-element array: numpy scalar arithmetic takes
-    # other code paths, and an array call must match its scalar calls bit
-    # for bit.
+    # A scalar runs as a 1-element array, so that an array call matches its
+    # scalar calls bit for bit (numpy scalar arithmetic takes other paths).
     xs = np.atleast_1d(x0)
+    _check_separation(vap.a0, xs)
     t_rev = math.pi / vap.omega1
     theta = golden_section(
         lambda th: closed_form_visibility(vap.S, vap.a0, xs, th),
@@ -341,7 +347,8 @@ def visibility_extrema(params: model.SystemParams, x0=None, level: int = 1):
     )
     t_min = theta / vap.omega1
     v_min = closed_form_visibility(vap.S, vap.a0, xs, vap.omega1 * t_min)
-    v_rev = np.reshape([math.exp(-vap.a0 * x**2) for x in xs.ravel().tolist()], xs.shape)
+    # x0^2 is a numpy scalar's **: it rounds as a float's but cannot raise.
+    v_rev = np.reshape([math.exp(-vap.a0 * x**2) for x in xs.ravel()], xs.shape)
     if x0.ndim == 0:
         return float(t_min[0]), float(v_min[0]), t_rev, float(v_rev[0])
     return t_min, v_min, np.full(xs.shape, t_rev), v_rev

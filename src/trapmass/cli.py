@@ -257,21 +257,24 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     truncated state and writes dim null: a vacuum or coherent state the
     Gaussian kernel ("gaussian_kernel"), a Fock n > 0 or thermal state the
     generating function ("generating_function"). An explicit params.dim
-    takes the eigh route ("eigh"), the state at its spec dim or params.dim."""
+    takes the eigh route ("eigh"), the state at its spec dim (<= params.dim) or params.dim."""
     phys = model.build_system(system)
     level = _param(params, "level", _integer, 1)
     dim = _param(params, "dim", _optional(_integer))
     x0 = _param(params, "x0", _optional(float))
     kind, value, size = _state_spec(params, dim)
+    if dim is not None and size > dim:
+        raise ConfigError(f"state dim {size} > params dim {dim}")
     state = None if dim is None else _STATE_TYPES[kind][3](size, value)
     omega1 = model.derive_mode_frame(phys, level).omega_i
     if "times" in params:
         times = np.asarray(_param(params, "times", _floats))
     else:
         t_end = _param(params, "periods", float, 2.0) * 2.0 * math.pi / omega1
-        times = np.linspace(0.0, t_end, max(_param(params, "points", _integer, 400), 0))
-    if times.size < 1:
-        raise ConfigError("ramsey needs at least one time point")
+        with np.errstate(invalid="ignore"):  # an infinite t_end is refused below
+            times = np.linspace(0.0, t_end, max(_param(params, "points", _integer, 400), 0))
+    if times.size < 1 or not np.isfinite(times).all():
+        raise ConfigError("ramsey needs at least one time point, all finite")
     corotating = _param(params, "corotating", _boolean, False)
     is_vacuum = kind == "fock" and value == 0
     alpha = value if kind == "coherent" else 0j

@@ -43,7 +43,6 @@ to 404 rows.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -199,23 +198,18 @@ def _trace(params, times, level, x0, corotating, bounded, dim=None) -> RamseyTra
 
 def coherent_trace(params: model.SystemParams, alpha: complex, times, level: int = 1,
                    x0: float | None = None, corotating: bool = False) -> RamseyTrace:
-    """Exact interference trace between levels 0 and level for the coherent
-    state |alpha> of the ground trap (alpha = 0: its vacuum), from the Gaussian
-    kernel analytic.bounded_amplitude: no truncation, no eigensolve, dim None.
-    x0=None uses the gravitational-sag separation g/omega0^2."""
-    # |alpha|^2 enters the kernel's exponent, so alpha^2 must be finite too.
-    if not cmath.isfinite(alpha * alpha):
-        raise NotNormalized(f"alpha and alpha^2 must be finite, got {alpha}")
+    """Exact trace between levels 0 and level for the coherent state |alpha>
+    of the ground trap (alpha = 0: its vacuum; NotNormalized for a non-finite
+    alpha or alpha^2), from analytic.bounded_amplitude: no truncation, no
+    eigensolve, dim None. x0=None uses the gravitational-sag separation g/omega0^2."""
     return _trace(params, times, level, x0, corotating,
                   lambda vap, t: analytic.bounded_amplitude(vap, t, alpha))
 
 
 def fock_trace(params: model.SystemParams, n: int, times, level: int = 1,
                x0: float | None = None, corotating: bool = False) -> RamseyTrace:
-    """coherent_trace's sibling for the Fock state |n>:
-    <n|U_0b^dag U_1b|n>, from analytic.fock_diagonal."""
-    if n < 0:
-        raise DimensionMismatch(f"Fock index {n} is negative")
+    """coherent_trace's sibling for the Fock state |n>: <n|U_0b^dag U_1b|n>,
+    from analytic.fock_diagonal (DimensionMismatch for n < 0)."""
     return _trace(params, times, level, x0, corotating,
                   lambda vap, t: analytic.fock_diagonal(vap, t, n))
 

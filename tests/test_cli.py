@@ -216,10 +216,13 @@ def test_malformed_state_specs_are_config_errors(tmp_path, state):
 
 @pytest.mark.parametrize("bad", [{"points": 0}, {"times": []}, {"points": -3},
                                  {"points": "x"}, {"times": 5}, {"x0": "abc"},
-                                 {"level": "x"}, {"level": 1.5}])
+                                 {"level": "x"}, {"level": 1.5},
+                                 {"periods": math.inf}, {"periods": 1e308},
+                                 {"times": [0.0, math.nan]}, {"times": [math.inf]}])
 def test_empty_time_grid_and_malformed_params_are_config_errors(tmp_path, bad, capsys):
-    # No time point, or a param that does not parse, is a config error on
-    # every route, not a traceback.
+    # No time point, a time that is not finite (these exited 0 with NaN
+    # columns), or a param that does not parse, is a config error on every
+    # route, not a traceback.
     for extra in ({}, {"dim": 64}, {"state": {"type": "thermal", "nbar": 1.0}}):
         cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
                "output": {"path": "no_times"}, "params": {**bad, **extra}}
@@ -727,6 +730,29 @@ def test_conflicting_state_and_params_dim_is_config_error(tmp_path):
     state = {"type": "fock", "n": 0, "dim": 128}
     assert run(tmp_path, drive_cfg(dim=256, state=state), "drive") == cli.EXIT_CONFIG
     assert run(tmp_path, qfunc_cfg(dim=96, state=state), "qfunc") == cli.EXIT_CONFIG
+    # Ramsey pads a smaller state (ramsey_cfg's dim-64 vacuum at dim 128) but
+    # refuses a larger one.
+    assert run(tmp_path, ramsey_cfg(dim=64, state=state), "ramsey") == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("ramsey", {"x0": 1e200}),
+    ("ramsey", {"x0": 1e200, "dim": 32}),
+    ("ramsey", {"x0": math.inf}),
+    ("ramsey", {"x0": math.nan}),
+    ("sweep", {"op": "visibility_extrema", "axes": {"x0": [1e200]}}),
+    ("sweep", {"op": "visibility_extrema", "axes": {"x0": [0.5, math.nan]}}),
+    ("sweep", {"op": "visibility_extrema", "axes": {"x0": [math.inf]}}),
+], ids=["ramsey-1e200", "ramsey-1e200-dim", "ramsey-inf", "ramsey-nan",
+        "sweep-1e200", "sweep-nan", "sweep-inf"])
+def test_non_finite_trap_separation_is_a_numeric_failure(tmp_path, capsys, experiment, params):
+    # x0 = 1e200 escaped main as an OverflowError traceback (exit 1) from a
+    # float's x0**2; inf and NaN exited 0 with NaN columns.
+    cfg = {"experiment": experiment, "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "far"}, "params": params}
+    assert run(tmp_path, cfg, experiment) == cli.EXIT_NUMERIC
+    assert "a0 x0^2 must be finite" in capsys.readouterr().err
+
 
 
 @pytest.mark.parametrize("state", [{"type": "thermal", "nbar": math.nan},

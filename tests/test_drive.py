@@ -323,6 +323,33 @@ def test_gaussian_series_match_truncated_products(n, alpha_abs, alpha_arg, coher
         assert abs(approx[k] - abs(np.vdot(psi0.data, psi)) ** 2) < 1e-10
 
 
+def _displaced_fock(dim, n, alpha):
+    """D(alpha)|n> = (a^dag - conj(alpha))^n D(alpha)|0> / sqrt(n!) at dim."""
+    psi = states.coherent_state(dim, alpha).data
+    raise_op = fock.annihilation(dim).T
+    for _ in range(n):
+        psi = raise_op @ psi - np.conj(alpha) * psi
+    return states.pure_state(psi / math.sqrt(math.factorial(n)))
+
+
+@pytest.mark.parametrize("n, alpha, u, g, N", [
+    (1, 0.8 - 0.5j, 3e-2, 0.4, 150),
+    (3, 1.3j, 2e-2, 0.2, 150),
+    (5, -0.6 + 0.9j, 5e-2, 0.5, 100),
+])
+def test_displaced_fock_series_match_the_truncated_cycle(n, alpha, u, g, N):
+    # psi0 = D(alpha)|n> with n >= 1 and alpha != 0: the Gaussian series
+    # displaces both the Fock weight's circle sum and its vacuum exponent.
+    # Wherever the dim-256 state passes the tail gate, iterate_drive agrees
+    # within 1e-10 (4.6e-14 seen).
+    p = natural_params(u=u, g=g)
+    exact = drive.gaussian_drive(p, N, n=n, alpha=alpha).exact
+    truncated = drive.iterate_drive(p, _displaced_fock(256, n, alpha), N).exact
+    kept = ~np.isnan(truncated)
+    assert kept.sum() >= 50
+    assert np.max(np.abs(exact - truncated)[kept]) < 1e-10
+
+
 def test_cycle_product_unitary():
     p = natural_params(u=3e-2, g=0.2)
     cyc = drive.cycle_operator(p, 96)

@@ -598,6 +598,22 @@ def test_uniform_time_grid_density():
     assert coarse.size < grid.size
 
 
+@pytest.mark.parametrize("corotating", [False, True])
+@pytest.mark.parametrize("system, x0", [
+    ({"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 0.3}, None),
+    ({"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 0.0}, 1.3),
+    ({"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "levels": [0.0, 1e-19]}, None),
+], ids=["sag", "x0", "si"])
+def test_fock_vacuum_trace_is_the_coherent_vacuum_trace_bit_for_bit(system, x0, corotating):
+    # Both read <0|W|0> = exp(expo) / root through analytic._diagonal, the
+    # coherent route after a zero displacement, which adds only zeros.
+    p = model.build_system(system)
+    times = np.linspace(0.0, 4.0 * math.pi / model.derive_mode_frame(p, 1).omega_i, 777)
+    fock0 = ramsey.fock_trace(p, 0, times, x0=x0, corotating=corotating).trace
+    vacuum = ramsey.coherent_trace(p, 0, times, x0=x0, corotating=corotating).trace
+    assert fock0.tobytes() == vacuum.tobytes()
+
+
 def test_embedding_mismatch():
     p = natural_params()
     with pytest.raises(DimensionMismatch):
