@@ -70,6 +70,7 @@ class VacuumAmplitudeParams:
     def from_system(
         cls, params: model.SystemParams, level: int = 1, x0: float | None = None
     ) -> "VacuumAmplitudeParams":
+        params._check_transition(level)
         frame = model.derive_mode_frame(params, level)
         vap = cls(
             r=frame.r_i,
@@ -293,46 +294,21 @@ def small_regime_min_visibility(S: float, a0: float, x0: float) -> float:
     return math.exp(-a0 * x0**2 / (1.0 + S**2)) * math.sqrt(2.0 * S / (1.0 + S**2))
 
 
-def golden_section(f, lo, hi):
-    """Minimiser of f over [lo, hi], elementwise over array brackets.
-
-    f maps an array of abscissae (the broadcast shape of lo and hi) to the
-    values there. A golden-section bracket is followed by two parabolic
-    vertex fits: pure bracketing stalls at sqrt(machine-eps) relative
-    accuracy on a smooth quadratic minimum, and the three-point fits
-    recover the vertex to near machine precision. Each fit is clipped to
-    [lo, hi].
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(60):
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        new = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
-        f_new = f(new)
-        c, d = np.where(left, new, d), np.where(left, c, new)
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-    m = 0.5 * (a + b)
-    # Shrinking-step vertex fits: bias is O(h^2) per pass while the values
-    # remain well resolved, so two passes reach ~1e-10.
-    for h in (1e-3, 1e-5):
-        fm, fl, fr = f(m), f(m - h), f(m + h)
-        denom = fl - 2.0 * fm + fr
-        step = 0.5 * h * (fl - fr) / np.where(denom > 0, denom, 1.0)
-        m = np.clip(np.where(denom > 0, m + step, m), lo, hi)
-    return m
-
-
 def visibility_extrema(params: model.SystemParams, x0=None, level: int = 1):
     """(t_min, V_min, t_rev, V_rev) of the closed-form visibility.
 
-    t_rev = pi/omega_1 with V_rev = exp(-a0 x0^2) exactly; t_min is found
-    by golden_section over th = omega_1 t in (1e-9 pi, (1 - 1e-9) pi). For
-    an array x0 all four are arrays of its shape, found in one call; a0 x0^2 must be finite.
+    t_rev = pi/omega_1 with V_rev = exp(-a0 x0^2) exactly. t_min is in closed
+    form: with u = sin^2(th/2), k = 1 - S^2, A = a0 x0^2 and D = S^2 + k u
+    (V's exponent is -A u / D), the quartic root's S^2 + k^2 u (1 - u) is
+    D (1 - k u), so dV/du has the sign of -g(u), g = 4 A S^2 (1 - k u)
+    + k^2 (1 - 2u) D: a downward parabola with g(0) > 0 and g(1/2) >= 0.
+    V's one minimum is at its root u* = 1/2 + v, or at th -> pi where
+    u* >= 1. Divided by 4 S^2, g(1/2 + v) = 0 is a v^2 + b v - c = 0 with
+    a = k^3 / 2S^2, b = k (A + k/2 + k^2/4S^2) and c = A (1 + S^2)/2, so
+    v = c / (b/2 + hypot(b, 2 sqrt(a c))/2): no cancellation, no overflow
+    for a finite A, and v = 0 at x0 = 0. omega_1 t_min = arccos(-min(2v, 1)),
+    at most (1 - 1e-9) pi so that t_min < t_rev. For an array x0 all four
+    are arrays of its shape, found in one call; a0 x0^2 must be finite.
     """
     vap = VacuumAmplitudeParams.from_system(params, level=level)
     x0 = np.asarray(vap.x0 if x0 is None else x0, dtype=float)
@@ -341,10 +317,11 @@ def visibility_extrema(params: model.SystemParams, x0=None, level: int = 1):
     xs = np.atleast_1d(x0)
     _check_separation(vap.a0, xs)
     t_rev = math.pi / vap.omega1
-    theta = golden_section(
-        lambda th: closed_form_visibility(vap.S, vap.a0, xs, th),
-        np.full(xs.shape, 1e-9 * math.pi), (1.0 - 1e-9) * math.pi,
-    )
+    S2, k = vap.S**2, -math.expm1(4.0 * vap.r)
+    A = vap.a0 * np.square(xs)
+    b, c = k * (A + 0.5 * k + 0.25 * k * k / S2), A * (0.5 + 0.5 * S2)
+    v = c / (0.5 * b + 0.5 * np.hypot(b, math.sqrt(2.0 * k**3 / S2) * np.sqrt(c)))
+    theta = np.minimum(np.arccos(-np.minimum(2.0 * v, 1.0)), (1.0 - 1e-9) * math.pi)
     t_min = theta / vap.omega1
     v_min = closed_form_visibility(vap.S, vap.a0, xs, vap.omega1 * t_min)
     # x0^2 is a numpy scalar's **: it rounds as a float's but cannot raise.

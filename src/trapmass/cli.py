@@ -118,6 +118,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _positive_integer(value) -> int:
+    """_integer(value), refusing a value < 1: a dim or a count."""
+    n = _integer(value)
+    if n < 1:
+        raise ValueError("must be >= 1")
+    return n
+
+
 def _boolean(value) -> bool:
     """A JSON true or false; bool("false") would read as true."""
     if not isinstance(value, bool):
@@ -169,18 +177,15 @@ def _state_spec(params: dict, dim: int | None) -> tuple[str, int | complex | flo
     if kind not in _STATE_TYPES:
         raise ConfigError(f"unknown state type {kind!r}")
     key, parse, default, _ = _STATE_TYPES[kind]
-    return kind, _param(spec, key, parse, default), _param(spec, "dim", _integer, dim)
+    return kind, _param(spec, key, parse, default), _param(spec, "dim", _positive_integer, dim)
 
 
-def _state_at_params_dim(params: dict) -> states.CMState:
-    """params.state sized by params.dim (default 128), which an explicit
-    state dim must equal."""
-    dim = _param(params, "dim", _integer, 128)
-    kind, value, size = _state_spec(params, dim)
-    state = _STATE_TYPES[kind][3](size, value)
-    if "dim" in params and state.dim != dim:
-        raise ConfigError(f"state dim {state.dim} != params dim {dim}")
-    return state
+def _truncated_state(kind: str, value, size: int | None, dim: int | None) -> states.CMState:
+    """A parsed state spec built at its size (default 128), which an
+    explicit params dim must equal."""
+    if dim is not None and size != dim:
+        raise ConfigError(f"state dim {size} != params dim {dim}")
+    return _STATE_TYPES[kind][3](128 if size is None else size, value)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -260,7 +265,7 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     takes the eigh route ("eigh"), the state at its spec dim (<= params.dim) or params.dim."""
     phys = model.build_system(system)
     level = _param(params, "level", _integer, 1)
-    dim = _param(params, "dim", _optional(_integer))
+    dim = _param(params, "dim", _optional(_positive_integer))
     x0 = _param(params, "x0", _optional(float))
     kind, value, size = _state_spec(params, dim)
     if dim is not None and size > dim:
@@ -272,7 +277,7 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     else:
         t_end = _param(params, "periods", float, 2.0) * 2.0 * math.pi / omega1
         with np.errstate(invalid="ignore"):  # an infinite t_end is refused below
-            times = np.linspace(0.0, t_end, max(_param(params, "points", _integer, 400), 0))
+            times = np.linspace(0.0, t_end, _param(params, "points", _positive_integer, 400))
     if times.size < 1 or not np.isfinite(times).all():
         raise ConfigError("ramsey needs at least one time point, all finite")
     corotating = _param(params, "corotating", _boolean, False)
@@ -323,9 +328,7 @@ def _grid_from_spec(spec) -> np.ndarray:
     missing = {"min", "max", "points"} - set(spec)
     if missing:
         raise ConfigError(f"grid needs {sorted(missing)}")
-    lo, hi, n = float(spec["min"]), float(spec["max"]), _integer(spec["points"])
-    if n < 1:
-        raise ConfigError(f"grid points must be >= 1, got {n}")
+    lo, hi, n = float(spec["min"]), float(spec["max"]), _positive_integer(spec["points"])
     if _boolean(spec.get("log", False)):
         return np.logspace(math.log10(lo), math.log10(hi), n)
     return np.linspace(lo, hi, n)
@@ -393,12 +396,10 @@ def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     its spec dim or params.dim. P_approx is drive.squeezed_overlaps on both
     routes. A thermal state is refused (exit 3)."""
     phys = model.build_system(system)
-    N = _param(params, "N", _integer, 50)
+    N = _param(params, "N", _positive_integer, 50)
     level = _param(params, "level", _integer, 1)
-    dim = _param(params, "dim", _optional(_integer))
-    if N < 1:
-        raise ConfigError(f"drive needs N >= 1 cycles, got {N}")
-    kind, value, _ = _state_spec(params, dim)
+    dim = _param(params, "dim", _optional(_positive_integer))
+    kind, value, size = _state_spec(params, dim)
     if kind == "thermal":
         raise DimensionMismatch("drive requires a pure initial state")
     n, alpha = (value, 0j) if kind == "fock" else (0, value)
@@ -407,7 +408,7 @@ def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
         res = drive.gaussian_drive(phys, N, level, n, alpha)
     else:
         route = "eigh"
-        res = drive.iterate_drive(phys, _state_at_params_dim(params), N, level)
+        res = drive.iterate_drive(phys, _truncated_state(kind, value, size, dim), N, level)
     series = {"P_exact": res.exact,
               "P_approx": drive.squeezed_overlaps(phys, N, level, n, alpha)}
     finite = np.isfinite(res.exact)
@@ -436,7 +437,8 @@ def run_qfunc(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     if probabilities is None and "t" in params:
         raise ConfigError("t needs a distribution: without one the state is not evolved")
     delta = _param(params, "delta", _positive, 0.1)
-    state = _state_at_params_dim(params)
+    dim = _param(params, "dim", _positive_integer)
+    state = _truncated_state(*_state_spec(params, dim), dim)
     summary = {}
     if probabilities is not None:
         dist = phasespace.InternalDistribution(tuple(probabilities))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, fock, model, states
-from .errors import DegenerateLevels, GravityNotSupported, NonPositiveMass, ZeroGravity
+from .errors import GravityNotSupported, NonPositiveMass, ZeroGravity
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,10 @@ def shift_table(params: model.SystemParams, level: int, omega0, n: float) -> Shi
     omega0 (k = M0 omega0^2), in the time unit of params, so one
     SystemParams serves a whole grid. Every omega0 must be finite and > 0.
     """
-    params._check_level(level)
+    params._check_transition(level)
     if n < 0:
         raise ValueError(f"occupation must be >= 0, got {n}")
     E_i = params.levels[level]
-    if E_i == 0.0:
-        raise DegenerateLevels(f"levels {level} and 0 are degenerate; shift undefined")
     omega0 = np.asarray(omega0, dtype=float)
     bad = ~(np.isfinite(omega0) & (omega0 > 0))
     if bad.any():

@@ -66,6 +66,7 @@ class DriveSchedule:
 
 
 def drive_schedule(params: model.SystemParams, level: int = 1) -> DriveSchedule:
+    params._check_transition(level)
     frame = model.derive_mode_frame(params, level)
     r = frame.r_i
     gamma = frame.alpha_gi * (math.exp(r) - 1j * math.exp(-r))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import constants
 from .errors import (
+    DegenerateLevels,
     LevelOutOfRange,
     MissingField,
     NonMonotoneLevels,
@@ -63,6 +64,12 @@ class SystemParams:
     def _check_level(self, i: int) -> None:
         if not (0 <= i < len(self.levels)):
             raise LevelOutOfRange(i, len(self.levels))
+
+    def _check_transition(self, i: int) -> None:
+        """_check_level; level 0 has no transition from level 0 (DegenerateLevels)."""
+        self._check_level(i)
+        if self.levels[i] == 0.0:
+            raise DegenerateLevels(f"levels {i} and 0 are degenerate; shift undefined")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import cmath
 import decimal
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapmass import analytic, fock, model, ramsey, states, verify
-from trapmass.errors import NotNormalized, ParamMismatch, RegimeWarning
+from trapmass import analytic, drive, fock, model, ramsey, states, verify
+from trapmass.errors import DegenerateLevels, NotNormalized, ParamMismatch, RegimeWarning
 
 
 def natural_params(E1=2.0, c=2.0, g=0.0):
@@ -69,15 +70,6 @@ def test_extrema_against_small_regime_formula():
     )
 
 
-def test_golden_section_matches_analytic_vertex():
-    # One call over several brackets, each with its own parabola vertex.
-    lo = np.array([0.0, -3.0, 0.5, 2.0])
-    hi = np.array([10.0, 1.0, 0.75, 40.0])
-    vertex = np.array([1.2345, -2.5, 0.6180339, 17.0])
-    m = analytic.golden_section(lambda x: (x - vertex) ** 2 + 0.5, lo, hi)
-    np.testing.assert_allclose(m, vertex, rtol=0.0, atol=1e-9)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     S=st.floats(0.5, 0.99),
@@ -99,6 +91,57 @@ def test_visibility_extrema_array_call(S, x0):
     theta = np.linspace(0.0, math.pi, 257)[1:-1]
     grid = analytic.closed_form_visibility(vap.S, vap.a0, x0[:, None], theta[None, :])
     assert np.all(v_min <= grid.min(axis=1) + 1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(S=st.floats(0.05, 0.9999), A=st.floats(0.0, 100.0))
+def test_closed_form_minimum_is_below_a_dense_grid(S, A):
+    # The closed-form t_min against a dense search of its own closed form;
+    # S near 1/sqrt(3) turns the sign of the linear term at A = 0.
+    p = verify._natural_params(S)
+    vap = analytic.VacuumAmplitudeParams.from_system(p)
+    x0 = math.sqrt(A / vap.a0)
+    t_min, v_min, t_rev, _ = analytic.visibility_extrema(p, x0)
+    assert 0.0 < t_min < t_rev
+    theta = np.linspace(0.0, math.pi, 20001)[1:-1]
+    grid = analytic.closed_form_visibility(vap.S, vap.a0, x0, theta)
+    assert v_min <= grid.min() * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("system", [
+    {"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0]},
+    {"unit_system": "natural", "c": 10.0, "levels": [0.0, 0.5]},
+    {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "levels": [0.0, 1e-19]},
+], ids=["natural", "natural-flat", "si"])
+def test_minimum_without_separation_is_the_quarter_period(system):
+    # At x0 = 0 the minimum is at pi/(2 omega_1) for every S. In SI, where V
+    # is 1 to double precision, a search returned its bracket's upper edge.
+    p = model.build_system(system)
+    t_min = analytic.visibility_extrema(p, 0.0)[0]
+    w1 = model.derive_mode_frame(p, 1).omega_i
+    assert t_min == pytest.approx(0.5 * math.pi / w1, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("A", [1e300, 1.7e308])
+def test_minimum_of_a_huge_separation_is_at_the_bracket_edge(A):
+    p = verify._natural_params(0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t_min, v_min, t_rev, v_rev = analytic.visibility_extrema(p, math.sqrt(A))
+    assert t_min == (1.0 - 1e-9) * math.pi / model.derive_mode_frame(p, 1).omega_i
+    assert t_min < t_rev and v_min == 0.0 and v_rev == 0.0
+
+
+def test_level_zero_is_degenerate():
+    # Level 0 against itself has k = 1 - S^2 = 0: the closed form is 0/0 and
+    # the trace and drive are trivially 1.
+    p = natural_params()
+    with pytest.raises(DegenerateLevels):
+        analytic.VacuumAmplitudeParams.from_system(p, level=0)
+    with pytest.raises(DegenerateLevels):
+        analytic.visibility_extrema(p, 0.5, level=0)
+    with pytest.raises(DegenerateLevels):
+        drive.drive_schedule(p, level=0)
 
 
 def test_closed_form_matches_fock_propagators():

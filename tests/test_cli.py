@@ -736,6 +736,36 @@ def test_conflicting_state_and_params_dim_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("experiment, params", [
+    ("ramsey", {"level": 0}), ("ramsey", {"level": 0, "dim": 32}),
+    ("drive", {"level": 0}), ("drive", {"level": 0, "dim": 32}),
+    ("shift", {"level": 0}),
+])
+def test_level_zero_is_a_numeric_failure(tmp_path, capsys, experiment, params):
+    # ramsey and drive exited 0 with V and P identically 1, and a t_min at
+    # the bracket edge.
+    cfg = {"experiment": experiment, "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "level0"}, "params": params}
+    assert run(tmp_path, cfg, experiment) == cli.EXIT_NUMERIC
+    assert "degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["ramsey", "drive", "qfunc"])
+@pytest.mark.parametrize("params", [
+    {"dim": 0}, {"dim": -3},
+    {"state": {"type": "fock", "n": 0, "dim": 0}},
+    {"state": {"type": "fock", "n": 0, "dim": -2}},
+    {"state": {"type": "fock", "n": 0, "dim": 0}, "dim": 8},
+    {"state": {"type": "fock", "n": 0, "dim": -2}, "dim": 8},
+], ids=["dim0", "dim-3", "state0", "state-2", "state0-dim8", "state-2-dim8"])
+def test_non_positive_dims_are_config_errors(tmp_path, capsys, experiment, params):
+    # These exited 3 ("Fock index 0 outside dim -3"), or 0 on an exact route.
+    cfg = {"experiment": experiment, "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "bad_dim"}, "params": params}
+    assert run(tmp_path, cfg, experiment) == cli.EXIT_CONFIG
+    assert "malformed dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, params", [
     ("ramsey", {"x0": 1e200}),
     ("ramsey", {"x0": 1e200, "dim": 32}),
     ("ramsey", {"x0": math.inf}),
