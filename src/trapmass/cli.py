@@ -433,6 +433,8 @@ def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
 def run_qfunc(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     phys = model.build_system(system)
     t = _param(params, "t", float, 0.0)
+    if not math.isfinite(t):
+        raise ConfigError(f"malformed t {t!r}: must be finite")
     probabilities = _param(params, "distribution", _floats)
     if probabilities is None and "t" in params:
         raise ConfigError("t needs a distribution: without one the state is not evolved")
@@ -485,6 +487,8 @@ def run_sweep(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
         columns = ["x0", "t_min", "V_min", "t_rev", "V_rev"]
         phys = model.build_system(system)
         x0 = np.asarray(_param(axes, "x0", _floats, [0.0]))
+        if x0.size == 0:
+            raise ConfigError("x0 axis is empty: give at least one x0")
         data = np.column_stack([x0, *analytic.visibility_extrema(phys, x0)])
     return columns, data, {"op": op, "rows": len(data)}
 

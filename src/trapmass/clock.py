@@ -178,8 +178,8 @@ def thermal_state(params: model.SystemParams, T: float, dim: int) -> JointTherma
     mode; expressed in the ground-mode basis it becomes a squeezed thermal
     state, built here as V_k diag(p) V_k^T from the real eigenbasis V_k of
     the truncated n_k (equal to S(r_k)^dag rho_th S(r_k), as n_k = S^dag n S).
-    p is states.thermal_populations, so a thermal tail beyond dim above
-    states.TAIL_BOUND raises TruncationInsufficient.
+    p is states.thermal_populations. Its tail beyond dim, and for k >= 1 the
+    block's trace beyond fock.interior(dim), must pass states.TAIL_BOUND.
     """
     if params.g != 0.0:
         raise GravityNotSupported("thermal_state requires g = 0")
@@ -187,7 +187,7 @@ def thermal_state(params: model.SystemParams, T: float, dim: int) -> JointTherma
         raise ValueError(f"temperature must be > 0, got {T}")
     beta = 1.0 / (constants.K_B * T)
     pops = level_populations(params, T)
-    blocks = []
+    blocks, m = [], fock.interior(dim)
     for k in range(params.n_levels):
         frame = model.derive_mode_frame(params, k)
         probs = states.thermal_populations(
@@ -195,4 +195,7 @@ def thermal_state(params: model.SystemParams, T: float, dim: int) -> JointTherma
         )
         V = fock.spectrum(frame, 0.0, dim).V
         blocks.append((V * probs) @ V.T)
+        if k:
+            states.check_tail(f"level-{k} block weight", f"Fock n >= {m}", dim,
+                              float(np.trace(blocks[-1][m:, m:])))
     return JointThermalState(temperature=float(T), populations=pops, cm_blocks=blocks)

@@ -67,6 +67,16 @@ def support(A: np.ndarray) -> int:
     return max(cols.size - int(tail.searchsorted(0.5 * tau, side="right")), 1)
 
 
+def tail_bound(V: np.ndarray, data: np.ndarray) -> float:
+    """A bound, at every t, on the weight U = V diag(e^{-iwt}) V^T puts of a
+    state beyond m = interior(dim): ||P_m U|j>|| <= T_j = sum_n |V[j, n]|
+    ||V[m:, n]||, so the weight is at most T^T |rho| T over support(data)."""
+    s = support(data)
+    T = np.abs(V[:s]) @ np.linalg.norm(V[interior(V.shape[0]):], axis=0)
+    rho = data[:s, :s] if data.ndim == 2 else np.outer(data[:s], data[:s].conj())
+    return float(T @ np.abs(rho) @ T)
+
+
 def ladder_band(dim: int, k: int) -> np.ndarray:
     """sqrt((n+1)...(n+k)) for n = 0 .. dim-k-1: the band of a^k at offset k,
     (a^k)[n, n+k], truncated to dim levels."""

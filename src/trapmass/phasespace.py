@@ -21,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, model, states
-from .errors import (
-    InvalidDistribution,
-    NonGaussianProfile,
-    TruncationInsufficient,
-)
+from .errors import InvalidDistribution, NonGaussianProfile, TruncationInsufficient
 from .states import CMState, mixed_state
 
 _EDGE_Q = 1e-8
@@ -91,7 +87,8 @@ def evolve_mixed_cm(
     """rho_cm(t) = sum_k p_k U_k rho0 U_k^dag at the dim of rho0; the scalar
     rest-energy phase of each U_k cancels against its conjugate, so only
     bounded propagators appear. Each term is U_k[:, :s] rho0[:s, :s]
-    U_k[:, :s]^dag, s = fock.support(rho0) (see the module docstring)."""
+    U_k[:, :s]^dag, s = fock.support(rho0) (see the module docstring). More
+    than TAIL_BOUND of its trace beyond fock.interior(dim) is refused."""
     frames = _weighted_frames(params, dist)
     dim = rho0.dim
     rho = rho0.density()
@@ -103,6 +100,8 @@ def evolve_mixed_cm(
         out += pk * (U @ rho @ U.conj().T)
     # Symmetrize away eigensolver roundoff before validation.
     out = 0.5 * (out + out.conj().T)
+    m = fock.interior(dim)
+    states.check_tail("evolved-state weight", f"Fock n >= {m}", dim, out.diagonal()[m:].real.sum())
     return mixed_state(out)
 
 
@@ -131,13 +130,10 @@ def qfunction(
     The grid half-width grows by 1.5x until Q at the boundary drops below
     1e-8 (unless auto_expand=False). Every grid is the same delta-lattice,
     so the previous grid is the centre block of the next one and only the
-    new annulus is evaluated. Fails with TruncationInsufficient, naming the
-    dim required, when the truncated basis cannot represent the boundary
-    coherent states. Only the block of fock.support is contracted, with as
-    many coherent columns (see the module docstring); the truncation check
-    and the edge rule keep the full dim.
+    new annulus is evaluated. Only the block of fock.support is contracted,
+    with as many coherent columns (see the module docstring), so Q is exact
+    at every beta and no dim is read.
     """
-    dim = rho.dim
     density = rho.density()
     s = fock.support(density)
     density = density[:s, :s]
@@ -146,7 +142,6 @@ def qfunction(
     while True:
         ax = _axis(hw, delta)
         beta = ax[None, :] + 1j * ax[:, None]
-        states.check_coherent_tail(dim, hw)
         n_old = q_old.shape[0]
         o = (ax.size - n_old) // 2
         centre = (slice(o, o + n_old),) * 2

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, fock, model
+from . import analytic, fock, model, states
 from .errors import DimensionMismatch, GridTooCoarse, NotNormalized
 from .states import CMState
 
@@ -229,14 +229,18 @@ def thermal_trace(params: model.SystemParams, nbar: float, times, level: int = 1
 def ramsey_trace(params: model.SystemParams, state: CMState, times, level: int = 1,
                  x0: float | None = None, *, dim: int, corotating: bool = False) -> RamseyTrace:
     """Interference trace between levels 0 and level for any CM state, in the
-    Fock space truncated at dim (>= state.dim); x0 as in coherent_trace."""
+    Fock space truncated at dim (>= state.dim; refused where fock.tail_bound
+    exceeds states.TAIL_BOUND); x0 as in coherent_trace."""
     frame = model.derive_mode_frame(params, level)
     if dim < state.dim:
         raise DimensionMismatch(f"truncation dim {dim} smaller than state dim {state.dim}")
 
     def bounded(vap, t):
         alpha = math.sqrt(frame.M_i * frame.omega_i / (2.0 * params.hbar)) * vap.x0
-        return _bounded_trace(fock.spectrum(frame, alpha, dim), vap.omega0, state, t)
+        spec = fock.spectrum(frame, alpha, dim)
+        states.check_tail("evolved-state weight bound", f"Fock n >= {fock.interior(dim)}",
+                          dim, fock.tail_bound(spec.V, state.data))
+        return _bounded_trace(spec, vap.omega0, state, t)
 
     return _trace(params, times, level, x0, corotating, bounded, dim)
 

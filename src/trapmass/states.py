@@ -1,6 +1,7 @@
 """Center-of-mass states in the ground-level mode basis, their coherent
 amplitudes, and the one truncation rule: at most TAIL_BOUND of a state's
-weight may lie beyond its dim."""
+weight may lie beyond its dim, and of an evolved state beyond
+fock.interior(dim)."""
 
 from __future__ import annotations
 
@@ -108,12 +109,12 @@ def coherent_amplitudes(dim: int, betas) -> np.ndarray:
     return cols.T
 
 
-def _check_tail(kind: str, where: str, dim: int, tail: float, need: float) -> None:
-    """The truncation rule: at most TAIL_BOUND of the weight beyond dim."""
+def check_tail(kind: str, where: str, dim: int, tail: float, need: float | None = None) -> None:
+    """The truncation rule: a weight (named kind) above TAIL_BOUND that a
+    state puts at where raises TruncationInsufficient, naming need if known."""
     if tail > TAIL_BOUND:
-        raise TruncationInsufficient(
-            f"{kind} deficit {tail:.3e} at {where} for dim {dim}; needs dim >= {need}"
-        )
+        needs = "" if need is None else f"; needs dim >= {need}"
+        raise TruncationInsufficient(f"{kind} {tail:.3e} at {where} for dim {dim}{needs}")
 
 
 def coherent_tail(dim: int, abs_beta: float) -> tuple[float, int]:
@@ -132,18 +133,12 @@ def coherent_tail(dim: int, abs_beta: float) -> tuple[float, int]:
     return float(tails[0]), lo + int(np.argmax(tails <= TAIL_BOUND))
 
 
-def check_coherent_tail(dim: int, abs_beta: float) -> None:
-    """Raise TruncationInsufficient unless dim holds |beta> to TAIL_BOUND."""
-    _check_tail("coherent-state", f"|beta|={abs_beta:.2f}", dim,
-                *coherent_tail(dim, abs_beta))
-
-
 def thermal_populations(dim: int, q: float) -> np.ndarray:
     """The geometric populations (1 - q) q^n, n < dim, renormalized once
     their tail q^dim has passed the truncation rule; q = nbar / (nbar + 1)."""
     # q = 0 leaves no tail; q rounded to 1 (nbar above ~1e16) has no dim.
     need = math.ceil(math.log(TAIL_BOUND) / math.log(q)) if 0.0 < q < 1.0 else math.inf
-    _check_tail("thermal-state", f"q={q:.6g}", dim, q**dim, need)
+    check_tail("thermal-state deficit", f"q={q:.6g}", dim, q**dim, need)
     probs = (1.0 - q) * q ** np.arange(dim)
     return probs / probs.sum()
 
@@ -153,7 +148,8 @@ def coherent_state(dim: int, alpha: complex) -> CMState:
     truncation rule, and the kept amplitudes are renormalized."""
     if not cmath.isfinite(alpha):
         raise NotNormalized(f"alpha must be finite, got {alpha}")
-    check_coherent_tail(dim, abs(alpha))
+    check_tail("coherent-state deficit", f"|beta|={abs(alpha):.2f}", dim,
+               *coherent_tail(dim, abs(alpha)))
     vec = coherent_amplitudes(dim, [alpha])[0]
     norm = np.linalg.norm(vec)
     # Amplitudes already within _NORM_TOL of unit norm keep their bits.

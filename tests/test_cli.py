@@ -467,6 +467,47 @@ def test_qfunc_run(tmp_path):
     assert summary["normalization"] == pytest.approx(1.0, abs=1e-2)
 
 
+def test_evolved_qfunc_is_checked_on_the_state_not_the_grid(tmp_path):
+    # c = 2, levels [0, 2], g = 3: the vacuum evolved to t = pi / (2 omega_1)
+    # puts 3.1e-27 of its trace beyond the interior of dim 64, so dim 64
+    # runs (the Q-grid guard refused it, "needs dim >= 69") and its grid is
+    # dim 512's. c = 1, levels [0, 30] at dim 128 puts 1.9e-5 there: exit 3.
+    system = {"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 3.0}
+    t = math.pi / (2.0 * model.derive_mode_frame(model.build_system(system), 1).omega_i)
+    grids = {}
+    for dim in (64, 512):
+        cfg = {"experiment": "qfunc", "system": system, "output": {"path": f"g3_{dim}"},
+               "params": {"distribution": [0.5, 0.5], "t": t, "dim": dim}}
+        assert run(tmp_path, cfg, "qfunc", extra=["--verify"]) == cli.EXIT_OK
+        grids[dim] = cli.read_csv(str(tmp_path / f"g3_{dim}.csv"))[2]
+    assert grids[64].shape == grids[512].shape
+    assert np.array_equal(grids[64][:, :2], grids[512][:, :2])
+    assert np.max(np.abs(grids[64][:, 2] - grids[512][:, 2])) < 1e-14
+    system = {"unit_system": "natural", "c": 1.0, "levels": [0.0, 30.0], "g": 0.0}
+    t = math.pi / (2.0 * model.derive_mode_frame(model.build_system(system), 1).omega_i)
+    cfg = {"experiment": "qfunc", "system": system, "output": {"path": "c1"},
+           "params": {"distribution": [0.5, 0.5], "t": t, "dim": 128}}
+    assert run(tmp_path, cfg, "qfunc") == cli.EXIT_NUMERIC
+
+
+def test_eigh_ramsey_refuses_a_dim_its_evolved_state_outgrows(tmp_path, capsys):
+    # The vacuum at x0 = 7 exited 0 at dim 64 with P off by 0.56. Dims 64
+    # and 128 are refused; dim 192 agrees with the exact route (dim omitted).
+    def cfg(path, **params):
+        return {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
+                "output": {"path": path}, "params": {"x0": 7.0, **params}}
+    for dim in (64, 128):
+        assert run(tmp_path, cfg("far", dim=dim), "ramsey") == cli.EXIT_NUMERIC
+        assert f"for dim {dim}" in capsys.readouterr().err
+    assert run(tmp_path, cfg("far192", dim=192), "ramsey", extra=["--verify"]) == cli.EXIT_OK
+    assert run(tmp_path, cfg("far_exact"), "ramsey", extra=["--verify"]) == cli.EXIT_OK
+    _, columns, eigh = cli.read_csv(str(tmp_path / "far192.csv"))
+    _, _, exact = cli.read_csv(str(tmp_path / "far_exact.csv"))
+    for name in ("P", "V"):
+        i = columns.index(name)
+        assert np.max(np.abs(eigh[:, i] - exact[:, i])) < 1e-12
+
+
 def test_sweep_run(tmp_path):
     cfg = {
         "experiment": "sweep",
@@ -584,12 +625,16 @@ def test_bad_omega0_grid_values_are_numeric_failures(tmp_path, bad):
 
 
 def test_verify_accepts_zero_row_csv(tmp_path):
+    # No experiment writes an empty table (an empty sweep axis is a config
+    # error), so the outputs are written directly and checked as --verify does.
     cfg = {"experiment": "sweep", "system": dict(NATURAL_SYSTEM),
            "output": {"path": "empty"},
-           "params": {"op": "visibility_extrema", "axes": {"x0": []}}}
-    assert run(tmp_path, cfg, "sweep", extra=["--verify"]) == cli.EXIT_OK
+           "params": {"op": "visibility_extrema", "axes": {"x0": [0.0]}}}
+    names = ["x0", "t_min", "V_min", "t_rev", "V_rev"]
+    paths = cli._write_outputs(cfg, str(tmp_path), False, names, np.empty((0, 5)), {"rows": 0})
+    assert cli.verify_outputs(paths) == []
     _, columns, rows = cli.read_csv(str(tmp_path / "empty.csv"))
-    assert columns == ["x0", "t_min", "V_min", "t_rev", "V_rev"]
+    assert columns == names
     assert rows.shape == (0, 5)
 
 
@@ -637,7 +682,7 @@ def test_write_csv_matches_csv_writer_and_round_trips(tmp_path_factory, n_rows, 
 _NO_SCIPY_SCRIPT = """
 import sys
 sys.modules["scipy"] = None
-from trapmass import cli, phasespace, states, verify
+from trapmass import cli, states, verify
 from trapmass.errors import TruncationInsufficient
 
 shift_cfg, sweep_cfg, out = sys.argv[1:]
@@ -645,11 +690,11 @@ assert cli.main(["shift", "--config", shift_cfg, "--out", out, "--verify"]) == 0
 assert cli.main(["sweep", "--config", sweep_cfg, "--out", out, "--verify"]) == 0
 assert verify.oracle_minshift().passed
 try:
-    phasespace.qfunction(states.fock_state(64, 0))
+    states.coherent_state(64, 6.0)
 except TruncationInsufficient as exc:
     assert str(exc).endswith("needs dim >= 69"), exc
 else:
-    raise AssertionError("dim 64 passed the Q-grid guard")
+    raise AssertionError("dim 64 held |6> within the truncation rule")
 """
 
 
@@ -718,9 +763,9 @@ def test_drive_state_takes_params_dim(tmp_path, monkeypatch):
 
 
 def test_qfunc_state_takes_params_dim(tmp_path, capsys):
-    # At dim 40 the vacuum's Q grid needs more levels than it has; the run
-    # must use that dim rather than the state's default 128.
-    cfg = qfunc_cfg(dim=40, state={"type": "fock", "n": 0})
+    # At dim 40 the coherent state |6> needs more levels than it has; the
+    # run must use that dim rather than the state's default 128.
+    cfg = qfunc_cfg(dim=40, state={"type": "coherent", "alpha": 6.0})
     assert run(tmp_path, cfg, "qfunc") == cli.EXIT_NUMERIC
     assert "needs dim >= 69" in capsys.readouterr().err
     assert run(tmp_path, qfunc_cfg(dim=96), "qfunc", extra=["--verify"]) == cli.EXIT_OK
@@ -894,13 +939,18 @@ def test_heavy_state_tails_are_numeric_failures(tmp_path, state, capsys):
     ("ramsey", {"corotating": "false"}),
     ("sweep", {"op": "visibility_extrema", "axes": {"x0": ["a"]}}),
     ("qfunc", {"t": 5.0}),
+    ("qfunc", {"t": math.nan, "distribution": [0.5, 0.5]}),
+    ("qfunc", {"t": math.inf, "distribution": [0.5, 0.5]}),
+    ("sweep", {"op": "visibility_extrema", "axes": {"x0": []}}),
 ])
 def test_malformed_params_are_config_errors(tmp_path, capsys, experiment, params):
     # Each of these once escaped main as a traceback (exit 1): a ValueError,
     # TypeError, KeyError or ZeroDivisionError. A fractional grid point count
     # was truncated (3.7 points ran as 3), the string "false" read as true,
     # and a qfunc t without a distribution was ignored (t 0.0 and 5.0 wrote
-    # the same Q grid).
+    # the same Q grid). A non-finite qfunc t exited 3 and an empty x0 axis
+    # exited 0 with a header-only CSV, where their siblings (a non-finite
+    # Ramsey time, an empty fractional_shift axis) are config errors.
     system = NATURAL_SYSTEM if experiment == "qfunc" else SI_SHIFT_SYSTEM
     cfg = {"experiment": experiment, "system": dict(system),
            "output": {"path": "malformed"}, "params": params}

@@ -225,6 +225,23 @@ def test_thermal_state_low_temperature_is_pure_vacuum():
     assert joint.cm_blocks[0][0, 0].real == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("dim, weight", [(128, "8.775e-03"), (640, "1.866e-06")])
+def test_thermal_state_applies_the_truncation_rule_to_each_block(dim, weight):
+    # c = 1, levels [0, 100], k_B T = 0.5: every level passes its q^dim
+    # check, but the squeezed level-1 block puts 8.8e-3 of its trace beyond
+    # the interior of dim 128 (1.0e-3 off the dim-1024 block there), and
+    # still 1.9e-6 at dim 640. Dim 768 is the first that holds it.
+    p = natural_g0(E1=100.0, c=1.0)
+    T = 0.5 / constants.K_B
+    with pytest.raises(TruncationInsufficient) as err:
+        clock.thermal_state(p, T, dim)
+    assert str(err.value) == (
+        f"level-1 block weight {weight} at Fock n >= {fock.interior(dim)} for dim {dim}"
+    )
+    block = clock.thermal_state(p, T, 768).cm_blocks[1]
+    assert 0.0 < np.trace(block[672:, 672:]).real <= states.TAIL_BOUND
+
+
 def test_thermal_state_guards():
     with pytest.raises(GravityNotSupported):
         clock.thermal_state(

@@ -62,10 +62,29 @@ def test_qfunction_linearity_bitwise():
     assert np.max(np.abs(g_mix.q - 0.5 * g_a.q - 0.5 * g_b.q)) < 1e-13
 
 
-def test_qfunction_truncation_guard():
-    # dim 8 cannot represent coherent states at |beta| = 4.
-    with pytest.raises(TruncationInsufficient):
-        phasespace.qfunction(states.fock_state(8, 0))
+@pytest.mark.parametrize("dim", [1, 8, 64])
+def test_unevolved_vacuum_q_is_exact_at_any_dim(dim):
+    # Q(beta) = <beta|rho|beta> is computed exactly from the state's support
+    # block at any beta, so the grid's boundary coherent states need not fit
+    # in dim: the vacuum gives exp(-|beta|^2) on the auto-expanded grid.
+    grid = phasespace.qfunction(states.fock_state(dim, 0))
+    assert grid.beta.shape == (121, 121)
+    assert np.max(np.abs(grid.q - np.exp(-np.abs(grid.beta) ** 2))) < 1e-12
+
+
+def test_evolve_mixed_cm_applies_the_truncation_rule():
+    # c = 1, levels [0, 30]: the vacuum under p = (0.5, 0.5) at
+    # t = pi / (2 omega_1) puts 1.9e-5 of its trace beyond the interior of
+    # dim 128, above TAIL_BOUND, and 1.5e-14 beyond that of dim 512.
+    p = model.build_system({"unit_system": "natural", "c": 1.0, "levels": [0.0, 30.0],
+                            "g": 0.0})
+    t = math.pi / (2.0 * model.derive_mode_frame(p, 1).omega_i)
+    dist = phasespace.InternalDistribution((0.5, 0.5))
+    with pytest.raises(TruncationInsufficient) as err:
+        phasespace.evolve_mixed_cm(p, states.fock_state(128, 0), dist, t)
+    assert str(err.value) == "evolved-state weight 1.904e-05 at Fock n >= 112 for dim 128"
+    rho = phasespace.evolve_mixed_cm(p, states.fock_state(512, 0), dist, t).data
+    assert np.trace(rho[448:, 448:]).real < 1e-13
 
 
 @settings(max_examples=200, deadline=None)
@@ -79,40 +98,6 @@ def test_dim_for_deficit_matches_incomplete_gamma(abs_beta, dim):
     tail, got = states.coherent_tail(dim, abs_beta)
     assert got == need
     assert tail == pytest.approx(gammainc(dim, abs_beta**2), rel=1e-9, abs=1e-15)
-
-
-def test_qfunction_guard_names_required_dim():
-    # The vacuum at dim 64 grows its grid to |beta| = 6, where the truncated
-    # coherent state misses 1.6e-5 of its norm; dim 69 is the first size
-    # within the 1e-6 deficit bound.
-    with pytest.raises(TruncationInsufficient) as err:
-        phasespace.qfunction(states.fock_state(64, 0))
-    assert str(err.value) == (
-        "coherent-state deficit 1.610e-05 at |beta|=6.00 for dim 64; "
-        "needs dim >= 69"
-    )
-    grid = phasespace.qfunction(states.fock_state(69, 0))
-    assert np.max(np.abs(grid.q - np.exp(-np.abs(grid.beta) ** 2))) < 1e-12
-
-
-def test_qfunction_guard_at_large_beta():
-    # At |beta| = 40 the guard reads the Poisson tail, not amplitudes that
-    # underflow to a deficit of 1: dim 1500 is told its deficit
-    # P(1500, 1600) and the incomplete-gamma dim, and dim 2600 holds |40>
-    # well within the bound.
-    need = 1500
-    while gammainc(need, 1600.0) > states.TAIL_BOUND:
-        need += 1
-    with pytest.raises(TruncationInsufficient) as err:
-        phasespace.qfunction(states.fock_state(1500, 0), half_width=40.0,
-                             auto_expand=False)
-    assert str(err.value) == (
-        f"coherent-state deficit {gammainc(1500, 1600.0):.3e} at |beta|=40.00 "
-        f"for dim 1500; needs dim >= {need}"
-    )
-    grid = phasespace.qfunction(states.fock_state(2600, 0), half_width=40.0,
-                                delta=10.0, auto_expand=False)
-    assert np.max(np.abs(grid.q - np.exp(-np.abs(grid.beta) ** 2))) < 1e-12
 
 
 def _reference_q(state, beta):

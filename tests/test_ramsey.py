@@ -9,7 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trapmass import analytic, constants, fock, model, ramsey, states
-from trapmass.errors import DimensionMismatch, GridTooCoarse, NotNormalized
+from trapmass.errors import (
+    DimensionMismatch,
+    GridTooCoarse,
+    NotNormalized,
+    TruncationInsufficient,
+)
 
 
 def natural_params(E1=2.0, c=2.0, g=0.0):
@@ -50,22 +55,57 @@ def fock_or_coherent(draw):
     raw_weights=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
 )
 def test_trace_is_linear_in_rho_and_bounded(S, x0, components, raw_weights):
-    # At a fixed dim the trace of a Fock/coherent mixture (mixed branch)
-    # equals the weighted sum of its components' traces (pure branch), and
-    # |Tr{U_1 rho U_0^dag}| <= Tr(rho) = 1 for any truncation.
+    # At a fixed dim the contraction of a Fock/coherent mixture (mixed
+    # branch) equals the weighted sum of its components' (pure branch), and
+    # |Tr{U_1 rho U_0^dag}| <= Tr(rho) = 1 for any truncation. Many draws put
+    # more than TAIL_BOUND beyond the interior, which ramsey_trace refuses, so
+    # the contraction is called on ramsey_trace's spectrum directly.
     p = natural_params(E1=100.0 * (1.0 / S**2 - 1.0), c=10.0)
+    frame = model.derive_mode_frame(p, 1)
+    spec = fock.spectrum(frame, math.sqrt(frame.M_i * frame.omega_i / 2.0) * x0, _PROPERTY_DIM)
     times = np.linspace(0.0, 9.0, 7)
     w = np.array(raw_weights[: len(components)])
     w /= w.sum()
     rho = sum(wk * psi.density() for wk, psi in zip(w, components))
-    mixed = ramsey.ramsey_trace(p, states.mixed_state(rho), times, x0=x0, dim=_PROPERTY_DIM)
-    pure = [
-        ramsey.ramsey_trace(p, psi, times, x0=x0, dim=_PROPERTY_DIM).trace
-        for psi in components
-    ]
-    assert np.max(np.abs(mixed.trace - sum(wk * tr for wk, tr in zip(w, pure)))) < 1e-12
-    for tr in [mixed.trace, *pure]:
+    mixed = ramsey._bounded_trace(spec, p.omega0, states.mixed_state(rho), times)
+    pure = [ramsey._bounded_trace(spec, p.omega0, psi, times) for psi in components]
+    assert np.max(np.abs(mixed - sum(wk * tr for wk, tr in zip(w, pure)))) < 1e-12
+    for tr in [mixed, *pure]:
         assert np.all(np.abs(tr) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("dim, bound", [(64, "1.702e+00"), (128, "2.257e-01")])
+def test_trace_refuses_a_truncation_its_state_outgrows(dim, bound):
+    # The vacuum at x0 = 7 moves out to Fock levels near 100: dim 64 gave P
+    # off by 0.56 with exit 0. The bound on the weight U_1(t) rho U_1(t)^dag
+    # puts beyond the interior, for every t, refuses dims 64 and 128; at dim
+    # 192 it is 1.3e-10 and the trace is the exact route's.
+    p = natural_params()
+    times = np.linspace(0.0, 9.0, 50)
+    with pytest.raises(TruncationInsufficient) as err:
+        ramsey.ramsey_trace(p, states.fock_state(dim, 0), times, x0=7.0, dim=dim)
+    m = fock.interior(dim)
+    assert str(err.value) == f"evolved-state weight bound {bound} at Fock n >= {m} for dim {dim}"
+    tr = ramsey.ramsey_trace(p, states.fock_state(192, 0), times, x0=7.0, dim=192)
+    exact = ramsey.coherent_trace(p, 0.0, times, x0=7.0)
+    assert np.max(np.abs(tr.trace - exact.trace)) < 1e-12
+
+
+def test_tail_bound_holds_at_every_time():
+    # The bound is above the weight beyond the interior of every evolved
+    # state U_1(t) rho U_1(t)^dag, pure or mixed, at truncations it accepts
+    # and at ones it refuses.
+    p = natural_params(E1=6.0)
+    frame = model.derive_mode_frame(p, 1)
+    for dim, x0 in ((48, 2.0), (48, 4.0), (96, 4.0)):
+        m = fock.interior(dim)
+        spec = fock.spectrum(frame, math.sqrt(frame.M_i * frame.omega_i / 2.0) * x0, dim)
+        for state in (states.coherent_state(dim, 0.5 - 1j), states.thermal_state_cm(dim, 1.0)):
+            bound = fock.tail_bound(spec.V, state.data)
+            for t in np.linspace(0.0, 7.0, 29):
+                U = spec.propagator(t)
+                rho_t = U @ state.density() @ U.conj().T
+                assert np.trace(rho_t[m:, m:]).real <= bound * (1.0 + 1e-12) + 1e-15
 
 
 def test_vacuum_gravity_free_revival():

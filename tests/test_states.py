@@ -133,6 +133,36 @@ def test_heavy_tails_raise_naming_the_dim_needed():
     states.thermal_state_cm(49, 3.0)
 
 
+def test_coherent_state_names_required_dim():
+    # |6> at dim 64 misses 1.6e-5 of its norm; dim 69 is the first size
+    # within the 1e-6 deficit bound.
+    with pytest.raises(TruncationInsufficient) as err:
+        states.coherent_state(64, 6.0)
+    assert str(err.value) == (
+        "coherent-state deficit 1.610e-05 at |beta|=6.00 for dim 64; "
+        "needs dim >= 69"
+    )
+    assert np.linalg.norm(states.coherent_state(69, 6.0).data) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_coherent_state_tail_at_large_beta():
+    # At |beta| = 40 the rule reads the Poisson tail, not amplitudes that
+    # underflow to a deficit of 1: dim 1500 is told its deficit
+    # P(1500, 1600) and the incomplete-gamma dim, and dim 2600 holds |40>
+    # well within the bound.
+    need = 1500
+    while gammainc(need, 1600.0) > states.TAIL_BOUND:
+        need += 1
+    with pytest.raises(TruncationInsufficient) as err:
+        states.coherent_state(1500, 40.0)
+    assert str(err.value) == (
+        f"coherent-state deficit {gammainc(1500, 1600.0):.3e} at |beta|=40.00 "
+        f"for dim 1500; needs dim >= {need}"
+    )
+    kept = states.coherent_amplitudes(2600, [40.0])[0]
+    assert np.allclose(states.coherent_state(2600, 40.0).data, kept, rtol=0, atol=1e-15)
+
+
 def _counting_eigvalsh(monkeypatch):
     shapes = []
     eigvalsh = np.linalg.eigvalsh

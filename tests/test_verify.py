@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trapmass import model, ramsey, states, verify
+from trapmass.errors import TruncationInsufficient
 
 
 def test_all_oracles_pass():
@@ -41,11 +42,13 @@ def test_vacuum_visibility_oracle_detects_perturbation():
 
 def test_vacuum_visibility_oracle_fails_without_convergence():
     # Negative control: a truncation at dim 64 leaves S = 0.5, x0 = 5
-    # unconverged and the oracle fails.
-    rep = verify.oracle_vacuum_visibility(
-        s_values=(0.5,), x0_values=(5.0,), n_times=50, dim=64,
-    )
-    assert not rep.passed
+    # unconverged, and the oracle's eigh route refuses it (its evolved-state
+    # weight bound beyond the interior is above TAIL_BOUND) instead of
+    # returning a trace.
+    with pytest.raises(TruncationInsufficient, match="for dim 64"):
+        verify.oracle_vacuum_visibility(
+            s_values=(0.5,), x0_values=(5.0,), n_times=50, dim=64,
+        )
 
 
 def test_minshift_oracle_respects_custom_params():
