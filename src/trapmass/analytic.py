@@ -15,8 +15,12 @@ W = U_0b^dag U_1b, less the scalar-offset phase that ramsey applies).
 _displaced gives the tuple of D(beta)^dag W D(beta), _trace_kernel
 Tr(y^n W) and _diagonal <n|W|n>. So a coherent amplitude is a displaced
 vacuum amplitude (bounded_amplitude), a thermal trace one value of Tr(y^n W)
-(generating_function), a Fock trace a circle sum (fock_diagonal), and the
-drive's weights displaced squeeze diagonals (fock_weight).
+(generating_function), a Fock trace its y^n coefficient (fock_diagonal),
+and the drive's weights displaced squeeze diagonals (fock_weight).
+_diagonal reads that coefficient from a Legendre-exponential series up to
+n = _SERIES_MAX, whose phase keeps relative digits where it is an SI
+~1e-9 rad, and from a circle sum above it, whose roundoff is absolute; both
+are off by up to about n^2 eps near a revival (error bounds in _diagonal).
 """
 
 from __future__ import annotations
@@ -185,45 +189,129 @@ def generating_function(vap: VacuumAmplitudeParams, t, y) -> np.ndarray:
     return _trace_kernel(*_bogoliubov(vap, np.asarray(t, dtype=float)), y)
 
 
-# Rows (times or cycles) and circle points per block of _diagonal's sum, so
-# its temporaries do not grow with n; a circle of M <= _CIRCLE_CHUNK points
-# (n <= 3) is summed in one piece.
-_ROW_CHUNK = 256
+# Largest Fock index whose diagonal is read from the series (O(n^2) per
+# time); above it the circle sum (O(n) per time, M ~ 8n kernel values) is
+# faster. Measured with one BLAS thread, natural units, S 0.8, x0 4, both
+# routes in blocks of _BLOCK, series against circle: at 2000 times 0.27
+# against 1.4 s at n = 300, 2.0 against 3.2 s at n = 1000, 8.7 against
+# 8.2 s at n = 1800; at 256 times 0.27 against 0.39 s at n = 1000 and 0.87
+# against 0.57 s at n = 1800.
+_SERIES_MAX = 1500
+# Complex entries of _diagonal's working set per block of rows (times or
+# cycles), so its memory does not grow with n: the series holds two
+# (rows x (n + 1)) arrays, the circle about eight (rows x _CIRCLE_CHUNK)
+# kernel temporaries.
+_BLOCK = 2**15
 _CIRCLE_CHUNK = 64
 
 
 def _diagonal(unitary, n: int) -> np.ndarray:
     """<n|W|n> for each W of unitary = (P, Q, c1, c2, expo, root) as in
     _trace_kernel; n < 0 raises DimensionMismatch. n = 0 is exp(expo) / root.
-    n > 0 (1-d arrays) is the y^n coefficient of G as a trapezoidal sum over
-    M points of |y| = rho (radius as in Bornemann, Found. Comput. Math. 11,
-    1, 2011), w = e^{2 pi i / M}:
+    n > 0 (1-d arrays) is the y^n coefficient of G, in blocks of rows sized
+    from _BLOCK: for n <= _SERIES_MAX from the series (_series_diagonal),
+    absolute error about n^2 eps where |P| -> 1 (1.2e-13 at n = 40,
+    1.8e-12 at n = 150 against 40-digit sums) and a few eps for n <= 3;
+    above it from the circle sum (_circle_diagonal), absolute error about
+    100 / (1 - rho) ulps (1e-14 at n <= 3) and again n^2 eps where
+    |P| -> 1 (4e-11 at n = 1000). The circle's absolute roundoff is its
+    known limit: an SI Fock phase of ~1e-9 rad keeps its digits on the
+    series only."""
+    if n < 0:
+        raise DimensionMismatch(f"Fock index {n} is negative")
+    if n == 0:
+        return np.exp(unitary[4]) / unitary[5]
+    series = n <= _SERIES_MAX
+    rows = max(1, _BLOCK // (2 * (n + 1) if series else 8 * _CIRCLE_CHUNK))
+    out = np.empty(unitary[0].size, dtype=complex)
+    for lo in range(0, out.size, rows):
+        block = tuple(x[lo : lo + rows] for x in unitary)
+        out[lo : lo + rows] = (_series_diagonal if series else _circle_diagonal)(block, n)
+    return out
+
+
+def _series_diagonal(unitary, n: int) -> np.ndarray:
+    """<n|W|n>, n >= 1, from the power series of G, with no circle. With
+    psi = arg P, kappa = 1 / |P| <= 1 and y = e^{i psi} s, the identity
+    |P|^2 - |Q|^2 = 1 makes _trace_kernel's D = 1 - 2 kappa s + s^2, and
+
+        <n|W|n> = exp(expo) / root e^{-i n psi} [s^n] exp(N / D) / sqrt(D),
+        N = n1 s + n2 s^2,  n1 = e^{i psi} c1 c2,
+        n2 = -kappa n1 + e^{2 i psi} (conj(Q) c1^2 - Q c2^2) / 2P.
+
+    N / D = sum_k a_k s^k with a_0 = -n2, a_1 = n1 and
+    a_k = 2 kappa a_{k-1} - a_{k-2}; 1 / sqrt(D) = sum_j P_j(kappa) s^j
+    (Legendre) is exp(sum_k T_k(kappa) s^k / k) (Chebyshev, the same
+    recurrence), so the bracket is the s^n coefficient e_n of exp(sum_k b_k
+    s^k), k b_k = k a_k + T_k: e_0 = 1, m e_m = sum_{k=1..m} k b_k e_{m-k}.
+    At x0 = 0, c1 = c2 = 0 and e_n = P_n(kappa) is real, so the phase is
+    that of psi and root, which _bogoliubov forms from r.
+
+    |e_m| <= g max_{j<m} |e_j|, g the largest |k b_k|, so a row rescaled to
+    max |e_j| <= 1 cannot pass e^700 within the next 700 / log(2 + g) steps.
+    At each such step a row whose new e_j exceed 1 is divided by a power of
+    two, counted in its exponent, so an underflowing exp(expo) meets no
+    overflowing e_n: at S 0.9, x0 40, omega_1 t = pi and n = 800,
+    exp(expo) = e^-1600 and <n|W|n> = 0.032."""
+    P, Q, c1, c2, expo, root = unitary
+    absP = np.abs(P)
+    kappa = np.minimum(1.0 / absP, 1.0)  # 1/|P| rounds above 1 near a revival
+    rot = P / absP
+    n1 = rot * c1 * c2
+    a_prev = kappa * n1 - rot * rot * (np.conj(Q) * c1 * c1 - Q * c2 * c2) / (2.0 * P)
+    a, t_prev, t = n1, np.ones_like(kappa), kappa
+    kb = np.empty((P.size, n + 1), dtype=complex)  # k b_k at column k
+    kb[:, 1] = a + t
+    for k in range(2, n + 1):
+        a_prev, a = a, 2.0 * kappa * a - a_prev
+        t_prev, t = t, 2.0 * kappa * t - t_prev
+        kb[:, k] = k * a + t
+    growth = float(np.abs(kb).max())
+    every = max(1, int(700.0 / math.log(2.0 + growth))) if growth < math.inf else 1
+    # e_m at column n - m, so that both factors of each sum are ascending.
+    e = np.zeros((P.size, n + 1), dtype=complex)
+    e[:, n] = 1.0
+    kb3, e3 = kb[:, None, :], e[:, :, None]
+    scale = np.zeros(P.size)
+    for m in range(1, n + 1):
+        np.divide(np.matmul(kb3[..., 1 : m + 1], e3[:, n - m + 1 :])[:, 0, 0], m,
+                  out=e[:, n - m])
+        if m % every == 0 or m == n:
+            big = np.abs(e[:, n - m : n - m + every]).max(axis=1)
+            shift = np.where(big > 1.0, np.frexp(big)[1], 0)
+            if shift.any():
+                e[:, n - m :] *= np.ldexp(1.0, -shift)[:, None]
+                scale += shift
+    return e[:, 0] * np.exp(expo + scale * math.log(2.0) - 1j * n * np.angle(P)) / root
+
+
+def _circle_diagonal(unitary, n: int) -> np.ndarray:
+    """<n|W|n>, n >= 1, as a trapezoidal sum of G over M points of |y| = rho
+    (radius as in Bornemann, Found. Comput. Math. 11, 1, 2011),
+    w = e^{2 pi i / M}:
 
         <n|W|n> = (M rho^n)^-1 sum_k G(rho w^k) w^{-kn},
         rho = 100^{-1/n},  M = 2^ceil(log2(8 (n + 1))).
 
     Aliasing adds the coefficients n + jM (each of modulus <= 1) times
-    rho^{jM}, and rho^M <= 1e-16; roundoff is about 100 / (1 - rho) ulps.
+    rho^{jM}, and rho^M <= 1e-16; roundoff is about 100 / (1 - rho) ulps,
+    absolute, so a phase far below 1e-14 rad (SI) is not resolved.
     """
-    if n < 0:
-        raise DimensionMismatch(f"Fock index {n} is negative")
-    if n == 0:
-        return np.exp(unitary[4]) / unitary[5]
     rho = 100.0 ** (-1.0 / n)
     M = 2 ** math.ceil(math.log2(8 * (n + 1)))
+    columns = tuple(x[:, None] for x in unitary)
     out = np.zeros(unitary[0].size, dtype=complex)
     for lo in range(0, M, _CIRCLE_CHUNK):
         k = np.arange(lo, min(lo + _CIRCLE_CHUNK, M))
         y = rho * np.exp(2j * math.pi * k / M)
         weights = np.exp(-2j * math.pi * ((k * n) % M) / M) / (M * rho**n)
-        for row in range(0, out.size, _ROW_CHUNK):
-            block = tuple(x[row : row + _ROW_CHUNK, None] for x in unitary)
-            out[row : row + _ROW_CHUNK] += _trace_kernel(*block, y) @ weights
+        out += _trace_kernel(*columns, y) @ weights
     return out
 
 
 def fock_diagonal(vap: VacuumAmplitudeParams, t, n: int) -> np.ndarray:
-    """<n|U_0b^dag U_1b|n> at 1-d t: the circle sum _diagonal of generating_function."""
+    """<n|U_0b^dag U_1b|n> at 1-d t: the y^n coefficient of
+    generating_function, by _diagonal."""
     return _diagonal(_bogoliubov(vap, np.asarray(t, dtype=float)), n)
 
 

@@ -21,8 +21,9 @@ with no truncation and no eigensolve (dim None), read with no rotation from
 the Gaussian core's W = U_0b^dag U_1b: coherent_trace (vacuum or coherent
 |alpha>) from the Gaussian kernel analytic.bounded_amplitude, thermal_trace
 from analytic.generating_function at one point per time, and fock_trace
-(|n>) from analytic.fock_diagonal, the generating function summed over a
-circle of O(n) points per time, in blocks whose size does not grow with n.
+(|n>) from analytic.fock_diagonal, the generating function's y^n
+coefficient: an O(n^2) power series per time up to n = 1500, a circle sum
+of O(n) points above, in blocks whose size does not grow with n.
 ramsey_trace takes any CMState at an explicit dim: it is the
 truncated model and the oracle of the other three, and the only one that
 reads a CMState. a_1 is real, so H_1b is built from fock.mode_number, the

@@ -5,7 +5,8 @@ quantity, maximized), so a report passes iff max_deviation <= 1.0. Oracles
 deliberately use code paths independent of the implementations they check
 (a grid argmin refined by parabolic vertex fits against the closed-form
 optimum, dense Fock traces against the analytic amplitude, log-log
-scaling fits against the operator identity).
+scaling fits against the operator identity, the Fock diagonal's two
+routes against each other).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import drive, fock, model, ramsey, states
+from . import analytic, drive, fock, model, ramsey, states
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,53 @@ def oracle_minshift(
     )
 
 
+def oracle_fock_diagonal(
+    s_values=(0.6, 0.99),
+    x0_values=(0.0, 2.0, 10.0),
+    n_values=(1, 3, 40, analytic._SERIES_MAX, analytic._SERIES_MAX + 1),
+    n_times: int = 201,
+    si_n_values=(1, 3),
+    phase_tol: float = 1e-9,
+) -> OracleReport:
+    """<n|W|n> from analytic._diagonal's two routes, the series and the
+    circle sum, which share only the tuple of W, on both sides of
+    _SERIES_MAX, over (S, x0) and 201 times of omega_1 t in [0, 4 pi], the
+    revival at 2 pi among them; the two largest n take every 50th time.
+    The tolerance, 1e-13 + 1e-15 n^2, holds both routes' roundoff (about
+    n eps and n^2 eps where |P| -> 1). Also the SI co-rotating Fock phase
+    at x0 = 0 against -(n + 1/2) omega0 t expm1(2 r_1), which holds to a
+    relative O(r_1) ~ 3e-11."""
+    unitaries = []
+    for S in s_values:
+        vap = analytic.VacuumAmplitudeParams.from_system(_natural_params(S))
+        times = np.linspace(0.0, 4.0 * math.pi / vap.omega1, n_times)
+        unitaries += [analytic._bogoliubov(replace(vap, x0=x0), times) for x0 in x0_values]
+    W = tuple(np.concatenate(parts) for parts in zip(*unitaries))
+    every_50th = np.tile(np.arange(n_times) % 50 == 0, len(unitaries))
+    worst = 0.0
+    for n in n_values:
+        block = tuple(x[every_50th] for x in W) if n > 100 else W
+        dev = np.abs(analytic._series_diagonal(block, n) - analytic._circle_diagonal(block, n))
+        worst = max(worst, float(np.max(dev)) / (1e-13 + 1e-15 * n * n))
+    si = model.build_system(
+        {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "g": 0.0, "levels": [0.0, 1e-19]}
+    )
+    r1 = model.derive_mode_frame(si, 1).r_i
+    times = np.linspace(0.0, 4.0 * math.pi / si.omega0, 41)[1:]
+    worst_phase = 0.0
+    for n in si_n_values:
+        tr = ramsey.fock_trace(si, n, times, x0=0.0, corotating=True)
+        ref = -(n + 0.5) * si.omega0 * times * math.expm1(2.0 * r1)
+        worst_phase = max(worst_phase, float(np.max(np.abs(tr.phase / ref - 1.0))))
+    return _report(
+        "fock_diagonal",
+        {"S": s_values, "x0": x0_values, "n": n_values, "n_times": n_times,
+         "si_n": si_n_values},
+        {"routes": worst, "si_phase": worst_phase / phase_tol},
+        {"si_phase_relative_deviation": worst_phase},
+    )
+
+
 def _fit_exponent(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
@@ -190,6 +238,7 @@ def ablation_cycle_identity(
 
 
 ORACLES = {
+    "fock_diagonal": oracle_fock_diagonal,
     "vacuum_visibility": oracle_vacuum_visibility,
     "minshift": oracle_minshift,
     "cycle_identity": oracle_cycle_identity,

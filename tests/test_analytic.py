@@ -370,7 +370,7 @@ def test_number_operator_moments_limits():
     assert abs(mc["adag2"] - np.conj(alpha) ** 2) < 1e-12
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 40])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 40, 150])
 def test_fock_weight_matches_the_legendre_squeeze_diagonal(n):
     # <n|S(s)|n> = P_n(sech s) / sqrt(cosh s), P_n the Legendre polynomial.
     # The rotation R = exp(-i phi n) is diagonal in n, so R S R^dag has the
@@ -444,6 +444,92 @@ def _first_form_weight(A, B, beta, n):
                     total = total + (lz**a * lw**a2 * qzz**b * qww**b2 * qzw**c
                                      * _Dc(scale))
         return float(vacuum * total.abs2())
+
+
+def _legendre_series(P, Q, c1, c2, n):
+    """<n|W|n> / <0|W|0> at 50 digits from the Legendre sum of the series:
+    e^{-i n psi} sum_k e_k P_{n-k}(kappa), kappa = 1/|P|, with e_k the
+    coefficients of exp(N / D) (a_1 = n1, a_2 = n2 + 2 kappa a_1,
+    a_k = 2 kappa a_{k-1} - a_{k-2}; m e_m = sum_k k a_k e_{m-k}) and P_j
+    from the three-term recurrence."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        P, Q, c1, c2 = (_Dc.of(z) for z in (P, Q, c1, c2))
+        kappa = 1 / P.abs2().sqrt()
+        rot = P * _Dc(kappa)
+        n1 = rot * c1 * c2
+        n2 = (_Dc(0) - _Dc(kappa) * n1
+              + rot * rot * (Q.conj() * c1 * c1 - Q * c2 * c2) / (_Dc(2) * P))
+        a = [_Dc(0), n1, n2 + _Dc(2 * kappa) * n1]
+        for k in range(3, n + 1):
+            a.append(_Dc(2 * kappa) * a[-1] - a[-2])
+        e = [_Dc(1)]
+        for m in range(1, n + 1):
+            total = _Dc(0)
+            for k in range(1, m + 1):
+                total = total + _Dc(k) * a[k] * e[m - k]
+            e.append(total / _Dc(m))
+        legendre_p = [Decimal(1), kappa]
+        for j in range(1, n):
+            legendre_p.append(((2 * j + 1) * kappa * legendre_p[j] - j * legendre_p[j - 1])
+                              / (j + 1))
+        h = _Dc(0)
+        for k in range(n + 1):
+            h = h + e[k] * _Dc(legendre_p[n - k])
+        return h * rot.conj() ** n
+
+
+def test_si_sag_fock_phase_matches_the_decimal_legendre_series():
+    # SI with the sag (a0 x0^2 = 9.1e-9): the phase of <n|W|n> / <0|W|0> is
+    # ~1e-9 to 1e-8 rad. Against the 50-digit Legendre sum of the same
+    # series it keeps its digits (the circle sum was 1e-5 to 1e-6 off); the
+    # ratio is formed at 50 digits, where a double would add 1e-16 rad.
+    p = model.build_system(
+        {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "g": 9.81,
+         "levels": [0.0, 1e-19]}
+    )
+    vap = analytic.VacuumAmplitudeParams.from_system(p)
+    times = np.linspace(0.0, 4.0 * math.pi / vap.omega1, 7)[1:]
+    W = analytic._bogoliubov(vap, times)
+    vacuum = analytic._diagonal(W, 0)
+    for n in (1, 2, 5):
+        diagonal = analytic._diagonal(W, n)
+        for i in range(times.size):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 50
+                ref = _legendre_series(*(x[i] for x in W[:4]), n)
+                err = _Dc.of(diagonal[i]) / _Dc.of(vacuum[i]) / ref
+                ref_phase = abs(ref.im / ref.re)
+                assert ref_phase > 1e-10
+                assert abs(err.im / err.re) <= Decimal("1e-12") * ref_phase
+                assert abs(err.abs2() - 1) < Decimal("1e-14")
+
+
+def _separated(S, x0):
+    vap = analytic.VacuumAmplitudeParams.from_system(verify._natural_params(S), x0=x0)
+    times = np.r_[np.linspace(0.0, 4.0 * math.pi / vap.omega1, 9), math.pi / vap.omega1]
+    return analytic._bogoliubov(vap, times)
+
+
+@pytest.mark.parametrize("S, x0, n", [
+    (0.9, 40.0, 800), (0.9, 40.0, analytic._SERIES_MAX), (0.6, 30.0, analytic._SERIES_MAX),
+])
+def test_series_keeps_far_separated_diagonals(S, x0, n):
+    # At S 0.9, x0 40 and omega_1 t = pi, exp(expo) = e^-1600 underflows
+    # while <800|W|800> = 0.032; at S 0.6, x0 30 the unscaled e_k overflow.
+    # The rescaled series stays finite and on the circle sum.
+    W = _separated(S, x0)
+    series, circle = analytic._diagonal(W, n), analytic._circle_diagonal(W, n)
+    assert np.isfinite(series).all() and np.isfinite(circle).all()
+    assert np.max(np.abs(series - circle)) < 1e-10
+    if n == 800:
+        assert abs(series[-1]) > 0.03
+
+
+def test_circle_route_above_the_series_limit_matches_the_series():
+    n = analytic._SERIES_MAX + 1
+    W = _separated(0.8, 2.0)
+    assert np.max(np.abs(analytic._diagonal(W, n) - analytic._series_diagonal(W, n))) < 1e-10
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])

@@ -529,7 +529,7 @@ def test_verify_all_subcommand(tmp_path):
     assert cli.main(["verify", "--all", "--out", str(tmp_path)]) == cli.EXIT_OK
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert {r["name"] for r in report} == {"vacuum_visibility", "minshift",
-                                           "cycle_identity"}
+                                           "cycle_identity", "fock_diagonal"}
     assert all(r["passed"] for r in report)
 
 

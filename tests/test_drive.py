@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_ramsey import _count_solves
 
-from trapmass import drive, fock, model, states
+from trapmass import analytic, drive, fock, model, states
 from trapmass.errors import DimensionMismatch
 
 
@@ -276,8 +276,8 @@ def test_gaussian_series_are_weights_and_reduce_to_squeezing(n, alpha_abs, alpha
     # gravity the fixed point is 0 and the cycle is -S(2r), whose parity
     # (-1)^k leaves the weight of |n> unchanged: P_exact equals P_approx,
     # for the vacuum bit for bit (the weight is 1/cosh(2kr)). For n > 0 the
-    # sign permutes the terms of the circle sum, whose roundoff reaches
-    # 3.2e-14 here, so the bound is the circle's 1e-13 of the Legendre test.
+    # sign makes arg P = pi, whose factor e^{-i n pi} the series rounds, so
+    # the bound is the 1e-13 of the Legendre test.
     alpha = alpha_abs * complex(math.cos(alpha_arg), math.sin(alpha_arg))
     exact = drive.gaussian_drive(natural_params(u=u, g=g), N, n=n, alpha=alpha).exact
     assert np.isfinite(exact).all() and np.all((exact >= 0.0) & (exact <= 1.0))
@@ -323,6 +323,23 @@ def test_gaussian_series_match_truncated_products(n, alpha_abs, alpha_arg, coher
         assert abs(approx[k] - abs(np.vdot(psi0.data, psi)) ** 2) < 1e-10
 
 
+def test_fock_drive_series_match_the_circle_sum(monkeypatch):
+    # Fock n = 300 on analytic._diagonal's series route, both columns at
+    # N = 1000 with gravity and a displacement, against the circle sum.
+    p = model.build_system(
+        {"unit_system": "natural", "c": 35.0, "levels": [0.0, 1.5], "g": 0.5})
+
+    def columns():
+        return (drive.gaussian_drive(p, 1000, n=300, alpha=0.3).exact,
+                drive.squeezed_overlaps(p, 1000, n=300, alpha=0.3))
+
+    series = columns()
+    monkeypatch.setattr(analytic, "_SERIES_MAX", 0)
+    for s, c in zip(series, columns()):
+        assert np.isfinite(s).all()
+        assert np.max(np.abs(s - c)) < 3e-11
+
+
 def _displaced_fock(dim, n, alpha):
     """D(alpha)|n> = (a^dag - conj(alpha))^n D(alpha)|0> / sqrt(n!) at dim."""
     psi = states.coherent_state(dim, alpha).data
@@ -339,7 +356,7 @@ def _displaced_fock(dim, n, alpha):
 ])
 def test_displaced_fock_series_match_the_truncated_cycle(n, alpha, u, g, N):
     # psi0 = D(alpha)|n> with n >= 1 and alpha != 0: the Gaussian series
-    # displaces both the Fock weight's circle sum and its vacuum exponent.
+    # displaces both the Fock weight's power series and its vacuum exponent.
     # Wherever the dim-256 state passes the tail gate, iterate_drive agrees
     # within 1e-10 (4.6e-14 seen).
     p = natural_params(u=u, g=g)

@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import legendre
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -207,6 +208,23 @@ def test_corotating_si_phase_is_cancellation_free():
     ref_phase = np.array([float(-rate_ref * F(t)) for t in times])
     err = np.angle(rot.trace / bounded * np.exp(-1j * ref_phase))
     assert np.max(np.abs(err)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_corotating_si_fock_phase_is_the_zero_point_shift(n):
+    # The Fock state's zero-point shift -(n + 1/2) omega0 t expm1(2 r_1), to
+    # the same relative O(r_1) as the vacuum's below. At x0 = 0 the series
+    # gives <n|W|n> = <0|W|0> e^{-i n psi} P_n(1/|P|), P_n real; the circle
+    # sum's absolute roundoff of 1e-14 left it 1e-4 to 2e-5 relative off.
+    p = model.build_system(
+        {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "g": 0.0,
+         "levels": [0.0, 1e-19]}
+    )
+    r1 = model.derive_mode_frame(p, 1).r_i
+    times = np.linspace(0.0, 4.0 * math.pi / p.omega0, 41)[1:]
+    tr = ramsey.fock_trace(p, n, times, x0=0.0, corotating=True)
+    ref = -(n + 0.5) * p.omega0 * times * math.expm1(2.0 * r1)
+    assert np.max(np.abs(tr.phase / ref - 1.0)) < 1e-9
 
 
 @pytest.mark.parametrize("nbar", [None, 2.0])
@@ -486,7 +504,7 @@ def test_generating_function_matches_eigh(corotating, S, x0, n, nbar):
 
 
 def test_fock_trace_n60_matches_eigh_at_dim_2048():
-    # n = 60: the circle sum has 512 points and radius 100^(-1/60).
+    # n = 60: the series sums 60 terms of exp(N / D) / sqrt(D) per time.
     p = natural_params(E1=100.0 * (1.0 / 0.7**2 - 1.0), c=10.0)
     w1 = model.derive_mode_frame(p, 1).omega_i
     times = np.linspace(0.0, 4.0 * math.pi / w1, 7)
@@ -495,9 +513,25 @@ def test_fock_trace_n60_matches_eigh_at_dim_2048():
     assert np.max(np.abs(exact.trace - ref.trace)) < 1e-11
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 60, 100])
+def test_fock_trace_without_separation_is_the_legendre_closed_form(n):
+    # At x0 = 0, c1 = c2 = 0 and <n|W|n> = <0|W|0> e^{-i n psi} P_n(1/|P|),
+    # psi = arg P, with P_n from numpy's Legendre series, not the recurrence
+    # of the series route. The two roundings of P_n near |P| -> 1 (a
+    # revival) differ by about n^2 eps.
+    p = natural_params(E1=100.0 * (1.0 / 0.8**2 - 1.0), c=10.0)
+    vap = analytic.VacuumAmplitudeParams.from_system(p, x0=0.0)
+    times = np.linspace(0.0, 4.0 * math.pi / vap.omega1, 401)
+    P = analytic._bogoliubov(vap, times)[0]
+    vacuum = ramsey.fock_trace(p, 0, times, x0=0.0).trace
+    ref = vacuum * np.exp(-1j * n * np.angle(P)) * legendre.legval(1.0 / np.abs(P), [0] * n + [1])
+    assert np.max(np.abs(ramsey.fock_trace(p, n, times, x0=0.0).trace - ref)) < 2e-16 * (n + 2) ** 2
+
+
 def test_fock_trace_memory_does_not_grow_with_n():
-    # The circle sum runs in blocks of fixed size: at 256 times the peak was
-    # 17 MB at n = 60 and 269 MB at n = 1000 when the circle was one block.
+    # analytic._diagonal runs in blocks sized from one memory budget, on the
+    # series and on the circle sum alike: at 256 times the peak was 17 MB at
+    # n = 60 and 269 MB at n = 1000 when the circle was one block.
     p = natural_params(E1=2.0, c=2.0, g=0.0)
     times = np.linspace(0.0, 10.0, 256)
     peaks = {}

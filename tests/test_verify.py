@@ -71,6 +71,7 @@ def test_cycle_identity_oracle_and_ablation():
 
 
 def test_registry_covers_reported_names():
-    assert set(verify.ORACLES) == {"vacuum_visibility", "minshift", "cycle_identity"}
+    assert set(verify.ORACLES) == {"vacuum_visibility", "minshift", "cycle_identity",
+                                   "fock_diagonal"}
     for fn in verify.ORACLES.values():
         assert callable(fn)
