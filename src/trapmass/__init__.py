@@ -4,7 +4,7 @@ Modules:
     model       physical parameters, unit systems, per-level mode frames
     fock        truncated Fock-space operators and propagators
     states      pure/mixed center-of-mass states
-    ramsey      exact Ramsey interference traces
+    ramsey      exact Ramsey interference traces: Gaussian, Fock, truncated
     analytic    closed-form amplitudes, shifts, and approximations
     clock       transition gaps, frequency shifts, thermal states
     drive       periodic internal driving and squeezing accumulation
@@ -16,8 +16,7 @@ Modules:
 from . import analytic, clock, constants, drive, errors, fock, model, phasespace, ramsey, states, verify
 from .model import SystemParams, ModeFrame, build_system, derive_mode_frame, offset_gap
 from .states import CMState, coherent_state, fock_state, mixed_state, pure_state, thermal_state_cm
-from .ramsey import RamseyTrace, coherent_trace, extract_visibility_phase, ramsey_trace
-from .ramsey import fock_trace, thermal_trace
+from .ramsey import RamseyTrace, extract_visibility_phase, fock_trace, gaussian_trace, ramsey_trace
 
 __version__ = "0.1.0"
 
@@ -27,6 +26,6 @@ __all__ = [
     "SystemParams", "ModeFrame", "build_system", "derive_mode_frame", "offset_gap",
     "CMState", "coherent_state", "fock_state", "mixed_state", "pure_state",
     "thermal_state_cm",
-    "RamseyTrace", "coherent_trace", "fock_trace", "thermal_trace", "ramsey_trace",
+    "RamseyTrace", "gaussian_trace", "fock_trace", "ramsey_trace",
     "extract_visibility_phase", "__version__",
 ]

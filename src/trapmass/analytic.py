@@ -13,9 +13,10 @@ package is one tuple (P, Q, c1, c2, expo, root) of its Bogoliubov map,
 Bargmann coefficients and vacuum amplitude (_bogoliubov: the Ramsey unitary
 W = U_0b^dag U_1b, less the scalar-offset phase that ramsey applies).
 _displaced gives the tuple of D(beta)^dag W D(beta), _trace_kernel
-Tr(y^n W) and _diagonal <n|W|n>. So a coherent amplitude is a displaced
-vacuum amplitude (bounded_amplitude), a thermal trace one value of Tr(y^n W)
-(generating_function), a Fock trace its y^n coefficient (fock_diagonal),
+Tr(y^n W) and _diagonal <n|W|n>. So the trace of a displaced thermal
+state D(alpha) rho_th D(alpha)^dag (the vacuum, coherent and thermal states
+among them) is one value of Tr(y^n W) displaced by alpha
+(gaussian_amplitude), a Fock trace its y^n coefficient (fock_diagonal),
 and the drive's weights displaced squeeze diagonals (fock_weight).
 _diagonal reads that coefficient from a Legendre-exponential series up to
 n = _SERIES_MAX, whose phase keeps relative digits where it is an SI
@@ -150,13 +151,6 @@ def _displaced(unitary, beta: complex):
             expo + L - norm2, root)
 
 
-def bounded_amplitude(vap: VacuumAmplitudeParams, t, alpha: complex = 0.0) -> np.ndarray:
-    """<alpha|U_0b^dag(t) U_1b(t)|alpha> of a coherent state of the ground trap
-    (alpha = 0: its vacuum) less the scalar-offset phase, exact: the vacuum
-    amplitude of W (_bogoliubov) displaced by alpha (_displaced)."""
-    return _diagonal(_displaced(_bogoliubov(vap, np.asarray(t, dtype=float)), alpha), 0)
-
-
 def _trace_kernel(P, Q, c1, c2, expo, root, y):
     """exp(expo) / root times G(y) / <0|W|0>, G(y) = Tr(y^n W) = sum_n y^n <n|W|n>
     for |y| < 1, of the Gaussian unitary W with W a W^dag = P a + Q a^dag + delta
@@ -182,11 +176,20 @@ def _trace_kernel(P, Q, c1, c2, expo, root, y):
     return np.exp(expo + E) / (root * np.sqrt(f1) * np.sqrt(f2))
 
 
-def generating_function(vap: VacuumAmplitudeParams, t, y) -> np.ndarray:
-    """G(y) = Tr(y^n W(t)) for |y| < 1 of the Ramsey unitary
-    W = U_0b^dag U_1b, exact (_trace_kernel of _bogoliubov's tuple); t and
-    y broadcast."""
-    return _trace_kernel(*_bogoliubov(vap, np.asarray(t, dtype=float)), y)
+def gaussian_amplitude(vap: VacuumAmplitudeParams, t, alpha: complex, nbar: float) -> np.ndarray:
+    """Tr(rho W) of the displaced thermal state rho = D(alpha) rho_th D(alpha)^dag
+    of the ground trap, rho_th of mean occupation nbar, for the Ramsey unitary
+    W = U_0b^dag U_1b less the scalar-offset phase, exact. rho_th = (1 - q) q^n
+    with q = nbar / (1 + nbar), so Tr(rho W) = (1 - q) G(q), G the
+    _trace_kernel of D(alpha)^dag W D(alpha) (_displaced). nbar = 0 is the
+    coherent state |alpha> (alpha = 0: the vacuum), G(0) = <0|W|0>.
+    NotNormalized unless nbar is finite, >= 0 and gives q < 1 (above
+    nbar ~ 1e16, q rounds to 1, where G has no value)."""
+    if not (nbar >= 0.0 and nbar / (1.0 + nbar) < 1.0):
+        raise NotNormalized(f"nbar must be finite, >= 0 and give q < 1, got {nbar}")
+    q = nbar / (1.0 + nbar)
+    unitary = _displaced(_bogoliubov(vap, np.asarray(t, dtype=float)), alpha)
+    return (1.0 - q) * _trace_kernel(*unitary, q)
 
 
 # Largest Fock index whose diagonal is read from the series (O(n^2) per
@@ -310,8 +313,8 @@ def _circle_diagonal(unitary, n: int) -> np.ndarray:
 
 
 def fock_diagonal(vap: VacuumAmplitudeParams, t, n: int) -> np.ndarray:
-    """<n|U_0b^dag U_1b|n> at 1-d t: the y^n coefficient of
-    generating_function, by _diagonal."""
+    """<n|U_0b^dag U_1b|n> at 1-d t: the y^n coefficient of G(y) = Tr(y^n W)
+    (_trace_kernel), by _diagonal."""
     return _diagonal(_bogoliubov(vap, np.asarray(t, dtype=float)), n)
 
 

@@ -258,11 +258,13 @@ def read_csv(path: str) -> tuple[dict, list[str], np.ndarray]:
 # column per name, and the JSON summary payload.
 
 def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
-    """With params.dim omitted every state takes an exact route, builds no
-    truncated state and writes dim null: a vacuum or coherent state the
-    Gaussian kernel ("gaussian_kernel"), a Fock n > 0 or thermal state the
-    generating function ("generating_function"). An explicit params.dim
-    takes the eigh route ("eigh"), the state at its spec dim (<= params.dim) or params.dim."""
+    """Every state has an exact route with no truncated state: a Fock n != 0
+    the generating function ("generating_function"), every other state the
+    Gaussian kernel ("gaussian_kernel"). With params.dim omitted it is the
+    run's route and dim is null. An explicit params.dim takes the eigh route
+    ("eigh"), the state at its spec dim (<= params.dim) or params.dim, and
+    the summary gives its largest distance to the exact route
+    (exact_max_deviation), which it reports and does not gate on."""
     phys = model.build_system(system)
     level = _param(params, "level", _integer, 1)
     dim = _param(params, "dim", _optional(_positive_integer))
@@ -283,23 +285,25 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     corotating = _param(params, "corotating", _boolean, False)
     is_vacuum = kind == "fock" and value == 0
     alpha = value if kind == "coherent" else 0j
-    gaussian = is_vacuum or kind == "coherent"
     where = {"level": level, "x0": x0, "corotating": corotating}
+    if kind == "fock" and not is_vacuum:
+        route = "generating_function"
+        exact = ramsey.fock_trace(phys, value, times, **where)
+    else:
+        route = "gaussian_kernel"
+        nbar = value if kind == "thermal" else 0.0
+        exact = ramsey.gaussian_trace(phys, times, alpha=alpha, nbar=nbar, **where)
+    trace = exact
     if dim is not None:
         route = "eigh"
         trace = ramsey.ramsey_trace(phys, state, times, dim=dim, **where)
-    elif gaussian:
-        route = "gaussian_kernel"
-        trace = ramsey.coherent_trace(phys, alpha, times, **where)
-    else:
-        route = "generating_function"
-        exact = ramsey.fock_trace if kind == "fock" else ramsey.thermal_trace
-        trace = exact(phys, value, times, **where)
 
     columns = ["t", "P", "V", "phase"]
     data = [times, trace.probability, trace.visibility, trace.phase]
     summary = {"dim": trace.dim, "route": route, "x0": trace.x0, "level": level}
-    if gaussian:
+    if dim is not None:
+        summary["exact_max_deviation"] = float(np.max(np.abs(trace.trace - exact.trace)))
+    if is_vacuum or kind == "coherent":
         # The phase-space overlap shares no code with either route.
         v_analytic = analytic.coherent_visibility(phys, trace.x0, alpha, times, level=level)
         columns.append("V_analytic")
@@ -309,9 +313,8 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
         )
     if is_vacuum and not corotating:
         # The vacuum's phase and extrema closed forms hold for it alone.
-        kernel = trace if dim is None else ramsey.coherent_trace(phys, 0.0, times, **where)
         columns.append("phase_analytic")
-        data.append(np.unwrap(np.angle(kernel.trace)))
+        data.append(np.unwrap(np.angle(exact.trace)))
         t_min, v_min, t_rev, v_rev = analytic.visibility_extrema(
             phys, trace.x0, level=level
         )

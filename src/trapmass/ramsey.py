@@ -14,18 +14,18 @@ The enormous rest-energy phases enter only through the cancellation-safe
 offset gap (see model.offset_gap); the co-rotating frame uses its own
 cancellation-free rate (see _corotating_rate_per_omega0).
 
-Solver paths. All four traces share one prologue (_trace): it resolves x0
+Solver paths. All three traces share one prologue (_trace): it resolves x0
 through analytic.VacuumAmplitudeParams.from_system and multiplies a bounded
 trace by the scalar phase. Every CLI state type has an exact bounded trace
 with no truncation and no eigensolve (dim None), read with no rotation from
-the Gaussian core's W = U_0b^dag U_1b: coherent_trace (vacuum or coherent
-|alpha>) from the Gaussian kernel analytic.bounded_amplitude, thermal_trace
-from analytic.generating_function at one point per time, and fock_trace
-(|n>) from analytic.fock_diagonal, the generating function's y^n
-coefficient: an O(n^2) power series per time up to n = 1500, a circle sum
-of O(n) points above, in blocks whose size does not grow with n.
+the Gaussian core's W = U_0b^dag U_1b: gaussian_trace (the displaced thermal
+state D(alpha) rho_th(nbar) D(alpha)^dag: the vacuum, coherent |alpha> and
+thermal states) from the Gaussian kernel analytic.gaussian_amplitude, one
+value per time, and fock_trace (|n>) from analytic.fock_diagonal, the
+kernel's y^n coefficient: an O(n^2) power series per time up to n = 1500, a
+circle sum of O(n) points above, in blocks whose size does not grow with n.
 ramsey_trace takes any CMState at an explicit dim: it is the
-truncated model and the oracle of the other three, and the only one that
+truncated model and the oracle of the other two, and the only one that
 reads a CMState. a_1 is real, so H_1b is built from fock.mode_number, the
 real pentadiagonal number operator written from its bands in O(dim), and
 fock.spectrum solves it with one real eigh, giving a real eigenbasis V1;
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, fock, model, states
-from .errors import DimensionMismatch, GridTooCoarse, NotNormalized
+from .errors import DimensionMismatch, GridTooCoarse
 from .states import CMState
 
 _PHASE_JUMP_TOL = math.pi * (1.0 - 1e-9)
@@ -77,7 +77,7 @@ class RamseyTrace:
     phase is NaN where the visibility is below PHASE_FLOOR and is unwrapped
     across the other points only, so a gap is crossed in one nearest-branch
     step. dim is the Fock truncation of a ramsey_trace result and None for
-    a trace from coherent_trace, fock_trace or thermal_trace, which have none.
+    a trace from gaussian_trace or fock_trace, which have none.
     """
 
     times: np.ndarray
@@ -197,41 +197,33 @@ def _trace(params, times, level, x0, corotating, bounded, dim=None) -> RamseyTra
                        corotating=corotating)
 
 
-def coherent_trace(params: model.SystemParams, alpha: complex, times, level: int = 1,
-                   x0: float | None = None, corotating: bool = False) -> RamseyTrace:
-    """Exact trace between levels 0 and level for the coherent state |alpha>
-    of the ground trap (alpha = 0: its vacuum; NotNormalized for a non-finite
-    alpha or alpha^2), from analytic.bounded_amplitude: no truncation, no
-    eigensolve, dim None. x0=None uses the gravitational-sag separation g/omega0^2."""
+def gaussian_trace(params: model.SystemParams, times, level: int = 1,
+                   x0: float | None = None, corotating: bool = False, *,
+                   alpha: complex = 0j, nbar: float = 0.0) -> RamseyTrace:
+    """Exact trace between levels 0 and level for the displaced thermal state
+    D(alpha) rho_th(nbar) D(alpha)^dag of the ground trap (by default its
+    vacuum; nbar = 0: the coherent state |alpha>; alpha = 0: the thermal
+    state), from analytic.gaussian_amplitude: no truncation, no eigensolve,
+    dim None. NotNormalized for a non-finite alpha or alpha^2 and for an nbar
+    that is not finite and >= 0 or whose q = nbar / (1 + nbar) rounds to 1.
+    x0=None uses the gravitational-sag separation g/omega0^2."""
     return _trace(params, times, level, x0, corotating,
-                  lambda vap, t: analytic.bounded_amplitude(vap, t, alpha))
+                  lambda vap, t: analytic.gaussian_amplitude(vap, t, alpha, nbar))
 
 
 def fock_trace(params: model.SystemParams, n: int, times, level: int = 1,
                x0: float | None = None, corotating: bool = False) -> RamseyTrace:
-    """coherent_trace's sibling for the Fock state |n>: <n|U_0b^dag U_1b|n>,
+    """gaussian_trace's sibling for the Fock state |n>: <n|U_0b^dag U_1b|n>,
     from analytic.fock_diagonal (DimensionMismatch for n < 0)."""
     return _trace(params, times, level, x0, corotating,
                   lambda vap, t: analytic.fock_diagonal(vap, t, n))
-
-
-def thermal_trace(params: model.SystemParams, nbar: float, times, level: int = 1,
-                  x0: float | None = None, corotating: bool = False) -> RamseyTrace:
-    """coherent_trace's sibling for the thermal state of mean occupation
-    nbar: (1 - q) G(q), q = nbar / (1 + nbar), G = analytic.generating_function."""
-    # Above nbar ~ 1e16, q rounds to 1, where G has no value.
-    if not (nbar >= 0.0 and nbar / (1.0 + nbar) < 1.0):
-        raise NotNormalized(f"nbar must be finite, >= 0 and give q < 1, got {nbar}")
-    q = nbar / (1.0 + nbar)
-    return _trace(params, times, level, x0, corotating,
-                  lambda vap, t: (1.0 - q) * analytic.generating_function(vap, t, q))
 
 
 def ramsey_trace(params: model.SystemParams, state: CMState, times, level: int = 1,
                  x0: float | None = None, *, dim: int, corotating: bool = False) -> RamseyTrace:
     """Interference trace between levels 0 and level for any CM state, in the
     Fock space truncated at dim (>= state.dim; refused where fock.tail_bound
-    exceeds states.TAIL_BOUND); x0 as in coherent_trace."""
+    exceeds states.TAIL_BOUND); x0 as in gaussian_trace."""
     frame = model.derive_mode_frame(params, level)
     if dim < state.dim:
         raise DimensionMismatch(f"truncation dim {dim} smaller than state dim {state.dim}")

@@ -84,7 +84,7 @@ def oracle_vacuum_visibility(
             trace = ramsey.ramsey_trace(
                 params, states.fock_state(64, 0), times, x0=x0, dim=dim
             )
-            amp = ramsey.coherent_trace(params, 0, times, x0=x0).trace
+            amp = ramsey.gaussian_trace(params, times, x0=x0).trace
             worst_v = max(worst_v, float(np.max(np.abs(np.abs(amp) - trace.visibility))))
             mask = np.abs(amp) > 1e-6
             dphi = np.abs(np.angle(trace.trace[mask] * np.conj(amp[mask])))

@@ -22,7 +22,7 @@ def natural_params(E1=2.0, c=2.0, g=0.0):
 
 def test_amplitude_at_t_zero():
     p = natural_params()
-    amp = ramsey.coherent_trace(p, 0, 0.0, x0=0.7).trace[0]
+    amp = ramsey.gaussian_trace(p, 0.0, x0=0.7).trace[0]
     assert amp == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
 
@@ -35,7 +35,7 @@ def test_revival_visibility_value():
     assert vap.S == pytest.approx(0.9, rel=1e-12)
     assert vap.a0 == pytest.approx(1.0, rel=1e-12)
     t_rev = math.pi / vap.omega1
-    amp = ramsey.coherent_trace(p, 0, t_rev, x0=5.0).trace[0]
+    amp = ramsey.gaussian_trace(p, t_rev, x0=5.0).trace[0]
     assert abs(amp) == pytest.approx(math.exp(-25.0), rel=1e-10)
 
 
@@ -153,7 +153,7 @@ def test_closed_form_matches_fock_propagators():
     f1 = model.derive_mode_frame(p, 1)
     times = np.linspace(0.1, 5.0, 7)
     tr = ramsey.ramsey_trace(p, states.fock_state(dim, 0), times, x0=x0, dim=dim)
-    amp = ramsey.coherent_trace(p, 0, times, x0=x0).trace
+    amp = ramsey.gaussian_trace(p, times, x0=x0).trace
     assert np.max(np.abs(tr.trace - amp)) < 1e-8
     assert f1.omega_i < p.omega0  # heavier level, softer mode
 
@@ -224,7 +224,7 @@ def test_si_sag_vacuum_phase_keeps_its_digits():
     )
     vap = analytic.VacuumAmplitudeParams.from_system(p)
     times = np.linspace(0.0, 4.0 * math.pi / vap.omega1, 41)
-    amp = analytic.bounded_amplitude(vap, times)
+    amp = analytic.gaussian_amplitude(vap, times, 0j, 0.0)
     phi = vap.omega0 * times * math.expm1(2.0 * model.derive_mode_frame(p, 1).r_i)
     theta = vap.omega1 * times
     sh, ch = np.sin(0.5 * theta), np.cos(0.5 * theta)
@@ -422,7 +422,7 @@ def _first_form_weight(A, B, beta, n):
     """|<n|W|n>|^2 at 50 digits, W = D(beta)^dag L D(beta), L^dag a L = A a + B a^dag,
     from the displacement d = A beta + B conj(beta) - beta of
     W^dag a W = A a + B a^dag + d: delta = B conj(d) - conj(A) d, the first
-    form of bounded_amplitude's kernel, <0|e^{z a} W e^{w a^dag}|0> =
+    form of the Bargmann kernel (analytic._displaced), <0|e^{z a} W e^{w a^dag}|0> =
     <0|W|0> exp(L), and |<0|W|0>|^2 = exp(-|d|^2 + Re(conj(B) d^2 / A)) / |A|.
     <n|W|n> is n! times the z^n w^n coefficient of exp(L)."""
     with decimal.localcontext() as ctx:

@@ -65,13 +65,14 @@ def test_ramsey_default_params(tmp_path):
     summary = json.loads((tmp_path / "ramsey_default_summary.json").read_text())
     assert summary["dim"] is None and summary["route"] == "gaussian_kernel"
     assert summary["oracle_max_deviation"] < 1e-6
-    # Fock n > 0 and thermal states with dim omitted take the generating
-    # function, which has no truncation dim either.
-    for state in ({"type": "fock", "n": 1}, {"type": "thermal", "nbar": 1.5}):
+    # With dim omitted a Fock n > 0 takes the generating function and a
+    # thermal state the Gaussian kernel, neither with a truncation dim.
+    for state, route in (({"type": "fock", "n": 1}, "generating_function"),
+                         ({"type": "thermal", "nbar": 1.5}, "gaussian_kernel")):
         cfg["params"] = {"state": state}
         assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
         summary = json.loads((tmp_path / "ramsey_default_summary.json").read_text())
-        assert summary["dim"] is None and summary["route"] == "generating_function"
+        assert summary["dim"] is None and summary["route"] == route
     # The dim-convergence tolerance is gone: its key is unknown.
     cfg["params"] = {"state": {"type": "fock", "n": 1}, "dim_tol": 1e-8}
     assert run(tmp_path, cfg, "ramsey") == cli.EXIT_CONFIG
@@ -93,23 +94,23 @@ _SI_SYSTEM = {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "levels": [0.0, 1
     ({"state": {"type": "fock", "n": 2}, "dim": 96}, "eigh"),
     ({"state": {"type": "thermal", "nbar": 0.5, "dim": 64}, "dim": 64}, "eigh"),
     ({"state": {"type": "fock", "n": 2}}, "generating_function"),
-    ({"state": {"type": "thermal", "nbar": 0.5, "dim": 64}}, "generating_function"),
+    ({"state": {"type": "thermal", "nbar": 0.5, "dim": 64}}, "gaussian_kernel"),
 ])
 def test_ramsey_route_contract(tmp_path, system, params, route):
-    # Runs with dim omitted write dim null and an exact route: the kernel
-    # for vacuum and coherent states, the generating function for Fock
-    # n > 0 and thermal states. Every explicit dim writes an int dim and
-    # the eigh route. Every vacuum or coherent run carries the phase-space
-    # oracle, complex alpha included.
+    # Runs with dim omitted write dim null and an exact route: the Gaussian
+    # kernel for vacuum, coherent and thermal states, the generating
+    # function for Fock n > 0. Every explicit dim writes an int dim, the
+    # eigh route and its distance to the exact route. Every vacuum or
+    # coherent run carries the phase-space oracle, complex alpha included.
     cfg = {"experiment": "ramsey", "system": dict(system),
            "output": {"path": "route"}, "params": {"points": 300, **params}}
     assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
     summary = json.loads((tmp_path / "route_summary.json").read_text())
     assert summary["route"] == route
     if route == "eigh":
-        assert isinstance(summary["dim"], int)
+        assert isinstance(summary["dim"], int) and summary["exact_max_deviation"] < 1e-6
     else:
-        assert summary["dim"] is None
+        assert summary["dim"] is None and "exact_max_deviation" not in summary
     state = params.get("state", {"type": "fock", "n": 0})
     if state["type"] == "coherent" or state.get("n") == 0:
         assert summary["oracle_max_deviation"] <= 1e-6
@@ -136,7 +137,34 @@ def test_kernel_route_still_builds_and_checks_the_state(tmp_path, state, code):
     assert run(tmp_path, cfg, "ramsey") == code
 
 
-_HEAVY_STATES = [({"type": "thermal", "nbar": 200.0}, "generating_function"),
+def test_eigh_route_reports_its_gap_to_the_exact_route(tmp_path):
+    # A thermal run that passes the truncation rule at dim 64 yet is 7.9e-8
+    # off the Gaussian kernel: it exits 0, and the summary says how far off.
+    system = {"unit_system": "natural", "c": 10.0, "levels": [0.0, 300.0], "g": 0.0}
+    params = {"state": {"type": "thermal", "nbar": 0.5}, "x0": 0.0, "dim": 64,
+              "periods": 2.0, "points": 400}
+    cfg = {"experiment": "ramsey", "system": system, "output": {"path": "gap"},
+           "params": params}
+    assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "gap_summary.json").read_text())
+    assert summary["route"] == "eigh" and summary["exact_max_deviation"] > 1e-8
+    p = model.build_system(system)
+    times = np.linspace(0.0, 4.0 * math.pi / model.derive_mode_frame(p, 1).omega_i, 400)
+    eigh = ramsey.ramsey_trace(p, states.thermal_state_cm(64, 0.5), times, x0=0.0, dim=64)
+    exact = ramsey.gaussian_trace(p, times, x0=0.0, nbar=0.5)
+    assert summary["exact_max_deviation"] == np.max(np.abs(eigh.trace - exact.trace))
+
+
+def test_negative_fock_index_with_dim_omitted_is_a_numeric_failure(tmp_path, capsys):
+    # Fock n = -1 takes the generating function, which refuses it, not the
+    # vacuum's Gaussian kernel.
+    cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "negative"}, "params": {"state": {"type": "fock", "n": -1}}}
+    assert run(tmp_path, cfg, "ramsey") == cli.EXIT_NUMERIC
+    assert "Fock index -1 is negative" in capsys.readouterr().err
+
+
+_HEAVY_STATES = [({"type": "thermal", "nbar": 200.0}, "gaussian_kernel"),
                  ({"type": "coherent", "alpha": 12.0}, "gaussian_kernel"),
                  ({"type": "fock", "n": 300}, "generating_function")]
 

@@ -88,7 +88,7 @@ def test_trace_refuses_a_truncation_its_state_outgrows(dim, bound):
     m = fock.interior(dim)
     assert str(err.value) == f"evolved-state weight bound {bound} at Fock n >= {m} for dim {dim}"
     tr = ramsey.ramsey_trace(p, states.fock_state(192, 0), times, x0=7.0, dim=192)
-    exact = ramsey.coherent_trace(p, 0.0, times, x0=7.0)
+    exact = ramsey.gaussian_trace(p, times, x0=7.0)
     assert np.max(np.abs(tr.trace - exact.trace)) < 1e-12
 
 
@@ -240,10 +240,7 @@ def test_corotating_si_trace_phase_is_the_zero_point_shift(nbar):
     )
     r1 = model.derive_mode_frame(p, 1).r_i
     times = np.linspace(0.0, 4.0 * math.pi / p.omega0, 41)[1:]
-    if nbar is None:
-        tr = ramsey.coherent_trace(p, 0.0, times, x0=0.0, corotating=True)
-    else:
-        tr = ramsey.thermal_trace(p, nbar, times, x0=0.0, corotating=True)
+    tr = ramsey.gaussian_trace(p, times, x0=0.0, corotating=True, nbar=nbar or 0.0)
     ref = -((nbar or 0.0) + 0.5) * p.omega0 * times * math.expm1(2.0 * r1)
     assert np.max(np.abs(tr.phase / ref - 1.0)) < 1e-9
 
@@ -451,9 +448,8 @@ def test_exact_routes_make_no_solve(monkeypatch):
     solves = _count_solves(monkeypatch)
     p = natural_params(E1=2.0, c=2.0, g=0.0)
     times = np.linspace(0.0, 6.0, 300)
-    ramsey.coherent_trace(p, 0.8 - 0.3j, times, x0=4.5)
+    ramsey.gaussian_trace(p, times, x0=4.5, alpha=0.8 - 0.3j, nbar=1.5)
     ramsey.fock_trace(p, 3, times, x0=4.5)
-    ramsey.thermal_trace(p, 1.5, times, x0=4.5)
     assert solves == []
 
 
@@ -464,17 +460,28 @@ def test_exact_routes_make_no_solve(monkeypatch):
     x0=st.floats(0.0, 8.0),
     radius=st.floats(0.0, 2.0),
     angle=st.floats(0.0, 2.0 * math.pi),
+    nbar=st.floats(0.0, 3.0),
 )
-def test_gaussian_kernel_matches_eigh(corotating, S, x0, radius, angle):
-    # The kernel route against the truncated eigh route at dim 1024, which
-    # holds every drawn state and displacement.
+def test_gaussian_kernel_matches_eigh(corotating, S, x0, radius, angle, nbar):
+    # The kernel route against the truncated eigh route at dim 1024 for the
+    # displaced thermal state D(alpha) rho_th D(alpha)^dag, built at dim 256
+    # with fock.displace_matrix (nbar = 0: the coherent state |alpha>).
+    # Dim 1024 holds every drawn state up to x0 = 6 (5.2e-13 at the
+    # corners); at S 0.5, x0 8, alpha 2, nbar 3 it passes the tail rule yet
+    # is 1.5e-9 off, so a thermal draw stops at x0 = 6.
     alpha = radius * complex(math.cos(angle), math.sin(angle))
+    if nbar > 0.0:
+        x0 = min(x0, 6.0)
+        D = fock.displace_matrix(256, alpha)
+        state = states.mixed_state(D @ states.thermal_state_cm(256, nbar).data @ D.conj().T)
+    else:
+        state = states.coherent_state(64, alpha)
     p = natural_params(E1=100.0 * (1.0 / S**2 - 1.0), c=10.0)
     w1 = model.derive_mode_frame(p, 1).omega_i
     times = np.linspace(0.0, 4.0 * math.pi / w1, 13)
-    kernel = ramsey.coherent_trace(p, alpha, times, x0=x0, corotating=corotating)
-    ref = ramsey.ramsey_trace(p, states.coherent_state(64, alpha), times, x0=x0,
-                              dim=1024, corotating=corotating)
+    kernel = ramsey.gaussian_trace(p, times, x0=x0, corotating=corotating,
+                                   alpha=alpha, nbar=nbar)
+    ref = ramsey.ramsey_trace(p, state, times, x0=x0, dim=1024, corotating=corotating)
     assert kernel.dim is None and kernel.x0 == ref.x0
     assert np.max(np.abs(kernel.trace - ref.trace)) < 1e-11
 
@@ -485,22 +492,18 @@ def test_gaussian_kernel_matches_eigh(corotating, S, x0, radius, angle):
     S=st.floats(0.5, 0.99),
     x0=st.floats(0.0, 8.0),
     n=st.integers(0, 8),
-    nbar=st.floats(0.0, 3.0),
 )
-def test_generating_function_matches_eigh(corotating, S, x0, n, nbar):
-    # fock_trace and thermal_trace against the truncated eigh route at dim
-    # 1024, which holds every drawn state and displacement.
+def test_generating_function_matches_eigh(corotating, S, x0, n):
+    # fock_trace against the truncated eigh route at dim 1024, which holds
+    # every drawn state and displacement.
     p = natural_params(E1=100.0 * (1.0 / S**2 - 1.0), c=10.0)
     w1 = model.derive_mode_frame(p, 1).omega_i
     times = np.linspace(0.0, 4.0 * math.pi / w1, 13)
-    cases = [(ramsey.fock_trace(p, n, times, x0=x0, corotating=corotating),
-              states.fock_state(64, n)),
-             (ramsey.thermal_trace(p, nbar, times, x0=x0, corotating=corotating),
-              states.thermal_state_cm(256, nbar))]
-    for exact, state in cases:
-        ref = ramsey.ramsey_trace(p, state, times, x0=x0, dim=1024, corotating=corotating)
-        assert exact.dim is None and exact.x0 == ref.x0
-        assert np.max(np.abs(exact.trace - ref.trace)) < 1e-11
+    exact = ramsey.fock_trace(p, n, times, x0=x0, corotating=corotating)
+    ref = ramsey.ramsey_trace(p, states.fock_state(64, n), times, x0=x0, dim=1024,
+                              corotating=corotating)
+    assert exact.dim is None and exact.x0 == ref.x0
+    assert np.max(np.abs(exact.trace - ref.trace)) < 1e-11
 
 
 def test_fock_trace_n60_matches_eigh_at_dim_2048():
@@ -549,7 +552,7 @@ def test_gaussian_kernel_far_displaced_large_alpha():
     p = natural_params(E1=100.0 * (1.0 / 0.7**2 - 1.0), c=10.0)
     w1 = model.derive_mode_frame(p, 1).omega_i
     times = np.linspace(0.0, 4.0 * math.pi / w1, 2001)
-    tr = ramsey.coherent_trace(p, 3.0, times, x0=30.0)
+    tr = ramsey.gaussian_trace(p, times, x0=30.0, alpha=3.0)
     assert np.all(np.isfinite(tr.trace))
     assert np.all(tr.visibility <= 1.0 + 1e-12)
     ref = analytic.coherent_visibility(p, 30.0, 3.0, times)
@@ -585,10 +588,11 @@ def test_si_and_natural_units_give_one_trace(M0, omega0, defect, g, radius, angl
                               "levels": levels, "g": g, "hbar": hbar, "c": c})
     alpha = radius * complex(math.cos(angle), math.sin(angle))
     t_nat = np.linspace(0.0, 4.0 * math.pi / model.derive_mode_frame(nat, 1).omega_i, 41)
-    for route, value in ((ramsey.coherent_trace, alpha), (ramsey.fock_trace, n),
-                         (ramsey.thermal_trace, nbar)):
-        a = route(si, value, t_nat / omega0, corotating=True)
-        b = route(nat, value, t_nat, corotating=True)
+    routes = (lambda q, t: ramsey.gaussian_trace(q, t, corotating=True, alpha=alpha),
+              lambda q, t: ramsey.fock_trace(q, n, t, corotating=True),
+              lambda q, t: ramsey.gaussian_trace(q, t, corotating=True, nbar=nbar))
+    for route in routes:
+        a, b = route(si, t_nat / omega0), route(nat, t_nat)
         assert a.x0 == pytest.approx(b.x0 * math.sqrt(hbar / (M0 * omega0)), rel=1e-12)
         assert np.max(np.abs(a.visibility - b.visibility)) < 1e-12
         assert np.max(np.abs(a.trace - b.trace)) < 1e-10
@@ -655,7 +659,7 @@ def test_numeric_phase_matches_analytic():
     w1 = model.derive_mode_frame(p, 1).omega_i
     times = np.linspace(0.0, 2.0 * math.pi / w1, 200)
     tr = ramsey.ramsey_trace(p, states.fock_state(64, 0), times, x0=0.3, dim=256)
-    amp = ramsey.coherent_trace(p, 0, times, x0=0.3).trace
+    amp = ramsey.gaussian_trace(p, times, x0=0.3).trace
     assert np.max(np.abs(np.abs(amp) - tr.visibility)) < 1e-6
     dphi = np.angle(tr.trace * np.conj(amp))
     assert np.max(np.abs(dphi)) < 1e-5
@@ -679,12 +683,13 @@ def test_uniform_time_grid_density():
     ({"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "levels": [0.0, 1e-19]}, None),
 ], ids=["sag", "x0", "si"])
 def test_fock_vacuum_trace_is_the_coherent_vacuum_trace_bit_for_bit(system, x0, corotating):
-    # Both read <0|W|0> = exp(expo) / root through analytic._diagonal, the
-    # coherent route after a zero displacement, which adds only zeros.
+    # Both read <0|W|0> = exp(expo) / root: fock_trace through
+    # analytic._diagonal, gaussian_trace as the kernel at y = 0 after a zero
+    # displacement, which add only zeros, times 1 - q = 1.
     p = model.build_system(system)
     times = np.linspace(0.0, 4.0 * math.pi / model.derive_mode_frame(p, 1).omega_i, 777)
     fock0 = ramsey.fock_trace(p, 0, times, x0=x0, corotating=corotating).trace
-    vacuum = ramsey.coherent_trace(p, 0, times, x0=x0, corotating=corotating).trace
+    vacuum = ramsey.gaussian_trace(p, times, x0=x0, corotating=corotating).trace
     assert fock0.tobytes() == vacuum.tobytes()
 
 
@@ -694,18 +699,26 @@ def test_embedding_mismatch():
         ramsey.ramsey_trace(p, states.fock_state(128, 0), [0.1], dim=64)
 
 
-@pytest.mark.parametrize("trace, value, error", [
-    (ramsey.coherent_trace, complex(math.nan, 1.0), NotNormalized),
-    (ramsey.coherent_trace, 1e200, NotNormalized),
-    (ramsey.thermal_trace, math.nan, NotNormalized),
-    (ramsey.thermal_trace, math.inf, NotNormalized),
-    (ramsey.thermal_trace, -1.0, NotNormalized),
-    (ramsey.thermal_trace, 1e17, NotNormalized),
-    (ramsey.fock_trace, -1, DimensionMismatch),
+_EXACT_ROUTES = {
+    "coherent_trace": lambda p, alpha, t: ramsey.gaussian_trace(p, t, alpha=alpha),
+    "thermal_trace": lambda p, nbar, t: ramsey.gaussian_trace(p, t, nbar=nbar),
+    "fock_trace": ramsey.fock_trace,
+}
+
+
+@pytest.mark.parametrize("route, value, error", [
+    ("coherent_trace", complex(math.nan, 1.0), NotNormalized),
+    ("coherent_trace", 1e200, NotNormalized),
+    ("thermal_trace", math.nan, NotNormalized),
+    ("thermal_trace", math.inf, NotNormalized),
+    ("thermal_trace", -1.0, NotNormalized),
+    ("thermal_trace", 1e17, NotNormalized),
+    ("fock_trace", -1, DimensionMismatch),
 ])
-def test_exact_routes_check_their_own_parameter(trace, value, error):
+def test_exact_routes_check_their_own_parameter(route, value, error):
     # With no truncated state to check it, each exact route refuses a
     # parameter it has no value for: a non-finite alpha or alpha^2, an nbar
-    # that is not finite and >= 0 or whose q rounds to 1, a negative n.
+    # that is not finite and >= 0 or whose q rounds to 1, a negative n. The
+    # coherent and thermal traces both run through gaussian_trace.
     with pytest.raises(error):
-        trace(natural_params(), value, [0.0, 0.1])
+        _EXACT_ROUTES[route](natural_params(), value, [0.0, 0.1])
