@@ -15,12 +15,18 @@ CSV format: "# key=value" header lines ending in LF, then the column names
 and one line per row, comma-separated and ending in CRLF. Every value is
 written with "%.17g", which round-trips a double exactly, so integer
 columns (is_min, k) read 0, 1, 2, ... and non-finite values read nan, inf
-and -inf.
+and -inf. The bytes are Python's own "%.17g" % value; _csvtext produces
+them with numpy, a block of at most 2048 cells at a time, from a certified
+double-double product and a table of "%g" layouts, and leaves to Python's
+"%" each cell whose rounding it cannot certify or whose decimal exponent
+has magnitude 280 or more. One provenance dict, taken once per run, heads
+both the CSV and the JSON summary.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -31,15 +37,13 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import analytic, clock, constants, drive, model, phasespace, ramsey, states, verify
+from . import _csvtext, analytic, clock, constants, drive, model, phasespace, ramsey, states, verify
 from .errors import DimensionMismatch, MissingField, TrapMassError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-# CSV rows formatted per write, so no string of the whole file is built.
-_CSV_CHUNK_ROWS = 4096
 
 
 class ConfigError(Exception):
@@ -204,32 +208,27 @@ def _provenance(cfg: dict, timestamp: bool) -> dict:
     return prov
 
 
-def _header_lines(cfg: dict, timestamp: bool) -> list[str]:
-    return [f"# {key}={value}" for key, value in _provenance(cfg, timestamp).items()]
-
-
-def _write_csv(path: str, cfg: dict, timestamp: bool, columns: list[str], data) -> None:
-    """Write the 2-D float array data, one row per line, under columns."""
+def _write_csv(path: str, prov: dict, columns: list[str], data) -> None:
+    """Write the 2-D float array data, one row per line, under columns and
+    the header lines of prov."""
     data = np.asarray(data, dtype=float).reshape(-1, len(columns))
-    row_format = ",".join(["%.17g"] * len(columns)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        for line in _header_lines(cfg, timestamp):
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\r\n")
-        for lo in range(0, data.shape[0], _CSV_CHUNK_ROWS):
-            chunk = data[lo : lo + _CSV_CHUNK_ROWS]
-            fh.write(row_format * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {key}={value}\n" for key, value in prov.items()).encode())
+        fh.write((",".join(columns) + "\r\n").encode())
+        _csvtext.write_rows(fh, data)
 
 
 def _write_outputs(cfg: dict, out_dir: str, timestamp: bool, columns: list[str],
                    data, summary: dict) -> list[str]:
-    """Write <path>.csv and <path>_summary.json under out_dir; returns both paths."""
+    """Write <path>.csv and <path>_summary.json under out_dir, both under one
+    provenance header; returns both paths."""
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, cfg["output"].get("path", cfg["experiment"]))
     csv_path, json_path = base + ".csv", base + "_summary.json"
-    _write_csv(csv_path, cfg, timestamp, columns, data)
+    prov = _provenance(cfg, timestamp)
+    _write_csv(csv_path, prov, columns, data)
     with open(json_path, "w") as fh:
-        json.dump({**_provenance(cfg, timestamp), **summary}, fh, indent=2, default=float)
+        json.dump({**prov, **summary}, fh, indent=2, default=float)
         fh.write("\n")
     return [csv_path, json_path]
 
@@ -389,6 +388,13 @@ def run_shift(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     return columns, np.vstack(blocks), summary
 
 
+def _finite_max_deviation(values: np.ndarray, reference: np.ndarray) -> float | None:
+    """max |values - reference| over the entries where values is finite, or
+    None where none is."""
+    finite = np.isfinite(values)
+    return float(np.max(np.abs(values - reference)[finite])) if finite.any() else None
+
+
 def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     """With params.dim omitted both columns come from the Gaussian core
     ("generating_function"): P_exact from drive.gaussian_drive, exact and
@@ -396,8 +402,11 @@ def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     null. An explicit params.dim takes P_exact from the truncated loop
     drive.iterate_drive ("eigh"), with its tail gate and N_EXACT_MAX (the
     summary's first_nan_k names the first cycle it leaves NaN), the state at
-    its spec dim or params.dim. P_approx is drive.squeezed_overlaps on both
-    routes. A thermal state is refused (exit 3)."""
+    its spec dim or params.dim; its summary gives the largest distance to the
+    Gaussian core's P_exact over the cycles where it is finite
+    (exact_max_deviation), which it reports and does not gate on. P_approx
+    is drive.squeezed_overlaps on both routes. A thermal state is refused
+    (exit 3)."""
     phys = model.build_system(system)
     N = _param(params, "N", _positive_integer, 50)
     level = _param(params, "level", _integer, 1)
@@ -408,10 +417,11 @@ def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     n, alpha = (value, 0j) if kind == "fock" else (0, value)
     if dim is None:
         route = "generating_function"
-        res = drive.gaussian_drive(phys, N, level, n, alpha)
+        res = exact = drive.gaussian_drive(phys, N, level, n, alpha)
     else:
         route = "eigh"
         res = drive.iterate_drive(phys, _truncated_state(kind, value, size, dim), N, level)
+        exact = drive.gaussian_drive(phys, N, level, n, alpha)
     series = {"P_exact": res.exact,
               "P_approx": drive.squeezed_overlaps(phys, N, level, n, alpha)}
     finite = np.isfinite(res.exact)
@@ -420,13 +430,11 @@ def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
         "route": route,
         "per_cycle_r": res.schedule.per_cycle_r,
         "beta_g": [res.schedule.beta_g.real, res.schedule.beta_g.imag],
-        # Over the cycles where P_exact is finite.
-        "max_deviation": (
-            float(np.max(np.abs(res.exact - series["P_approx"])[finite]))
-            if finite.any() else None
-        ),
+        "max_deviation": _finite_max_deviation(res.exact, series["P_approx"]),
         "variance_growth_N": drive.position_variance_growth(phys, N, level),
     }
+    if dim is not None:
+        summary["exact_max_deviation"] = _finite_max_deviation(res.exact, exact.exact)
     if not finite.all():
         summary["first_nan_k"] = {"P_exact": int(np.argmin(finite)) + 1}
     data = np.column_stack([np.arange(1, N + 1), *series.values()])
@@ -573,8 +581,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process for main."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     out_dir = args.out or os.environ.get("TRAPMASS_OUT", ".")
     if args.command == "verify":
         return run_verify_all(out_dir)

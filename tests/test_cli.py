@@ -1,4 +1,5 @@
 import csv
+import datetime
 import json
 import math
 import os
@@ -7,11 +8,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trapmass
-from trapmass import cli, clock, drive, model, ramsey, states
+from trapmass import _csvtext, cli, clock, drive, model, ramsey, states
 
 
 NATURAL_SYSTEM = {"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 0.0}
@@ -442,6 +443,29 @@ def test_gaussian_drive_with_gravity_is_finite_and_passes_verify(tmp_path):
     assert rows.shape == (200, 3) and np.isfinite(rows).all()
 
 
+@pytest.mark.parametrize("state", [
+    {"type": "fock", "n": 0}, {"type": "fock", "n": 3},
+    {"type": "coherent", "alpha": "1.2-0.7j"},
+])
+def test_eigh_drive_reports_its_gap_to_the_gaussian_core(tmp_path, state):
+    # An explicit dim reports max |P_exact(eigh) - P_exact(gaussian_drive)|
+    # over the finite cycles; with dim omitted the run is the Gaussian core
+    # and has no such key.
+    summaries = {}
+    for dim in (96, None):
+        params = {"state": state} if dim is None else {"state": state, "dim": dim}
+        cfg = {"experiment": "drive", "system": dict(NATURAL_SYSTEM),
+               "output": {"path": f"drive_{dim}"}, "params": params}
+        assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
+        summaries[dim] = json.loads((tmp_path / f"drive_{dim}_summary.json").read_text())
+    assert "exact_max_deviation" not in summaries[None]
+    assert summaries[96]["exact_max_deviation"] < 1e-10
+    _, _, eigh = cli.read_csv(str(tmp_path / "drive_96.csv"))
+    _, _, exact = cli.read_csv(str(tmp_path / "drive_None.csv"))
+    assert np.isfinite(eigh[:, 1]).sum() >= 4
+    assert summaries[96]["exact_max_deviation"] == np.nanmax(np.abs(eigh[:, 1] - exact[:, 1]))
+
+
 @pytest.mark.parametrize("dim", [None, 64])
 def test_drive_refuses_thermal_states(tmp_path, dim, capsys):
     params = {"state": {"type": "thermal", "nbar": 1.0}, "N": 5}
@@ -670,8 +694,8 @@ def _csv_writer_reference(path, cfg, columns, rows):
     # The format written with the standard library: header lines, then
     # csv.writer rows of "%.17g" floats and plain ints.
     with open(path, "w", newline="") as fh:
-        for line in cli._header_lines(cfg, False):
-            fh.write(line + "\n")
+        for key, value in cli._provenance(cfg, False).items():
+            fh.write(f"# {key}={value}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
@@ -680,7 +704,7 @@ def _csv_writer_reference(path, cfg, columns, rows):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n_rows=st.sampled_from([0, 1, 2, 7, cli._CSV_CHUNK_ROWS + 3]),
+    n_rows=st.sampled_from([0, 1, 2, 7, _csvtext.BLOCK_CELLS + 3]),
     n_float=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -698,13 +722,87 @@ def test_write_csv_matches_csv_writer_and_round_trips(tmp_path_factory, n_rows, 
     cfg = {"experiment": "sweep"}
     out = tmp_path_factory.mktemp("csv")
     _csv_writer_reference(str(out / "ref.csv"), cfg, columns, rows)
-    cli._write_csv(str(out / "new.csv"), cfg, False, columns, data)
+    cli._write_csv(str(out / "new.csv"), cli._provenance(cfg, False), columns, data)
     assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
     meta, got_columns, got = cli.read_csv(str(out / "new.csv"))
     assert got_columns == columns and meta["config_sha256"] == cli._config_hash(cfg)
     assert got.shape == data.shape
     # Exact round trip, bit for bit, -0.0 and nan included.
     assert got.tobytes() == np.where(np.isnan(data), np.nan, data).tobytes()
+
+
+def _percent_body(data: np.ndarray) -> bytes:
+    # The oracle: Python's own "%.17g" of every cell.
+    return b"".join(b",".join(b"%.17g" % v for v in row) + b"\r\n" for row in data.tolist())
+
+
+def _written_body(path) -> bytes:
+    text = path.read_bytes()
+    return text[text.index(b"\r\n") + 2 :]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=64),
+    n_cols=st.integers(1, 6),
+    n_rows=st.sampled_from([0, 1, 3, _csvtext.BLOCK_CELLS + 1]),
+)
+@example(values=[5e-324, -0.0, -math.nan, math.inf, -math.inf, 2.0**-25], n_cols=1, n_rows=6)
+@example(values=[1e16, 1e17, math.nextafter(1e23, 0.0), 1.7976931348623157e308],
+         n_cols=2, n_rows=_csvtext.BLOCK_CELLS + 1)
+@example(values=[1.0], n_cols=1, n_rows=0)
+def test_csv_text_is_python_percent_17g(tmp_path_factory, values, n_cols, n_rows):
+    # The block-wise writer gives Python's "%.17g" bytes for every double,
+    # whatever the table's shape; values repeat to fill n_rows x n_cols.
+    data = np.resize(np.array(values), (n_rows, n_cols))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    cli._write_csv(str(path), {}, [f"c{j}" for j in range(n_cols)], data)
+    assert _written_body(path) == _percent_body(data)
+
+
+def test_csv_text_on_bit_patterns_and_powers_of_ten(tmp_path):
+    # Random bit patterns (subnormals, huge values, NaN payloads), every
+    # power of ten in the double range, its neighbours and their negatives.
+    rng = np.random.default_rng(20190611)
+    bits = rng.integers(0, 2**64, 30000, dtype=np.uint64, endpoint=False).view(float)
+    tens = np.array([float(f"1e{j}") for j in range(-330, 309)])
+    values = np.concatenate([bits, tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    data = np.concatenate([values, -values]).reshape(-1, 3)
+    cli._write_csv(str(tmp_path / "t.csv"), {}, ["a", "b", "c"], data)
+    assert _written_body(tmp_path / "t.csv") == _percent_body(data)
+
+
+def test_csv_and_summary_share_one_provenance(tmp_path, monkeypatch):
+    # A clock that advances one second per call: the CSV header and the JSON
+    # summary must still carry one timestamp, taken once per run.
+    class Clock(datetime.datetime):
+        calls = 0
+
+        @classmethod
+        def now(cls, tz=None):
+            cls.calls += 1
+            return datetime.datetime(2026, 1, 1, tzinfo=tz) + datetime.timedelta(seconds=cls.calls)
+
+    monkeypatch.setattr(cli, "datetime", Clock)
+    cfg_path = write_cfg(tmp_path, "shift.json", shift_cfg(omega0_grid=[1e3, 1e4]))
+    assert cli.main(["shift", "--config", cfg_path, "--out", str(tmp_path)]) == cli.EXIT_OK
+    meta, _, _ = cli.read_csv(str(tmp_path / "shift_run.csv"))
+    summary = json.loads((tmp_path / "shift_run_summary.json").read_text())
+    assert Clock.calls == 1
+    for key in ("generated", "config_sha256", "constants"):
+        assert meta[key] == str(summary[key])
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    cfg = shift_cfg(omega0_grid=[1e3, 1e4])
+    for _ in range(3):
+        assert run(tmp_path, cfg, "shift") == cli.EXIT_OK
+    assert len(built) == 1
 
 
 _NO_SCIPY_SCRIPT = """
