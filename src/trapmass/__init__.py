@@ -16,7 +16,7 @@ Modules:
 from . import analytic, clock, constants, drive, errors, fock, model, phasespace, ramsey, states, verify
 from .model import SystemParams, ModeFrame, build_system, derive_mode_frame, offset_gap
 from .states import CMState, coherent_state, fock_state, mixed_state, pure_state, thermal_state_cm
-from .ramsey import RamseyTrace, extract_visibility_phase, fock_trace, gaussian_trace, ramsey_trace
+from .ramsey import RamseyTrace, fock_trace, gaussian_trace, ramsey_trace
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,5 @@ __all__ = [
     "SystemParams", "ModeFrame", "build_system", "derive_mode_frame", "offset_gap",
     "CMState", "coherent_state", "fock_state", "mixed_state", "pure_state",
     "thermal_state_cm",
-    "RamseyTrace", "gaussian_trace", "fock_trace", "ramsey_trace",
-    "extract_visibility_phase", "__version__",
+    "RamseyTrace", "gaussian_trace", "fock_trace", "ramsey_trace", "__version__",
 ]

@@ -263,7 +263,9 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     run's route and dim is null. An explicit params.dim takes the eigh route
     ("eigh"), the state at its spec dim (<= params.dim) or params.dim, and
     the summary gives its largest distance to the exact route
-    (exact_max_deviation), which it reports and does not gate on."""
+    (exact_max_deviation), which it reports and does not gate on. params.times
+    must not decrease. Every summary gives phase_floor, the absolute rounding
+    of the phase's rate term (RamseyTrace.phase_floor)."""
     phys = model.build_system(system)
     level = _param(params, "level", _integer, 1)
     dim = _param(params, "dim", _optional(_positive_integer))
@@ -279,8 +281,9 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
         t_end = _param(params, "periods", float, 2.0) * 2.0 * math.pi / omega1
         with np.errstate(invalid="ignore"):  # an infinite t_end is refused below
             times = np.linspace(0.0, t_end, _param(params, "points", _positive_integer, 400))
-    if times.size < 1 or not np.isfinite(times).all():
-        raise ConfigError("ramsey needs at least one time point, all finite")
+    if times.size < 1 or not np.isfinite(times).all() or np.any(np.diff(times) < 0):
+        # The phase is unwrapped along the times, so they must not decrease.
+        raise ConfigError("ramsey needs at least one time point, all finite and non-decreasing")
     corotating = _param(params, "corotating", _boolean, False)
     is_vacuum = kind == "fock" and value == 0
     alpha = value if kind == "coherent" else 0j
@@ -299,7 +302,8 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
 
     columns = ["t", "P", "V", "phase"]
     data = [times, trace.probability, trace.visibility, trace.phase]
-    summary = {"dim": trace.dim, "route": route, "x0": trace.x0, "level": level}
+    summary = {"dim": trace.dim, "route": route, "x0": trace.x0, "level": level,
+               "phase_floor": trace.phase_floor}
     if dim is not None:
         summary["exact_max_deviation"] = float(np.max(np.abs(trace.trace - exact.trace)))
     if is_vacuum or kind == "coherent":
@@ -313,7 +317,7 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     if is_vacuum and not corotating:
         # The vacuum's phase and extrema closed forms hold for it alone.
         columns.append("phase_analytic")
-        data.append(np.unwrap(np.angle(exact.trace)))
+        data.append(ramsey._phase(exact.bounded, exact.offset))
         t_min, v_min, t_rev, v_rev = analytic.visibility_extrema(
             phys, trace.x0, level=level
         )

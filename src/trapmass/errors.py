@@ -55,10 +55,6 @@ class TruncationInsufficient(TrapMassError):
 
 # --- traces / fits / optimization ---
 
-class GridTooCoarse(TrapMassError):
-    pass
-
-
 class NotNormalized(TrapMassError):
     pass
 

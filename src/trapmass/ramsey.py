@@ -14,9 +14,15 @@ The enormous rest-energy phases enter only through the cancellation-safe
 offset gap (see model.offset_gap); the co-rotating frame uses its own
 cancellation-free rate (see _corotating_rate_per_omega0).
 
+Phase rule. A trace is bounded(t) exp(-i offset(t)), offset = rate t with a
+known scalar rate. A grid resolves the bounded factor, which varies on the
+trap time scale, but not the SI lab-frame rate (~3e7 rad a step on the
+default grid). So a RamseyTrace keeps both factors, and its phase subtracts
+offset from the unwrapped arg(bounded) instead of unwrapping it.
+
 Solver paths. All three traces share one prologue (_trace): it resolves x0
-through analytic.VacuumAmplitudeParams.from_system and multiplies a bounded
-trace by the scalar phase. Every CLI state type has an exact bounded trace
+through analytic.VacuumAmplitudeParams.from_system and pairs a bounded
+trace with the scalar phase. Every CLI state type has an exact bounded trace
 with no truncation and no eigensolve (dim None), read with no rotation from
 the Gaussian core's W = U_0b^dag U_1b: gaussian_trace (the displaced thermal
 state D(alpha) rho_th(nbar) D(alpha)^dag: the vacuum, coherent |alpha> and
@@ -46,46 +52,58 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import analytic, fock, model, states
-from .errors import DimensionMismatch, GridTooCoarse
+from .errors import DimensionMismatch
 from .states import CMState
 
-_PHASE_JUMP_TOL = math.pi * (1.0 - 1e-9)
 # Visibility below which a trace point's phase is reported as NaN: far above
 # the ~1e-13 roundoff of the trace, whose phase there would be noise.
 PHASE_FLOOR = 1e-10
 # Time points per batched contraction; bounds each temporary of _bounded_trace
 # by _TIME_CHUNK x dim.
 _TIME_CHUNK = 256
-# Grid points per period of the fastest phase in uniform_time_grid.
-_POINTS_PER_PERIOD = 50
 
 
 @dataclass(frozen=True)
 class RamseyTrace:
-    """Complex interference trace between levels 0 and level over a time
-    grid, and the series derived from it.
+    """Interference trace between levels 0 and level over a non-decreasing
+    time grid, kept as its two factors, and the series derived from them.
 
+    bounded is the trace of the bounded (trap) Hamiltonians, and offset the
+    unreduced scalar phase rate t: the offset gap over hbar times t in the
+    lab frame, (rate / omega0)(omega0 t) in the co-rotating one. trace =
+    bounded exp(-i (offset mod 2 pi)) is formed once, on first use.
     probability = 1/2 + 1/2 Re(trace) is the ground-level detection
-    probability after the second pi/2 pulse. When corotating is True the
-    internal phase omega_c t has been removed from trace/phase/probability
-    (a plotting frame, not the lab-frame signal).
+    probability after the second pi/2 pulse, and visibility = |trace|.
+    When corotating is True the internal phase omega_c t has been removed
+    from offset, and so from trace/phase/probability (a plotting frame, not
+    the lab-frame signal).
 
-    phase is NaN where the visibility is below PHASE_FLOOR and is unwrapped
-    across the other points only, so a gap is crossed in one nearest-branch
-    step. dim is the Fock truncation of a ramsey_trace result and None for
-    a trace from gaussian_trace or fock_trace, which have none.
+    phase = unwrap(arg(bounded)) - offset (the module's phase rule), NaN
+    where the visibility is below PHASE_FLOOR. Only arg(bounded) is
+    unwrapped, across the kept points alone: a sub-floor gap is crossed in
+    one nearest-branch step of the bounded factor, while offset carries the
+    rate's whole advance across it. phase_floor is the absolute rounding of
+    the rate term, ulp(max |offset|) + eps max |offset|. dim is the Fock
+    truncation of a ramsey_trace result and None for a trace from
+    gaussian_trace or fock_trace, which have none.
     """
 
     times: np.ndarray
-    trace: np.ndarray
+    bounded: np.ndarray
+    offset: np.ndarray
     level: int
     x0: float
     dim: int | None
     corotating: bool = False
+
+    @cached_property
+    def trace(self) -> np.ndarray:
+        return self.bounded * np.exp(-1j * (self.offset % (2.0 * math.pi)))
 
     @property
     def probability(self) -> np.ndarray:
@@ -98,9 +116,20 @@ class RamseyTrace:
     @property
     def phase(self) -> np.ndarray:
         kept = self.visibility >= PHASE_FLOOR
-        phase = np.full(self.trace.shape, np.nan)
-        phase[kept] = np.unwrap(np.angle(self.trace[kept]))
+        phase = np.full(self.times.shape, np.nan)
+        phase[kept] = _phase(self.bounded[kept], self.offset[kept])
         return phase
+
+    @property
+    def phase_floor(self) -> float:
+        top = float(np.max(np.abs(self.offset), initial=0.0))
+        return math.ulp(top) + np.finfo(float).eps * top
+
+
+def _phase(bounded: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """The phase rule: unwrap(arg(bounded)) - offset, the known rate term
+    subtracted as it is and never unwrapped."""
+    return np.unwrap(np.angle(bounded)) - offset
 
 
 def _bounded_trace(
@@ -180,21 +209,19 @@ def _corotating_rate_per_omega0(params: model.SystemParams, level: int) -> float
 def _trace(params, times, level, x0, corotating, bounded, dim=None) -> RamseyTrace:
     """Every trace's prologue: x0 resolved by VacuumAmplitudeParams.from_system
     (None: the sag g/omega0^2), and the RamseyTrace at dim of bounded(vap, t)
-    times exp(-i rate t), rate t reduced mod 2 pi: rate is the offset gap over
-    hbar in the lab frame, _corotating_rate_per_omega0 times omega0 in the
-    co-rotating one."""
+    and the offset rate t: rate is the offset gap over hbar in the lab frame,
+    _corotating_rate_per_omega0 times omega0 in the co-rotating one."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     vap = analytic.VacuumAmplitudeParams.from_system(params, level=level, x0=x0)
     if corotating:
         # As (rate / omega0)(omega0 t): the co-rotating phase reaches ~1e6 rad,
         # where one ulp is ~1e-10 rad, and this form rounds alike in both
         # unit systems.
-        phase = _corotating_rate_per_omega0(params, level) * (params.omega0 * times)
+        offset = _corotating_rate_per_omega0(params, level) * (params.omega0 * times)
     else:
-        phase = model.offset_gap(params, level, 0) / params.hbar * times
-    tr = bounded(vap, times) * np.exp(-1j * (phase % (2.0 * math.pi)))
-    return RamseyTrace(times=times, trace=tr, level=level, x0=vap.x0, dim=dim,
-                       corotating=corotating)
+        offset = model.offset_gap(params, level, 0) / params.hbar * times
+    return RamseyTrace(times=times, bounded=bounded(vap, times), offset=offset, level=level,
+                       x0=vap.x0, dim=dim, corotating=corotating)
 
 
 def gaussian_trace(params: model.SystemParams, times, level: int = 1,
@@ -249,38 +276,3 @@ def fock_revival_values(params: model.SystemParams, n0: int, x0: float | None = 
     t_rev = math.pi / model.derive_mode_frame(params, level).omega_i
     trace = fock_trace(params, n0, [t_rev, 2.0 * t_rev], level=level, x0=x0)
     return float(trace.visibility[0]), float(trace.visibility[1])
-
-
-def extract_visibility_phase(trace: RamseyTrace) -> tuple[np.ndarray, np.ndarray]:
-    """(trace.visibility, trace.phase).
-
-    Raises GridTooCoarse when a step of the unwrapped phase, between
-    adjacent points above PHASE_FLOOR, is >= pi, which makes unwrapping
-    ambiguous; the caller must refine the time grid.
-    """
-    phase = trace.phase
-    jumps = np.abs(np.diff(phase[~np.isnan(phase)]))
-    if np.any(jumps >= _PHASE_JUMP_TOL):
-        raise GridTooCoarse(
-            f"adjacent phase jump {jumps.max():.6f} rad >= pi; refine the time grid"
-        )
-    return trace.visibility, phase
-
-
-def uniform_time_grid(
-    params: model.SystemParams,
-    t_max: float,
-    level: int = 1,
-    corotating: bool = False,
-) -> np.ndarray:
-    """Uniform grid on [0, t_max] resolving the fastest phase in the trace.
-
-    In the lab frame that is the internal rate |offset gap|/hbar; in the
-    co-rotating frame only the trap frequencies remain.
-    """
-    rates = [params.omega0, model.derive_mode_frame(params, level).omega_i]
-    if not corotating:
-        rates.append(abs(model.offset_gap(params, level, 0)) / params.hbar)
-    period = 2.0 * math.pi / max(rates)
-    n = max(2, int(math.ceil(_POINTS_PER_PERIOD * t_max / period)) + 1)
-    return np.linspace(0.0, t_max, n)

@@ -247,11 +247,13 @@ def test_malformed_state_specs_are_config_errors(tmp_path, state):
                                  {"points": "x"}, {"times": 5}, {"x0": "abc"},
                                  {"level": "x"}, {"level": 1.5},
                                  {"periods": math.inf}, {"periods": 1e308},
-                                 {"times": [0.0, math.nan]}, {"times": [math.inf]}])
+                                 {"times": [0.0, math.nan]}, {"times": [math.inf]},
+                                 {"times": [0.0, 2.0, 1.0]}])
 def test_empty_time_grid_and_malformed_params_are_config_errors(tmp_path, bad, capsys):
     # No time point, a time that is not finite (these exited 0 with NaN
-    # columns), or a param that does not parse, is a config error on every
-    # route, not a traceback.
+    # columns), times that decrease (the phase is unwrapped along them; this
+    # exited 0 with a meaningless phase), or a param that does not parse, is
+    # a config error on every route, not a traceback.
     for extra in ({}, {"dim": 64}, {"state": {"type": "thermal", "nbar": 1.0}}):
         cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
                "output": {"path": "no_times"}, "params": {**bad, **extra}}
@@ -283,6 +285,45 @@ def test_ramsey_sub_floor_phases_pass_verify(tmp_path):
     phase, V = rows[:, columns.index("phase")], rows[:, columns.index("V")]
     assert np.isnan(phase).any()
     assert np.array_equal(np.isnan(phase), V < ramsey.PHASE_FLOOR)
+
+
+def test_si_phases_keep_their_digits(tmp_path):
+    # Lab frame, the SI default: the rate turns by 3e7 rad between points,
+    # which no grid resolves, and unwrapping the trace once gave a last phase
+    # of 893.7 rad for -1.19e10. The phase is -rate t to the last digit (the
+    # bounded factor adds ~1e-9 rad), and phase_floor, the rounding of the
+    # rate term, is ulp + eps of 1.19e10 rad, 4.55e-6 rad.
+    p = model.build_system(_SI_SYSTEM)
+    cfg = {"experiment": "ramsey", "system": dict(_SI_SYSTEM),
+           "output": {"path": "si_lab"}, "params": {}}
+    assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "si_lab_summary.json").read_text())
+    assert summary["phase_floor"] == pytest.approx(4.55e-6, rel=1e-2)
+    _, columns, rows = cli.read_csv(str(tmp_path / "si_lab.csv"))
+    t = rows[:, 0]
+    ref = -model.offset_gap(p, 1, 0) / p.hbar * t
+    for name in ("phase", "phase_analytic"):
+        phase = rows[:, columns.index(name)]
+        assert np.max(np.abs(phase[t > 0] / ref[t > 0] - 1.0)) <= 1e-15
+        assert np.max(np.abs(phase - ref)) <= summary["phase_floor"]
+    # Co-rotating, g = 0, x0 = 0: the phase of the vacuum and of a thermal
+    # state is the zero-point shift -(nbar + 1/2) omega0 t expm1(2 r_1), at
+    # most ~1e-9 rad, and must keep its digits (1e-9 relative; the model
+    # error is O(r_1)). A Fock 2 trace runs and passes --verify.
+    system = {**_SI_SYSTEM, "g": 0.0}
+    r1 = model.derive_mode_frame(model.build_system(system), 1).r_i
+    for name, state, nbar in (("vacuum", {"type": "fock", "n": 0}, 0.0),
+                              ("thermal", {"type": "thermal", "nbar": 2.0}, 2.0),
+                              ("fock2", {"type": "fock", "n": 2}, None)):
+        cfg = {"experiment": "ramsey", "system": system, "output": {"path": f"corot_{name}"},
+               "params": {"state": state, "x0": 0.0, "corotating": True}}
+        assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+        if nbar is None:
+            continue
+        _, columns, rows = cli.read_csv(str(tmp_path / f"corot_{name}.csv"))
+        t, phase = rows[:, 0], rows[:, columns.index("phase")]
+        ref = -(nbar + 0.5) * system["omega0"] * t * math.expm1(2.0 * r1)
+        assert np.max(np.abs(phase[t > 0] / ref[t > 0] - 1.0)) < 1e-9, name
 
 
 def test_ramsey_deterministic_bytes(tmp_path):

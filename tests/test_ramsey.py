@@ -9,13 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trapmass import analytic, constants, fock, model, ramsey, states
-from trapmass.errors import (
-    DimensionMismatch,
-    GridTooCoarse,
-    NotNormalized,
-    TruncationInsufficient,
-)
+from trapmass import analytic, constants, fock, model, ramsey, states, verify
+from trapmass.errors import DimensionMismatch, NotNormalized, TruncationInsufficient
 
 
 def natural_params(E1=2.0, c=2.0, g=0.0):
@@ -598,44 +593,10 @@ def test_si_and_natural_units_give_one_trace(M0, omega0, defect, g, radius, angl
         assert np.max(np.abs(a.trace - b.trace)) < 1e-10
 
 
-def test_extract_visibility_phase_trivial():
-    tr = ramsey.RamseyTrace(
-        times=np.linspace(0, 1, 5),
-        trace=np.full(5, 0.5 + 0j),
-        level=1,
-        x0=0.0,
-        dim=8,
-    )
-    v, phi = ramsey.extract_visibility_phase(tr)
-    assert np.all(v == 0.5) and np.all(phi == 0.0)
-
-
-def test_extract_phase_slope():
-    omega = 3.7
-    times = np.linspace(0.0, 2.0 * math.pi / omega, 100)
-    z = np.exp(1j * omega * times)
-    tr = ramsey.RamseyTrace(
-        times=times, trace=z, level=1, x0=0.0, dim=8,
-    )
-    v, phi = ramsey.extract_visibility_phase(tr)
-    slope = np.polyfit(times, phi, 1)[0]
-    assert slope == pytest.approx(omega, rel=1e-6)
-
-
-def test_extract_phase_grid_too_coarse():
-    times = np.arange(4.0)
-    z = np.exp(1j * math.pi * times)  # exactly pi per step: sign ambiguous
-    tr = ramsey.RamseyTrace(
-        times=times, trace=z, level=1, x0=0.0, dim=8,
-    )
-    with pytest.raises(GridTooCoarse):
-        ramsey.extract_visibility_phase(tr)
-
-
 def test_phase_is_stable_across_sub_floor_gaps():
     # Fock n = 2 far from the excited trap centre: about half the points have
-    # V < PHASE_FLOOR. Their phase is NaN, and a 1e-13 change of the trace
-    # moves no phase where V > 1e-6 by more than 1e-6 rad.
+    # V < PHASE_FLOOR. Their phase is NaN, and a 1e-13 change of the bounded
+    # trace moves no phase where V > 1e-6 by more than 1e-6 rad.
     c, S = 10.0, 0.8
     p = natural_params(E1=c * c * (1.0 / S**2 - 1.0), c=c)
     w1 = model.derive_mode_frame(p, 1).omega_i
@@ -648,10 +609,82 @@ def test_phase_is_stable_across_sub_floor_gaps():
     rng = np.random.default_rng(0)
     for _ in range(5):
         noise = 1e-13 * np.exp(2j * math.pi * rng.random(times.size))
-        moved = dataclasses.replace(tr, trace=tr.trace + noise)
+        moved = dataclasses.replace(tr, bounded=tr.bounded + noise)
         assert np.max(np.abs(moved.phase[high] - tr.phase[high])) < 1e-6
-    v, phi = ramsey.extract_visibility_phase(tr)
-    assert np.array_equal(phi, tr.phase, equal_nan=True)
+
+
+def test_lab_frame_phase_is_not_aliased():
+    # verify._natural_params(0.5), the vacuum at x0 = 0, 400 points over
+    # 4 pi / omega_1: the rate turns by 18.9 rad a step. Unwrapping the
+    # product of the two factors made up a slow phase there. The rate term is
+    # subtracted as it is, so the phase is the bounded factor's, unwrapped,
+    # less rate t.
+    p = verify._natural_params(0.5)
+    w1 = model.derive_mode_frame(p, 1).omega_i
+    times = np.linspace(0.0, 4.0 * math.pi / w1, 400)
+    rate = model.offset_gap(p, 1, 0) / p.hbar
+    assert rate * (times[1] - times[0]) > 18.0
+    tr = ramsey.gaussian_trace(p, times, x0=0.0)
+    assert np.array_equal(tr.offset, rate * times)
+    vap = analytic.VacuumAmplitudeParams.from_system(p, x0=0.0)
+    bounded = np.unwrap(np.angle(analytic.gaussian_amplitude(vap, times, 0j, 0.0)))
+    assert not np.isnan(tr.phase).any()
+    assert np.max(np.abs(tr.phase + tr.offset - bounded)) < 1e-12
+
+
+_RULE_DIM = 256
+
+
+def _rule_trace(p, times, x0, corotating, state, n, eigh):
+    """The trace of one state on its exact route or, at _RULE_DIM, the eigh route."""
+    where = {"x0": x0, "corotating": corotating}
+    if eigh:
+        cm = {"vacuum": lambda: states.fock_state(_RULE_DIM, 0),
+              "coherent": lambda: states.coherent_state(_RULE_DIM, 0.6 - 0.3j),
+              "thermal": lambda: states.thermal_state_cm(_RULE_DIM, 0.8),
+              "fock": lambda: states.fock_state(_RULE_DIM, n)}[state]()
+        return ramsey.ramsey_trace(p, cm, times, dim=_RULE_DIM, **where)
+    if state == "fock":
+        return ramsey.fock_trace(p, n, times, **where)
+    alpha = 0.6 - 0.3j if state == "coherent" else 0j
+    nbar = 0.8 if state == "thermal" else 0.0
+    return ramsey.gaussian_trace(p, times, alpha=alpha, nbar=nbar, **where)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    S=st.floats(0.5, 0.99),
+    x0=st.floats(0.0, 3.0),
+    c=st.sampled_from([2.0, 10.0]),
+    corotating=st.booleans(),
+    state=st.sampled_from(["vacuum", "coherent", "thermal", "fock"]),
+    n=st.integers(1, 3),
+    eigh=st.booleans(),
+)
+# Lab-frame draws whose rate is resolved and whose every point is above the
+# floor, on both routes.
+@example(S=0.9, x0=0.5, c=2.0, corotating=False, state="vacuum", n=1, eigh=False)
+@example(S=0.8, x0=1.0, c=2.0, corotating=False, state="thermal", n=1, eigh=True)
+@example(S=0.7, x0=0.0, c=2.0, corotating=False, state="fock", n=2, eigh=False)
+def test_phase_rule_keeps_trace_and_resolved_phases(S, x0, c, corotating, state, n, eigh):
+    # The trace, and so P and V, is the product of the two factors with the
+    # offset reduced mod 2 pi, bit for bit. Where every point is above the
+    # floor and the steps of the bounded factor's phase and of the rate term
+    # add up to less than pi, unwrapping the product chooses the same
+    # branches, so the phase is that unwrapped product's up to rounding. (A
+    # rate step below pi/2 alone is not enough: a thermal draw with bounded
+    # steps of 2.2 rad once differed by 4 pi.)
+    p = verify._natural_params(S, c=c)
+    w1 = model.derive_mode_frame(p, 1).omega_i
+    times = np.linspace(0.0, 4.0 * math.pi / w1, 120)
+    tr = _rule_trace(p, times, x0, corotating, state, n, eigh)
+    product = tr.bounded * np.exp(-1j * (tr.offset % (2.0 * math.pi)))
+    assert tr.trace.tobytes() == product.tobytes()
+    assert tr.probability.tobytes() == (0.5 + 0.5 * np.real(product)).tobytes()
+    steps = (np.abs(np.diff(np.unwrap(np.angle(tr.bounded)))).max()
+             + np.abs(np.diff(tr.offset)).max())
+    if tr.visibility.min() >= ramsey.PHASE_FLOOR and steps < math.pi:
+        assert np.max(np.abs(tr.phase - np.unwrap(np.angle(tr.trace)))) < 1e-11
 
 
 def test_numeric_phase_matches_analytic():
@@ -663,17 +696,6 @@ def test_numeric_phase_matches_analytic():
     assert np.max(np.abs(np.abs(amp) - tr.visibility)) < 1e-6
     dphi = np.angle(tr.trace * np.conj(amp))
     assert np.max(np.abs(dphi)) < 1e-5
-
-
-def test_uniform_time_grid_density():
-    p = natural_params(E1=20.0, c=10.0)
-    grid = ramsey.uniform_time_grid(p, 1.0)
-    # Lab frame: the internal rate dominates (offset gap ~ 20 natural).
-    fastest = abs(model.offset_gap(p, 1, 0)) / p.hbar
-    dt = grid[1] - grid[0]
-    assert dt <= 2.0 * math.pi / fastest / 50.0 * (1.0 + 1e-12)
-    coarse = ramsey.uniform_time_grid(p, 1.0, corotating=True)
-    assert coarse.size < grid.size
 
 
 @pytest.mark.parametrize("corotating", [False, True])
