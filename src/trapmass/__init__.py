@@ -6,7 +6,7 @@ Modules:
     states      pure/mixed center-of-mass states
     ramsey      exact Ramsey interference traces: Gaussian, Fock, truncated
     analytic    closed-form amplitudes, shifts, and approximations
-    clock       transition gaps, frequency shifts, thermal states
+    clock       transition gaps, frequency shifts, thermal-state shifts
     drive       periodic internal driving and squeezing accumulation
     phasespace  mixed CM evolution and Husimi Q diagnostics
     verify      independent brute-force oracle harness

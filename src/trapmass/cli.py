@@ -479,6 +479,10 @@ _SWEEP_OPS = {"fractional_shift", "visibility_extrema"}
 
 
 def run_sweep(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
+    """One row per point of the op's axes. The fractional_shift omega0 axis
+    defaults to the system's own trap, in its own units: omega0 as given,
+    else sqrt(k/M0) with model.build_system's defaults (a natural system with
+    no trap takes k = M0 hbar, the unit trap), else 1e6 for an SI system."""
     op = params.get("op")
     if op not in _SWEEP_OPS:
         raise ConfigError(f"sweep op must be one of {sorted(_SWEEP_OPS)}, got {op!r}")
@@ -486,9 +490,14 @@ def run_sweep(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     if op == "fractional_shift":
         _check_keys(axes, {"omega0", "n"}, "axes")
         columns = ["omega0", "n", "delta"]
-        # The axis defaults to the system's omega0 and is parsed like a given one.
-        omegas = np.asarray(_param({"omega0": [system.get("omega0", 1e6)], **axes},
-                                   "omega0", _floats))
+        # The axis defaults to the system's trap and is parsed like a given one.
+        natural = str(system.get("unit_system")).lower() == model.UNIT_NATURAL
+        omega0 = system.get("omega0", 1e6)
+        if "omega0" not in axes and "omega0" not in system and ("k" in system or natural):
+            model.build_system(system)  # refuses an M0, hbar or k that is not > 0
+            M0 = float(system.get("M0", 1.0))
+            omega0 = math.sqrt(float(system.get("k", M0 * float(system.get("hbar", 1.0)))) / M0)
+        omegas = np.asarray(_param({"omega0": [omega0], **axes}, "omega0", _floats))
         n_values = _param(axes, "n", _floats, [0.0])
         _, tables = _shift_tables(system, 1, omegas, n_values)
         # Rows run omega0-major: every n for the first omega0, then the next.

@@ -1,7 +1,6 @@
 """Clock observables: transition energy gaps, fractional frequency shifts
 over trap-frequency grids (shift_table), the gravitational lower bound with
-its optimal trap frequency, thermal-state shifts, and the joint
-internal/center-of-mass thermal state.
+its optimal trap frequency, and thermal-state shifts.
 
 Angular frequencies are in rad/s throughout; "omega0 ~ 1 MHz" means
 1e6 rad/s (the 2*pi convention changes nothing at the order-of-magnitude
@@ -10,13 +9,12 @@ level the reference values are quoted at).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import constants, fock, model, states
-from .errors import GravityNotSupported, NonPositiveMass, ZeroGravity
+from . import constants, model
+from .errors import NonPositiveMass, ZeroGravity
 
 
 @dataclass(frozen=True)
@@ -129,73 +127,3 @@ def thermal_shift(params: model.SystemParams, T: float, i: int = 1) -> ShiftRepo
         raise ValueError(f"temperature must be > 0, got {T}")
     n_mean = constants.K_B * T / (params.hbar * params.omega0)
     return energy_gap(params, i, n_mean)
-
-
-@dataclass(frozen=True)
-class JointThermalState:
-    """Gibbs state of internal level + CM mode at temperature T (g = 0).
-
-    populations[k] is the internal-level weight; cm_blocks[k] is the CM
-    density matrix of the level-k conditional state, expressed in the
-    ground-mode Fock basis (a squeezed thermal state for k > 0).
-    """
-
-    temperature: float
-    populations: np.ndarray
-    cm_blocks: list
-
-    def cm_reduced(self) -> np.ndarray:
-        """CM state after tracing out the internal level."""
-        out = np.zeros(self.cm_blocks[0].shape, dtype=complex)
-        for p, block in zip(self.populations, self.cm_blocks):
-            out += p * block
-        return out
-
-
-def level_populations(params: model.SystemParams, T: float) -> np.ndarray:
-    """Internal-level weights p_k = e^{-beta(E_k + hbar omega_k/2)} /
-    (1 - e^{-beta hbar omega_k}) / Z."""
-    beta = 1.0 / (constants.K_B * T)
-    weights = []
-    for k in range(params.n_levels):
-        frame = model.derive_mode_frame(params, k)
-        # Exponents are shifted by the level-0 zero point so SI rest-energy
-        # scales never enter: only gaps matter for the ratio.
-        gap = model.offset_gap(params, k, 0) + 0.5 * params.hbar * (
-            params.omega0 * frame.omega_shift_i
-        )
-        weights.append(
-            math.exp(-beta * gap) / (1.0 - math.exp(-beta * params.hbar * frame.omega_i))
-        )
-    weights = np.asarray(weights)
-    return weights / weights.sum()
-
-
-def thermal_state(params: model.SystemParams, T: float, dim: int) -> JointThermalState:
-    """Joint internal/CM Gibbs state at temperature T, g = 0 only.
-
-    Each CM block is exp(-beta hbar omega_k n_k)-thermal in the level-k
-    mode; expressed in the ground-mode basis it becomes a squeezed thermal
-    state, built here as V_k diag(p) V_k^T from the real eigenbasis V_k of
-    the truncated n_k (equal to S(r_k)^dag rho_th S(r_k), as n_k = S^dag n S).
-    p is states.thermal_populations. Its tail beyond dim, and for k >= 1 the
-    block's trace beyond fock.interior(dim), must pass states.TAIL_BOUND.
-    """
-    if params.g != 0.0:
-        raise GravityNotSupported("thermal_state requires g = 0")
-    if T <= 0:
-        raise ValueError(f"temperature must be > 0, got {T}")
-    beta = 1.0 / (constants.K_B * T)
-    pops = level_populations(params, T)
-    blocks, m = [], fock.interior(dim)
-    for k in range(params.n_levels):
-        frame = model.derive_mode_frame(params, k)
-        probs = states.thermal_populations(
-            dim, math.exp(-beta * params.hbar * frame.omega_i)
-        )
-        V = fock.spectrum(frame, 0.0, dim).V
-        blocks.append((V * probs) @ V.T)
-        if k:
-            states.check_tail(f"level-{k} block weight", f"Fock n >= {m}", dim,
-                              float(np.trace(blocks[-1][m:, m:])))
-    return JointThermalState(temperature=float(T), populations=pops, cm_blocks=blocks)

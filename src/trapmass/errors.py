@@ -73,10 +73,6 @@ class DegenerateLevels(TrapMassError):
     pass
 
 
-class GravityNotSupported(TrapMassError):
-    pass
-
-
 class InvalidDistribution(TrapMassError):
     pass
 
@@ -85,7 +81,3 @@ class InvalidDistribution(TrapMassError):
 
 class RegimeWarning(UserWarning):
     """Inputs are outside the small-parameter regime a formula assumes."""
-
-
-class WeakFieldWarning(UserWarning):
-    """gh/c^2 is large enough that first-order redshift formulas degrade."""

@@ -11,7 +11,6 @@ alpha_gi; those derived quantities live in ModeFrame.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from . import constants
@@ -21,7 +20,6 @@ from .errors import (
     MissingField,
     NonMonotoneLevels,
     NonPositiveMass,
-    WeakFieldWarning,
 )
 
 UNIT_SI = "si"
@@ -234,13 +232,3 @@ def displacement_lowest_order(params: SystemParams, i: int) -> float:
     delta_M = params.levels[i] / params.c**2
     return params.g * delta_M / math.sqrt(2.0 * params.hbar * params.M0 * params.omega0**3)
 
-
-def redshifted_stiffness(params: SystemParams, h: float) -> tuple[float, float]:
-    """Stiffness and frequency ratios between locally identical traps at
-    heights differing by h: (1 + 2gh/c^2, 1 + gh/c^2) to first order."""
-    eps = params.g * h / params.c**2
-    if abs(eps) > 1e-3:
-        warnings.warn(
-            f"gh/c^2 = {eps:.3e} outside the weak-field regime", WeakFieldWarning
-        )
-    return 1.0 + 2.0 * eps, 1.0 + eps

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import analytic, drive, fock, model, ramsey, states
+from . import analytic, clock, drive, fock, model, ramsey, states
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,6 @@ def oracle_minshift(
     frequency vs the closed-form optimum: the argmin of a 4097-point grid of
     log omega over [0, log 1e9], refined by two parabolic vertex fits (steps
     of the grid spacing, then 1e-5), each kept inside the grid."""
-    from . import clock
-
     if params is None:
         params = model.build_system(
             {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "levels": [0.0, 1e-19]}
@@ -217,24 +215,18 @@ def oracle_cycle_identity(
 ) -> OracleReport:
     """The per-cycle product must deviate from -i P S(2r) D(beta) at second
     order in Delta_M/M_0: the fitted log-log slope of the deviation versus
-    Delta_M/M_0 must be 2.0 +/- 0.2."""
-    devs, _ = _cycle_deviations(u_values, g, dim)
+    Delta_M/M_0 must be 2.0 +/- 0.2. details["ablation_exponent"] is the
+    slope against the bare -i P S(2r), which drops the displacement factor;
+    it degrades to about 1, which shows that the factor is needed."""
+    devs, bare = _cycle_deviations(u_values, g, dim)
     exponent = _fit_exponent(u_values, devs)
     return _report(
         "cycle_identity",
         {"u_values": u_values, "g": g, "dim": dim},
         {"exponent": abs(exponent - 2.0) / exponent_tol},
-        {"exponent": exponent, "deviations": devs},
+        {"exponent": exponent, "ablation_exponent": _fit_exponent(u_values, bare),
+         "deviations": devs},
     )
-
-
-def ablation_cycle_identity(
-    u_values=(1e-2, 5e-3, 2.5e-3), g: float = 0.3, dim: int = 128
-) -> float:
-    """Exponent of the deviation when the displacement factor is dropped
-    from the comparator: degrades to ~1, demonstrating its necessity."""
-    _, devs = _cycle_deviations(u_values, g, dim)
-    return _fit_exponent(u_values, devs)
 
 
 ORACLES = {

@@ -96,6 +96,8 @@ _SI_SYSTEM = {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "levels": [0.0, 1
     ({"state": {"type": "thermal", "nbar": 0.5, "dim": 64}, "dim": 64}, "eigh"),
     ({"state": {"type": "fock", "n": 2}}, "generating_function"),
     ({"state": {"type": "thermal", "nbar": 0.5, "dim": 64}}, "gaussian_kernel"),
+    ({"state": {"type": "fock", "n": 1}}, "generating_function"),
+    ({"state": {"type": "thermal", "nbar": 1.5}}, "gaussian_kernel"),
 ])
 def test_ramsey_route_contract(tmp_path, system, params, route):
     # Runs with dim omitted write dim null and an exact route: the Gaussian
@@ -173,17 +175,18 @@ _HEAVY_STATES = [({"type": "thermal", "nbar": 200.0}, "gaussian_kernel"),
 @pytest.mark.parametrize("state, route", _HEAVY_STATES)
 def test_exact_routes_take_states_past_the_default_dim(tmp_path, state, route):
     # No truncated state is built with dim omitted, so states that dim 128
-    # cannot hold run on their exact route; at params.dim 128 they fail the
-    # truncation rule as before.
-    cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
-           "output": {"path": "heavy"}, "params": {"state": state, "points": 200}}
-    assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
-    summary = json.loads((tmp_path / "heavy_summary.json").read_text())
-    assert summary["dim"] is None and summary["route"] == route
-    _, columns, rows = cli.read_csv(str(tmp_path / "heavy.csv"))
-    assert np.isfinite(rows[:, columns.index("V")]).all()
-    cfg["params"]["dim"] = 128
-    assert run(tmp_path, cfg, "ramsey") == cli.EXIT_NUMERIC
+    # cannot hold run on their exact route, in natural units and in SI; at
+    # params.dim 128 they fail the truncation rule as before.
+    for system in (NATURAL_SYSTEM, _SI_SYSTEM):
+        cfg = {"experiment": "ramsey", "system": dict(system),
+               "output": {"path": "heavy"}, "params": {"state": state, "points": 200}}
+        assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+        summary = json.loads((tmp_path / "heavy_summary.json").read_text())
+        assert summary["dim"] is None and summary["route"] == route
+        _, columns, rows = cli.read_csv(str(tmp_path / "heavy.csv"))
+        assert np.isfinite(rows[:, columns.index("V")]).all()
+        cfg["params"]["dim"] = 128
+        assert run(tmp_path, cfg, "ramsey") == cli.EXIT_NUMERIC
 
 
 def _spy_on_state_constructors(monkeypatch) -> list[str]:
@@ -456,32 +459,35 @@ def test_default_drive_is_exact_at_every_cycle(tmp_path, system, N):
 
 @pytest.mark.parametrize("state", [{"type": "fock", "n": 300},
                                    {"type": "coherent", "alpha": 12.0},
-                                   {"type": "coherent", "alpha": "1.2-0.7j"}])
+                                   {"type": "coherent", "alpha": "1.2-0.7j"},
+                                   {"type": "fock", "n": 3}])
 def test_drive_takes_states_past_the_default_dim(tmp_path, state):
-    # The Gaussian route builds no truncated state; at params.dim 128 these
-    # heavy states fail the truncation rule.
-    cfg = {"experiment": "drive", "system": dict(NATURAL_SYSTEM),
-           "output": {"path": "drive_heavy"}, "params": {"state": state}}
-    assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
-    _, _, rows = cli.read_csv(str(tmp_path / "drive_heavy.csv"))
-    assert np.isfinite(rows).all()
-    if state.get("n") == 300 or state.get("alpha") == 12.0:
-        cfg["params"]["dim"] = 128
-        assert run(tmp_path, cfg, "drive") == cli.EXIT_NUMERIC
+    # The Gaussian route builds no truncated state, in natural units and in
+    # SI; at params.dim 128 the heavy states fail the truncation rule.
+    for system in (NATURAL_SYSTEM, _SI_SYSTEM):
+        cfg = {"experiment": "drive", "system": dict(system),
+               "output": {"path": "drive_heavy"}, "params": {"state": state}}
+        assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
+        _, _, rows = cli.read_csv(str(tmp_path / "drive_heavy.csv"))
+        assert np.isfinite(rows).all()
+        if state.get("n") == 300 or state.get("alpha") == 12.0:
+            cfg["params"]["dim"] = 128
+            assert run(tmp_path, cfg, "drive") == cli.EXIT_NUMERIC
 
 
 def test_gaussian_drive_with_gravity_is_finite_and_passes_verify(tmp_path):
-    # A Fock n > 0 drive with gravity: its k-fold displacement grows with the
-    # squeeze, but P_exact is finite at every cycle, so the summary names no
-    # first_nan_k.
+    # A Fock n > 0 and a coherent drive with gravity: the k-fold displacement
+    # grows with the squeeze, but P_exact is finite at every one of 400
+    # cycles, so the summary names no first_nan_k.
     system = {"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 0.5}
-    cfg = {"experiment": "drive", "system": system, "output": {"path": "drive_floor"},
-           "params": {"N": 200, "state": {"type": "fock", "n": 3}}}
-    assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
-    _, _, rows = cli.read_csv(str(tmp_path / "drive_floor.csv"))
-    summary = json.loads((tmp_path / "drive_floor_summary.json").read_text())
-    assert summary["route"] == "generating_function" and "first_nan_k" not in summary
-    assert rows.shape == (200, 3) and np.isfinite(rows).all()
+    for state in ({"type": "fock", "n": 3}, {"type": "coherent", "alpha": "1.2-0.7j"}):
+        cfg = {"experiment": "drive", "system": system, "output": {"path": "drive_floor"},
+               "params": {"N": 400, "state": state}}
+        assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
+        _, _, rows = cli.read_csv(str(tmp_path / "drive_floor.csv"))
+        summary = json.loads((tmp_path / "drive_floor_summary.json").read_text())
+        assert summary["route"] == "generating_function" and "first_nan_k" not in summary
+        assert rows.shape == (400, 3) and np.isfinite(rows).all()
 
 
 @pytest.mark.parametrize("state", [
@@ -505,6 +511,27 @@ def test_eigh_drive_reports_its_gap_to_the_gaussian_core(tmp_path, state):
     _, _, exact = cli.read_csv(str(tmp_path / "drive_None.csv"))
     assert np.isfinite(eigh[:, 1]).sum() >= 4
     assert summaries[96]["exact_max_deviation"] == np.nanmax(np.abs(eigh[:, 1] - exact[:, 1]))
+
+
+def test_eigh_drive_matches_the_gaussian_core_over_1000_cycles(tmp_path):
+    # The truncated cycle loop at dim 384 multiplies only the block of the
+    # product that can change a double: all 1000 P_exact values are finite
+    # and within 1e-11 of the Gaussian core (dim omitted), and the eigh run
+    # reports that distance itself.
+    system = {"unit_system": "natural", "c": 35.0, "levels": [0.0, 1.5], "g": 0.3}
+    p_exact, summaries = {}, {}
+    for name, dim in (("eigh", {"dim": 384}), ("exact", {})):
+        cfg = {"experiment": "drive", "system": system, "output": {"path": f"dcross_{name}"},
+               "params": {"state": {"type": "coherent", "alpha": 1.2}, "N": 1000, **dim}}
+        assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
+        _, columns, rows = cli.read_csv(str(tmp_path / f"dcross_{name}.csv"))
+        p_exact[name] = rows[:, columns.index("P_exact")]
+        summaries[name] = json.loads((tmp_path / f"dcross_{name}_summary.json").read_text())
+    assert p_exact["eigh"].shape == p_exact["exact"].shape == (1000,)
+    assert np.isfinite(p_exact["eigh"]).all() and np.isfinite(p_exact["exact"]).all()
+    dev = np.max(np.abs(p_exact["eigh"] - p_exact["exact"]))
+    assert dev < 1e-11 and summaries["eigh"]["exact_max_deviation"] == dev
+    assert "exact_max_deviation" not in summaries["exact"]
 
 
 @pytest.mark.parametrize("dim", [None, 64])
@@ -581,6 +608,48 @@ def test_evolved_qfunc_is_checked_on_the_state_not_the_grid(tmp_path):
     cfg = {"experiment": "qfunc", "system": system, "output": {"path": "c1"},
            "params": {"distribution": [0.5, 0.5], "t": t, "dim": 128}}
     assert run(tmp_path, cfg, "qfunc") == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("evolve", [{}, {"distribution": [0.5, 0.5], "t": 1.0}],
+                         ids=["unevolved", "evolved"])
+def test_coherent_qfunc_grid_does_not_depend_on_dim(tmp_path, evolve):
+    # A coherent state at the default dim 128 and at dim 512: Q contracts
+    # only the Fock support of rho that can change a double, so both dims
+    # give the same grid, and Q and the normalization agree within 1e-13.
+    grids, norms = [], []
+    for dim in ({}, {"dim": 512}):
+        cfg = qfunc_cfg(state={"type": "coherent", "alpha": 1.2}, **evolve, **dim)
+        assert run(tmp_path, cfg, "qfunc", extra=["--verify"]) == cli.EXIT_OK
+        grids.append(cli.read_csv(str(tmp_path / "qfunc_run.csv"))[2])
+        norms.append(json.loads((tmp_path / "qfunc_run_summary.json").read_text())[
+            "normalization"])
+    assert grids[0].shape == grids[1].shape
+    assert np.array_equal(grids[0][:, :2], grids[1][:, :2])
+    assert np.max(np.abs(grids[0][:, 2] - grids[1][:, 2])) < 1e-13
+    assert abs(norms[0] - norms[1]) < 1e-13
+
+
+@pytest.mark.parametrize("params", [
+    {"state": {"type": "thermal", "nbar": 1.5, "dim": 128}, "dim": 128},
+    {"state": {"type": "thermal", "nbar": 1.5}, "x0": 1.0, "points": 2000, "dim": 512},
+], ids=["dim128", "dim512"])
+def test_eigh_thermal_ramsey_matches_the_gaussian_kernel(tmp_path, params):
+    # The eigh route's contraction keeps only the part of C that can change
+    # a double: its P and V, and the distance it reports, are within 1e-12
+    # of the Gaussian kernel that the same params take with dim omitted.
+    rows, summaries = {}, {}
+    for name in ("eigh", "exact"):
+        p = params if name == "eigh" else {k: v for k, v in params.items() if k != "dim"}
+        cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
+               "output": {"path": f"cross_{name}"}, "params": p}
+        assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+        _, columns, rows[name] = cli.read_csv(str(tmp_path / f"cross_{name}.csv"))
+        summaries[name] = json.loads((tmp_path / f"cross_{name}_summary.json").read_text())
+    for name in ("P", "V"):
+        i = columns.index(name)
+        assert np.max(np.abs(rows["eigh"][:, i] - rows["exact"][:, i])) < 1e-12, name
+    assert summaries["exact"]["route"] == "gaussian_kernel"
+    assert summaries["eigh"]["exact_max_deviation"] < 1e-12
 
 
 def test_eigh_ramsey_refuses_a_dim_its_evolved_state_outgrows(tmp_path, capsys):
@@ -717,6 +786,47 @@ def test_bad_omega0_grid_values_are_numeric_failures(tmp_path, bad):
     assert run(tmp_path, fshift_cfg(omega0=[1e3, bad]), "sweep") == cli.EXIT_NUMERIC
 
 
+@pytest.mark.parametrize("system, omega0, delta", [
+    ({"unit_system": "si", "k": 4e-16, "M0": 1e-26, "levels": [0.0, 1e-19]},
+     2e5, -5.866873725274017e-21),
+    ({"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 0.5},
+     1.0, -0.12400085476806849),
+], ids=["si-k", "natural"])
+def test_fractional_shift_sweep_defaults_to_the_system_trap(tmp_path, system, omega0, delta):
+    # With axes.omega0 omitted the axis once read the section's "omega0" or
+    # else 1e6, whatever the units: these two wrote omega0 1e6 and delta
+    # -2.93e-20 and -45875.9.
+    cfg = {**fshift_cfg(), "system": system}
+    assert run(tmp_path, cfg, "sweep", extra=["--verify"]) == cli.EXIT_OK
+    _, _, rows = cli.read_csv(str(tmp_path / "fshift_run.csv"))
+    assert rows.tolist() == [[pytest.approx(omega0, rel=1e-15), 0.0,
+                              pytest.approx(delta, rel=1e-12)]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    M0=st.floats(1e-26, 3e-25), log_omega0=st.floats(5.0, 6.5),
+    E1=st.floats(1e-19, 5e-19), c=st.floats(1.0, 50.0), e1=st.floats(0.01, 100.0),
+    g=st.floats(0.0, 5.0), hbar=st.sampled_from([None, 0.5, 3.0]), si=st.booleans(),
+)
+def test_fractional_shift_sweep_default_row_is_the_system_energy_gap(
+        M0, log_omega0, E1, c, e1, g, hbar, si):
+    # SI systems over the benchmark's ranges with the trap given as k, and
+    # natural systems with no trap (k = M0 hbar): the default row is the
+    # system's own gap.
+    if si:
+        system = {"unit_system": "si", "M0": M0, "k": M0 * (10.0 ** log_omega0) ** 2,
+                  "levels": [0.0, E1], "g": 9.81}
+    else:
+        system = {"unit_system": "natural", "c": c, "levels": [0.0, e1], "g": g}
+        if hbar is not None:
+            system["hbar"] = hbar
+    _, data, _ = cli.run_sweep(system, {"op": "fractional_shift"})
+    gap = clock.energy_gap(model.build_system(system), 1, 0.0).fractional_shift
+    assert data.shape == (1, 3)
+    assert data[0, 2] == pytest.approx(gap, rel=1e-12, abs=0.0)
+
+
 def test_verify_accepts_zero_row_csv(tmp_path):
     # No experiment writes an empty table (an empty sweep axis is a config
     # error), so the outputs are written directly and checked as --verify does.
@@ -812,6 +922,19 @@ def test_csv_text_on_bit_patterns_and_powers_of_ten(tmp_path):
     data = np.concatenate([values, -values]).reshape(-1, 3)
     cli._write_csv(str(tmp_path / "t.csv"), {}, ["a", "b", "c"], data)
     assert _written_body(tmp_path / "t.csv") == _percent_body(data)
+
+
+def test_large_shift_csv_body_is_python_percent_17g(tmp_path):
+    # 108 000 cells through the CLI: the CSV body is Python's own "%.17g" of
+    # every value read back, byte for byte, as the numpy writer promises.
+    cfg = {**shift_cfg(omega0_grid={"min": 1e2, "max": 1e7, "points": 6000, "log": True},
+                       n_values=[0, 3, 40], temperature=1e-4), "system": dict(_SI_SYSTEM)}
+    assert run(tmp_path, cfg, "shift", extra=["--verify"]) == cli.EXIT_OK
+    _, _, rows = cli.read_csv(str(tmp_path / "shift_run.csv"))
+    body = (tmp_path / "shift_run.csv").read_bytes().split(b"\r\n", 1)[1]
+    assert rows.size == 108000
+    assert body == b"".join(b",".join(b"%.17g" % v for v in row) + b"\r\n"
+                            for row in rows.tolist())
 
 
 def test_csv_and_summary_share_one_provenance(tmp_path, monkeypatch):
@@ -955,10 +1078,11 @@ def test_conflicting_state_and_params_dim_is_config_error(tmp_path):
 def test_level_zero_is_a_numeric_failure(tmp_path, capsys, experiment, params):
     # ramsey and drive exited 0 with V and P identically 1, and a t_min at
     # the bracket edge.
-    cfg = {"experiment": experiment, "system": dict(NATURAL_SYSTEM),
-           "output": {"path": "level0"}, "params": params}
-    assert run(tmp_path, cfg, experiment) == cli.EXIT_NUMERIC
-    assert "degenerate" in capsys.readouterr().err
+    for system in (NATURAL_SYSTEM, _SI_SYSTEM):
+        cfg = {"experiment": experiment, "system": dict(system),
+               "output": {"path": "level0"}, "params": params}
+        assert run(tmp_path, cfg, experiment) == cli.EXIT_NUMERIC
+        assert "degenerate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment", ["ramsey", "drive", "qfunc"])
@@ -990,10 +1114,11 @@ def test_non_positive_dims_are_config_errors(tmp_path, capsys, experiment, param
 def test_non_finite_trap_separation_is_a_numeric_failure(tmp_path, capsys, experiment, params):
     # x0 = 1e200 escaped main as an OverflowError traceback (exit 1) from a
     # float's x0**2; inf and NaN exited 0 with NaN columns.
-    cfg = {"experiment": experiment, "system": dict(NATURAL_SYSTEM),
-           "output": {"path": "far"}, "params": params}
-    assert run(tmp_path, cfg, experiment) == cli.EXIT_NUMERIC
-    assert "a0 x0^2 must be finite" in capsys.readouterr().err
+    for system in (NATURAL_SYSTEM, _SI_SYSTEM):
+        cfg = {"experiment": experiment, "system": dict(system),
+               "output": {"path": "far"}, "params": params}
+        assert run(tmp_path, cfg, experiment) == cli.EXIT_NUMERIC
+        assert "a0 x0^2 must be finite" in capsys.readouterr().err
 
 
 

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapmass import clock, constants, fock, model, states
-from trapmass.errors import (
-    DegenerateLevels,
-    GravityNotSupported,
-    TruncationInsufficient,
-    ZeroGravity,
-)
+from trapmass import clock, constants, model
+from trapmass.errors import DegenerateLevels, ZeroGravity
 
 
 def si_params(**over):
@@ -172,87 +166,3 @@ def test_exact_minus_lowest_order_is_quadratic():
         return rep.exact_gap - rep.lowest_order_gap
 
     assert residual(2.0) / residual(1.0) == pytest.approx(4.0, rel=2e-2)
-
-
-def natural_g0(E1=2.0, c=2.0):
-    return model.build_system(
-        {"unit_system": "natural", "c": c, "levels": [0.0, E1], "g": 0.0}
-    )
-
-
-def test_level_populations_gibbs_ratio():
-    p = natural_g0()
-    T = 1.5 / constants.K_B  # beta = 1/1.5 natural energy units
-    pops = clock.level_populations(p, T)
-    beta = 1.0 / 1.5
-    w1 = model.derive_mode_frame(p, 1).omega_i
-    w0 = p.omega0
-    ratio = (
-        math.exp(-beta * (2.0 + 0.5 * p.hbar * (w1 - w0)))
-        * (1.0 - math.exp(-beta * p.hbar * w0))
-        / (1.0 - math.exp(-beta * p.hbar * w1))
-    )
-    assert pops[1] / pops[0] == pytest.approx(ratio, rel=1e-12)
-    assert pops.sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_thermal_state_blocks():
-    p = natural_g0()
-    T = 1.0 / constants.K_B
-    joint = clock.thermal_state(p, T, dim=128)
-    # Each block is a unit-trace density matrix; block 0 is diagonal
-    # geometric, block 1 carries squeezing correlations <a^2> != 0.
-    for block in joint.cm_blocks:
-        assert np.trace(block).real == pytest.approx(1.0, abs=1e-9)
-        evals = np.linalg.eigvalsh(block)
-        assert evals.min() > -1e-12
-    assert np.max(np.abs(joint.cm_blocks[0] - np.diag(np.diag(joint.cm_blocks[0])))) < 1e-14
-    a = fock.annihilation(128)
-    a2 = complex(np.trace(joint.cm_blocks[1] @ (a @ a)))
-    assert abs(a2) > 1e-4
-    # Reduced CM state is a valid mixture.
-    rho = joint.cm_reduced()
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
-    st = states.mixed_state(rho)
-    assert st.dim == 128
-
-
-def test_thermal_state_low_temperature_is_pure_vacuum():
-    p = natural_g0()
-    T = 0.02 / constants.K_B
-    joint = clock.thermal_state(p, T, dim=64)
-    assert joint.populations[0] == pytest.approx(1.0, abs=1e-12)
-    assert joint.cm_blocks[0][0, 0].real == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("dim, weight", [(128, "8.775e-03"), (640, "1.866e-06")])
-def test_thermal_state_applies_the_truncation_rule_to_each_block(dim, weight):
-    # c = 1, levels [0, 100], k_B T = 0.5: every level passes its q^dim
-    # check, but the squeezed level-1 block puts 8.8e-3 of its trace beyond
-    # the interior of dim 128 (1.0e-3 off the dim-1024 block there), and
-    # still 1.9e-6 at dim 640. Dim 768 is the first that holds it.
-    p = natural_g0(E1=100.0, c=1.0)
-    T = 0.5 / constants.K_B
-    with pytest.raises(TruncationInsufficient) as err:
-        clock.thermal_state(p, T, dim)
-    assert str(err.value) == (
-        f"level-1 block weight {weight} at Fock n >= {fock.interior(dim)} for dim {dim}"
-    )
-    block = clock.thermal_state(p, T, 768).cm_blocks[1]
-    assert 0.0 < np.trace(block[672:, 672:]).real <= states.TAIL_BOUND
-
-
-def test_thermal_state_guards():
-    with pytest.raises(GravityNotSupported):
-        clock.thermal_state(
-            model.build_system(
-                {"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0], "g": 0.5}
-            ),
-            1.0 / constants.K_B,
-            64,
-        )
-    p = natural_g0()
-    with pytest.raises(ValueError):
-        clock.thermal_state(p, -1.0, 64)
-    with pytest.raises(TruncationInsufficient):
-        clock.thermal_state(p, 50.0 / constants.K_B, 8)

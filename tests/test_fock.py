@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from test_ramsey import _count_solves
 
-from trapmass import clock, constants, drive, fock, model, phasespace, states
+from trapmass import drive, fock, model, phasespace, states
 from trapmass.errors import ConvergenceFailure, DimensionTooSmall
 
 
@@ -88,17 +88,13 @@ def test_spectrum_propagator_unitary():
 
 
 def test_solver_paths_make_no_dense_complex_solve(monkeypatch):
-    # Every unitary comes from a real eigh: level propagators, thermal
-    # blocks, and the comparator's squeeze and displacement.
+    # Every unitary comes from a real eigh: level propagators and the
+    # comparator's squeeze and displacement.
     solves = _count_solves(monkeypatch)
     dim = 48
     p = natural_params(g=0.0)
     dist = phasespace.InternalDistribution((0.5, 0.5))
     phasespace.evolve_mixed_cm(p, states.fock_state(dim, 0), dist, 0.4)
-    assert solves == [(dim, False)]
-
-    solves.clear()
-    clock.thermal_state(p, 1.0 / constants.K_B, dim)
     assert solves == [(dim, False)]
 
     solves.clear()

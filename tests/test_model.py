@@ -12,7 +12,6 @@ from trapmass.errors import (
     MissingField,
     NonMonotoneLevels,
     NonPositiveMass,
-    WeakFieldWarning,
 )
 
 
@@ -210,16 +209,6 @@ def test_x_shift_is_relative_sag():
         p.g / f1.omega_i**2 - p.g / p.omega0**2, rel=1e-9
     )
     assert model.derive_mode_frame(p, 0).x_shift_i == 0.0
-
-
-def test_redshifted_stiffness():
-    p = si_params()
-    k_ratio, w_ratio = model.redshifted_stiffness(p, 1.0)
-    eps = p.g * 1.0 / p.c**2
-    assert k_ratio == pytest.approx(1.0 + 2.0 * eps, rel=1e-14)
-    assert w_ratio == pytest.approx(1.0 + eps, rel=1e-14)
-    with pytest.warns(WeakFieldWarning):
-        model.redshifted_stiffness(natural_params(c=2.0), 100.0)
 
 
 def test_omega_c():
