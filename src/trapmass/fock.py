@@ -8,10 +8,10 @@ and every truncated solver path builds its number operator a_i^T a_i with
 `mode_number`, a real pentadiagonal matrix written from its five bands.
 `spectrum` diagonalizes hbar omega_i (n_i + 1/2) with one real eigh (the
 ground mode is already diagonal and needs none) and `Spectrum.propagator`
-turns it into exp(-i H_b t / hbar). For a real eigenbasis V that is one
-`real_matmul`, V times the complex diag(e^{-iwt}) V^T as two real products,
-with no complex upcast of V. Every ladder matrix and moment takes its
-bands from `ladder_band`; `ladder_moment` reads <a^k> of a state from
+turns it into exp(-i H_b t / hbar). Every eigenbasis V is real, so that is
+one `real_matmul`, V times the complex diag(e^{-iwt}) V^T as two real
+products, with no complex upcast of V. Every ladder matrix and moment takes
+its bands from `ladder_band`; `ladder_moment` reads <a^k> of a state from
 one band, with no ladder product. `mode_matrix_direct` rebuilds a_i from
 x and p and is kept only as an oracle for `mode_number`.
 
@@ -23,7 +23,7 @@ truncated space:
     D(alpha) = Phi exp(i |alpha| (a + adag)) Phi^dag,  Phi = diag(e^{i n (arg alpha - pi/2)}).
 
 Both generators are real and banded, so each takes one real eigh, and the
-phase rides on the eigenvectors.
+phase scales the rows and columns of the real propagator.
 
 All matrices are dense numpy arrays of size dim x dim. Hard truncation
 necessarily violates operator identities in the last rows/columns, so
@@ -67,13 +67,22 @@ def support(A: np.ndarray) -> int:
     return max(cols.size - int(tail.searchsorted(0.5 * tau, side="right")), 1)
 
 
+def block(data: np.ndarray) -> np.ndarray:
+    """The Fock block of a state that can change a double: rho[:s, :s] of a
+    density, or psi[:s] psi[:s]^dag of a state vector, s = support(data).
+    The one place a state is cut."""
+    s = support(data)
+    if data.ndim == 1:
+        return np.outer(data[:s], data[:s].conj())
+    return data[:s, :s]
+
+
 def tail_bound(V: np.ndarray, data: np.ndarray) -> float:
     """A bound, at every t, on the weight U = V diag(e^{-iwt}) V^T puts of a
     state beyond m = interior(dim): ||P_m U|j>|| <= T_j = sum_n |V[j, n]|
-    ||V[m:, n]||, so the weight is at most T^T |rho| T over support(data)."""
-    s = support(data)
-    T = np.abs(V[:s]) @ np.linalg.norm(V[interior(V.shape[0]):], axis=0)
-    rho = data[:s, :s] if data.ndim == 2 else np.outer(data[:s], data[:s].conj())
+    ||V[m:, n]||, so the weight is at most T^T |rho| T over block(data)."""
+    rho = block(data)
+    T = np.abs(V[: rho.shape[0]]) @ np.linalg.norm(V[interior(V.shape[0]):], axis=0)
     return float(T @ np.abs(rho) @ T)
 
 
@@ -121,23 +130,19 @@ def mode_number(r: float, alpha: float, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Spectrum of a Hermitian generator H = V diag(w) V^dag: eigenvalues w
-    and orthonormal eigenvector columns V. A level's mode spectrum has real
-    V and w in rad/s (H_b = hbar V diag(w) V^T); a squeeze or displacement
-    spectrum carries its diagonal phase on V."""
+    """Spectrum of a real symmetric generator H = V diag(w) V^T: eigenvalues
+    w and real orthonormal eigenvector columns V. A level's mode spectrum
+    has w in rad/s (H_b = hbar V diag(w) V^T)."""
 
     w: np.ndarray
     V: np.ndarray
 
     def propagator(self, t: float) -> np.ndarray:
-        """exp(-i H t) = V diag(exp(-i w t)) V^dag; for a real V, one
-        real_matmul of V by diag(exp(-i w t)) V^T."""
+        """exp(-i H t) = V diag(exp(-i w t)) V^T, one real_matmul of V by
+        diag(exp(-i w t)) V^T."""
         if not math.isfinite(t):
             raise ConvergenceFailure(f"non-finite time {t!r}")
-        phases = np.exp(-1j * self.w * t)
-        if np.isrealobj(self.V):
-            return real_matmul(self.V, phases[:, None] * self.V.T)
-        return (self.V * phases) @ self.V.conj().T
+        return real_matmul(self.V, np.exp(-1j * self.w * t)[:, None] * self.V.T)
 
 
 def real_matmul(R: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -184,23 +189,24 @@ def mode_matrix_direct(params: SystemParams, frame: ModeFrame, dim: int) -> np.n
     return scale * (x + frame.x_shift_i * np.eye(dim) + 1j * p / (Mi * wi))
 
 
-def _ladder_spectrum(dim: int, k: int, theta: float) -> Spectrum:
-    """Spectrum of Phi X_k Phi^dag, Phi = diag(e^{i n theta}): the real
+def _ladder_propagator(dim: int, k: int, theta: float, t: float) -> np.ndarray:
+    """Phi exp(-i X_k t) Phi^dag, Phi = diag(e^{i n theta}): the real
     X_k = (a^k + adag^k) / k has one band at offset k and takes one real
-    eigh, and Phi multiplies the rows of its eigenvectors."""
+    eigh; Phi scales the rows, and Phi^dag the columns, of its propagator."""
     n = np.arange(dim - k)
     X = np.zeros((dim, dim))
     X[n, n + k] = X[n + k, n] = ladder_band(dim, k) / k
     w, V = np.linalg.eigh(X)
-    return Spectrum(w=w, V=np.exp(1j * theta * np.arange(dim))[:, None] * V)
+    phi = np.exp(1j * theta * np.arange(dim))
+    return phi[:, None] * Spectrum(w=w, V=V).propagator(t) * phi.conj()
 
 
 def squeeze_matrix(dim: int, r: float) -> np.ndarray:
-    """S(r) = exp(r (a^2 - adag^2) / 2), the propagator at -r of the spectrum
-    of Q G Q^dag, G = (a^2 + adag^2) / 2, Q = diag(e^{i pi n / 4})."""
+    """S(r) = exp(r (a^2 - adag^2) / 2) = Q exp(i r G) Q^dag,
+    G = (a^2 + adag^2) / 2, Q = diag(e^{i pi n / 4})."""
     if r == 0.0:
         return np.eye(dim, dtype=complex)
-    return _ladder_spectrum(dim, 2, math.pi / 4).propagator(-r)
+    return _ladder_propagator(dim, 2, math.pi / 4, -r)
 
 
 def displace_matrix(dim: int, alpha: complex) -> np.ndarray:
@@ -209,4 +215,4 @@ def displace_matrix(dim: int, alpha: complex) -> np.ndarray:
     if alpha == 0:
         return np.eye(dim, dtype=complex)
     theta = cmath.phase(alpha) - math.pi / 2
-    return _ladder_spectrum(dim, 1, theta).propagator(-abs(alpha))
+    return _ladder_propagator(dim, 1, theta, -abs(alpha))

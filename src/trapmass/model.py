@@ -20,6 +20,7 @@ from .errors import (
     MissingField,
     NonMonotoneLevels,
     NonPositiveMass,
+    ParamMismatch,
 )
 
 UNIT_SI = "si"
@@ -104,7 +105,8 @@ def build_system(config: dict) -> SystemParams:
         raise MissingField("config")
     unit_system = str(config.get("unit_system", UNIT_SI)).lower()
     if unit_system not in (UNIT_SI, UNIT_NATURAL):
-        raise MissingField("unit_system")
+        raise ParamMismatch(f"unit_system must be {UNIT_SI!r} or {UNIT_NATURAL!r}, "
+                            f"got {config['unit_system']!r}")
 
     if "levels" not in config:
         raise MissingField("levels")

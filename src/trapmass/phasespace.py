@@ -4,13 +4,13 @@ Q-function diagnostics.
 Q convention: Q(beta) = <beta|rho|beta> with no 1/pi prefactor, so the
 normalization quadrature is sum(Q) * delta^2 / pi = 1.
 
-evolve_mixed_cm and qfunction contract only the block rho[:s, :s] of a
-density, s = fock.support(rho). The entries left out (n >= s or m >= s) sum
-to at most tau = (eps / 4) sum |rho| in modulus, as |rho| is symmetric and
-the columns past s hold at most tau / 2. Since |<n|beta>| <= 1 and
-|<beta|U D U^dag|beta>| <= ||D||_2 <= sum |D|, each cut moves a Q value by at
-most tau: 5.6e-17 for a thermal state, 8.2e-16 for a coherent state at
-|alpha| = 3.
+evolve_mixed_cm and qfunction contract only fock.block of a state:
+rho[:s, :s], or psi[:s] psi[:s]^dag for a vector, s = fock.support. The
+entries left out (n >= s or m >= s) sum to at most tau = (eps / 4) sum |rho|
+in modulus, as |rho| is symmetric and the columns past s hold at most
+tau / 2. Since |<n|beta>| <= 1 and |<beta|U D U^dag|beta>| <= ||D||_2 <=
+sum |D|, each cut moves a Q value by at most tau: 5.6e-17 for a thermal
+state, 8.2e-16 for a coherent state at |alpha| = 3.
 """
 
 from __future__ import annotations
@@ -86,14 +86,13 @@ def evolve_mixed_cm(
 ) -> CMState:
     """rho_cm(t) = sum_k p_k U_k rho0 U_k^dag at the dim of rho0; the scalar
     rest-energy phase of each U_k cancels against its conjugate, so only
-    bounded propagators appear. Each term is U_k[:, :s] rho0[:s, :s]
-    U_k[:, :s]^dag, s = fock.support(rho0) (see the module docstring). More
-    than TAIL_BOUND of its trace beyond fock.interior(dim) is refused."""
+    bounded propagators appear. Each term is U_k[:, :s] rho U_k[:, :s]^dag
+    over the s x s rho = fock.block(rho0.data) (see the module docstring).
+    More than TAIL_BOUND of its trace beyond fock.interior(dim) is refused."""
     frames = _weighted_frames(params, dist)
     dim = rho0.dim
-    rho = rho0.density()
-    s = fock.support(rho)
-    rho = rho[:s, :s]
+    rho = fock.block(rho0.data)
+    s = rho.shape[0]
     out = np.zeros((dim, dim), dtype=complex)
     for pk, frame in frames:
         U = fock.spectrum(frame, frame.alpha_gi, dim).propagator(t)[:, :s]
@@ -127,42 +126,29 @@ def qfunction(
 ) -> QGrid:
     """Husimi function on a square grid centered at the origin.
 
-    The grid half-width grows by 1.5x until Q at the boundary drops below
-    1e-8 (unless auto_expand=False). Every grid is the same delta-lattice,
-    so the previous grid is the centre block of the next one and only the
-    new annulus is evaluated. Only the block of fock.support is contracted,
-    with as many coherent columns (see the module docstring), so Q is exact
-    at every beta and no dim is read.
+    Unless auto_expand=False, the half-width grows by 1.5x until Q on the
+    edge ring of the grid drops below 1e-8; only the ring is evaluated for
+    each candidate, and the chosen grid is filled in one pass. Only
+    fock.block is contracted, with as many coherent columns (see the module
+    docstring), so Q is exact at every beta and no dim is read.
     """
-    density = rho.density()
-    s = fock.support(density)
-    density = density[:s, :s]
+    density = fock.block(rho.data)
     hw = float(half_width)
-    q_old = np.empty((0, 0))
-    while True:
+    while auto_expand:
         ax = _axis(hw, delta)
-        beta = ax[None, :] + 1j * ax[:, None]
-        n_old = q_old.shape[0]
-        o = (ax.size - n_old) // 2
-        centre = (slice(o, o + n_old),) * 2
-        fresh = np.ones(beta.shape, dtype=bool)
-        fresh[centre] = False
-        q = np.empty(beta.shape)
-        q[centre] = q_old
-        q[fresh] = _husimi(density, beta[fresh])
-        edge = max(
-            float(q[0, :].max()), float(q[-1, :].max()),
-            float(q[:, 0].max()), float(q[:, -1].max()),
-        )
-        if not auto_expand or edge < _EDGE_Q:
-            return QGrid(beta=beta, q=q, delta=float(delta))
-        q_old = q
+        edges = (ax + 1j * ax[0], ax + 1j * ax[-1], ax[0] + 1j * ax, ax[-1] + 1j * ax)
+        if _husimi(density, np.concatenate(edges)).max() < _EDGE_Q:
+            break
         hw *= _GRID_GROWTH
         if hw > _GRID_MAX_HALF_WIDTH:
             raise TruncationInsufficient(
                 f"grid half-width exceeded {_GRID_MAX_HALF_WIDTH} without "
                 f"meeting the edge criterion"
             )
+    ax = _axis(hw, delta)
+    beta = ax[None, :] + 1j * ax[:, None]
+    q = _husimi(density, beta.ravel()).reshape(beta.shape)
+    return QGrid(beta=beta, q=q, delta=float(delta))
 
 
 def qfunction_short_time(

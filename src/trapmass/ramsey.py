@@ -36,11 +36,11 @@ reads a CMState. a_1 is real, so H_1b is built from fock.mode_number, the
 real pentadiagonal number operator written from its bands in O(dim), and
 fock.spectrum solves it with one real eigh, giving a real eigenbasis V1;
 U_0b needs no solve. Only what can change a double is built and
-contracted: C[n, m] = V1[m, n] (V1^T rho)[n, m] is built from
-rho[:s, :s], s = fock.support(rho), in dim s^2 flops rather than dim^3,
-and of C the trailing Fock columns m holding at most tau_C / 2 of sum |C|
-and then the eigen-rows n holding at most tau_C / (2 dim) of it in the
-kept columns are left out, tau = (eps / 4) sum |.| of each. Each trace
+contracted: C[n, m] = V1[m, n] (V1^T rho)[n, m] is built from the s x s
+rho = fock.block of the state, s = fock.support, in dim s^2 flops rather
+than dim^3, and of C the trailing Fock columns m holding at most tau_C / 2
+of sum |C| and then the eigen-rows n holding at most tau_C / (2 dim) of it
+in the kept columns are left out, tau = (eps / 4) sum |.| of each. Each trace
 point moves by at most tau_rho + tau_C (1.1e-16 for a normalized thermal
 state, whose sum |rho| and sum |C| are 1). The time grid is contracted in
 fixed chunks of _TIME_CHUNK times, with real products where C is real. At
@@ -144,9 +144,9 @@ def _bounded_trace(
         C[n, m] = V1[m, n] (V1^T rho)[n, m].
 
     Only the Fock block that can change a double is built and contracted.
-    C is built from rho[:s, :s] (psi[:s] for a pure state, V1^T rho then
-    being (V1^T psi) psi^dag), s = fock.support of the state: the part left
-    out has trace norm at most tau_rho = (eps / 4) sum |rho| (sum |psi|).
+    C is built from rho = fock.block(state.data), rho[:s, :s] (psi[:s]
+    psi[:s]^dag for a pure state), s = fock.support of the state: the part
+    left out has trace norm at most tau_rho = (eps / 4) sum |rho| (sum |psi|).
     Of the (dim x s) C, _support keeps all but the trailing Fock columns
     holding at most tau_C / 2 of sum |C|, tau_C = (eps / 4) sum |C|, and the
     eigen-rows holding at most tau_C / (2 rows) of it in the kept columns.
@@ -156,14 +156,9 @@ def _bounded_trace(
     thermal density). The state may be smaller than the spectrum; the Fock
     levels it lacks are empty.
     """
-    s = fock.support(state.data)
-    V1 = spec.V[:s]
-    if state.is_pure:
-        psi = state.data[:s]
-        V1t_rho = np.outer(fock.real_matmul(V1.T, psi), psi.conj())
-    else:
-        V1t_rho = fock.real_matmul(V1.T, state.data[:s, :s])
-    C = V1.T * V1t_rho
+    rho = fock.block(state.data)
+    V1 = spec.V[: rho.shape[0]]
+    C = V1.T * fock.real_matmul(V1.T, rho)
     rows, k = _support(C)
     C, w1 = C[rows, :k], spec.w[rows]
     w0 = omega0 * (np.arange(k) + 0.5)

@@ -324,6 +324,8 @@ def test_approx_visibility_trivial_and_validation():
         analytic.approx_visibility(p, [0.5, 0.4], 0.1)
     with pytest.raises(NotNormalized):
         analytic.approx_visibility(p, [1.5, -0.5], 0.1)
+    with pytest.raises(NotNormalized, match="non-empty"):
+        analytic.approx_visibility(p, [], 0.1)
 
 
 def test_approx_visibility_quadratic_error_scaling():

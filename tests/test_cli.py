@@ -340,7 +340,7 @@ def test_ramsey_verify_flag(tmp_path):
     assert run(tmp_path, ramsey_cfg(), "ramsey", extra=["--verify"]) == cli.EXIT_OK
 
 
-def test_config_errors(tmp_path):
+def test_config_errors(tmp_path, capsys):
     # Unknown key.
     cfg = ramsey_cfg()
     cfg["params"]["bogus"] = 1
@@ -354,6 +354,11 @@ def test_config_errors(tmp_path):
     bad.write_text("{not json")
     assert cli.main(["ramsey", "--config", str(bad), "--out", str(tmp_path)]) \
         == cli.EXIT_CONFIG
+    # Unreadable config file.
+    absent = tmp_path / "absent.json"
+    assert cli.main(["ramsey", "--config", str(absent), "--out", str(tmp_path)]) \
+        == cli.EXIT_CONFIG
+    assert "cannot read config" in capsys.readouterr().err
     # Missing section.
     cfg = ramsey_cfg()
     del cfg["output"]
@@ -786,6 +791,24 @@ def test_bad_omega0_grid_values_are_numeric_failures(tmp_path, bad):
     assert run(tmp_path, fshift_cfg(omega0=[1e3, bad]), "sweep") == cli.EXIT_NUMERIC
 
 
+def test_linear_omega0_grid_is_evenly_spaced(tmp_path):
+    grid = {"min": 1e3, "max": 5e3, "points": 5}
+    assert run(tmp_path, shift_cfg(omega0_grid=grid, n_values=[0.0]), "shift") == cli.EXIT_OK
+    _, _, rows = cli.read_csv(str(tmp_path / "shift_run.csv"))
+    np.testing.assert_array_equal(rows[:, 0], [1e3, 2e3, 3e3, 4e3, 5e3])
+
+
+def test_shift_without_gravity_reports_each_minimum_as_an_error(tmp_path):
+    # With g = 0 the shift is monotone in omega0: the grid is still written,
+    # and each n's minimum is an error in the summary.
+    cfg = shift_cfg(omega0_grid=[1e3, 1e4], n_values=[0.0, 1.0])
+    cfg["system"]["g"] = 0.0
+    assert run(tmp_path, cfg, "shift", extra=["--verify"]) == cli.EXIT_OK
+    minima = json.loads((tmp_path / "shift_run_summary.json").read_text())["minima"]
+    assert sorted(minima) == ["n=0.0", "n=1.0"]
+    assert all("no minimum" in m["error"] for m in minima.values())
+
+
 @pytest.mark.parametrize("system, omega0, delta", [
     ({"unit_system": "si", "k": 4e-16, "M0": 1e-26, "levels": [0.0, 1e-19]},
      2e5, -5.866873725274017e-21),
@@ -1161,6 +1184,14 @@ def test_verify_flags_non_finite_values_outside_p_exact(tmp_path):
     ]:
         problems = cli.verify_outputs([_hand_csv(tmp_path / name, columns, rows)])
         assert any("non-finite" in p for p in problems), (name, problems)
+
+
+def test_verify_flags_negative_q(tmp_path):
+    columns = ["re_beta", "im_beta", "Q"]
+    ok = _hand_csv(tmp_path / "ok.csv", columns, [[0.0, 0.0, 0.5], [0.1, 0.0, -1e-12]])
+    assert cli.verify_outputs([ok]) == []
+    bad = _hand_csv(tmp_path / "bad.csv", columns, [[0.0, 0.0, 0.5], [0.1, 0.0, -1e-9]])
+    assert cli.verify_outputs([bad]) == [f"{bad}: negative Q values"]
 
 
 def test_verify_problem_exits_verify_fail(tmp_path, monkeypatch):

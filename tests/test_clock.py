@@ -141,6 +141,8 @@ def test_minimal_shift_scaling_with_n():
     assert o1.delta_min / o0.delta_min == pytest.approx(9.0 ** (2.0 / 3.0), rel=1e-9)
     with pytest.raises(ZeroGravity):
         clock.minimal_shift(si_params(g=0.0))
+    with pytest.raises(ValueError, match="occupation must be >= 0"):
+        clock.minimal_shift(p, n=-0.5)
 
 
 def test_thermal_shift_millikelvin():

@@ -195,3 +195,15 @@ def test_support_of_a_vector_is_that_of_its_one_row_matrix(dim, decay, zeros, se
     tau = 0.25 * np.finfo(float).eps * np.abs(vec).sum()
     assert np.abs(vec[k:]).sum() <= 0.5 * tau
     assert k == 1 or np.abs(vec[k - 1:]).sum() > 0.5 * tau
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5 - 0.5j, 2.0 - 1.5j])
+def test_block_of_a_vector_equals_that_of_its_density(alpha):
+    # fock.block cuts a state vector and its density to the same block,
+    # density()[:s, :s] with s = fock.support of the vector.
+    state = states.coherent_state(128, alpha)
+    s = fock.support(state.data)
+    want = state.density()[:s, :s]
+    assert s < 128
+    assert np.array_equal(fock.block(state.data), want)
+    assert np.array_equal(fock.block(state.density()), want)

@@ -12,6 +12,7 @@ from trapmass.errors import (
     MissingField,
     NonMonotoneLevels,
     NonPositiveMass,
+    ParamMismatch,
 )
 
 
@@ -52,6 +53,14 @@ def test_missing_fields():
         model.build_system({"unit_system": "natural", "levels": [0.0, 1.0]})  # no c
     with pytest.raises(MissingField):
         model.build_system({"unit_system": "si", "M0": 1e-26, "omega0": 1e6})
+    with pytest.raises(MissingField, match="'config'"):
+        model.build_system([("unit_system", "si")])
+
+
+def test_unknown_unit_system_names_the_value():
+    # The field is present, so the error names its value, not a missing field.
+    with pytest.raises(ParamMismatch, match="got 'Planck'"):
+        model.build_system({"unit_system": "Planck", "c": 2.0, "levels": [0.0, 1.0]})
 
 
 def test_level_validation():

@@ -201,36 +201,22 @@ def test_husimi_receives_the_support_block(monkeypatch):
     assert np.max(np.abs(grid.q - expected)) < 1e-15
 
 
-def test_qfunction_annulus_reuse(monkeypatch):
-    # Growing from half-width 1 takes several rounds; each round evaluates
-    # only its new annulus, and the result equals one evaluation of the
-    # final grid. delta = 1/8 keeps the lattice arithmetic exact.
+def test_auto_expanded_qfunction_equals_one_fixed_grid():
+    # Growing from half-width 1 takes several rounds, each testing only the
+    # edge ring of its candidate grid; the chosen grid is then filled in one
+    # pass, bit for bit the auto_expand=False grid at the final half-width.
+    # delta = 1/8 keeps the lattice arithmetic exact.
     rho = states.mixed_state(
         0.7 * states.coherent_state(128, 1.0 - 0.5j).density()
         + 0.3 * states.fock_state(128, 2).density()
     )
     delta = 0.125
-    evaluated = []
-    husimi = phasespace._husimi
-
-    def counting(density, betas):
-        evaluated.append(betas.ravel().copy())
-        return husimi(density, betas)
-
-    monkeypatch.setattr(phasespace, "_husimi", counting)
     grid = phasespace.qfunction(rho, delta=delta, half_width=1.0)
     hw = float(-grid.beta[0, 0].real)
     assert hw >= 1.0 * 1.5**2   # at least two growth rounds
-    points = np.concatenate(evaluated)
-    assert points.size == grid.beta.size
-    assert np.unique(points).size == grid.beta.size
-    assert np.array_equal(np.sort_complex(points), np.sort_complex(grid.beta.ravel()))
-
-    evaluated.clear()
     single = phasespace.qfunction(rho, delta=delta, half_width=hw, auto_expand=False)
-    assert sum(b.size for b in evaluated) == grid.beta.size
     assert np.array_equal(single.beta, grid.beta)
-    assert np.max(np.abs(single.q - grid.q)) < 1e-15
+    assert np.array_equal(single.q, grid.q)
 
 
 def test_evolve_mixed_cm_basics():
@@ -403,6 +389,26 @@ def test_effective_squeezing_fit_rejects_non_gaussian():
     grid = phasespace.QGrid(beta=beta, q=q, delta=ax[1] - ax[0])
     with pytest.raises(NonGaussianProfile):
         phasespace.effective_squeezing_fit(grid)
+
+
+def test_effective_squeezing_fit_needs_three_points_above_the_floor():
+    # The vacuum on a delta-6 grid: Q = e^-36 at beta = +-6 is below the
+    # 1e-12 floor, which leaves the real axis one point.
+    grid = phasespace.qfunction(states.fock_state(8, 0), delta=6.0, half_width=1.0,
+                                auto_expand=False)
+    assert grid.real_axis()[1].size == 3
+    with pytest.raises(NonGaussianProfile, match="too few grid points"):
+        phasespace.effective_squeezing_fit(grid)
+
+
+def test_qfunction_refuses_a_grid_past_the_largest_half_width(monkeypatch):
+    # The vacuum's Q on the half-width-4 ring is e^-16 > 1e-8, so the grid
+    # must grow to 6, past a largest half-width of 5. (A state that reaches
+    # the real limit of 64 has a Fock block of hundreds of MB.)
+    monkeypatch.setattr(phasespace, "_GRID_MAX_HALF_WIDTH", 5.0)
+    with pytest.raises(TruncationInsufficient, match="grid half-width exceeded 5.0"):
+        phasespace.qfunction(states.fock_state(8, 0))
+    assert phasespace.qfunction(states.fock_state(8, 0), half_width=4.5).beta.shape == (91, 91)
 
 
 def test_predicted_r_eff_matches_short_time_profile():

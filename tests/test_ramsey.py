@@ -371,8 +371,9 @@ def test_support_drops_thermal_tail_and_fock_zeros():
 
 
 def test_bounded_trace_builds_c_over_the_state_support(monkeypatch):
-    # V1^T rho is built from rho[:s, :s] (psi[:s] for a pure state), with
-    # s = fock.support of the state, not from the whole dim x dim density.
+    # V1^T rho is built from fock.block of the state, rho[:s, :s] (psi[:s]
+    # psi[:s]^dag for a pure state) with s = fock.support of the state, not
+    # from the whole dim x dim density.
     p = _squeeze_params(0.8)
     spec = _excited_spectrum(p, 1.0, 512)
     times = np.linspace(0.0, 4.0 * math.pi, 300)
@@ -389,7 +390,7 @@ def test_bounded_trace_builds_c_over_the_state_support(monkeypatch):
         assert s < 200
         operands.clear()
         got = ramsey._bounded_trace(spec, p.omega0, state, times)
-        assert operands[0] == ((512, s), (s,) if state.is_pure else (s, s))
+        assert operands[0] == ((512, s), (s, s))
         assert np.max(np.abs(got - _uncut_trace(spec, p.omega0, state, times))) < _CONTRACTION_ROUNDOFF
 
 
