@@ -94,6 +94,8 @@ def load_config(path: str, experiment: str) -> dict:
     # section as written.
     for key, parse in _SYSTEM_PARSERS.items():
         _param(cfg["system"], key, parse)
+    if {"k", "omega0"} <= set(cfg["system"]):
+        raise ConfigError("system gives both k and omega0: give one")
     _check_keys(cfg["output"], {"path"}, "output")
     _check_keys(cfg.get("params", {}), _EXPERIMENT_KEYS[experiment], "params")
     return cfg
@@ -264,8 +266,9 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     ("eigh"), the state at its spec dim (<= params.dim) or params.dim, and
     the summary gives its largest distance to the exact route
     (exact_max_deviation), which it reports and does not gate on. params.times
-    must not decrease. Every summary gives phase_floor, the absolute rounding
-    of the phase's rate term (RamseyTrace.phase_floor)."""
+    excludes periods and points and must not decrease. Every summary gives
+    phase_floor, the absolute rounding of the phase's rate term
+    (RamseyTrace.phase_floor)."""
     phys = model.build_system(system)
     level = _param(params, "level", _integer, 1)
     dim = _param(params, "dim", _optional(_positive_integer))
@@ -276,6 +279,8 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     state = None if dim is None else _STATE_TYPES[kind][3](size, value)
     omega1 = model.derive_mode_frame(phys, level).omega_i
     if "times" in params:
+        if {"periods", "points"} & set(params):
+            raise ConfigError("times excludes periods and points")
         times = np.asarray(_param(params, "times", _floats))
     else:
         t_end = _param(params, "periods", float, 2.0) * 2.0 * math.pi / omega1
@@ -404,13 +409,13 @@ def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     ("generating_function"): P_exact from drive.gaussian_drive, exact and
     finite at every cycle with no truncated state and no N limit, and dim
     null. An explicit params.dim takes P_exact from the truncated loop
-    drive.iterate_drive ("eigh"), with its tail gate and N_EXACT_MAX (the
-    summary's first_nan_k names the first cycle it leaves NaN), the state at
-    its spec dim or params.dim; its summary gives the largest distance to the
-    Gaussian core's P_exact over the cycles where it is finite
-    (exact_max_deviation), which it reports and does not gate on. P_approx
-    is drive.squeezed_overlaps on both routes. A thermal state is refused
-    (exit 3)."""
+    drive.iterate_drive ("eigh"), which runs every cycle up to its tail gate
+    (the summary's first_nan_k names the first cycle it leaves NaN), the
+    state at its spec dim or params.dim; its summary gives the largest
+    distance to the Gaussian core's P_exact over the cycles where it is
+    finite (exact_max_deviation), which it reports and does not gate on.
+    P_approx is drive.squeezed_overlaps on both routes. A thermal state is
+    refused (exit 3)."""
     phys = model.build_system(system)
     N = _param(params, "N", _positive_integer, 50)
     level = _param(params, "level", _integer, 1)
@@ -535,9 +540,9 @@ def run_verify_all(out_dir: str) -> int:
 # ------------------------------------------------------------ verification ---
 
 _UNIT_INTERVAL_COLUMNS = {"V", "V_analytic", "P_exact", "P_approx", "P"}
-# NaN marks a drive cycle the truncated P_exact does not compute (past
-# drive.N_EXACT_MAX or its tail gate; the Gaussian route is finite at every
-# cycle) and a trace point below ramsey.PHASE_FLOOR.
+# NaN marks a drive cycle the truncated P_exact does not compute (past its
+# tail gate; the Gaussian route is finite at every cycle) and a trace point
+# below ramsey.PHASE_FLOOR.
 _NAN_COLUMNS = {"P_exact", "phase"}
 
 

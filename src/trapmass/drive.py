@@ -27,16 +27,13 @@ model: the cycle product at the dim of any pure state, stopped at the
 states.TAIL_BOUND gate. Its ground leg U_0b(t_0) is diagonal in the Fock
 basis and scales the rows of the excited leg's `fock.spectrum` propagator,
 so the cycle costs one real eigh and one real_matmul, with no dense
-product by U_0b. Each cycle then multiplies only the block of the product
-that can change a double into psi: the columns of fock.support(psi) and
-the rows those columns reach, so psi moves by at most
-tau = (eps / 4) sum |psi| per cycle.
+product by U_0b, and each cycle multiplies in only the block of it that
+can change a double.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +41,6 @@ import numpy as np
 from . import analytic, fock, model
 from .errors import DimensionMismatch
 from .states import TAIL_BOUND, CMState
-
-N_EXACT_MAX = 10_000
-# Cycles of iterate_drive per evaluation of its tail gate and overlaps.
-_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -163,8 +156,8 @@ def _check_cycles(N: int) -> None:
 class DriveResult:
     """Overlap decay P_k = |<psi0|psi_k>|^2 through the cycle over
     k = 1..N cycles, N = exact.size; NaN at a k that iterate_drive does not
-    compute (past its truncation-tail gate, or past N_EXACT_MAX).
-    gaussian_drive is finite at every k."""
+    compute (past its truncation-tail gate). gaussian_drive is finite at
+    every k."""
 
     exact: np.ndarray
     schedule: DriveSchedule
@@ -200,49 +193,32 @@ def iterate_drive(
     level: int = 1,
 ) -> DriveResult:
     """The overlap series of any pure psi0 through the truncated cycle
-    product at the dim of psi0. For N > 10000 the product path is refused
-    (accumulated roundoff and runtime) and exact is all NaN, with a warning.
+    product at the dim of psi0, one cycle at a time for any N >= 1.
 
-    Each cycle multiplies only product[:r, :s] into psi: the entries of psi
-    past s = fock.support(psi) hold at most tau / 2, tau = (eps / 4) sum |psi|,
-    and past r = _reach(product)[s - 1] the kept columns put at most
-    (eps / 8) sum |psi| = tau / 2. The product is unitary, so
-    |P_k - P_k(dense loop)| <= 2 sum_{j <= k} tau_j.
+    Each cycle sets psi to product[:r, :s] @ psi[:s], r entries long (the
+    rest are zero): the entries of psi past s = fock.support(psi) hold at
+    most tau / 2, tau = (eps / 4) sum |psi|, and past r = _reach(product)[s - 1]
+    the kept columns put at most (eps / 8) sum |psi| = tau / 2. The product
+    is unitary, so |P_k - P_k(dense loop)| <= 2 sum_{j <= k} tau_j.
 
     Tail gate: exact is NaN from the first k whose state psi_k has more than
-    TAIL_BOUND of its weight beyond fock.interior(dim). The gate and the
-    overlaps are evaluated once per _BLOCK cycles.
+    TAIL_BOUND of its weight beyond fock.interior(dim).
     """
     _check_cycles(N)
     if not psi0.is_pure:
         raise DimensionMismatch("iterate_drive requires a pure initial state")
     dim, m = psi0.dim, fock.interior(psi0.dim)
     sched = drive_schedule(params, level)
+    product = _cycle_product(params, sched, dim)
+    reach = _reach(product)
     exact = np.full(N, np.nan)
-    if N <= N_EXACT_MAX:
-        product = _cycle_product(params, sched, dim)
-        reach = _reach(product)
-        bra = psi0.data.conj()
-        psi = psi0.data
-        for lo in range(0, N, _BLOCK):
-            block = np.zeros((min(_BLOCK, N - lo), dim), dtype=complex)
-            for row in block:
-                s = fock.support(psi)
-                r = reach[s - 1]
-                np.matmul(product[:r, :s], psi[:s], out=row[:r])
-                psi = row
-            tails = np.einsum("ki,ki->k", block[:, m:].conj(), block[:, m:]).real
-            gated = np.flatnonzero(tails > TAIL_BOUND)
-            stop = gated[0] if gated.size else block.shape[0]
-            exact[lo : lo + stop] = np.abs(block[:stop] @ bra) ** 2
-            if gated.size:
-                break
-    else:
-        warnings.warn(
-            f"N={N} exceeds the exact-product limit {N_EXACT_MAX}; "
-            "exact is all NaN",
-            UserWarning,
-        )
+    psi = psi0.data
+    for k in range(N):
+        s = fock.support(psi)
+        psi = product[:reach[s - 1], :s] @ psi[:s]
+        if np.vdot(psi[m:], psi[m:]).real > TAIL_BOUND:
+            break
+        exact[k] = abs(np.vdot(psi0.data[:psi.size], psi)) ** 2
     return DriveResult(exact=exact, schedule=sched)
 
 

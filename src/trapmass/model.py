@@ -97,8 +97,8 @@ class ModeFrame:
 def build_system(config: dict) -> SystemParams:
     """Validate a SystemConfig mapping and return SystemParams.
 
-    Accepts either "k" or "omega0" for the trap. SI fields default to the
-    pinned constants table; natural mode rescales all inputs so that
+    Accepts either "k" or "omega0" for the trap, not both. SI fields default
+    to the pinned constants table; natural mode rescales all inputs so that
     hbar = M0 = omega0 = 1.
     """
     if not isinstance(config, dict):
@@ -137,10 +137,13 @@ def build_system(config: dict) -> SystemParams:
     if not (math.isfinite(g) and g >= 0):
         raise NonPositiveMass("g", g)
 
-    if "k" in config:
-        k = float(config["k"])
-    elif "omega0" in config:
-        k = M0 * _positive("omega0", config["omega0"]) ** 2
+    trap = {key: _positive(key, config[key]) for key in ("k", "omega0") if key in config}
+    if len(trap) > 1:
+        raise ParamMismatch("give either k or omega0 for the trap, not both")
+    if "k" in trap:
+        k = trap["k"]
+    elif "omega0" in trap:
+        k = M0 * trap["omega0"] ** 2
     elif unit_system == UNIT_NATURAL:
         k = M0 * hbar  # omega0 = 1 after rescaling below
     else:

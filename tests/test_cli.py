@@ -251,12 +251,16 @@ def test_malformed_state_specs_are_config_errors(tmp_path, state):
                                  {"level": "x"}, {"level": 1.5},
                                  {"periods": math.inf}, {"periods": 1e308},
                                  {"times": [0.0, math.nan]}, {"times": [math.inf]},
-                                 {"times": [0.0, 2.0, 1.0]}])
+                                 {"times": [0.0, 2.0, 1.0]},
+                                 {"times": [0.0, 1.0, 2.0], "points": 5000},
+                                 {"times": [0.0, 1.0, 2.0], "periods": 1.0}])
 def test_empty_time_grid_and_malformed_params_are_config_errors(tmp_path, bad, capsys):
     # No time point, a time that is not finite (these exited 0 with NaN
     # columns), times that decrease (the phase is unwrapped along them; this
-    # exited 0 with a meaningless phase), or a param that does not parse, is
-    # a config error on every route, not a traceback.
+    # exited 0 with a meaningless phase), times with periods or points (which
+    # were dropped: three times with 5000 points wrote three rows), or a
+    # param that does not parse, is a config error on every route, not a
+    # traceback.
     for extra in ({}, {"dim": 64}, {"state": {"type": "thermal", "nbar": 1.0}}):
         cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
                "output": {"path": "no_times"}, "params": {**bad, **extra}}
@@ -565,16 +569,18 @@ def test_integer_params_are_config_errors(tmp_path, experiment, params):
 
 def test_drive_beyond_double_range_runs(tmp_path):
     # 10001 cycles of 2|r| = 0.41 take the position variance growth past
-    # the double range: the summary reports inf and the run exits 0.
+    # the double range: the summary reports inf and the run exits 0, with
+    # P_exact finite up to the cycle where the dim-32 tail gate trips.
     cfg = {"experiment": "drive", "system": dict(NATURAL_SYSTEM),
            "output": {"path": "drive_long"}, "params": {"dim": 32, "N": 10001}}
-    with pytest.warns(UserWarning, match="exact-product limit"):
-        assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
+    assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
     summary = json.loads((tmp_path / "drive_long_summary.json").read_text())
     assert summary["variance_growth_N"] == {"position": math.inf, "momentum": -1.0}
     _, _, rows = cli.read_csv(str(tmp_path / "drive_long.csv"))
-    assert rows.shape == (10001, 3) and np.isnan(rows[:, 1]).all()
-    assert summary["max_deviation"] is None and summary["first_nan_k"]["P_exact"] == 1
+    first_nan = summary["first_nan_k"]["P_exact"]
+    assert rows.shape == (10001, 3) and 1 < first_nan < 10001
+    assert np.isfinite(rows[:first_nan - 1, 1]).all() and np.isnan(rows[first_nan - 1:, 1]).all()
+    assert summary["max_deviation"] is not None
 
 
 def test_qfunc_run(tmp_path):
@@ -1308,6 +1314,21 @@ def test_malformed_system_values_are_config_errors(tmp_path, capsys, units, expe
             assert run(tmp_path, cfg, experiment) == cli.EXIT_CONFIG, (key, value)
             err = capsys.readouterr().err
             assert err.startswith(f"config error: malformed {key} "), (key, value, err)
+
+
+@pytest.mark.parametrize("units", [NATURAL_SYSTEM, SI_SHIFT_SYSTEM], ids=["natural", "si"])
+@pytest.mark.parametrize("experiment, params", _SYSTEM_RUNS,
+                         ids=[p.get("op", e) for e, p in _SYSTEM_RUNS])
+def test_system_with_both_k_and_omega0_is_a_config_error(tmp_path, capsys, units, experiment,
+                                                         params):
+    # model.build_system took k and the default fractional_shift axis took
+    # omega0: {"k": 4e-16, "M0": 1e-26, "omega0": 1e6} built omega0 = 2e5 and
+    # swept 1e6. A section gives one or the other.
+    system = {**units, "k": 4e-16 if units is SI_SHIFT_SYSTEM else 1.0, "omega0": 1e6}
+    cfg = {"experiment": experiment, "system": system,
+           "output": {"path": "both_traps"}, "params": params}
+    assert run(tmp_path, cfg, experiment) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: system gives both k and omega0: give one\n"
 
 
 # (system, missing field): a required system field left out.

@@ -102,9 +102,6 @@ def test_iterate_drive_validation_and_refusal():
     rho = states.thermal_state_cm(32, 1.0)
     with pytest.raises(DimensionMismatch):
         drive.iterate_drive(p, rho, 2)
-    with pytest.warns(UserWarning):
-        res = drive.iterate_drive(p, states.fock_state(32, 0), drive.N_EXACT_MAX + 1)
-    assert np.isnan(res.exact).all() and res.exact.size == drive.N_EXACT_MAX + 1
 
 
 def test_iterate_drive_skips_the_comparator(monkeypatch):
@@ -182,17 +179,29 @@ def test_cut_drive_stays_within_its_bound_of_the_dense_loop(kind, dim, n, alpha_
     assert np.all(np.abs(got - expected)[finite] <= bound[finite] + 1e-15)
 
 
-def test_tail_gate_tripping_mid_block_matches_the_dense_loop():
-    # The gate is evaluated once per block of cycles; a trip inside a block
-    # must leave NaN from the same cycle as the per-cycle gate.
+def test_tail_gate_trips_at_the_dense_loops_cycle():
+    # The gate is evaluated at every cycle: NaN from the same cycle as the
+    # dense loop's gate, well inside the run.
     p = natural_params(u=3e-2, g=0.3)
     psi0 = states.fock_state(64, 0)
-    N = 3 * drive._BLOCK
+    N = 192
     got = drive.iterate_drive(p, psi0, N).exact
     expected, _ = _dense_drive(p, psi0, N)
     first_nan = int(np.argmax(np.isnan(expected)))
-    assert 0 < first_nan % drive._BLOCK and drive._BLOCK < first_nan < N
+    assert 0 < first_nan < N
     assert np.array_equal(np.isnan(got), np.isnan(expected))
+
+
+def test_long_drive_has_no_cycle_limit():
+    # 10001 cycles at a squeeze the dim-32 state holds throughout: every
+    # cycle is computed and stays within the dense loop's bound.
+    p = natural_params(u=1e-4, g=0.3)
+    psi0 = states.fock_state(32, 0)
+    N = 10_001
+    got = drive.iterate_drive(p, psi0, N).exact
+    expected, bound = _dense_drive(p, psi0, N)
+    assert np.isfinite(got).all() and np.isfinite(expected).all()
+    assert np.all(np.abs(got - expected) <= bound + 1e-15)
 
 
 def test_gaussian_series_take_no_solve(monkeypatch):

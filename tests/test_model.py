@@ -44,6 +44,11 @@ def test_k_and_omega0_equivalent():
     assert p1.k == pytest.approx(p2.k, rel=1e-14)
 
 
+def test_k_and_omega0_together_are_refused():
+    with pytest.raises(ParamMismatch, match="not both"):
+        si_params(k=4e-16)
+
+
 def test_missing_fields():
     with pytest.raises(MissingField):
         model.build_system({"unit_system": "si", "levels": [0.0, 1.0]})
