@@ -38,7 +38,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import _csvtext, analytic, clock, constants, drive, model, phasespace, ramsey, states, verify
-from .errors import DimensionMismatch, MissingField, TrapMassError
+from .errors import DimensionMismatch, MissingField, ParamMismatch, TrapMassError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -97,6 +97,9 @@ def load_config(path: str, experiment: str) -> dict:
     if {"k", "omega0"} <= set(cfg["system"]):
         raise ConfigError("system gives both k and omega0: give one")
     _check_keys(cfg["output"], {"path"}, "output")
+    path = cfg["output"].get("path", experiment)
+    if not (isinstance(path, str) and os.path.basename(path)):
+        raise ConfigError(f"output path must be a string naming a file, got {path!r}")
     _check_keys(cfg.get("params", {}), _EXPERIMENT_KEYS[experiment], "params")
     return cfg
 
@@ -117,9 +120,22 @@ def _optional(parse):
     return lambda value: None if value is None else parse(value)
 
 
+def _number(parse):
+    """parse, refusing a JSON true or false, which float, int and complex
+    would read as 1 or 0."""
+    def number(value):
+        if isinstance(value, bool):
+            raise TypeError("must be a number, not true or false")
+        return parse(value)
+    return number
+
+
+_real, _complex = _number(float), _number(complex)
+
+
 def _integer(value) -> int:
-    """int(value), refusing to truncate a fractional value."""
-    if int(value) != float(value):
+    """int(value), refusing a boolean and a fractional value."""
+    if _real(value) != int(value):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
@@ -140,8 +156,8 @@ def _boolean(value) -> bool:
 
 
 def _positive(value) -> float:
-    """float(value), refusing a value that is not finite and > 0."""
-    x = float(value)
+    """_real(value), refusing a value that is not finite and > 0."""
+    x = _real(value)
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError("must be finite and > 0")
     return x
@@ -151,7 +167,7 @@ def _floats(values) -> list[float]:
     """A JSON list of numbers; a string or a scalar is refused."""
     if not isinstance(values, list):
         raise TypeError("must be a list")
-    return [float(v) for v in values]
+    return [_real(v) for v in values]
 
 
 def _unit_system(value) -> str:
@@ -162,21 +178,21 @@ def _unit_system(value) -> str:
 
 _SYSTEM_PARSERS = {
     "unit_system": _unit_system, "levels": _floats,
-    **dict.fromkeys(("M0", "k", "omega0", "g", "c", "hbar"), float),
+    **dict.fromkeys(("M0", "k", "omega0", "g", "c", "hbar"), _real),
 }
 
 
 # Per state type: its parameter's key, parse and default, and its constructor.
 _STATE_TYPES = {
     "fock": ("n", _integer, 0, states.fock_state),
-    "coherent": ("alpha", complex, 0j, states.coherent_state),
-    "thermal": ("nbar", float, 0.0, states.thermal_state_cm),
+    "coherent": ("alpha", _complex, 0j, states.coherent_state),
+    "thermal": ("nbar", _real, 0.0, states.thermal_state_cm),
 }
 
 
 def _state_spec(params: dict, dim: int | None) -> tuple[str, int | complex | float, int | None]:
     """(type, parameter, size) of params.state, the vacuum by default; size is
-    the spec's own dim if it gives one and dim otherwise."""
+    the spec's own dim if it gives one and the params dim otherwise."""
     spec = params.get("state", {"type": "fock", "n": 0})
     _check_keys(spec, _STATE_KEYS, "state")
     kind = spec.get("type")
@@ -187,8 +203,10 @@ def _state_spec(params: dict, dim: int | None) -> tuple[str, int | complex | flo
 
 
 def _truncated_state(kind: str, value, size: int | None, dim: int | None) -> states.CMState:
-    """A parsed state spec built at its size (default 128), which an
-    explicit params dim must equal."""
+    """A parsed state spec built at the run's one truncation: an explicit
+    params dim, which a spec dim must equal (a ConfigError otherwise), else
+    the spec's own dim, else 128. ramsey, drive and qfunc build every
+    truncated state here."""
     if dim is not None and size != dim:
         raise ConfigError(f"state dim {size} != params dim {dim}")
     return _STATE_TYPES[kind][3](128 if size is None else size, value)
@@ -222,10 +240,11 @@ def _write_csv(path: str, prov: dict, columns: list[str], data) -> None:
 
 def _write_outputs(cfg: dict, out_dir: str, timestamp: bool, columns: list[str],
                    data, summary: dict) -> list[str]:
-    """Write <path>.csv and <path>_summary.json under out_dir, both under one
-    provenance header; returns both paths."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write <path>.csv and <path>_summary.json under out_dir, making the
+    directory they go in, both under one provenance header; returns both
+    paths."""
     base = os.path.join(out_dir, cfg["output"].get("path", cfg["experiment"]))
+    os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
     csv_path, json_path = base + ".csv", base + "_summary.json"
     prov = _provenance(cfg, timestamp)
     _write_csv(csv_path, prov, columns, data)
@@ -263,8 +282,8 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     the generating function ("generating_function"), every other state the
     Gaussian kernel ("gaussian_kernel"). With params.dim omitted it is the
     run's route and dim is null. An explicit params.dim takes the eigh route
-    ("eigh"), the state at its spec dim (<= params.dim) or params.dim, and
-    the summary gives its largest distance to the exact route
+    ("eigh"), the state built at params.dim by _truncated_state, and the
+    summary gives its largest distance to the exact route
     (exact_max_deviation), which it reports and does not gate on. params.times
     excludes periods and points and must not decrease. Every summary gives
     phase_floor, the absolute rounding of the phase's rate term
@@ -272,18 +291,16 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     phys = model.build_system(system)
     level = _param(params, "level", _integer, 1)
     dim = _param(params, "dim", _optional(_positive_integer))
-    x0 = _param(params, "x0", _optional(float))
+    x0 = _param(params, "x0", _optional(_real))
     kind, value, size = _state_spec(params, dim)
-    if dim is not None and size > dim:
-        raise ConfigError(f"state dim {size} > params dim {dim}")
-    state = None if dim is None else _STATE_TYPES[kind][3](size, value)
+    state = None if dim is None else _truncated_state(kind, value, size, dim)
     omega1 = model.derive_mode_frame(phys, level).omega_i
     if "times" in params:
         if {"periods", "points"} & set(params):
             raise ConfigError("times excludes periods and points")
         times = np.asarray(_param(params, "times", _floats))
     else:
-        t_end = _param(params, "periods", float, 2.0) * 2.0 * math.pi / omega1
+        t_end = _param(params, "periods", _real, 2.0) * 2.0 * math.pi / omega1
         with np.errstate(invalid="ignore"):  # an infinite t_end is refused below
             times = np.linspace(0.0, t_end, _param(params, "points", _positive_integer, 400))
     if times.size < 1 or not np.isfinite(times).all() or np.any(np.diff(times) < 0):
@@ -303,7 +320,7 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
     trace = exact
     if dim is not None:
         route = "eigh"
-        trace = ramsey.ramsey_trace(phys, state, times, dim=dim, **where)
+        trace = ramsey.ramsey_trace(phys, state, times, **where)
 
     columns = ["t", "P", "V", "phase"]
     data = [times, trace.probability, trace.visibility, trace.phase]
@@ -339,7 +356,7 @@ def _grid_from_spec(spec) -> np.ndarray:
     missing = {"min", "max", "points"} - set(spec)
     if missing:
         raise ConfigError(f"grid needs {sorted(missing)}")
-    lo, hi, n = float(spec["min"]), float(spec["max"]), _positive_integer(spec["points"])
+    lo, hi, n = _real(spec["min"]), _real(spec["max"]), _positive_integer(spec["points"])
     if _boolean(spec.get("log", False)):
         return np.logspace(math.log10(lo), math.log10(hi), n)
     return np.linspace(lo, hi, n)
@@ -387,7 +404,10 @@ def run_shift(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
 
     summary = {"minima": minima}
     if temperature is not None:
-        rep = clock.thermal_shift(model.build_system(system), temperature, level)
+        try:
+            rep = clock.thermal_shift(model.build_system(system), temperature, level)
+        except ParamMismatch as exc:  # a natural-unit system has no kelvin
+            raise ConfigError(str(exc)) from exc
         summary["thermal"] = {
             "T": temperature,
             "n_mean": rep.n,
@@ -411,9 +431,9 @@ def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     null. An explicit params.dim takes P_exact from the truncated loop
     drive.iterate_drive ("eigh"), which runs every cycle up to its tail gate
     (the summary's first_nan_k names the first cycle it leaves NaN), the
-    state at its spec dim or params.dim; its summary gives the largest
-    distance to the Gaussian core's P_exact over the cycles where it is
-    finite (exact_max_deviation), which it reports and does not gate on.
+    state built at params.dim by _truncated_state; its summary gives the
+    largest distance to the Gaussian core's P_exact over the cycles where it
+    is finite (exact_max_deviation), which it reports and does not gate on.
     P_approx is drive.squeezed_overlaps on both routes. A thermal state is
     refused (exit 3)."""
     phys = model.build_system(system)
@@ -452,7 +472,7 @@ def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
 
 def run_qfunc(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     phys = model.build_system(system)
-    t = _param(params, "t", float, 0.0)
+    t = _param(params, "t", _real, 0.0)
     if not math.isfinite(t):
         raise ConfigError(f"malformed t {t!r}: must be finite")
     probabilities = _param(params, "distribution", _floats)

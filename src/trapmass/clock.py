@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, model
-from .errors import NonPositiveMass, ZeroGravity
+from .errors import NonPositiveMass, ParamMismatch, ZeroGravity
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,12 @@ def thermal_shift(params: model.SystemParams, T: float, i: int = 1) -> ShiftRepo
     """Shift for a thermal CM distribution via <n> = k_B T / hbar omega0.
 
     High-occupation approximation; the time-dilation component approaches
-    -k_B T / 2 M0 c^2.
+    -k_B T / 2 M0 c^2. T is in kelvin, so params must be SI: ParamMismatch
+    for a natural-unit system, whose hbar omega0 is 1 in no energy unit.
     """
     if T <= 0:
         raise ValueError(f"temperature must be > 0, got {T}")
+    if params.unit_system != model.UNIT_SI:
+        raise ParamMismatch("thermal_shift takes T in kelvin and needs an SI system")
     n_mean = constants.K_B * T / (params.hbar * params.omega0)
     return energy_gap(params, i, n_mean)

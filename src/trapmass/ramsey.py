@@ -30,7 +30,7 @@ thermal states) from the Gaussian kernel analytic.gaussian_amplitude, one
 value per time, and fock_trace (|n>) from analytic.fock_diagonal, the
 kernel's y^n coefficient: an O(n^2) power series per time up to n = 1500, a
 circle sum of O(n) points above, in blocks whose size does not grow with n.
-ramsey_trace takes any CMState at an explicit dim: it is the
+ramsey_trace takes any CMState and evolves it at its own dim: it is the
 truncated model and the oracle of the other two, and the only one that
 reads a CMState. a_1 is real, so H_1b is built from fock.mode_number, the
 real pentadiagonal number operator written from its bands in O(dim), and
@@ -57,7 +57,6 @@ from functools import cached_property
 import numpy as np
 
 from . import analytic, fock, model, states
-from .errors import DimensionMismatch
 from .states import CMState
 
 # Visibility below which a trace point's phase is reported as NaN: far above
@@ -153,8 +152,7 @@ def _bounded_trace(
     U_1b and U_0b are unitary, so each point moves by at most
     tau_rho + tau_C. Each chunk costs (chunk x rows) @ (rows x k) products,
     E1 @ C as cos @ C - i sin @ C, two real products for a real C (every
-    thermal density). The state may be smaller than the spectrum; the Fock
-    levels it lacks are empty.
+    thermal density). ramsey_trace passes a state of the spectrum's dim.
     """
     rho = fock.block(state.data)
     V1 = spec.V[: rho.shape[0]]
@@ -242,13 +240,11 @@ def fock_trace(params: model.SystemParams, n: int, times, level: int = 1,
 
 
 def ramsey_trace(params: model.SystemParams, state: CMState, times, level: int = 1,
-                 x0: float | None = None, *, dim: int, corotating: bool = False) -> RamseyTrace:
+                 x0: float | None = None, corotating: bool = False) -> RamseyTrace:
     """Interference trace between levels 0 and level for any CM state, in the
-    Fock space truncated at dim (>= state.dim; refused where fock.tail_bound
-    exceeds states.TAIL_BOUND); x0 as in gaussian_trace."""
-    frame = model.derive_mode_frame(params, level)
-    if dim < state.dim:
-        raise DimensionMismatch(f"truncation dim {dim} smaller than state dim {state.dim}")
+    Fock space truncated at the state's own dim (refused where
+    fock.tail_bound exceeds states.TAIL_BOUND); x0 as in gaussian_trace."""
+    frame, dim = model.derive_mode_frame(params, level), state.dim
 
     def bounded(vap, t):
         alpha = math.sqrt(frame.M_i * frame.omega_i / (2.0 * params.hbar)) * vap.x0

@@ -81,9 +81,7 @@ def oracle_vacuum_visibility(
         w1 = model.derive_mode_frame(params, 1).omega_i
         times = np.linspace(0.0, 4.0 * math.pi / w1, n_times)
         for x0 in x0_values:
-            trace = ramsey.ramsey_trace(
-                params, states.fock_state(64, 0), times, x0=x0, dim=dim
-            )
+            trace = ramsey.ramsey_trace(params, states.fock_state(dim, 0), times, x0=x0)
             amp = ramsey.gaussian_trace(params, times, x0=x0).trace
             worst_v = max(worst_v, float(np.max(np.abs(np.abs(amp) - trace.visibility))))
             mask = np.abs(amp) > 1e-6

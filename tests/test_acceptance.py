@@ -58,8 +58,7 @@ def test_criterion_2_fock_revivals_and_minimum_location():
 
     w1 = model.derive_mode_frame(p0, 1).omega_i
     times = np.linspace(1e-4, math.pi / w1, 600)
-    tr = ramsey.ramsey_trace(p0, states.fock_state(256, 10), times, x0=0.01,
-                             dim=256)
+    tr = ramsey.ramsey_trace(p0, states.fock_state(256, 10), times, x0=0.01)
     t_min = float(times[np.argmin(tr.visibility)])
     assert t_min == pytest.approx(math.pi / (2.0 * w1), rel=0.10)  # (c)
 
@@ -81,8 +80,7 @@ def test_criterion_3_revival_visibility_and_minimum_formula():
         target = math.exp(-x0**2)
         v_closed = float(analytic.closed_form_visibility(0.9, 1.0, x0, math.pi))
         assert v_closed == pytest.approx(target, rel=1e-12)  # exact
-        tr = ramsey.ramsey_trace(p, states.fock_state(64, 0), [t_rev], x0=x0,
-                                 dim=512)
+        tr = ramsey.ramsey_trace(p, states.fock_state(512, 0), [t_rev], x0=x0)
         assert abs(float(tr.visibility[0]) - target) < 1e-6  # Fock engine
     _, v_min, _, _ = analytic.visibility_extrema(p, x0=0.02)
     assert v_min == pytest.approx(

@@ -152,7 +152,7 @@ def test_closed_form_matches_fock_propagators():
     dim = 256
     f1 = model.derive_mode_frame(p, 1)
     times = np.linspace(0.1, 5.0, 7)
-    tr = ramsey.ramsey_trace(p, states.fock_state(dim, 0), times, x0=x0, dim=dim)
+    tr = ramsey.ramsey_trace(p, states.fock_state(dim, 0), times, x0=x0)
     amp = ramsey.gaussian_trace(p, times, x0=x0).trace
     assert np.max(np.abs(tr.trace - amp)) < 1e-8
     assert f1.omega_i < p.omega0  # heavier level, softer mode
@@ -166,7 +166,7 @@ def test_coherent_visibility_matches_fock_trace(alpha):
     p = natural_params(E1=c * c * (1.0 / S**2 - 1.0), c=c, g=0.4)
     w1 = model.derive_mode_frame(p, 1).omega_i
     times = np.linspace(0.0, 4.0 * math.pi / w1, 60)
-    tr = ramsey.ramsey_trace(p, states.coherent_state(64, alpha), times, x0=1.3, dim=256)
+    tr = ramsey.ramsey_trace(p, states.coherent_state(256, alpha), times, x0=1.3)
     ref = analytic.coherent_visibility(p, 1.3, alpha, times)
     assert np.max(np.abs(tr.visibility - ref)) < 1e-10
 
@@ -339,7 +339,7 @@ def test_approx_visibility_quadratic_error_scaling():
     rho = states.mixed_state(np.diag(np.pad(pops, (0, dim - 3))).astype(complex))
 
     def deficit(t):
-        exact = ramsey.ramsey_trace(p, rho, [t], x0=f1.x_shift_i, dim=dim)
+        exact = ramsey.ramsey_trace(p, rho, [t], x0=f1.x_shift_i)
         quad = analytic.approx_visibility(p, pops, t).quadratic
         return abs(float(exact.visibility[0]) - float(quad))
 

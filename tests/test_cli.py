@@ -36,7 +36,7 @@ def ramsey_cfg(**params):
         "experiment": "ramsey",
         "system": dict(NATURAL_SYSTEM),
         "output": {"path": "ramsey_run"},
-        "params": {"state": {"type": "fock", "n": 0, "dim": 64},
+        "params": {"state": {"type": "fock", "n": 0, "dim": 128},
                    "periods": 1.0, "points": 60, "dim": 128, **params},
     }
 
@@ -153,7 +153,7 @@ def test_eigh_route_reports_its_gap_to_the_exact_route(tmp_path):
     assert summary["route"] == "eigh" and summary["exact_max_deviation"] > 1e-8
     p = model.build_system(system)
     times = np.linspace(0.0, 4.0 * math.pi / model.derive_mode_frame(p, 1).omega_i, 400)
-    eigh = ramsey.ramsey_trace(p, states.thermal_state_cm(64, 0.5), times, x0=0.0, dim=64)
+    eigh = ramsey.ramsey_trace(p, states.thermal_state_cm(64, 0.5), times, x0=0.0)
     exact = ramsey.gaussian_trace(p, times, x0=0.0, nbar=0.5)
     assert summary["exact_max_deviation"] == np.max(np.abs(eigh.trace - exact.trace))
 
@@ -236,6 +236,10 @@ def test_exact_routes_build_no_state(tmp_path, monkeypatch):
     {"type": "fock", "n": 1, "dim": "x"},
     {"type": "fock", "n": 1, "dim": 64.5},
     {"type": "thermal", "nbar": 1.0, "dim": None},
+    {"type": "fock", "n": True},
+    {"type": "coherent", "alpha": True},
+    {"type": "thermal", "nbar": True},
+    {"type": "fock", "n": 1, "dim": True},
 ])
 def test_malformed_state_specs_are_config_errors(tmp_path, state):
     # A state parameter or dim that does not parse is a config error, on the
@@ -253,14 +257,17 @@ def test_malformed_state_specs_are_config_errors(tmp_path, state):
                                  {"times": [0.0, math.nan]}, {"times": [math.inf]},
                                  {"times": [0.0, 2.0, 1.0]},
                                  {"times": [0.0, 1.0, 2.0], "points": 5000},
-                                 {"times": [0.0, 1.0, 2.0], "periods": 1.0}])
+                                 {"times": [0.0, 1.0, 2.0], "periods": 1.0},
+                                 {"points": True}, {"periods": True}, {"x0": True},
+                                 {"times": [0.0, True]}, {"level": True}])
 def test_empty_time_grid_and_malformed_params_are_config_errors(tmp_path, bad, capsys):
     # No time point, a time that is not finite (these exited 0 with NaN
     # columns), times that decrease (the phase is unwrapped along them; this
     # exited 0 with a meaningless phase), times with periods or points (which
     # were dropped: three times with 5000 points wrote three rows), or a
     # param that does not parse, is a config error on every route, not a
-    # traceback.
+    # traceback. A JSON true is not a number ("points": true ran one time
+    # point).
     for extra in ({}, {"dim": 64}, {"state": {"type": "thermal", "nbar": 1.0}}):
         cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
                "output": {"path": "no_times"}, "params": {**bad, **extra}}
@@ -376,7 +383,7 @@ def test_config_errors(tmp_path, capsys):
 def test_numeric_failure_exit_code(tmp_path):
     # Fock index beyond the truncation raises inside the library -> exit 3.
     cfg = ramsey_cfg()
-    cfg["params"]["state"] = {"type": "fock", "n": 80, "dim": 64}
+    cfg["params"]["state"] = {"type": "fock", "n": 160, "dim": 128}
     assert run(tmp_path, cfg, "ramsey") == cli.EXIT_NUMERIC
 
 
@@ -401,6 +408,17 @@ def test_shift_run(tmp_path):
     summary = json.loads((tmp_path / "shift_run_summary.json").read_text())
     assert summary["minima"]["n=0.0"]["omega_min"] == pytest.approx(4179.4, rel=1e-3)
     assert summary["thermal"]["fractional_shift"] == pytest.approx(-7.71e-18, rel=1e-2)
+
+
+def test_natural_shift_with_temperature_is_a_config_error(tmp_path, capsys):
+    # A temperature is in kelvin; against a natural hbar omega0 of 1 it
+    # wrote n_mean 4.1e-21 at 300 K with exit 0.
+    cfg = {"experiment": "shift", "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "shift_natural"}, "params": {"temperature": 300.0}}
+    assert run(tmp_path, cfg, "shift") == cli.EXIT_CONFIG
+    assert "needs an SI system" in capsys.readouterr().err
+    del cfg["params"]["temperature"]
+    assert run(tmp_path, cfg, "shift", extra=["--verify"]) == cli.EXIT_OK
 
 
 def test_drive_run(tmp_path):
@@ -718,7 +736,7 @@ def test_coherent_state_cli_oracle(tmp_path):
     # The reference for a real coherent state is the displaced-Gaussian
     # overlap, not the vacuum formula at a shifted x0.
     S, c = 0.8, 10.0
-    cfg = ramsey_cfg(state={"type": "coherent", "alpha": 1.0, "dim": 64}, x0=0.5)
+    cfg = ramsey_cfg(state={"type": "coherent", "alpha": 1.0, "dim": 128}, x0=0.5)
     cfg["system"] = {"unit_system": "natural", "c": c,
                      "levels": [0.0, c * c * (1.0 / S**2 - 1.0)], "g": 0.0}
     assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
@@ -1067,18 +1085,31 @@ def qfunc_cfg(**params):
             "output": {"path": "qfunc_run"}, "params": params}
 
 
-def test_drive_state_takes_params_dim(tmp_path, monkeypatch):
+def test_every_truncated_state_takes_params_dim(tmp_path, monkeypatch):
+    # ramsey, drive and qfunc build their state at params.dim, whether the
+    # spec names no dim or the same one, and each eigh route evolves it there.
     dims = []
-    real_iterate = cli.drive.iterate_drive
 
-    def spy(params, psi0, N, level=1):
-        dims.append(psi0.dim)
-        return real_iterate(params, psi0, N, level)
+    def spy(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(cli.drive, "iterate_drive", spy)
-    cfg = drive_cfg(dim=256, state={"type": "fock", "n": 0})
-    assert run(tmp_path, cfg, "drive", extra=["--verify"]) == cli.EXIT_OK
-    assert dims == [256]
+        def evolve(params, state, *args, **kwargs):
+            dims.append(state.dim)
+            return real(params, state, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, evolve)
+
+    spy(cli.ramsey, "ramsey_trace")
+    spy(cli.drive, "iterate_drive")
+    spy(cli.phasespace, "evolve_mixed_cm")
+    for spec in ({"type": "fock", "n": 0}, {"type": "fock", "n": 0, "dim": 96}):
+        for experiment, cfg in (
+                ("ramsey", ramsey_cfg(dim=96, state=spec)),
+                ("drive", drive_cfg(dim=96, state=spec)),
+                ("qfunc", qfunc_cfg(dim=96, state=spec, distribution=[0.5, 0.5], t=0.5))):
+            dims.clear()
+            assert run(tmp_path, cfg, experiment, extra=["--verify"]) == cli.EXIT_OK
+            assert dims == [96], (experiment, spec)
 
 
 def test_qfunc_state_takes_params_dim(tmp_path, capsys):
@@ -1090,13 +1121,15 @@ def test_qfunc_state_takes_params_dim(tmp_path, capsys):
     assert run(tmp_path, qfunc_cfg(dim=96), "qfunc", extra=["--verify"]) == cli.EXIT_OK
 
 
-def test_conflicting_state_and_params_dim_is_config_error(tmp_path):
+def test_conflicting_state_and_params_dim_is_config_error(tmp_path, capsys):
+    # An explicit params dim is the one truncation: a spec dim below or above
+    # it is refused in every experiment that builds a truncated state.
     state = {"type": "fock", "n": 0, "dim": 128}
-    assert run(tmp_path, drive_cfg(dim=256, state=state), "drive") == cli.EXIT_CONFIG
-    assert run(tmp_path, qfunc_cfg(dim=96, state=state), "qfunc") == cli.EXIT_CONFIG
-    # Ramsey pads a smaller state (ramsey_cfg's dim-64 vacuum at dim 128) but
-    # refuses a larger one.
-    assert run(tmp_path, ramsey_cfg(dim=64, state=state), "ramsey") == cli.EXIT_CONFIG
+    for dim in (96, 256):
+        assert run(tmp_path, drive_cfg(dim=dim, state=state), "drive") == cli.EXIT_CONFIG
+        assert run(tmp_path, qfunc_cfg(dim=dim, state=state), "qfunc") == cli.EXIT_CONFIG
+        assert run(tmp_path, ramsey_cfg(dim=dim, state=state), "ramsey") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.count(f"state dim 128 != params dim {dim}") == 3
 
 
 @pytest.mark.parametrize("experiment, params", [
@@ -1155,7 +1188,7 @@ def test_non_finite_trap_separation_is_a_numeric_failure(tmp_path, capsys, exper
                                    {"type": "thermal", "nbar": math.inf},
                                    {"type": "coherent", "alpha": math.nan}])
 def test_non_finite_state_inputs_are_numeric_failures(tmp_path, state):
-    cfg = ramsey_cfg(state={**state, "dim": 64})
+    cfg = ramsey_cfg(state={**state, "dim": 128})
     assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_NUMERIC
 
 
@@ -1163,6 +1196,27 @@ def test_output_format_key_is_rejected(tmp_path):
     cfg = ramsey_cfg()
     cfg["output"]["format"] = "csv"
     assert run(tmp_path, cfg, "ramsey") == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("path", [5, None, "", "sub/"])
+def test_output_path_naming_no_file_is_a_config_error(tmp_path, capsys, path):
+    # 5 escaped main as a TypeError traceback (exit 1) and "" wrote a hidden
+    # ".csv".
+    cfg = ramsey_cfg()
+    cfg["output"]["path"] = path
+    assert run(tmp_path, cfg, "ramsey") == cli.EXIT_CONFIG
+    assert "config error: output path" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_output_path_may_name_a_subdirectory(tmp_path):
+    # "sub/run" raised FileNotFoundError (exit 1): main made only the
+    # output directory, not the one the path names under it.
+    cfg = ramsey_cfg()
+    cfg["output"]["path"] = "sub/run"
+    assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+    assert (tmp_path / "sub" / "run.csv").is_file()
+    assert (tmp_path / "sub" / "run_summary.json").is_file()
 
 
 def _hand_csv(path, columns, rows):
@@ -1249,7 +1303,9 @@ def test_qfunc_alpha_key_is_rejected(tmp_path):
 @pytest.mark.parametrize("state", [{"type": "coherent", "alpha": 4.0, "dim": 16},
                                    {"type": "thermal", "nbar": 3.0, "dim": 8}])
 def test_heavy_state_tails_are_numeric_failures(tmp_path, state, capsys):
-    assert run(tmp_path, ramsey_cfg(state=state), "ramsey") == cli.EXIT_NUMERIC
+    # The state's own tail check, at a params dim equal to its spec dim.
+    cfg = ramsey_cfg(state=state, dim=state["dim"])
+    assert run(tmp_path, cfg, "ramsey") == cli.EXIT_NUMERIC
     assert "needs dim >= " in capsys.readouterr().err
 
 
@@ -1271,6 +1327,18 @@ def test_heavy_state_tails_are_numeric_failures(tmp_path, state, capsys):
     ("qfunc", {"t": math.nan, "distribution": [0.5, 0.5]}),
     ("qfunc", {"t": math.inf, "distribution": [0.5, 0.5]}),
     ("sweep", {"op": "visibility_extrema", "axes": {"x0": []}}),
+    ("ramsey", {"dim": True}),
+    ("qfunc", {"dim": True}),
+    ("qfunc", {"delta": True}),
+    ("qfunc", {"t": True, "distribution": [0.5, 0.5]}),
+    ("qfunc", {"distribution": [True, 0.0]}),
+    ("shift", {"temperature": True}),
+    ("shift", {"n_values": [True]}),
+    ("shift", {"level": True}),
+    ("shift", {"omega0_grid": {"min": True, "max": 1e7, "points": 5}}),
+    ("shift", {"omega0_grid": {"min": 1e2, "max": 1e7, "points": True}}),
+    ("drive", {"N": True}),
+    ("sweep", {"op": "fractional_shift", "axes": {"omega0": [True]}}),
 ])
 def test_malformed_params_are_config_errors(tmp_path, capsys, experiment, params):
     # Each of these once escaped main as a traceback (exit 1): a ValueError,
@@ -1279,7 +1347,8 @@ def test_malformed_params_are_config_errors(tmp_path, capsys, experiment, params
     # and a qfunc t without a distribution was ignored (t 0.0 and 5.0 wrote
     # the same Q grid). A non-finite qfunc t exited 3 and an empty x0 axis
     # exited 0 with a header-only CSV, where their siblings (a non-finite
-    # Ramsey time, an empty fractional_shift axis) are config errors.
+    # Ramsey time, an empty fractional_shift axis) are config errors. A JSON
+    # true ran as 1 ("dim": true as dim 1) with exit 0.
     system = NATURAL_SYSTEM if experiment == "qfunc" else SI_SHIFT_SYSTEM
     cfg = {"experiment": experiment, "system": dict(system),
            "output": {"path": "malformed"}, "params": params}
@@ -1291,10 +1360,11 @@ _SYSTEM_RUNS = [("ramsey", {}), ("shift", {}), ("drive", {}), ("qfunc", {}),
                 ("sweep", {"op": "fractional_shift"}),
                 ("sweep", {"op": "visibility_extrema"})]
 # Per system key, values that are not a number (or, for levels, not a list
-# of numbers; for unit_system, not a unit system's name).
+# of numbers; for unit_system, not a unit system's name). A JSON true is not
+# a number: float(True) ran "c": true as c = 1 with exit 0.
 _BAD_SYSTEM_VALUES = {
-    **dict.fromkeys(("M0", "k", "omega0", "g", "c", "hbar"), ["x", [], None, {"a": 1}]),
-    "levels": [["x", 2.0], "02", 2.0, [[0.0], 1.0]],
+    **dict.fromkeys(("M0", "k", "omega0", "g", "c", "hbar"), ["x", [], None, {"a": 1}, True]),
+    "levels": [["x", 2.0], "02", 2.0, [[0.0], 1.0], [0.0, True]],
     "unit_system": ["x", 5, None],
 }
 

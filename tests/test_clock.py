@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trapmass import clock, constants, model
-from trapmass.errors import DegenerateLevels, ZeroGravity
+from trapmass.errors import DegenerateLevels, ParamMismatch, ZeroGravity
 
 
 def si_params(**over):
@@ -154,6 +154,14 @@ def test_thermal_shift_millikelvin():
     assert rep.fractional_shift == pytest.approx(-7.71e-18, rel=1e-2)
     with pytest.raises(ValueError):
         clock.thermal_shift(p, 0.0)
+
+
+def test_thermal_shift_refuses_natural_units():
+    # T is in kelvin: k_B T over a natural hbar omega0 of 1 gave n 4.1e-21
+    # at 300 K.
+    p = model.build_system({"unit_system": "natural", "c": 2.0, "levels": [0.0, 2.0]})
+    with pytest.raises(ParamMismatch, match="needs an SI system"):
+        clock.thermal_shift(p, 300.0)
 
 
 def test_exact_minus_lowest_order_is_quadratic():

@@ -24,7 +24,7 @@ def test_degenerate_masses_give_pure_internal_fringe():
     # bare internal fringe (1 + cos omega_c t)/2.
     p = natural_params(E1=1.0, c=1e7)  # Delta_M/M0 = 1e-14
     times = np.linspace(0.0, 3.0, 40)
-    tr = ramsey.ramsey_trace(p, states.fock_state(32, 0), times, dim=64)
+    tr = ramsey.ramsey_trace(p, states.fock_state(64, 0), times)
     assert np.max(np.abs(tr.visibility - 1.0)) < 1e-8
     wc = p.omega_c(1)
     assert np.max(np.abs(tr.probability - 0.5 * (1.0 + np.cos(wc * times)))) < 1e-7
@@ -79,10 +79,10 @@ def test_trace_refuses_a_truncation_its_state_outgrows(dim, bound):
     p = natural_params()
     times = np.linspace(0.0, 9.0, 50)
     with pytest.raises(TruncationInsufficient) as err:
-        ramsey.ramsey_trace(p, states.fock_state(dim, 0), times, x0=7.0, dim=dim)
+        ramsey.ramsey_trace(p, states.fock_state(dim, 0), times, x0=7.0)
     m = fock.interior(dim)
     assert str(err.value) == f"evolved-state weight bound {bound} at Fock n >= {m} for dim {dim}"
-    tr = ramsey.ramsey_trace(p, states.fock_state(192, 0), times, x0=7.0, dim=192)
+    tr = ramsey.ramsey_trace(p, states.fock_state(192, 0), times, x0=7.0)
     exact = ramsey.gaussian_trace(p, times, x0=7.0)
     assert np.max(np.abs(tr.trace - exact.trace)) < 1e-12
 
@@ -107,7 +107,7 @@ def test_tail_bound_holds_at_every_time():
 def test_vacuum_gravity_free_revival():
     p = natural_params(E1=2.0, c=2.0, g=0.0)
     w1 = model.derive_mode_frame(p, 1).omega_i
-    tr = ramsey.ramsey_trace(p, states.fock_state(64, 0), [math.pi / w1], dim=256)
+    tr = ramsey.ramsey_trace(p, states.fock_state(256, 0), [math.pi / w1])
     assert tr.visibility[0] == pytest.approx(1.0, abs=1e-8)
 
 
@@ -132,9 +132,7 @@ def test_vacuum_partial_revival_value():
 
 def test_probability_identity_bitwise():
     p = natural_params()
-    tr = ramsey.ramsey_trace(
-        p, states.fock_state(32, 1), np.linspace(0, 5, 17), dim=64
-    )
+    tr = ramsey.ramsey_trace(p, states.fock_state(64, 1), np.linspace(0, 5, 17))
     assert np.array_equal(tr.probability, 0.5 + 0.5 * np.real(tr.trace))
     assert np.all(tr.visibility <= 1.0 + 1e-8)
     assert np.all(tr.visibility >= 0.0)
@@ -147,9 +145,9 @@ def test_mixed_state_linearity():
     psi_a = states.fock_state(dim, 0)
     psi_b = states.fock_state(dim, 2)
     rho = states.mixed_state(0.3 * psi_a.density() + 0.7 * psi_b.density())
-    tr_mix = ramsey.ramsey_trace(p, rho, times, dim=dim)
-    tr_a = ramsey.ramsey_trace(p, psi_a, times, dim=dim)
-    tr_b = ramsey.ramsey_trace(p, psi_b, times, dim=dim)
+    tr_mix = ramsey.ramsey_trace(p, rho, times)
+    tr_a = ramsey.ramsey_trace(p, psi_a, times)
+    tr_b = ramsey.ramsey_trace(p, psi_b, times)
     assert np.max(np.abs(tr_mix.trace - 0.3 * tr_a.trace - 0.7 * tr_b.trace)) < 1e-10
 
 
@@ -159,8 +157,8 @@ def test_gravity_off_reduction():
     times = np.linspace(0.0, 6.0, 31)
     p_g = natural_params(g=0.8)
     p_0 = natural_params(g=0.0)
-    tr_g = ramsey.ramsey_trace(p_g, states.fock_state(32, 0), times, x0=0.0, dim=128)
-    tr_0 = ramsey.ramsey_trace(p_0, states.fock_state(32, 0), times, x0=0.0, dim=128)
+    tr_g = ramsey.ramsey_trace(p_g, states.fock_state(128, 0), times, x0=0.0)
+    tr_0 = ramsey.ramsey_trace(p_0, states.fock_state(128, 0), times, x0=0.0)
     assert np.max(np.abs(tr_g.visibility - tr_0.visibility)) < 1e-12
     gap_diff = (
         model.offset_gap(p_g, 1, 0) - model.offset_gap(p_0, 1, 0)
@@ -172,10 +170,8 @@ def test_gravity_off_reduction():
 def test_corotating_frame_removes_internal_phase():
     p = natural_params()
     times = np.linspace(0.0, 2.0, 11)
-    lab = ramsey.ramsey_trace(p, states.fock_state(32, 0), times, dim=64)
-    rot = ramsey.ramsey_trace(
-        p, states.fock_state(32, 0), times, dim=64, corotating=True
-    )
+    lab = ramsey.ramsey_trace(p, states.fock_state(64, 0), times)
+    rot = ramsey.ramsey_trace(p, states.fock_state(64, 0), times, corotating=True)
     wc = p.omega_c(1)
     assert np.max(np.abs(rot.trace - lab.trace * np.exp(1j * wc * times))) < 1e-12
     assert np.array_equal(rot.visibility, np.abs(rot.trace))
@@ -197,7 +193,7 @@ def test_corotating_si_phase_is_cancellation_free():
 
     times = np.linspace(1e-4, 1e-2, 50)
     state = states.fock_state(64, 0)
-    rot = ramsey.ramsey_trace(p, state, times, x0=0.0, dim=64, corotating=True)
+    rot = ramsey.ramsey_trace(p, state, times, x0=0.0, corotating=True)
     spec = fock.spectrum(model.derive_mode_frame(p, 1), 0.0, 64)
     bounded = ramsey._bounded_trace(spec, p.omega0, state, times)
     ref_phase = np.array([float(-rate_ref * F(t)) for t in times])
@@ -414,9 +410,9 @@ def test_thermal_trace_takes_one_real_product_bit_for_bit(monkeypatch):
     state = states.thermal_state_cm(512, 3.0)
     assert not state.data.imag.any()
     times = np.linspace(0.0, 4.0 * math.pi, 500)
-    got = ramsey.ramsey_trace(p, state, times, x0=1.0, dim=512).trace
+    got = ramsey.ramsey_trace(p, state, times, x0=1.0).trace
     monkeypatch.setattr(fock, "real_matmul", lambda R, Z: R @ Z.real + 1j * (R @ Z.imag))
-    assert np.array_equal(got, ramsey.ramsey_trace(p, state, times, x0=1.0, dim=512).trace)
+    assert np.array_equal(got, ramsey.ramsey_trace(p, state, times, x0=1.0).trace)
 
 
 def _count_solves(monkeypatch):
@@ -436,7 +432,7 @@ def test_one_real_solve_per_schedule_dim(monkeypatch):
     solves = _count_solves(monkeypatch)
     p = natural_params(E1=2.0, c=2.0, g=0.0)
     times = np.linspace(0.0, 6.0, 300)
-    ramsey.ramsey_trace(p, states.fock_state(64, 1), times, x0=4.5, dim=96)
+    ramsey.ramsey_trace(p, states.fock_state(96, 1), times, x0=4.5)
     assert solves == [(96, False)]
 
 
@@ -461,7 +457,8 @@ def test_exact_routes_make_no_solve(monkeypatch):
 def test_gaussian_kernel_matches_eigh(corotating, S, x0, radius, angle, nbar):
     # The kernel route against the truncated eigh route at dim 1024 for the
     # displaced thermal state D(alpha) rho_th D(alpha)^dag, built at dim 256
-    # with fock.displace_matrix (nbar = 0: the coherent state |alpha>).
+    # with fock.displace_matrix and padded to dim 1024 (nbar = 0: the
+    # coherent state |alpha>).
     # Dim 1024 holds every drawn state up to x0 = 6 (5.2e-13 at the
     # corners); at S 0.5, x0 8, alpha 2, nbar 3 it passes the tail rule yet
     # is 1.5e-9 off, so a thermal draw stops at x0 = 6.
@@ -469,15 +466,16 @@ def test_gaussian_kernel_matches_eigh(corotating, S, x0, radius, angle, nbar):
     if nbar > 0.0:
         x0 = min(x0, 6.0)
         D = fock.displace_matrix(256, alpha)
-        state = states.mixed_state(D @ states.thermal_state_cm(256, nbar).data @ D.conj().T)
+        rho = D @ states.thermal_state_cm(256, nbar).data @ D.conj().T
+        state = states.mixed_state(np.pad(rho, (0, 1024 - 256)))
     else:
-        state = states.coherent_state(64, alpha)
+        state = states.coherent_state(1024, alpha)
     p = natural_params(E1=100.0 * (1.0 / S**2 - 1.0), c=10.0)
     w1 = model.derive_mode_frame(p, 1).omega_i
     times = np.linspace(0.0, 4.0 * math.pi / w1, 13)
     kernel = ramsey.gaussian_trace(p, times, x0=x0, corotating=corotating,
                                    alpha=alpha, nbar=nbar)
-    ref = ramsey.ramsey_trace(p, state, times, x0=x0, dim=1024, corotating=corotating)
+    ref = ramsey.ramsey_trace(p, state, times, x0=x0, corotating=corotating)
     assert kernel.dim is None and kernel.x0 == ref.x0
     assert np.max(np.abs(kernel.trace - ref.trace)) < 1e-11
 
@@ -496,7 +494,7 @@ def test_generating_function_matches_eigh(corotating, S, x0, n):
     w1 = model.derive_mode_frame(p, 1).omega_i
     times = np.linspace(0.0, 4.0 * math.pi / w1, 13)
     exact = ramsey.fock_trace(p, n, times, x0=x0, corotating=corotating)
-    ref = ramsey.ramsey_trace(p, states.fock_state(64, n), times, x0=x0, dim=1024,
+    ref = ramsey.ramsey_trace(p, states.fock_state(1024, n), times, x0=x0,
                               corotating=corotating)
     assert exact.dim is None and exact.x0 == ref.x0
     assert np.max(np.abs(exact.trace - ref.trace)) < 1e-11
@@ -508,7 +506,7 @@ def test_fock_trace_n60_matches_eigh_at_dim_2048():
     w1 = model.derive_mode_frame(p, 1).omega_i
     times = np.linspace(0.0, 4.0 * math.pi / w1, 7)
     exact = ramsey.fock_trace(p, 60, times, x0=2.0)
-    ref = ramsey.ramsey_trace(p, states.fock_state(64, 60), times, x0=2.0, dim=2048)
+    ref = ramsey.ramsey_trace(p, states.fock_state(2048, 60), times, x0=2.0)
     assert np.max(np.abs(exact.trace - ref.trace)) < 1e-11
 
 
@@ -644,7 +642,7 @@ def _rule_trace(p, times, x0, corotating, state, n, eigh):
               "coherent": lambda: states.coherent_state(_RULE_DIM, 0.6 - 0.3j),
               "thermal": lambda: states.thermal_state_cm(_RULE_DIM, 0.8),
               "fock": lambda: states.fock_state(_RULE_DIM, n)}[state]()
-        return ramsey.ramsey_trace(p, cm, times, dim=_RULE_DIM, **where)
+        return ramsey.ramsey_trace(p, cm, times, **where)
     if state == "fock":
         return ramsey.fock_trace(p, n, times, **where)
     alpha = 0.6 - 0.3j if state == "coherent" else 0j
@@ -692,7 +690,7 @@ def test_numeric_phase_matches_analytic():
     p = natural_params(E1=4.0, c=3.0, g=0.0)
     w1 = model.derive_mode_frame(p, 1).omega_i
     times = np.linspace(0.0, 2.0 * math.pi / w1, 200)
-    tr = ramsey.ramsey_trace(p, states.fock_state(64, 0), times, x0=0.3, dim=256)
+    tr = ramsey.ramsey_trace(p, states.fock_state(256, 0), times, x0=0.3)
     amp = ramsey.gaussian_trace(p, times, x0=0.3).trace
     assert np.max(np.abs(np.abs(amp) - tr.visibility)) < 1e-6
     dphi = np.angle(tr.trace * np.conj(amp))
@@ -714,12 +712,6 @@ def test_fock_vacuum_trace_is_the_coherent_vacuum_trace_bit_for_bit(system, x0, 
     fock0 = ramsey.fock_trace(p, 0, times, x0=x0, corotating=corotating).trace
     vacuum = ramsey.gaussian_trace(p, times, x0=x0, corotating=corotating).trace
     assert fock0.tobytes() == vacuum.tobytes()
-
-
-def test_embedding_mismatch():
-    p = natural_params()
-    with pytest.raises(DimensionMismatch):
-        ramsey.ramsey_trace(p, states.fock_state(128, 0), [0.1], dim=64)
 
 
 _EXACT_ROUTES = {

@@ -34,7 +34,7 @@ def test_vacuum_visibility_oracle_detects_perturbation():
     p = verify._natural_params(S)
     w1 = model.derive_mode_frame(p, 1).omega_i
     times = np.linspace(0.0, 4.0 * math.pi / w1, 100)
-    trace = ramsey.ramsey_trace(p, states.fock_state(64, 0), times, x0=x0, dim=256)
+    trace = ramsey.ramsey_trace(p, states.fock_state(256, 0), times, x0=x0)
     amp = 1.01 * ramsey.gaussian_trace(p, times, x0=x0).trace
     dev = float(np.max(np.abs(np.abs(amp) - trace.visibility)))
     assert dev > 1e-6  # would exceed the oracle's visibility tolerance
