@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import zlib
 
 import numpy as np
 
@@ -195,14 +196,20 @@ def _text(cells: np.ndarray, last: np.ndarray, digit_row: np.ndarray) -> bytes:
     return b"".join(parts) + body[at:]
 
 
-def write_rows(fh, data: np.ndarray) -> None:
+def write_rows(fh, data: np.ndarray, crc: int = 0) -> tuple[int, int]:
     """Write each row of the 2-D float array data to the binary file fh as
     "%.17g" cells joined by "," and ended by CRLF, at most BLOCK_CELLS cells
-    at a time."""
+    at a time. Returns the byte count written and zlib.crc32 of those bytes
+    continued from crc, both summed block by block."""
     n_cols = data.shape[1]
     rows = max(1, BLOCK_CELLS // n_cols)
     digit_row = np.full((rows * n_cols, SLOTS), 0xFF, np.uint8)
     last = np.arange(rows * n_cols) % n_cols == n_cols - 1
+    size = 0
     for lo in range(0, data.shape[0], rows):
         cells = data[lo : lo + rows].ravel()
-        fh.write(_text(cells, last[: cells.size], digit_row[: cells.size]))
+        block = _text(cells, last[: cells.size], digit_row[: cells.size])
+        fh.write(block)
+        size += len(block)
+        crc = zlib.crc32(block, crc)
+    return size, crc

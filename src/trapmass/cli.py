@@ -21,6 +21,12 @@ double-double product and a table of "%g" layouts, and leaves to Python's
 "%" each cell whose rounding it cannot certify or whose decimal exponent
 has magnitude 280 or more. One provenance dict, taken once per run, heads
 both the CSV and the JSON summary.
+
+--verify parses no CSV. It checks the declared invariants on the float
+table that _write_csv encoded, which is what the file parses to since
+"%.17g" round-trips every double, and confirms the file on disk by reading
+it back in blocks: its byte count and zlib.crc32 must be those summed as it
+was written.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import math
 import os
 import sys
 import warnings
+import zlib
 from datetime import datetime, timezone
 
 import numpy as np
@@ -100,6 +107,8 @@ def load_config(path: str, experiment: str) -> dict:
     path = cfg["output"].get("path", experiment)
     if not (isinstance(path, str) and os.path.basename(path)):
         raise ConfigError(f"output path must be a string naming a file, got {path!r}")
+    if os.path.isabs(path) or os.pardir in path.replace("\\", "/").split("/"):
+        raise ConfigError(f"output path must be relative with no '..' part, got {path!r}")
     _check_keys(cfg.get("params", {}), _EXPERIMENT_KEYS[experiment], "params")
     return cfg
 
@@ -120,21 +129,24 @@ def _optional(parse):
     return lambda value: None if value is None else parse(value)
 
 
-def _number(parse):
-    """parse, refusing a JSON true or false, which float, int and complex
-    would read as 1 or 0."""
-    def number(value):
-        if isinstance(value, bool):
-            raise TypeError("must be a number, not true or false")
-        return parse(value)
-    return number
+def _real(value) -> float:
+    """float(value), refusing a JSON true, false or string, which float would
+    read as 1, 0 or the number the string spells."""
+    if isinstance(value, (bool, str)):
+        raise TypeError("must be a number, not true, false or a string")
+    return float(value)
 
 
-_real, _complex = _number(float), _number(complex)
+def _complex(value) -> complex:
+    """complex(value), refusing a JSON true or false; a string such as
+    "1.2-0.7j" is how a config writes a complex alpha."""
+    if isinstance(value, bool):
+        raise TypeError("must be a number, not true or false")
+    return complex(value)
 
 
 def _integer(value) -> int:
-    """int(value), refusing a boolean and a fractional value."""
+    """int(value), refusing a boolean, a string and a fractional value."""
     if _real(value) != int(value):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
@@ -228,30 +240,35 @@ def _provenance(cfg: dict, timestamp: bool) -> dict:
     return prov
 
 
-def _write_csv(path: str, prov: dict, columns: list[str], data) -> None:
+def _write_csv(path: str, prov: dict, columns: list[str], data
+               ) -> tuple[str, list[str], np.ndarray, int, int]:
     """Write the 2-D float array data, one row per line, under columns and
-    the header lines of prov."""
-    data = np.asarray(data, dtype=float).reshape(-1, len(columns))
+    the header lines of prov. Returns what verify_outputs checks: (path,
+    columns, table, size, crc), table the float array written and size and
+    crc the byte count and zlib.crc32 of the whole file."""
+    table = np.asarray(data, dtype=float).reshape(-1, len(columns))
+    head = "".join(f"# {key}={value}\n" for key, value in prov.items())
+    head = (head + ",".join(columns) + "\r\n").encode()
     with open(path, "wb") as fh:
-        fh.write("".join(f"# {key}={value}\n" for key, value in prov.items()).encode())
-        fh.write((",".join(columns) + "\r\n").encode())
-        _csvtext.write_rows(fh, data)
+        fh.write(head)
+        size, crc = _csvtext.write_rows(fh, table, zlib.crc32(head))
+    return path, columns, table, len(head) + size, crc
 
 
 def _write_outputs(cfg: dict, out_dir: str, timestamp: bool, columns: list[str],
-                   data, summary: dict) -> list[str]:
+                   data, summary: dict) -> tuple[tuple, str]:
     """Write <path>.csv and <path>_summary.json under out_dir, making the
-    directory they go in, both under one provenance header; returns both
-    paths."""
+    directory they go in, both under one provenance header; returns
+    _write_csv's record of the CSV and the summary's path."""
     base = os.path.join(out_dir, cfg["output"].get("path", cfg["experiment"]))
     os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
     csv_path, json_path = base + ".csv", base + "_summary.json"
     prov = _provenance(cfg, timestamp)
-    _write_csv(csv_path, prov, columns, data)
+    written = _write_csv(csv_path, prov, columns, data)
     with open(json_path, "w") as fh:
         json.dump({**prov, **summary}, fh, indent=2, default=float)
         fh.write("\n")
-    return [csv_path, json_path]
+    return written, json_path
 
 
 def read_csv(path: str) -> tuple[dict, list[str], np.ndarray]:
@@ -566,15 +583,30 @@ _UNIT_INTERVAL_COLUMNS = {"V", "V_analytic", "P_exact", "P_approx", "P"}
 _NAN_COLUMNS = {"P_exact", "phase"}
 
 
-def verify_outputs(paths: list[str]) -> list[str]:
-    """Re-read emitted CSVs and check the declared invariants. Every value
-    must be finite, except NaN in the _NAN_COLUMNS."""
+_READ_BLOCK = 1 << 16
+
+
+def _file_tally(path: str) -> tuple[int, int] | None:
+    """The byte count and zlib.crc32 of the file at path, read in blocks of
+    _READ_BLOCK bytes, or None where it cannot be read."""
+    size = crc = 0
+    try:
+        with open(path, "rb") as fh:
+            while block := fh.read(_READ_BLOCK):
+                size += len(block)
+                crc = zlib.crc32(block, crc)
+    except OSError:
+        return None
+    return size, crc
+
+
+def verify_outputs(written: list[tuple]) -> list[str]:
+    """Check the declared invariants on each table in _write_csv's records,
+    and that each file still holds the bytes written. Every value must be
+    finite, except NaN in the _NAN_COLUMNS."""
     problems = []
-    for path in paths:
-        if not path.endswith(".csv"):
-            continue
-        _, columns, arr = read_csv(path)
-        for col, vals in zip(columns, arr.T):
+    for path, columns, table, size, crc in written:
+        for col, vals in zip(columns, table.T):
             if col in _NAN_COLUMNS:
                 vals = vals[~np.isnan(vals)]
             if not np.isfinite(vals).all():
@@ -585,6 +617,8 @@ def verify_outputs(paths: list[str]) -> list[str]:
                 problems.append(f"{path}: column {col} outside [0, 1]")
             if col == "Q" and np.any(vals < -1e-12):
                 problems.append(f"{path}: negative Q values")
+        if _file_tally(path) != (size, crc):
+            problems.append(f"{path}: file differs from the table written")
     return problems
 
 
@@ -612,7 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp header line")
         sp.add_argument("--verify", action="store_true",
-                        help="re-read outputs and check invariants")
+                        help="check the invariants of the table written and "
+                             "that the CSV on disk still holds it")
     vp = sub.add_parser("verify", help="run the oracle suite")
     vp.add_argument("--all", action="store_true", required=True)
     vp.add_argument("--out", default=None, help="output directory")
@@ -640,11 +675,12 @@ def main(argv=None) -> int:
     except TrapMassError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    paths = _write_outputs(cfg, out_dir, not args.no_timestamp, columns, data, summary)
-    for path in paths:
-        print(path)
+    written, json_path = _write_outputs(cfg, out_dir, not args.no_timestamp, columns, data,
+                                        summary)
+    print(written[0])
+    print(json_path)
     if args.verify:
-        problems = verify_outputs(paths)
+        problems = verify_outputs([written])
         if problems:
             for prob in problems:
                 print(f"verification: {prob}", file=sys.stderr)

@@ -881,8 +881,9 @@ def test_verify_accepts_zero_row_csv(tmp_path):
            "output": {"path": "empty"},
            "params": {"op": "visibility_extrema", "axes": {"x0": [0.0]}}}
     names = ["x0", "t_min", "V_min", "t_rev", "V_rev"]
-    paths = cli._write_outputs(cfg, str(tmp_path), False, names, np.empty((0, 5)), {"rows": 0})
-    assert cli.verify_outputs(paths) == []
+    written, _ = cli._write_outputs(cfg, str(tmp_path), False, names, np.empty((0, 5)),
+                                    {"rows": 0})
+    assert cli.verify_outputs([written]) == []
     _, columns, rows = cli.read_csv(str(tmp_path / "empty.csv"))
     assert columns == names
     assert rows.shape == (0, 5)
@@ -1219,12 +1220,25 @@ def test_output_path_may_name_a_subdirectory(tmp_path):
     assert (tmp_path / "sub" / "run_summary.json").is_file()
 
 
+@pytest.mark.parametrize("path", ["/abs/run", "../escaped", "sub/../../escaped", "sub/..",
+                                  "sub\\..\\escaped"])
+def test_output_path_leaving_the_output_directory_is_a_config_error(tmp_path, capsys, path):
+    # os.path.join dropped --out for an absolute path, which received the
+    # CSV and summary with exit 0; a ".." part climbs out of --out.
+    if path.startswith("/"):
+        path = str(tmp_path / "escaped")
+    cfg = ramsey_cfg()
+    cfg["output"]["path"] = path
+    cfg_path = write_cfg(tmp_path, "ramsey.json", cfg)
+    out = tmp_path / "a" / "out"
+    assert cli.main(["ramsey", "--config", cfg_path, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "config error: output path must be relative" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def _hand_csv(path, columns, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\r\n")
-    return str(path)
+    # A table written as main writes it; returns the record --verify checks.
+    return cli._write_csv(str(path), {}, columns, np.array(rows, dtype=float))
 
 
 def test_verify_flags_non_finite_values_outside_p_exact(tmp_path):
@@ -1251,15 +1265,93 @@ def test_verify_flags_negative_q(tmp_path):
     ok = _hand_csv(tmp_path / "ok.csv", columns, [[0.0, 0.0, 0.5], [0.1, 0.0, -1e-12]])
     assert cli.verify_outputs([ok]) == []
     bad = _hand_csv(tmp_path / "bad.csv", columns, [[0.0, 0.0, 0.5], [0.1, 0.0, -1e-9]])
-    assert cli.verify_outputs([bad]) == [f"{bad}: negative Q values"]
+    assert cli.verify_outputs([bad]) == [f"{bad[0]}: negative Q values"]
 
 
 def test_verify_problem_exits_verify_fail(tmp_path, monkeypatch):
     # A problem found by --verify is a failed verification (exit 1), not a
     # numeric failure.
-    monkeypatch.setattr(cli, "verify_outputs", lambda paths: ["forced problem"])
+    monkeypatch.setattr(cli, "verify_outputs", lambda written: ["forced problem"])
     assert run(tmp_path, ramsey_cfg(), "ramsey", extra=["--verify"]) \
         == cli.EXIT_VERIFY_FAIL
+
+
+_CI_SYSTEMS = {
+    "natural": NATURAL_SYSTEM,
+    "si": {"unit_system": "si", "M0": 1e-26, "omega0": 1e6, "levels": [0.0, 1e-19]},
+}
+_CI_RUNS = ["ramsey", "shift", "drive", "qfunc", "sweep:fractional_shift",
+            "sweep:visibility_extrema"]
+
+
+@pytest.mark.parametrize("units", sorted(_CI_SYSTEMS))
+@pytest.mark.parametrize("job", _CI_RUNS)
+def test_default_config_csv_parses_to_the_table_verified(tmp_path, monkeypatch, units, job):
+    # CI's default configs: the table --verify checks is the CSV read back,
+    # bit for bit, so checking it in memory checks what the file holds.
+    experiment, _, op = job.partition(":")
+    cfg = {"experiment": experiment, "system": dict(_CI_SYSTEMS[units]),
+           "output": {"path": f"{units}_{experiment}{op}"}}
+    if op:
+        cfg["params"] = {"op": op}
+    seen, verify = [], cli.verify_outputs
+
+    def record(written):
+        seen.extend(written)
+        return verify(written)
+
+    monkeypatch.setattr(cli, "verify_outputs", record)
+    assert run(tmp_path, cfg, experiment, extra=["--verify"]) == cli.EXIT_OK
+    [(path, columns, table, _, _)] = seen
+    _, got_columns, got = cli.read_csv(path)
+    assert got_columns == columns and got.shape == table.shape
+    assert got.tobytes() == np.where(np.isnan(table), np.nan, table).tobytes()
+
+
+def test_verify_does_not_parse_the_csv(tmp_path, monkeypatch):
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("--verify parsed the CSV")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    assert run(tmp_path, ramsey_cfg(), "ramsey", extra=["--verify"]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("change", ["byte", "append", "truncate", "delete"])
+def test_verify_flags_a_csv_changed_after_writing(tmp_path, monkeypatch, capsys, change):
+    # The file is changed between the write and the check: a digit of the
+    # body altered (same size), a row appended, the last row cut, the file
+    # gone.
+    def tamper(written):
+        path = written[0][0]
+        text = open(path, "rb").read()
+        if change == "delete":
+            os.remove(path)
+        else:
+            at = text.rindex(b"\r\n", 0, len(text) - 2) + 2
+            text = {"byte": text[:at] + bytes([text[at] ^ 1]) + text[at + 1:],
+                    "append": text + text[at:],
+                    "truncate": text[:at]}[change]
+            open(path, "wb").write(text)
+        return verify(written)
+
+    verify = cli.verify_outputs
+    monkeypatch.setattr(cli, "verify_outputs", tamper)
+    assert run(tmp_path, ramsey_cfg(), "ramsey", extra=["--verify"]) == cli.EXIT_VERIFY_FAIL
+    err = capsys.readouterr().err
+    assert f"verification: {tmp_path / 'ramsey_run.csv'}: file differs from the table written" \
+        in err
+
+
+def test_verify_flags_a_runner_table_outside_its_bounds(tmp_path, monkeypatch, capsys):
+    def runner(system, params):
+        return ["t", "P", "V", "phase"], np.array([[0.0, 1.0, 1.0, 0.0],
+                                                   [1.0, 0.5, 1.5, 0.1]]), {}
+
+    monkeypatch.setitem(cli._RUNNERS, "ramsey", runner)
+    assert run(tmp_path, ramsey_cfg(), "ramsey", extra=["--verify"]) == cli.EXIT_VERIFY_FAIL
+    assert f"{tmp_path / 'ramsey_run.csv'}: column V outside [0, 1]" in capsys.readouterr().err
+    # Without --verify the same table is written and the run succeeds.
+    assert run(tmp_path, ramsey_cfg(), "ramsey") == cli.EXIT_OK
 
 
 def _sweep_cfg(op, axes):
@@ -1354,6 +1446,42 @@ def test_malformed_params_are_config_errors(tmp_path, capsys, experiment, params
            "output": {"path": "malformed"}, "params": params}
     assert run(tmp_path, cfg, experiment) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, section", [
+    ("c", "system"), ("levels", "system"), ("points", "params"), ("x0", "params"),
+    ("periods", "params"), ("times", "params"), ("n", "state"), ("nbar", "state"),
+    ("dim", "state"),
+])
+def test_numbers_written_as_strings_are_config_errors(tmp_path, capsys, key, section):
+    # float("2") read "c": "2", "points": "5" and "x0": "0.5" as numbers, with
+    # exit 0. Only a coherent alpha is written as a string.
+    value = {"c": "2", "levels": [0.0, "2"], "points": "5", "x0": "0.5", "periods": "1",
+             "times": [0.0, "1"], "n": "1", "nbar": "1.0", "dim": "64"}[key]
+    cfg = ramsey_cfg()
+    if section == "state":
+        cfg["params"]["state"] = {"type": "thermal" if key == "nbar" else "fock", key: value}
+        del cfg["params"]["dim"]
+    elif key == "times":
+        cfg["params"] = {"times": value}
+    else:
+        cfg[section][key] = value
+    assert run(tmp_path, cfg, "ramsey") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: malformed {key} ")
+
+
+def test_coherent_alpha_is_read_from_a_string(tmp_path):
+    cfg = ramsey_cfg(state={"type": "coherent", "alpha": "0.5-0.2j"})
+    del cfg["params"]["dim"]
+    assert run(tmp_path, cfg, "ramsey") == cli.EXIT_OK
+    numeric = ramsey_cfg(state={"type": "coherent", "alpha": 0.5})
+    numeric["output"]["path"] = "real_alpha"
+    del numeric["params"]["dim"]
+    assert run(tmp_path, numeric, "ramsey") == cli.EXIT_OK
+    # The imaginary part is read: the two traces differ.
+    _, _, complex_rows = cli.read_csv(str(tmp_path / "ramsey_run.csv"))
+    _, _, real_rows = cli.read_csv(str(tmp_path / "real_alpha.csv"))
+    assert not np.array_equal(complex_rows, real_rows)
 
 
 _SYSTEM_RUNS = [("ramsey", {}), ("shift", {}), ("drive", {}), ("qfunc", {}),
