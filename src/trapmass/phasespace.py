@@ -11,6 +11,9 @@ in modulus, as |rho| is symmetric and the columns past s hold at most
 tau / 2. Since |<n|beta>| <= 1 and |<beta|U D U^dag|beta>| <= ||D||_2 <=
 sum |D|, each cut moves a Q value by at most tau: 5.6e-17 for a thermal
 state, 8.2e-16 for a coherent state at |alpha| = 3.
+
+qfunction's grid reaches the least lattice radius past which _q_bound, a
+bound on Q from rho >= 0, is below 1e-8: every Q value off it is below 1e-8 + tau.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from .errors import InvalidDistribution, NonGaussianProfile, TruncationInsuffici
 from .states import CMState, mixed_state
 
 _EDGE_Q = 1e-8
-_GRID_START_HALF_WIDTH = 4.0
-_GRID_GROWTH = 1.5
 _GRID_MAX_HALF_WIDTH = 64.0
 _Q_CHUNK = 2048
 # effective_squeezing_fit uses only real-axis points with Q above this floor.
@@ -104,11 +105,6 @@ def evolve_mixed_cm(
     return mixed_state(out)
 
 
-def _axis(half_width: float, delta: float) -> np.ndarray:
-    m = int(math.ceil(half_width / delta))
-    return delta * np.arange(-m, m + 1)
-
-
 def _husimi(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """<beta|rho|beta> at each point of betas, _Q_CHUNK points per GEMM."""
     q = np.empty(betas.size)
@@ -118,37 +114,42 @@ def _husimi(rho: np.ndarray, betas: np.ndarray) -> np.ndarray:
     return np.clip(q, 0.0, None)
 
 
-def qfunction(
-    rho: CMState,
-    delta: float = 0.1,
-    half_width: float = _GRID_START_HALF_WIDTH,
-    auto_expand: bool = True,
-) -> QGrid:
-    """Husimi function on a square grid centered at the origin.
+def _q_bound(density: np.ndarray, delta: float) -> np.ndarray:
+    """b[k] >= Q at every k delta <= |beta| <= (k + 1) delta, and b[-1] at
+    every larger |beta|. |rho_nm| <= sqrt(rho_nn rho_mm) as rho >= 0, so
+    Q <= (sum_n sqrt(rho_nn) f_n(|beta|))^2, f_n(R) = |<n|beta>| =
+    e^{-R^2/2} R^n / sqrt(n!), largest on an interval at sqrt(n) clipped to it."""
+    n = np.arange(density.shape[0])
+    lo = delta * np.arange(int(_GRID_MAX_HALF_WIDTH / delta) + 1)
+    R = np.clip(np.sqrt(n), lo[:, None], np.append(lo[1:], np.inf)[:, None])
+    log_fact = np.log(np.maximum(n, 1)).cumsum()
+    f = np.exp(n * np.log(np.where(R > 0.0, R, 1.0)) - 0.5 * (R**2 + log_fact))
+    return (f @ np.sqrt(np.clip(density.diagonal().real, 0.0, None))) ** 2
 
-    Unless auto_expand=False, the half-width grows by 1.5x until Q on the
-    edge ring of the grid drops below 1e-8; only the ring is evaluated for
-    each candidate, and the chosen grid is filled in one pass. Only
-    fock.block is contracted, with as many coherent columns (see the module
-    docstring), so Q is exact at every beta and no dim is read.
-    """
+
+def qfunction(rho: CMState, delta: float = 0.1, half_width: float | None = None) -> QGrid:
+    """Husimi function on the square lattice delta (i + 1j j), |i|, |j| <= m,
+    filled in one pass: m = ceil(half_width / delta), or with no half_width
+    the least m past which _q_bound < 1e-8 (module docstring). Only
+    fock.block is contracted, so no dim is read."""
+    delta = float(delta)
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     density = fock.block(rho.data)
-    hw = float(half_width)
-    while auto_expand:
-        ax = _axis(hw, delta)
-        edges = (ax + 1j * ax[0], ax + 1j * ax[-1], ax[0] + 1j * ax, ax[-1] + 1j * ax)
-        if _husimi(density, np.concatenate(edges)).max() < _EDGE_Q:
-            break
-        hw *= _GRID_GROWTH
-        if hw > _GRID_MAX_HALF_WIDTH:
-            raise TruncationInsufficient(
-                f"grid half-width exceeded {_GRID_MAX_HALF_WIDTH} without "
-                f"meeting the edge criterion"
-            )
-    ax = _axis(hw, delta)
+    if half_width is not None:
+        if not (math.isfinite(half_width) and half_width >= 0.0):
+            raise ValueError(f"half_width must be finite and >= 0, got {half_width!r}")
+        m = math.ceil(half_width / delta)
+    else:
+        bound = _q_bound(density, delta)
+        if bound[-1] >= _EDGE_Q or density.shape[0] - 1 > _GRID_MAX_HALF_WIDTH**2:
+            raise TruncationInsufficient(f"grid half-width exceeded {_GRID_MAX_HALF_WIDTH} "
+                                         "without meeting the edge criterion")
+        m = int(np.flatnonzero(bound >= _EDGE_Q).max(initial=-1)) + 1
+    ax = delta * np.arange(-m, m + 1)
     beta = ax[None, :] + 1j * ax[:, None]
     q = _husimi(density, beta.ravel()).reshape(beta.shape)
-    return QGrid(beta=beta, q=q, delta=float(delta))
+    return QGrid(beta=beta, q=q, delta=delta)
 
 
 def qfunction_short_time(

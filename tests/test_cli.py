@@ -1122,6 +1122,19 @@ def test_qfunc_state_takes_params_dim(tmp_path, capsys):
     assert run(tmp_path, qfunc_cfg(dim=96), "qfunc", extra=["--verify"]) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("state", [{"type": "fock", "n": 100},
+                                   {"type": "coherent", "alpha": "12"}],
+                         ids=["fock100", "coherent12"])
+def test_qfunc_grid_holds_a_state_far_from_the_origin(tmp_path, state):
+    # Fock 100 and |12> put their Q far off a half-width-4 grid; a grid
+    # sized by a search from there wrote a normalization of 8.4e-24 and
+    # 1.1e-29 and exited 0. The grid sized by the bound holds the state.
+    assert run(tmp_path, qfunc_cfg(dim=256, state=state), "qfunc",
+               extra=["--verify"]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "qfunc_run_summary.json").read_text())
+    assert abs(summary["normalization"] - 1.0) < 1e-8
+
+
 def test_conflicting_state_and_params_dim_is_config_error(tmp_path, capsys):
     # An explicit params dim is the one truncation: a spec dim below or above
     # it is refused in every experiment that builds a truncated state.

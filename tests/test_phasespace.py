@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import factorial, gammainc, gammaincc
+from scipy.special import factorial, gammainc, gammaincc, gammaln, xlogy
 
 from trapmass import fock, model, phasespace, states
 from trapmass.errors import (
@@ -56,9 +56,9 @@ def test_qfunction_linearity_bitwise():
     rho_a = states.fock_state(96, 0).density()
     rho_b = states.fock_state(96, 2).density()
     mix = states.mixed_state(0.5 * rho_a + 0.5 * rho_b)
-    g_mix = phasespace.qfunction(mix, auto_expand=False)
-    g_a = phasespace.qfunction(states.fock_state(96, 0), auto_expand=False)
-    g_b = phasespace.qfunction(states.fock_state(96, 2), auto_expand=False)
+    g_mix = phasespace.qfunction(mix, half_width=4.0)
+    g_a = phasespace.qfunction(states.fock_state(96, 0), half_width=4.0)
+    g_b = phasespace.qfunction(states.fock_state(96, 2), half_width=4.0)
     assert np.max(np.abs(g_mix.q - 0.5 * g_a.q - 0.5 * g_b.q)) < 1e-13
 
 
@@ -66,9 +66,10 @@ def test_qfunction_linearity_bitwise():
 def test_unevolved_vacuum_q_is_exact_at_any_dim(dim):
     # Q(beta) = <beta|rho|beta> is computed exactly from the state's support
     # block at any beta, so the grid's boundary coherent states need not fit
-    # in dim: the vacuum gives exp(-|beta|^2) on the auto-expanded grid.
+    # in dim: the vacuum gives exp(-|beta|^2) on the grid its bound sizes,
+    # e^{-(k delta)^2} >= 1e-8 up to k = 42, so half-width 4.3.
     grid = phasespace.qfunction(states.fock_state(dim, 0))
-    assert grid.beta.shape == (121, 121)
+    assert grid.beta.shape == (87, 87)
     assert np.max(np.abs(grid.q - np.exp(-np.abs(grid.beta) ** 2))) < 1e-12
 
 
@@ -133,7 +134,7 @@ def test_qfunction_matches_einsum_reference(state, m):
     # Grids of (2m+1)^2 points run from 9 to 4225, below and across the
     # GEMM chunk boundaries. The half-width keeps the guard satisfied.
     hw = 0.25 * math.sqrt(state.dim)
-    grid = phasespace.qfunction(state, delta=hw / m, half_width=hw, auto_expand=False)
+    grid = phasespace.qfunction(state, delta=hw / m, half_width=hw)
     assert np.max(np.abs(grid.q - _reference_q(state, grid.beta))) < 1e-13
 
 
@@ -171,7 +172,7 @@ def test_cut_qfunction_within_tau_of_uncut(case, m):
     # independent _reference_q the two routes already differ by up to 8e-15
     # in roundoff, with or without the cut.
     state, hw = case
-    grid = phasespace.qfunction(state, delta=hw / m, half_width=hw, auto_expand=False)
+    grid = phasespace.qfunction(state, delta=hw / m, half_width=hw)
     uncut = phasespace._husimi(state.density(), grid.beta.ravel()).reshape(grid.beta.shape)
     tau = 0.25 * np.finfo(float).eps * np.abs(state.density()).sum()
     assert np.max(np.abs(grid.q - uncut)) <= tau + 1e-15
@@ -189,12 +190,11 @@ def test_husimi_receives_the_support_block(monkeypatch):
         return husimi(density, betas)
 
     monkeypatch.setattr(phasespace, "_husimi", recording)
-    phasespace.qfunction(states.fock_state(2600, 0), half_width=40.0, delta=10.0,
-                         auto_expand=False)
+    phasespace.qfunction(states.fock_state(2600, 0), half_width=40.0, delta=10.0)
     assert shapes == [(1, 1)]
     shapes.clear()
     flat = states.mixed_state(np.eye(32) / 32.0)
-    grid = phasespace.qfunction(flat, half_width=1.0, delta=0.25, auto_expand=False)
+    grid = phasespace.qfunction(flat, half_width=1.0, delta=0.25)
     assert shapes == [(32, 32)]
     # Q of the maximally mixed state is (1/dim) sum_n |<n|beta>|^2.
     expected = gammaincc(32, np.abs(grid.beta) ** 2) / 32.0
@@ -202,19 +202,21 @@ def test_husimi_receives_the_support_block(monkeypatch):
 
 
 def test_auto_expanded_qfunction_equals_one_fixed_grid():
-    # Growing from half-width 1 takes several rounds, each testing only the
-    # edge ring of its candidate grid; the chosen grid is then filled in one
-    # pass, bit for bit the auto_expand=False grid at the final half-width.
-    # delta = 1/8 keeps the lattice arithmetic exact.
+    # With no half_width the extent is the least lattice radius past which
+    # _q_bound is below 1e-8, and that grid is filled in one pass: bit for
+    # bit the grid at that half-width given. delta = 1/8 keeps the lattice
+    # arithmetic exact.
     rho = states.mixed_state(
         0.7 * states.coherent_state(128, 1.0 - 0.5j).density()
         + 0.3 * states.fock_state(128, 2).density()
     )
     delta = 0.125
-    grid = phasespace.qfunction(rho, delta=delta, half_width=1.0)
+    grid = phasespace.qfunction(rho, delta=delta)
     hw = float(-grid.beta[0, 0].real)
-    assert hw >= 1.0 * 1.5**2   # at least two growth rounds
-    single = phasespace.qfunction(rho, delta=delta, half_width=hw, auto_expand=False)
+    bound = phasespace._q_bound(fock.block(rho.data), delta)
+    m = round(hw / delta)
+    assert bound[m - 1] >= phasespace._EDGE_Q > bound[m:].max()
+    single = phasespace.qfunction(rho, delta=delta, half_width=hw)
     assert np.array_equal(single.beta, grid.beta)
     assert np.array_equal(single.q, grid.q)
 
@@ -394,21 +396,74 @@ def test_effective_squeezing_fit_rejects_non_gaussian():
 def test_effective_squeezing_fit_needs_three_points_above_the_floor():
     # The vacuum on a delta-6 grid: Q = e^-36 at beta = +-6 is below the
     # 1e-12 floor, which leaves the real axis one point.
-    grid = phasespace.qfunction(states.fock_state(8, 0), delta=6.0, half_width=1.0,
-                                auto_expand=False)
+    grid = phasespace.qfunction(states.fock_state(8, 0), delta=6.0, half_width=1.0)
     assert grid.real_axis()[1].size == 3
     with pytest.raises(NonGaussianProfile, match="too few grid points"):
         phasespace.effective_squeezing_fit(grid)
 
 
 def test_qfunction_refuses_a_grid_past_the_largest_half_width(monkeypatch):
-    # The vacuum's Q on the half-width-4 ring is e^-16 > 1e-8, so the grid
-    # must grow to 6, past a largest half-width of 5. (A state that reaches
-    # the real limit of 64 has a Fock block of hundreds of MB.)
+    # Under a largest half-width of 5, Fock 30's bound needs 8.5, and a
+    # vacuum with a 1e-15 amplitude at n = 30 needs 4.3 but has a Fock block
+    # whose sqrt(s - 1) is 5.5; under 4, the vacuum's 4.3 is refused. (A
+    # state that reaches the real limit of 64 has a Fock block of hundreds
+    # of MB.)
+    tail = np.zeros(64, dtype=complex)
+    tail[0], tail[30] = 1.0, 1e-15
     monkeypatch.setattr(phasespace, "_GRID_MAX_HALF_WIDTH", 5.0)
-    with pytest.raises(TruncationInsufficient, match="grid half-width exceeded 5.0"):
-        phasespace.qfunction(states.fock_state(8, 0))
+    for state in (states.fock_state(64, 30), states.pure_state(tail)):
+        with pytest.raises(TruncationInsufficient, match="grid half-width exceeded 5.0"):
+            phasespace.qfunction(state)
+    assert fock.support(tail) == 31
+    assert phasespace.qfunction(states.fock_state(8, 0)).beta.shape == (87, 87)
     assert phasespace.qfunction(states.fock_state(8, 0), half_width=4.5).beta.shape == (91, 91)
+    monkeypatch.setattr(phasespace, "_GRID_MAX_HALF_WIDTH", 4.0)
+    with pytest.raises(TruncationInsufficient, match="grid half-width exceeded 4.0"):
+        phasespace.qfunction(states.fock_state(8, 0))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"delta": 0.0}, {"delta": -0.1}, {"delta": math.nan}, {"delta": math.inf},
+    {"half_width": -1.0}, {"half_width": math.nan}, {"half_width": math.inf},
+])
+def test_qfunction_refuses_a_bad_delta_or_half_width(kwargs):
+    # A delta that is not finite and > 0, or a given half_width that is not
+    # finite and >= 0, names no grid.
+    with pytest.raises(ValueError, match="must be finite"):
+        phasespace.qfunction(states.fock_state(8, 0), **kwargs)
+
+
+@st.composite
+def _bounded_states(draw):
+    """Displaced thermal states D(alpha) rho_th(nbar) D(alpha)^dag at dim <= 256,
+    nbar <= 5 and |alpha| <= 4, and Fock states n <= 40."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 40))
+        return states.fock_state(draw(st.integers(n + 1, 256)), n)
+    dim = draw(st.integers(160, 256))
+    D = fock.displace_matrix(dim, draw(st.complex_numbers(max_magnitude=4.0)))
+    rho = D @ states.thermal_state_cm(dim, draw(st.floats(0.0, 5.0))).density() @ D.conj().T
+    return states.mixed_state(0.5 * (rho + rho.conj().T))
+
+
+@settings(max_examples=25, deadline=None)
+@given(state=_bounded_states(), delta=st.sampled_from([0.1, 0.25]))
+def test_bound_grid_holds_the_state(state, delta):
+    # The grid sized by the bound holds the state: its normalization is
+    # within 1e-8 of 1, and Q of the whole density on the lattice ring one
+    # step outside is below 1e-8. One step smaller, the bound, recomputed
+    # here from gammaln on [(m - 1) delta, m delta], is not below 1e-8.
+    grid = phasespace.qfunction(state, delta=delta)
+    assert abs(grid.normalization() - 1.0) < 1e-8
+    m = grid.beta.shape[0] // 2
+    ax = delta * np.arange(-m - 1, m + 2)
+    ring = np.concatenate((ax + 1j * ax[0], ax + 1j * ax[-1], ax[0] + 1j * ax, ax[-1] + 1j * ax))
+    assert phasespace._husimi(state.density(), ring).max() < phasespace._EDGE_Q
+    diag = np.clip(state.density().diagonal().real, 0.0, None)
+    n = np.arange(diag.size)
+    R = np.clip(np.sqrt(n), (m - 1) * delta, m * delta)
+    f = np.exp(xlogy(n, R) - 0.5 * R**2 - 0.5 * gammaln(n + 1))
+    assert (f @ np.sqrt(diag)) ** 2 >= phasespace._EDGE_Q
 
 
 def test_predicted_r_eff_matches_short_time_profile():
