@@ -15,8 +15,9 @@ Modules:
 
 from . import analytic, clock, constants, drive, errors, fock, model, phasespace, ramsey, states, verify
 from .model import SystemParams, ModeFrame, build_system, derive_mode_frame, offset_gap
-from .states import CMState, coherent_state, fock_state, mixed_state, pure_state, thermal_state_cm
-from .ramsey import RamseyTrace, fock_trace, gaussian_trace, ramsey_trace
+from .states import (CMState, Preparation, coherent_state, fock_state, mixed_state, pure_state,
+                     thermal_state_cm)
+from .ramsey import RamseyTrace, exact_trace, fock_trace, gaussian_trace, ramsey_trace
 
 __version__ = "0.1.0"
 
@@ -24,7 +25,7 @@ __all__ = [
     "analytic", "clock", "constants", "drive", "errors", "fock", "model",
     "phasespace", "ramsey", "states", "verify",
     "SystemParams", "ModeFrame", "build_system", "derive_mode_frame", "offset_gap",
-    "CMState", "coherent_state", "fock_state", "mixed_state", "pure_state",
+    "CMState", "Preparation", "coherent_state", "fock_state", "mixed_state", "pure_state",
     "thermal_state_cm",
-    "RamseyTrace", "gaussian_trace", "fock_trace", "ramsey_trace", "__version__",
+    "RamseyTrace", "exact_trace", "gaussian_trace", "fock_trace", "ramsey_trace", "__version__",
 ]

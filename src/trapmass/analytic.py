@@ -298,10 +298,13 @@ def _circle_diagonal(unitary, n: int) -> np.ndarray:
 
     Aliasing adds the coefficients n + jM (each of modulus <= 1) times
     rho^{jM}, and rho^M <= 1e-16; roundoff is about 100 / (1 - rho) ulps,
-    absolute, so a phase far below 1e-14 rad (SI) is not resolved.
+    absolute, so a phase far below 1e-14 rad (SI) is not resolved. The phase
+    index k n is int64: an M n past its range is DimensionMismatch.
     """
-    rho = 100.0 ** (-1.0 / n)
     M = 2 ** math.ceil(math.log2(8 * (n + 1)))
+    if M * n > np.iinfo(np.int64).max:
+        raise DimensionMismatch(f"Fock index {n:.6g} past the circle sum's int64 phase index")
+    rho = 100.0 ** (-1.0 / n)
     columns = tuple(x[:, None] for x in unitary)
     out = np.zeros(unitary[0].size, dtype=complex)
     for lo in range(0, M, _CIRCLE_CHUNK):

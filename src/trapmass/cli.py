@@ -45,7 +45,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import _csvtext, analytic, clock, constants, drive, model, phasespace, ramsey, states, verify
-from .errors import DimensionMismatch, MissingField, ParamMismatch, TrapMassError
+from .errors import MissingField, ParamMismatch, TrapMassError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -194,34 +194,28 @@ _SYSTEM_PARSERS = {
 }
 
 
-# Per state type: its parameter's key, parse and default, and its constructor.
-_STATE_TYPES = {
-    "fock": ("n", _integer, 0, states.fock_state),
-    "coherent": ("alpha", _complex, 0j, states.coherent_state),
-    "thermal": ("nbar", _real, 0.0, states.thermal_state_cm),
-}
+# Per state type: its parameter's key and parse.
+_STATE_TYPES = {"fock": ("n", _integer), "coherent": ("alpha", _complex),
+                "thermal": ("nbar", _real)}
 
 
-def _state_spec(params: dict, dim: int | None) -> tuple[str, int | complex | float, int | None]:
-    """(type, parameter, size) of params.state, the vacuum by default; size is
-    the spec's own dim if it gives one and the params dim otherwise."""
-    spec = params.get("state", {"type": "fock", "n": 0})
+def _state_spec(params: dict, dim: int | None) -> tuple[states.Preparation, int]:
+    """(preparation, size) of params.state, the vacuum by default. size is the
+    run's one truncation: an explicit params dim, which a spec dim must equal
+    (a ConfigError otherwise), else the spec's own dim, else 128. A spec
+    takes its type, that type's own key and dim; any other key is refused."""
+    spec = params.get("state", {"type": "fock"})
     _check_keys(spec, _STATE_KEYS, "state")
     kind = spec.get("type")
-    if kind not in _STATE_TYPES:
+    if not isinstance(kind, str) or kind not in _STATE_TYPES:
         raise ConfigError(f"unknown state type {kind!r}")
-    key, parse, default, _ = _STATE_TYPES[kind]
-    return kind, _param(spec, key, parse, default), _param(spec, "dim", _positive_integer, dim)
-
-
-def _truncated_state(kind: str, value, size: int | None, dim: int | None) -> states.CMState:
-    """A parsed state spec built at the run's one truncation: an explicit
-    params dim, which a spec dim must equal (a ConfigError otherwise), else
-    the spec's own dim, else 128. ramsey, drive and qfunc build every
-    truncated state here."""
+    key, parse = _STATE_TYPES[kind]
+    _check_keys(spec, {"type", key, "dim"}, f"{kind} state")
+    given = {key: _param(spec, key, parse)} if key in spec else {}
+    size = _param(spec, "dim", _positive_integer, dim)
     if dim is not None and size != dim:
         raise ConfigError(f"state dim {size} != params dim {dim}")
-    return _STATE_TYPES[kind][3](128 if size is None else size, value)
+    return states.Preparation(**given), 128 if size is None else size
 
 
 def _config_hash(cfg: dict) -> str:
@@ -294,23 +288,25 @@ def read_csv(path: str) -> tuple[dict, list[str], np.ndarray]:
 # (columns, data, summary): CSV column names, a 2-D float array with one
 # column per name, and the JSON summary payload.
 
+def _finite_max_deviation(values: np.ndarray, reference: np.ndarray) -> float | None:
+    """max |values - reference| where values is finite; None where none is."""
+    finite = np.isfinite(values)
+    return float(np.max(np.abs(values - reference)[finite])) if finite.any() else None
+
+
 def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
-    """Every state has an exact route with no truncated state: a Fock n != 0
-    the generating function ("generating_function"), every other state the
-    Gaussian kernel ("gaussian_kernel"). With params.dim omitted it is the
-    run's route and dim is null. An explicit params.dim takes the eigh route
-    ("eigh"), the state built at params.dim by _truncated_state, and the
-    summary gives its largest distance to the exact route
-    (exact_max_deviation), which it reports and does not gate on. params.times
-    excludes periods and points and must not decrease. Every summary gives
-    phase_floor, the absolute rounding of the phase's rate term
-    (RamseyTrace.phase_floor)."""
+    """The state's exact trace (ramsey.exact_trace), dim null; at an explicit
+    params.dim the state built there and evolved by ramsey.ramsey_trace, and
+    its largest distance to the exact trace (exact_max_deviation), reported
+    and not gated on. params.times excludes periods and points and must not
+    decrease. Every summary gives the result's route and phase_floor, the
+    absolute rounding of the phase's rate term (RamseyTrace.phase_floor)."""
     phys = model.build_system(system)
     level = _param(params, "level", _integer, 1)
     dim = _param(params, "dim", _optional(_positive_integer))
     x0 = _param(params, "x0", _optional(_real))
-    kind, value, size = _state_spec(params, dim)
-    state = None if dim is None else _truncated_state(kind, value, size, dim)
+    prep, size = _state_spec(params, dim)
+    state = None if dim is None else prep.truncated(size)
     omega1 = model.derive_mode_frame(phys, level).omega_i
     if "times" in params:
         if {"periods", "points"} & set(params):
@@ -324,42 +320,27 @@ def run_ramsey(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]
         # The phase is unwrapped along the times, so they must not decrease.
         raise ConfigError("ramsey needs at least one time point, all finite and non-decreasing")
     corotating = _param(params, "corotating", _boolean, False)
-    is_vacuum = kind == "fock" and value == 0
-    alpha = value if kind == "coherent" else 0j
     where = {"level": level, "x0": x0, "corotating": corotating}
-    if kind == "fock" and not is_vacuum:
-        route = "generating_function"
-        exact = ramsey.fock_trace(phys, value, times, **where)
-    else:
-        route = "gaussian_kernel"
-        nbar = value if kind == "thermal" else 0.0
-        exact = ramsey.gaussian_trace(phys, times, alpha=alpha, nbar=nbar, **where)
-    trace = exact
-    if dim is not None:
-        route = "eigh"
-        trace = ramsey.ramsey_trace(phys, state, times, **where)
+    exact = ramsey.exact_trace(phys, prep, times, **where)
+    trace = exact if state is None else ramsey.ramsey_trace(phys, state, times, **where)
 
     columns = ["t", "P", "V", "phase"]
     data = [times, trace.probability, trace.visibility, trace.phase]
-    summary = {"dim": trace.dim, "route": route, "x0": trace.x0, "level": level,
+    summary = {"dim": trace.dim, "route": trace.route, "x0": trace.x0, "level": level,
                "phase_floor": trace.phase_floor}
-    if dim is not None:
-        summary["exact_max_deviation"] = float(np.max(np.abs(trace.trace - exact.trace)))
-    if is_vacuum or kind == "coherent":
-        # The phase-space overlap shares no code with either route.
-        v_analytic = analytic.coherent_visibility(phys, trace.x0, alpha, times, level=level)
+    if state is not None:
+        summary["exact_max_deviation"] = _finite_max_deviation(trace.trace, exact.trace)
+    if not (prep.n or prep.nbar):
+        # Vacuum or coherent: the phase-space overlap shares no code with either route.
+        v_analytic = analytic.coherent_visibility(phys, trace.x0, prep.alpha, times, level=level)
         columns.append("V_analytic")
         data.append(v_analytic)
-        summary["oracle_max_deviation"] = float(
-            np.max(np.abs(v_analytic - trace.visibility))
-        )
-    if is_vacuum and not corotating:
+        summary["oracle_max_deviation"] = float(np.max(np.abs(v_analytic - trace.visibility)))
+    if prep == states.Preparation() and not corotating:
         # The vacuum's phase and extrema closed forms hold for it alone.
         columns.append("phase_analytic")
         data.append(ramsey._phase(exact.bounded, exact.offset))
-        t_min, v_min, t_rev, v_rev = analytic.visibility_extrema(
-            phys, trace.x0, level=level
-        )
+        t_min, v_min, t_rev, v_rev = analytic.visibility_extrema(phys, trace.x0, level=level)
         summary.update(t_min=t_min, V_min=v_min, t_rev=t_rev, V_rev=v_rev)
     return columns, np.column_stack(data), summary
 
@@ -434,52 +415,35 @@ def run_shift(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     return columns, np.vstack(blocks), summary
 
 
-def _finite_max_deviation(values: np.ndarray, reference: np.ndarray) -> float | None:
-    """max |values - reference| over the entries where values is finite, or
-    None where none is."""
-    finite = np.isfinite(values)
-    return float(np.max(np.abs(values - reference)[finite])) if finite.any() else None
-
-
 def run_drive(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
-    """With params.dim omitted both columns come from the Gaussian core
-    ("generating_function"): P_exact from drive.gaussian_drive, exact and
-    finite at every cycle with no truncated state and no N limit, and dim
-    null. An explicit params.dim takes P_exact from the truncated loop
-    drive.iterate_drive ("eigh"), which runs every cycle up to its tail gate
-    (the summary's first_nan_k names the first cycle it leaves NaN), the
-    state built at params.dim by _truncated_state; its summary gives the
-    largest distance to the Gaussian core's P_exact over the cycles where it
-    is finite (exact_max_deviation), which it reports and does not gate on.
-    P_approx is drive.squeezed_overlaps on both routes. A thermal state is
-    refused (exit 3)."""
+    """P_exact from drive.gaussian_drive, dim null; at an explicit params.dim
+    from drive.iterate_drive on the state built there, NaN from the cycle the
+    summary's first_nan_k names, and its largest distance to gaussian_drive's
+    where finite (exact_max_deviation), reported and not gated on. P_approx
+    is drive.squeezed_overlaps. Every summary gives the result's route. A
+    thermal state is a config error."""
     phys = model.build_system(system)
     N = _param(params, "N", _positive_integer, 50)
     level = _param(params, "level", _integer, 1)
     dim = _param(params, "dim", _optional(_positive_integer))
-    kind, value, size = _state_spec(params, dim)
-    if kind == "thermal":
-        raise DimensionMismatch("drive requires a pure initial state")
-    n, alpha = (value, 0j) if kind == "fock" else (0, value)
-    if dim is None:
-        route = "generating_function"
-        res = exact = drive.gaussian_drive(phys, N, level, n, alpha)
-    else:
-        route = "eigh"
-        res = drive.iterate_drive(phys, _truncated_state(kind, value, size, dim), N, level)
-        exact = drive.gaussian_drive(phys, N, level, n, alpha)
+    prep, size = _state_spec(params, dim)
+    if prep.nbar:
+        raise ConfigError("drive requires a pure initial state")
+    state = None if dim is None else prep.truncated(size)
+    exact = drive.gaussian_drive(phys, N, level, prep.n, prep.alpha)
+    res = exact if state is None else drive.iterate_drive(phys, state, N, level)
     series = {"P_exact": res.exact,
-              "P_approx": drive.squeezed_overlaps(phys, N, level, n, alpha)}
+              "P_approx": drive.squeezed_overlaps(phys, N, level, prep.n, prep.alpha)}
     finite = np.isfinite(res.exact)
     summary = {
         "dim": dim,
-        "route": route,
+        "route": res.route,
         "per_cycle_r": res.schedule.per_cycle_r,
         "beta_g": [res.schedule.beta_g.real, res.schedule.beta_g.imag],
         "max_deviation": _finite_max_deviation(res.exact, series["P_approx"]),
         "variance_growth_N": drive.position_variance_growth(phys, N, level),
     }
-    if dim is not None:
+    if state is not None:
         summary["exact_max_deviation"] = _finite_max_deviation(res.exact, exact.exact)
     if not finite.all():
         summary["first_nan_k"] = {"P_exact": int(np.argmin(finite)) + 1}
@@ -497,7 +461,8 @@ def run_qfunc(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
         raise ConfigError("t needs a distribution: without one the state is not evolved")
     delta = _param(params, "delta", _positive, 0.1)
     dim = _param(params, "dim", _positive_integer)
-    state = _truncated_state(*_state_spec(params, dim), dim)
+    prep, size = _state_spec(params, dim)
+    state = prep.truncated(size)
     summary = {}
     if probabilities is not None:
         dist = phasespace.InternalDistribution(tuple(probabilities))
@@ -526,7 +491,7 @@ def run_sweep(system: dict, params: dict) -> tuple[list[str], np.ndarray, dict]:
     else sqrt(k/M0) with model.build_system's defaults (a natural system with
     no trap takes k = M0 hbar, the unit trap), else 1e6 for an SI system."""
     op = params.get("op")
-    if op not in _SWEEP_OPS:
+    if not isinstance(op, str) or op not in _SWEEP_OPS:
         raise ConfigError(f"sweep op must be one of {sorted(_SWEEP_OPS)}, got {op!r}")
     axes = params.get("axes", {})
     if op == "fractional_shift":

@@ -155,12 +155,13 @@ def _check_cycles(N: int) -> None:
 @dataclass(frozen=True)
 class DriveResult:
     """Overlap decay P_k = |<psi0|psi_k>|^2 through the cycle over
-    k = 1..N cycles, N = exact.size; NaN at a k that iterate_drive does not
-    compute (past its truncation-tail gate). gaussian_drive is finite at
-    every k."""
+    k = 1..N cycles, N = exact.size, and its route: "eigh" (iterate_drive),
+    NaN at a k past its truncation-tail gate, or "generating_function"
+    (gaussian_drive), finite at every k."""
 
     exact: np.ndarray
     schedule: DriveSchedule
+    route: str
 
 
 def gaussian_drive(params: model.SystemParams, N: int, level: int = 1,
@@ -174,7 +175,7 @@ def gaussian_drive(params: model.SystemParams, N: int, level: int = 1,
     sched = drive_schedule(params, level)
     k = np.arange(1, N + 1)
     exact = _overlaps(sched.effective_r(k), (-1.0) ** k, n, alpha, _fixed_point(params, sched))
-    return DriveResult(exact=exact, schedule=sched)
+    return DriveResult(exact=exact, schedule=sched, route="generating_function")
 
 
 def squeezed_overlaps(params: model.SystemParams, N: int, level: int = 1,
@@ -219,7 +220,7 @@ def iterate_drive(
         if np.vdot(psi[m:], psi[m:]).real > TAIL_BOUND:
             break
         exact[k] = abs(np.vdot(psi0.data[:psi.size], psi)) ** 2
-    return DriveResult(exact=exact, schedule=sched)
+    return DriveResult(exact=exact, schedule=sched, route="eigh")
 
 
 def _reach(U: np.ndarray) -> np.ndarray:

@@ -21,16 +21,16 @@ default grid). So a RamseyTrace keeps both factors, and its phase subtracts
 offset from the unwrapped arg(bounded) instead of unwrapping it.
 
 Solver paths. All three traces share one prologue (_trace): it resolves x0
-through analytic.VacuumAmplitudeParams.from_system and pairs a bounded
-trace with the scalar phase. Every CLI state type has an exact bounded trace
-with no truncation and no eigensolve (dim None), read with no rotation from
-the Gaussian core's W = U_0b^dag U_1b: gaussian_trace (the displaced thermal
-state D(alpha) rho_th(nbar) D(alpha)^dag: the vacuum, coherent |alpha> and
-thermal states) from the Gaussian kernel analytic.gaussian_amplitude, one
-value per time, and fock_trace (|n>) from analytic.fock_diagonal, the
+through analytic.VacuumAmplitudeParams.from_system, pairs a bounded trace
+with the scalar phase and names the route. exact_trace picks the exact route
+of a states.Preparation, with no truncation and no eigensolve (dim None),
+read with no rotation from the Gaussian core's W = U_0b^dag U_1b: fock_trace
+("generating_function", |n>, n != 0) from analytic.fock_diagonal, the
 kernel's y^n coefficient: an O(n^2) power series per time up to n = 1500, a
-circle sum of O(n) points above, in blocks whose size does not grow with n.
-ramsey_trace takes any CMState and evolves it at its own dim: it is the
+circle sum of O(n) points above, in blocks whose size does not grow with n;
+gaussian_trace ("gaussian_kernel", every other state, and any displaced
+thermal state) from analytic.gaussian_amplitude, one value per time.
+ramsey_trace ("eigh") evolves any CMState at its own dim: it is the
 truncated model and the oracle of the other two, and the only one that
 reads a CMState. a_1 is real, so H_1b is built from fock.mode_number, the
 real pentadiagonal number operator written from its bands in O(dim), and
@@ -87,9 +87,8 @@ class RamseyTrace:
     unwrapped, across the kept points alone: a sub-floor gap is crossed in
     one nearest-branch step of the bounded factor, while offset carries the
     rate's whole advance across it. phase_floor is the absolute rounding of
-    the rate term, ulp(max |offset|) + eps max |offset|. dim is the Fock
-    truncation of a ramsey_trace result and None for a trace from
-    gaussian_trace or fock_trace, which have none.
+    the rate term, ulp(max |offset|) + eps max |offset|. route is the
+    module's solver path, and dim the Fock truncation on "eigh", else None.
     """
 
     times: np.ndarray
@@ -98,6 +97,7 @@ class RamseyTrace:
     level: int
     x0: float
     dim: int | None
+    route: str
     corotating: bool = False
 
     @cached_property
@@ -199,11 +199,12 @@ def _corotating_rate_per_omega0(params: model.SystemParams, level: int) -> float
     return -0.5 * nat.g**2 * delta_M * (nat.mass(level) + 1.0)
 
 
-def _trace(params, times, level, x0, corotating, bounded, dim=None) -> RamseyTrace:
+def _trace(params, times, level, x0, corotating, route, bounded, dim=None) -> RamseyTrace:
     """Every trace's prologue: x0 resolved by VacuumAmplitudeParams.from_system
-    (None: the sag g/omega0^2), and the RamseyTrace at dim of bounded(vap, t)
-    and the offset rate t: rate is the offset gap over hbar in the lab frame,
-    _corotating_rate_per_omega0 times omega0 in the co-rotating one."""
+    (None: the sag g/omega0^2), and the RamseyTrace at dim, named route, of
+    bounded(vap, t) and the offset rate t: rate is the offset gap over hbar
+    in the lab frame, _corotating_rate_per_omega0 times omega0 in the
+    co-rotating one."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     vap = analytic.VacuumAmplitudeParams.from_system(params, level=level, x0=x0)
     if corotating:
@@ -214,7 +215,7 @@ def _trace(params, times, level, x0, corotating, bounded, dim=None) -> RamseyTra
     else:
         offset = model.offset_gap(params, level, 0) / params.hbar * times
     return RamseyTrace(times=times, bounded=bounded(vap, times), offset=offset, level=level,
-                       x0=vap.x0, dim=dim, corotating=corotating)
+                       x0=vap.x0, dim=dim, route=route, corotating=corotating)
 
 
 def gaussian_trace(params: model.SystemParams, times, level: int = 1,
@@ -223,11 +224,10 @@ def gaussian_trace(params: model.SystemParams, times, level: int = 1,
     """Exact trace between levels 0 and level for the displaced thermal state
     D(alpha) rho_th(nbar) D(alpha)^dag of the ground trap (by default its
     vacuum; nbar = 0: the coherent state |alpha>; alpha = 0: the thermal
-    state), from analytic.gaussian_amplitude: no truncation, no eigensolve,
-    dim None. NotNormalized for a non-finite alpha or alpha^2 and for an nbar
-    that is not finite and >= 0 or whose q = nbar / (1 + nbar) rounds to 1.
-    x0=None uses the gravitational-sag separation g/omega0^2."""
-    return _trace(params, times, level, x0, corotating,
+    state), from analytic.gaussian_amplitude. NotNormalized for a non-finite
+    alpha or alpha^2 and for an nbar that is not finite and >= 0 or whose
+    q = nbar / (1 + nbar) rounds to 1. x0=None uses the sag g/omega0^2."""
+    return _trace(params, times, level, x0, corotating, "gaussian_kernel",
                   lambda vap, t: analytic.gaussian_amplitude(vap, t, alpha, nbar))
 
 
@@ -235,8 +235,17 @@ def fock_trace(params: model.SystemParams, n: int, times, level: int = 1,
                x0: float | None = None, corotating: bool = False) -> RamseyTrace:
     """gaussian_trace's sibling for the Fock state |n>: <n|U_0b^dag U_1b|n>,
     from analytic.fock_diagonal (DimensionMismatch for n < 0)."""
-    return _trace(params, times, level, x0, corotating,
+    return _trace(params, times, level, x0, corotating, "generating_function",
                   lambda vap, t: analytic.fock_diagonal(vap, t, n))
+
+
+def exact_trace(params: model.SystemParams, prep: states.Preparation, times, level: int = 1,
+                x0: float | None = None, corotating: bool = False) -> RamseyTrace:
+    """The exact trace of prep: the module's one route choice."""
+    if prep.n != 0:
+        return fock_trace(params, prep.n, times, level, x0, corotating)
+    return gaussian_trace(params, times, level, x0, corotating,
+                          alpha=prep.alpha, nbar=prep.nbar)
 
 
 def ramsey_trace(params: model.SystemParams, state: CMState, times, level: int = 1,
@@ -253,7 +262,7 @@ def ramsey_trace(params: model.SystemParams, state: CMState, times, level: int =
                           dim, fock.tail_bound(spec.V, state.data))
         return _bounded_trace(spec, vap.omega0, state, t)
 
-    return _trace(params, times, level, x0, corotating, bounded, dim)
+    return _trace(params, times, level, x0, corotating, "eigh", bounded, dim)
 
 
 def fock_revival_values(params: model.SystemParams, n0: int, x0: float | None = None,

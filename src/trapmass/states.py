@@ -1,7 +1,7 @@
 """Center-of-mass states in the ground-level mode basis, their coherent
-amplitudes, and the one truncation rule: at most TAIL_BOUND of a state's
-weight may lie beyond its dim, and of an evolved state beyond
-fock.interior(dim)."""
+amplitudes, the one truncation rule (at most TAIL_BOUND of a state's weight
+may lie beyond its dim, and of an evolved state beyond fock.interior(dim)),
+and the Preparation record that names a state with no dim."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotNormalized, TruncationInsufficient
+from .errors import DimensionMismatch, NotNormalized, ParamMismatch, TruncationInsufficient
 
 _NORM_TOL = 1e-12
 _TRACE_TOL = 1e-10
@@ -162,3 +162,24 @@ def thermal_state_cm(dim: int, nbar: float) -> CMState:
     if not (math.isfinite(nbar) and nbar >= 0):
         raise NotNormalized(f"nbar must be finite and >= 0, got {nbar}")
     return mixed_state(np.diag(thermal_populations(dim, nbar / (nbar + 1.0))).astype(complex))
+
+
+@dataclass(frozen=True)
+class Preparation:
+    """A state with no dim: the Fock state |n>, or the displaced thermal state
+    D(alpha) rho_th(nbar) D(alpha)^dag (the vacuum by default). At most one
+    field may differ from its default (ParamMismatch otherwise)."""
+
+    n: int = 0
+    alpha: complex = 0j
+    nbar: float = 0.0
+
+    def __post_init__(self):
+        if [self.n, self.alpha, self.nbar].count(0) < 2:  # a NaN counts as set
+            raise ParamMismatch(f"a preparation sets at most one of n, alpha and nbar: {self}")
+
+    def truncated(self, dim: int) -> CMState:
+        """The state built at dim, under the truncation rule."""
+        if self.nbar:
+            return thermal_state_cm(dim, self.nbar)
+        return coherent_state(dim, self.alpha) if self.alpha else fock_state(dim, self.n)

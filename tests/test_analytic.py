@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trapmass import analytic, drive, fock, model, ramsey, states, verify
-from trapmass.errors import DegenerateLevels, NotNormalized, ParamMismatch, RegimeWarning
+from trapmass.errors import (DegenerateLevels, DimensionMismatch, NotNormalized, ParamMismatch,
+                             RegimeWarning)
 
 
 def natural_params(E1=2.0, c=2.0, g=0.0):
@@ -547,3 +548,19 @@ def test_fock_weight_matches_the_first_form_kernel(n):
                 weight = analytic.fock_weight(np.array([A]), np.array([B]), beta, n)[0]
                 worst = max(worst, abs(weight - _first_form_weight(A, B, beta, n)))
     assert worst < 1e-13
+
+
+def test_fock_diagonal_refuses_an_n_past_the_int64_phase_index(monkeypatch):
+    # The circle sum forms its phase index k n in int64: at n = 2^40 its M n
+    # is 2^84, which wrapped with no error and gave wrong weights (and an n
+    # past 2^63 raised OverflowError). It is refused before any kernel value
+    # is formed.
+    def no_kernel(*args):
+        raise AssertionError("kernel evaluated")
+
+    monkeypatch.setattr(analytic, "_trace_kernel", no_kernel)
+    vap = analytic.VacuumAmplitudeParams(r=-0.1, a0=1.0, x0=0.5, omega0=1.0,
+                                         omega1=math.exp(-0.2))
+    for n in (2**40, 10**19, int(1e300)):
+        with pytest.raises(DimensionMismatch, match="int64 phase index"):
+            analytic.fock_diagonal(vap, np.linspace(0.0, 3.0, 5), n)

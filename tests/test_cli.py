@@ -190,7 +190,7 @@ def test_exact_routes_take_states_past_the_default_dim(tmp_path, state, route):
 
 
 def _spy_on_state_constructors(monkeypatch) -> list[str]:
-    """Record every call of a states constructor, the CLI's table included."""
+    """Record every call of a states constructor."""
     calls = []
 
     def spy(name):
@@ -200,13 +200,10 @@ def _spy_on_state_constructors(monkeypatch) -> list[str]:
             calls.append(name)
             return real(*args)
         monkeypatch.setattr(states, name, wrapper)
-        return wrapper
 
-    for name in ("pure_state", "mixed_state"):
+    for name in ("pure_state", "mixed_state", "fock_state", "coherent_state",
+                 "thermal_state_cm"):
         spy(name)
-    monkeypatch.setattr(cli, "_STATE_TYPES", {
-        kind: (key, parse, default, spy(build.__name__))
-        for kind, (key, parse, default, build) in cli._STATE_TYPES.items()})
     return calls
 
 
@@ -248,6 +245,72 @@ def test_malformed_state_specs_are_config_errors(tmp_path, state):
         cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
                "output": {"path": "bad_state"}, "params": {"state": state, **extra}}
         assert run(tmp_path, cfg, "ramsey") == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("state, key", [
+    ({"type": "fock", "n": 2, "alpha": 5}, "alpha"),
+    ({"type": "coherent", "alpha": 1, "nbar": 3}, "nbar"),
+    ({"type": "thermal", "nbar": 1.0, "n": 2}, "n"),
+    ({"type": "fock", "nbar": 0.5}, "nbar"),
+])
+def test_a_key_of_another_state_type_is_a_config_error(tmp_path, state, key, capsys):
+    # Each type takes its own key and dim only: Fock 2 with an alpha ran
+    # Fock 2, and a coherent state with an nbar ran |1> with the nbar
+    # dropped, both exit 0.
+    for experiment, cfg in (("ramsey", ramsey_cfg(state=state)), ("drive", drive_cfg(state=state)),
+                            ("qfunc", qfunc_cfg(state=state))):
+        cfg["params"].pop("dim", None)
+        assert run(tmp_path, cfg, experiment) == cli.EXIT_CONFIG
+        assert f"state: ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("ramsey", {"state": {"type": ["fock"]}}),
+    ("drive", {"state": {"type": {"a": 1}}}),
+    ("qfunc", {"state": {"type": ["fock"], "n": 1}}),
+    ("sweep", {"op": ["fractional_shift"]}),
+    ("sweep", {"op": {"a": 1}}),
+])
+def test_an_unhashable_state_type_or_sweep_op_is_a_config_error(tmp_path, experiment, params):
+    # A list or object here raised TypeError from the table lookup, exit 1.
+    cfg = {"experiment": experiment, "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "unhashable"}, "params": params}
+    assert run(tmp_path, cfg, experiment) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("experiment", ["ramsey", "drive"])
+def test_a_fock_n_past_the_int64_phase_index_is_a_numeric_failure(tmp_path, experiment, capsys):
+    # With dim omitted a Fock n of 1e19 raised OverflowError from the circle
+    # sum's int64 phase index (exit 1).
+    cfg = {"experiment": experiment, "system": dict(NATURAL_SYSTEM),
+           "output": {"path": "huge_n"},
+           "params": {"state": {"type": "fock", "n": 1e19}, "N": 3} if experiment == "drive"
+           else {"state": {"type": "fock", "n": 1e19}, "points": 5}}
+    assert run(tmp_path, cfg, experiment) == cli.EXIT_NUMERIC
+    assert "int64 phase index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [None, 64])
+def test_the_vacuum_written_four_ways_writes_one_run(tmp_path, dim):
+    # The default state, Fock 0, coherent 0 and thermal 0 are one
+    # Preparation, so they write the same CSV body and summary, apart from
+    # the config hash: coherent 0 and thermal 0 gain the vacuum's columns.
+    written = []
+    for spec in (None, {"type": "fock", "n": 0}, {"type": "coherent", "alpha": 0},
+                 {"type": "thermal", "nbar": 0}):
+        params = {"points": 50, **({} if dim is None else {"dim": dim})}
+        if spec is not None:
+            params["state"] = spec
+        cfg = {"experiment": "ramsey", "system": dict(NATURAL_SYSTEM),
+               "output": {"path": "vacuum"}, "params": params}
+        assert run(tmp_path, cfg, "ramsey", extra=["--verify"]) == cli.EXIT_OK
+        lines = (tmp_path / "vacuum.csv").read_bytes().splitlines(keepends=True)
+        summary = json.loads((tmp_path / "vacuum_summary.json").read_text())
+        summary.pop("config_sha256")
+        written.append(([x for x in lines if not x.startswith(b"# config_sha256=")], summary))
+    assert b"t,P,V,phase,V_analytic,phase_analytic\r\n" in written[0][0]
+    assert "t_min" in written[0][1] and written[0][1]["dim"] == dim
+    assert all(w == written[0] for w in written)
 
 
 @pytest.mark.parametrize("bad", [{"points": 0}, {"times": []}, {"points": -3},
@@ -568,7 +631,7 @@ def test_drive_refuses_thermal_states(tmp_path, dim, capsys):
         params["dim"] = dim
     cfg = {"experiment": "drive", "system": dict(NATURAL_SYSTEM),
            "output": {"path": "drive_thermal"}, "params": params}
-    assert run(tmp_path, cfg, "drive") == cli.EXIT_NUMERIC
+    assert run(tmp_path, cfg, "drive") == cli.EXIT_CONFIG
     assert "pure initial state" in capsys.readouterr().err
 
 

@@ -439,3 +439,9 @@ def test_variance_growth_matches_exact_squeeze_action():
     x2_ratio = (psi.conj() @ ((a + a.T) @ (a + a.T) @ psi)).real
     growth = drive.position_variance_growth(p, N)["position"]
     assert x2_ratio - 1.0 == pytest.approx(growth, rel=1e-10)
+
+
+def test_every_drive_result_names_its_route():
+    p = natural_params()
+    assert drive.gaussian_drive(p, 3).route == "generating_function"
+    assert drive.iterate_drive(p, states.fock_state(32, 0), 3).route == "eigh"

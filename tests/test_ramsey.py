@@ -737,3 +737,38 @@ def test_exact_routes_check_their_own_parameter(route, value, error):
     # coherent and thermal traces both run through gaussian_trace.
     with pytest.raises(error):
         _EXACT_ROUTES[route](natural_params(), value, [0.0, 0.1])
+
+
+_PREPARATION_ROUTES = [
+    ({}, "gaussian_kernel", lambda p, t, **w: ramsey.gaussian_trace(p, t, **w)),
+    ({"n": 3}, "generating_function", lambda p, t, **w: ramsey.fock_trace(p, 3, t, **w)),
+    ({"alpha": 1.2 - 0.7j}, "gaussian_kernel",
+     lambda p, t, **w: ramsey.gaussian_trace(p, t, alpha=1.2 - 0.7j, **w)),
+    ({"nbar": 1.5}, "gaussian_kernel",
+     lambda p, t, **w: ramsey.gaussian_trace(p, t, nbar=1.5, **w)),
+]
+
+
+@pytest.mark.parametrize("fields, route, direct", _PREPARATION_ROUTES,
+                         ids=["vacuum", "fock", "coherent", "thermal"])
+def test_exact_trace_is_the_route_it_picks(fields, route, direct):
+    # exact_trace is fock_trace for a Fock n != 0 and gaussian_trace for
+    # every other state, bit for bit, with the keywords passed through.
+    p = natural_params(g=0.5)
+    times = np.linspace(0.0, 7.0, 41)
+    for where in ({}, {"level": 1, "x0": 0.4, "corotating": True}):
+        got = ramsey.exact_trace(p, states.Preparation(**fields), times, **where)
+        want = direct(p, times, **where)
+        assert got.route == want.route == route and got.dim is None
+        assert got.x0 == want.x0 and got.corotating == want.corotating
+        assert got.bounded.tobytes() == want.bounded.tobytes()
+        assert got.offset.tobytes() == want.offset.tobytes()
+
+
+def test_every_trace_names_its_route():
+    p = natural_params()
+    times = np.linspace(0.0, 3.0, 7)
+    assert ramsey.gaussian_trace(p, times).route == "gaussian_kernel"
+    assert ramsey.fock_trace(p, 2, times).route == "generating_function"
+    trace = ramsey.ramsey_trace(p, states.fock_state(32, 0), times)
+    assert trace.route == "eigh" and trace.dim == 32

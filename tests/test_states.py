@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, gammaln
 
 from trapmass import states
-from trapmass.errors import DimensionMismatch, NotNormalized, TruncationInsufficient
+from trapmass.errors import DimensionMismatch, NotNormalized, ParamMismatch, TruncationInsufficient
 
 
 def test_fock_state():
@@ -241,3 +241,35 @@ def test_mixed_state_checks_other_matrices_densely(monkeypatch):
         states.mixed_state(np.array([[0.5, 0.7], [0.7, 0.5]], dtype=complex))
     states.mixed_state(states.coherent_state(32, 0.5 - 0.3j).density())
     assert shapes == [(2, 2), (32, 32)]
+
+
+@pytest.mark.parametrize("fields", [{"n": 1, "alpha": 0.5}, {"n": 2, "nbar": 1.0},
+                                    {"alpha": 1j, "nbar": 0.5}, {"alpha": math.nan, "nbar": 1.0},
+                                    {"n": 1, "alpha": 1.0, "nbar": 1.0}])
+def test_preparation_refuses_two_set_fields(fields):
+    # A Preparation names one state: a displaced thermal state with both
+    # alpha and nbar, or a Fock n with either, is refused, and a NaN counts
+    # as set.
+    with pytest.raises(ParamMismatch):
+        states.Preparation(**fields)
+
+
+def test_preparation_defaults_to_the_vacuum():
+    vacuum = states.Preparation()
+    for fields in ({"n": 0}, {"alpha": 0j}, {"nbar": 0.0}, {"n": 0, "alpha": 0.0, "nbar": 0.0}):
+        assert states.Preparation(**fields) == vacuum
+
+
+@pytest.mark.parametrize("fields, build", [
+    ({}, lambda dim: states.fock_state(dim, 0)),
+    ({"n": 3}, lambda dim: states.fock_state(dim, 3)),
+    ({"alpha": 1.2 - 0.7j}, lambda dim: states.coherent_state(dim, 1.2 - 0.7j)),
+    ({"alpha": 0.0}, lambda dim: states.coherent_state(dim, 0j)),
+    ({"nbar": 1.5}, lambda dim: states.thermal_state_cm(dim, 1.5)),
+], ids=["vacuum", "fock", "coherent", "coherent0", "thermal"])
+def test_preparation_truncated_is_the_constructor(fields, build):
+    # truncated(dim) builds the constructor's state bit for bit; the
+    # coherent state of alpha 0 is the vacuum's Fock vector.
+    got, want = states.Preparation(**fields).truncated(64), build(64)
+    assert got.data.dtype == want.data.dtype and got.data.shape == want.data.shape
+    assert got.data.tobytes() == want.data.tobytes()
